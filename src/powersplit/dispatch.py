@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -413,10 +414,16 @@ def closed_loop_simulate(n_loads: int, model: NominalLoadModel, reference,
     initial distribution), form e_t = r_t - (y_t - ybar_t), compute zeta_t,
     then every load draws its next state from its tilted kernel.
 
-    Without a hook the fleet evolves as occupancy counts (exact, fast).
-    With ``disagg_hook(t, states) -> (xu_est, u_on_est)`` loads are tracked
-    individually: the hook's estimated mode and power map drive each load's
-    tilt decision while the true state drives the physics.
+    Without a hook the fleet evolves as occupancy counts, one multinomial
+    draw per occupied state. With ``disagg_hook(t, states) -> (xu_est,
+    u_on_est)`` loads are tracked individually: the hook's estimated mode and
+    ON power drive each load's tilt decision while the true state drives the
+    physics. Both paths advance the whole fleet with array operations, so
+    10^4 loads over 1440 steps run in seconds either way.
+
+    The hook must return ``n_loads`` integer modes in ``[0, nu)`` and
+    ``n_loads`` finite ON powers; anything else raises ``ValueError`` naming
+    the step.
     """
     reference = np.asarray(reference, dtype=float)
     T = len(reference)
@@ -425,6 +432,7 @@ def closed_loop_simulate(n_loads: int, model: NominalLoadModel, reference,
 
     per_load = disagg_hook is not None
     if per_load:
+        tables = _fleet_tables(model)
         if init_states is None:
             pi0 = invariant_pmf(controlled_kernel(model, 0.0))
             states = rng.choice(model.S, size=n_loads, p=pi0)
@@ -455,8 +463,9 @@ def closed_loop_simulate(n_loads: int, model: NominalLoadModel, reference,
         traces["zeta"][t] = zeta
 
         if per_load:
-            xu_est, u_on_est = disagg_hook(t, states)
-            states = _per_load_step(model, states, xu_est, u_on_est, zeta, rng)
+            xu_est, u_on_est = _checked_hook_output(
+                t, *disagg_hook(t, states), n_loads, model.R0.shape[1])
+            states = _per_load_step(tables, states, xu_est, u_on_est, zeta, rng)
         else:
             counts = fleet_counts_step(counts, controlled_kernel(model, zeta), rng)
         mu_next = twin.mu @ P0
@@ -464,36 +473,85 @@ def closed_loop_simulate(n_loads: int, model: NominalLoadModel, reference,
     return traces
 
 
-def _per_load_step(model: NominalLoadModel, states, xu_est, u_on_est,
+def _checked_hook_output(t: int, xu_est, u_on_est, n_loads: int,
+                         nu: int) -> tuple[np.ndarray, np.ndarray]:
+    """(modes as int64, ON powers as float) from one hook call, or a
+    ValueError naming step t. Indexing would silently wrap a mode of -1."""
+    xu = np.asarray(xu_est)
+    u_on = np.asarray(u_on_est, dtype=float)
+    if xu.shape != (n_loads,) or u_on.shape != (n_loads,):
+        raise ValueError(
+            f"step {t}: hook returned modes of shape {xu.shape} and ON powers "
+            f"of shape {u_on.shape}; expected ({n_loads},) each")
+    if xu.dtype.kind not in "biu":
+        if xu.dtype.kind != "f" or not np.all(np.isfinite(xu) & (xu == np.floor(xu))):
+            raise ValueError(f"step {t}: hook returned non-integer modes")
+    if xu.min() < 0 or xu.max() >= nu:
+        raise ValueError(f"step {t}: hook returned modes outside [0, {nu})")
+    if not np.all(np.isfinite(u_on)):
+        raise ValueError(f"step {t}: hook returned non-finite ON powers")
+    return xu.astype(np.int64), u_on
+
+
+class _FleetTables(NamedTuple):
+    """Per-model lookup tables for the per-load transition."""
+
+    index: np.ndarray    # (nu, nn) retained state of each (mode, internal) pair, -1 if none
+    xn_of: np.ndarray    # (S,) internal index of each retained state
+    R0_pos: np.ndarray   # (S, nu) support of the controllable rows
+    log_R0: np.ndarray   # (S, nu) log R0, zeros floored at 1e-300
+    cdf_R0: np.ndarray   # (S, nu) row-wise cumulative sums of R0
+    cdf_Q0: np.ndarray   # (S, nn) row-wise cumulative sums of Q0
+
+
+def _fleet_tables(model: NominalLoadModel) -> _FleetTables:
+    index = np.full((model.R0.shape[1], model.Q0.shape[1]), -1, dtype=np.int64)
+    index[model.xu_of, model.xn_of] = np.arange(model.S)
+    return _FleetTables(
+        index=index, xn_of=model.xn_of, R0_pos=model.R0 > 0,
+        log_R0=np.log(np.maximum(model.R0, 1e-300)),
+        cdf_R0=np.cumsum(model.R0, axis=1), cdf_Q0=np.cumsum(model.Q0, axis=1))
+
+
+def _per_load_step(tables: _FleetTables, states, xu_est, u_on_est,
                    zeta: float, rng: np.random.Generator) -> np.ndarray:
-    """One per-load transition: the tilt row is computed from the estimated
-    mode and estimated ON power, the thermal row from the true state.
+    """One per-load transition of the whole fleet: the tilt row is computed
+    from the estimated mode and estimated ON power, the thermal row from the
+    true state.
+
+    RNG contract: exactly two uniform vectors of length n per step, drawn in
+    this order: ``u = rng.random(n)`` for the mode decision, then
+    ``v = rng.random(n)`` for the thermal move. Load i's next state depends
+    only on ``u[i]``, ``v[i]`` and its own inputs.
 
     Estimation only reweights the mode decision; it cannot move mass onto
     modes the true row forbids (outside the deadband both rows force the
     same mode), so the landed pair is always a retained state. If a custom
-    model breaks that, the controller falls back to its true row.
+    model breaks that, the controller falls back to its true row: for its
+    control row when the estimated (mode, internal) pair is not retained,
+    and for its mode draw when the landed pair is not retained.
     """
     n = len(states)
-    new_states = np.empty(n, dtype=np.int64)
-    lookup = {(int(model.xu_of[s]), int(model.xn_of[s])): s for s in range(model.S)}
     u = rng.random(n)
     v = rng.random(n)
-    for i in range(n):
-        s_true = int(states[i])
-        s_ctrl = lookup.get((int(xu_est[i]), int(model.xn_of[s_true])), s_true)
-        U_hat = np.array([0.0, float(u_on_est[i])])
-        logr = np.where(model.R0[s_ctrl] > 0,
-                        np.log(np.maximum(model.R0[s_ctrl], 1e-300)) + zeta * U_hat,
-                        -np.inf)
-        r = np.exp(logr - logr.max())
-        r /= r.sum()
-        xu_next = min(int(np.searchsorted(np.cumsum(r), u[i])), len(r) - 1)
-        q = model.Q0[s_true]
-        xn_next = min(int(np.searchsorted(np.cumsum(q), v[i], side="right")), len(q) - 1)
-        key = (xu_next, xn_next)
-        if key not in lookup:
-            xu_next = min(int(np.searchsorted(np.cumsum(model.R0[s_true]), u[i])),
-                          len(r) - 1)
-        new_states[i] = lookup[(xu_next, xn_next)]
+    s_ctrl = tables.index[xu_est, tables.xn_of[states]]
+    s_ctrl = np.where(s_ctrl < 0, states, s_ctrl)
+    U_hat = np.stack([np.zeros(n), u_on_est], axis=1)
+    logr = np.where(tables.R0_pos[s_ctrl], tables.log_R0[s_ctrl] + zeta * U_hat,
+                    -np.inf)
+    r = np.exp(logr - logr.max(axis=1, keepdims=True))
+    r /= r.sum(axis=1, keepdims=True)
+    nu = r.shape[1]
+    # (cdf < u).sum() is searchsorted side="left"; (cdf <= v).sum() side="right"
+    xu_next = np.minimum((np.cumsum(r, axis=1) < u[:, None]).sum(axis=1), nu - 1)
+    xn_next = np.minimum((tables.cdf_Q0[states] <= v[:, None]).sum(axis=1),
+                         tables.cdf_Q0.shape[1] - 1)
+    new_states = tables.index[xu_next, xn_next]
+    miss = np.flatnonzero(new_states < 0)
+    if len(miss):
+        xu_next[miss] = np.minimum(
+            (tables.cdf_R0[states[miss]] < u[miss, None]).sum(axis=1), nu - 1)
+        new_states[miss] = tables.index[xu_next[miss], xn_next[miss]]
+        if np.any(new_states[miss] < 0):
+            raise ValueError("a load landed outside the retained state list")
     return new_states

@@ -4,10 +4,13 @@ measurement curves.
 """
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from powersplit import dispatch
 from powersplit.dispatch import (
     MeanFieldState,
     NominalLoadModel,
@@ -378,3 +381,211 @@ def test_closed_loop_oracle_hook_runs_per_load():
     kp, ki = 0.2, 0.005
     want = kp * traces["e"] + ki * np.cumsum(traces["e"])
     assert np.abs(traces["zeta"] - want).max() < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# the per-load transition against its loop reference
+# ---------------------------------------------------------------------------
+
+
+def _per_load_step_reference(model: NominalLoadModel, states, xu_est, u_on_est,
+                             zeta: float, rng: np.random.Generator,
+                             fired: Counter | None = None) -> np.ndarray:
+    """The original one-load-at-a-time loop; ``fired`` counts the two
+    fallback branches."""
+    n = len(states)
+    new_states = np.empty(n, dtype=np.int64)
+    lookup = {(int(model.xu_of[s]), int(model.xn_of[s])): s for s in range(model.S)}
+    u = rng.random(n)
+    v = rng.random(n)
+    for i in range(n):
+        s_true = int(states[i])
+        s_ctrl = lookup.get((int(xu_est[i]), int(model.xn_of[s_true])), s_true)
+        if fired is not None and (int(xu_est[i]), int(model.xn_of[s_true])) not in lookup:
+            fired["ctrl"] += 1
+        U_hat = np.array([0.0, float(u_on_est[i])])
+        logr = np.where(model.R0[s_ctrl] > 0,
+                        np.log(np.maximum(model.R0[s_ctrl], 1e-300)) + zeta * U_hat,
+                        -np.inf)
+        r = np.exp(logr - logr.max())
+        r /= r.sum()
+        xu_next = min(int(np.searchsorted(np.cumsum(r), u[i])), len(r) - 1)
+        q = model.Q0[s_true]
+        xn_next = min(int(np.searchsorted(np.cumsum(q), v[i], side="right")), len(q) - 1)
+        key = (xu_next, xn_next)
+        if key not in lookup:
+            if fired is not None:
+                fired["landing"] += 1
+            xu_next = min(int(np.searchsorted(np.cumsum(model.R0[s_true]), u[i])),
+                          len(r) - 1)
+        new_states[i] = lookup[(xu_next, xn_next)]
+    return new_states
+
+
+def _both_steps(model, states, xu_est, u_on_est, zeta, seed, fired=None):
+    """(vectorised, reference) next states from identically seeded streams;
+    also checks both consumed the same number of draws."""
+    rng_a, rng_b = stream(seed, "step"), stream(seed, "step")
+    a = dispatch._per_load_step(dispatch._fleet_tables(model), states, xu_est,
+                                u_on_est, zeta, rng_a)
+    b = _per_load_step_reference(model, states, xu_est, u_on_est, zeta, rng_b, fired)
+    assert rng_a.random() == rng_b.random()
+    return a, b
+
+
+_TCL = tcl_nominal_model(TclConfig())
+
+
+def partial_model():
+    """Three of the four (mode, internal) pairs retained, with mode-dependent
+    rows: from (ON, 0) a load that believes it is OFF uses the (OFF, 0) row,
+    which allows ON while the thermal move may reach internal state 1, so
+    it can land on the missing pair (ON, 1)."""
+    return NominalLoadModel(
+        R0=np.array([[0.6, 0.4], [1.0, 0.0], [1.0, 0.0]]),
+        Q0=np.array([[1.0, 0.0], [0.5, 0.5], [0.5, 0.5]]),
+        U=np.array([0.0, 4.0]), xu_of=np.array([0, 1, 0]), xn_of=np.array([0, 0, 1]))
+
+
+_MODELS = {"tcl": _TCL, "tiny": tiny_model(), "partial": partial_model()}
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), which=st.sampled_from(sorted(_MODELS)),
+       zeta=st.floats(-5.0, 5.0), seed=st.integers(0, 2**31 - 1),
+       flip_all=st.booleans())
+def test_per_load_step_matches_loop_reference(data, which, zeta, seed, flip_all):
+    model = _MODELS[which]
+    n = data.draw(st.integers(1, 64))
+    states = np.array(data.draw(st.lists(st.integers(0, model.S - 1),
+                                         min_size=n, max_size=n)), dtype=np.int64)
+    flips = np.ones(n, dtype=bool) if flip_all else np.array(
+        data.draw(st.lists(st.booleans(), min_size=n, max_size=n)), dtype=bool)
+    xu_est = np.where(flips, 1 - model.xu_of[states], model.xu_of[states])
+    scale = np.array(data.draw(st.lists(st.floats(0.25, 4.0), min_size=n, max_size=n)))
+    a, b = _both_steps(model, states, xu_est, model.U[1] * scale, zeta, seed)
+    assert np.array_equal(a, b)
+
+
+def test_per_load_step_fallbacks_fire_and_match_reference():
+    """With every mode flipped, 1 of the default thermostat's 17 states
+    looks up an unretained control pair; the thermostat's rows force modes
+    by temperature alone, so only the partial model lands off the list.
+    Both fallbacks must agree with the loop bit for bit."""
+    n = 2000
+    for which, want in [("tcl", {"ctrl"}), ("partial", {"ctrl", "landing"})]:
+        model = _MODELS[which]
+        rng = stream(7, "fallback", which)
+        fired = Counter()
+        for k, zeta in enumerate([-5.0, -0.7, 0.0, 0.7, 5.0]):
+            states = rng.integers(model.S, size=n)
+            u_on = model.U[1] * (1.0 + 0.3 * rng.standard_normal(n))
+            a, b = _both_steps(model, states, 1 - model.xu_of[states], u_on, zeta,
+                               100 + k, fired)
+            assert np.array_equal(a, b)
+        assert {k for k, c in fired.items() if c > 0} == want
+        if which == "tcl":
+            assert abs(fired["ctrl"] / (5 * n) - 1 / 17) < 0.01
+
+
+def _perturbing_hook(model, seed):
+    """20% of modes flipped, ON power off by 30% rms."""
+    prng = np.random.default_rng(seed)
+
+    def hook(t, states):
+        modes = model.xu_of[states].copy()
+        flip = prng.random(len(states)) < 0.2
+        modes[flip] = 1 - modes[flip]
+        return modes, model.U[1] * (1.0 + 0.3 * prng.standard_normal(len(states)))
+    return hook
+
+
+def test_closed_loop_per_load_traces_match_loop_reference(monkeypatch):
+    model = _TCL
+    ref = 0.6 * np.sin(2 * np.pi * np.arange(60) / 30.0)
+
+    def run():
+        return closed_loop_simulate(300, model, ref, (0.3, 0.01), stream(5, "cl-ref"),
+                                    disagg_hook=_perturbing_hook(model, 11))
+
+    fast = run()
+    monkeypatch.setattr(
+        dispatch, "_per_load_step",
+        lambda tables, *args: _per_load_step_reference(model, *args))
+    slow = run()
+    for k in fast:
+        assert fast[k].tobytes() == slow[k].tobytes(), k
+
+
+@pytest.mark.parametrize("bad", [
+    "short_modes", "long_powers", "mode_minus_one", "mode_too_large",
+    "fractional_mode", "nan_power", "inf_power",
+])
+def test_closed_loop_rejects_bad_hook_output(bad):
+    model = _TCL
+    ref = np.zeros(6)
+
+    def hook(t, states):
+        modes = model.xu_of[states].copy()
+        u_on = np.full(len(states), model.U[1])
+        if t < 3:
+            return modes, u_on
+        if bad == "short_modes":
+            modes = modes[:-1]
+        elif bad == "long_powers":
+            u_on = np.append(u_on, model.U[1])
+        elif bad == "mode_minus_one":
+            modes[0] = -1
+        elif bad == "mode_too_large":
+            modes[0] = 2
+        elif bad == "fractional_mode":
+            modes = modes + 0.5
+        elif bad == "nan_power":
+            u_on[1] = np.nan
+        else:
+            u_on[1] = np.inf
+        return modes, u_on
+
+    with pytest.raises(ValueError, match="step 3"):
+        closed_loop_simulate(20, model, ref, (0.2, 0.01), stream(6, "bad-hook"),
+                             disagg_hook=hook)
+
+
+def test_per_load_fleet_matches_count_fleet_in_law():
+    """Oracle hook with exact ON power: the per-load transition is exactly
+    P_zeta, so from the same initial counts under the same zeta sequence the
+    per-load and occupancy-count fleets have the same law (the mean-field
+    limit of Meyn et al. 2015). Their seed-averaged fleet-mean powers must
+    agree within a CLT band fixed beforehand."""
+    model = _TCL
+    n, reps, k_sigma = 2000, 8, 4.5
+    u = model.power_of_state
+    zetas = 1.5 * np.sin(2 * np.pi * np.arange(60) / 30.0)
+    counts0 = sample_fleet(model, n, stream(8, "law-init"))
+    states0 = np.repeat(np.arange(model.S), counts0)
+    tables = dispatch._fleet_tables(model)
+
+    y_load = np.zeros((reps, len(zetas)))
+    y_count = np.zeros((reps, len(zetas)))
+    for r in range(reps):
+        rng_load, rng_count = stream(8, "law-load", r), stream(8, "law-count", r)
+        states, counts = states0, counts0
+        for t, zeta in enumerate(zetas):
+            states = dispatch._per_load_step(tables, states, model.xu_of[states],
+                                             np.full(n, model.U[1]), zeta, rng_load)
+            counts = fleet_counts_step(counts, controlled_kernel(model, zeta), rng_count)
+            y_load[r, t] = u[states].sum() / n
+            y_count[r, t] = counts @ u / n
+
+    # per-load power variance under the mean-field marginal bounds the fleet's
+    mu = counts0 / n
+    sigma = np.empty(len(zetas))
+    for t, zeta in enumerate(zetas):
+        mu = mu @ controlled_kernel(model, zeta)
+        p_on = mu @ (model.xu_of == 1)
+        sigma[t] = model.U[1] * math.sqrt(p_on * (1.0 - p_on))
+    band = k_sigma * math.sqrt(2.0) * sigma / math.sqrt(n * reps)
+    gap = np.abs(y_load.mean(axis=0) - y_count.mean(axis=0))
+    assert np.all(gap < band), float((gap / band).max())
+    # the band is narrow against the tilt-driven swing it has to follow
+    assert np.ptp(y_count.mean(axis=0)) > 10 * band.max()

@@ -5,6 +5,7 @@ control loop wrapper, and the CLI commands end to end.
 
 import json
 import math
+import time
 from datetime import datetime
 
 import numpy as np
@@ -457,6 +458,17 @@ def test_simulate_control_hooks_run():
     assert fbpf["n_loads"] == 3
     assert 0.0 <= fbpf["hook_accuracy"] <= 1.0
     assert np.all(np.isfinite(fbpf["traces"]["y"]))
+
+
+def test_simulate_control_oracle_tracks_at_full_scale():
+    """Criterion 13's fleet and horizon run per load behind the oracle hook:
+    it tracks as well as the count path and takes seconds, not minutes."""
+    t0 = time.perf_counter()
+    res = simulate_control(ControlConfig(hook="oracle"), stream(114, "c13"))
+    assert res["n_loads"] == 10_000
+    assert len(res["traces"]["y"]) == 1_440
+    assert res["nrms"] < 0.15
+    assert time.perf_counter() - t0 < 60.0
 
 
 # ---------------------------------------------------------------------------
