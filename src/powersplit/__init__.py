@@ -2,12 +2,16 @@
 
 Layers, bottom up:
 
-- ``distributions``: conjugate updates, log densities, simplex utilities
-- ``hmm`` / ``hsmm``: batch Gibbs samplers with exact blocked state draws
+- ``distributions``: conjugate updates, log densities, simplex utilities,
+  elementary samplers
+- ``hmm`` / ``hsmm``: message passing and exact blocked state draws for the
+  chain and the explicit-duration segment model, plus the duration law and
+  its parameter move
 - ``hdp``: weak-limit hierarchical Dirichlet transition prior and the full
-  nonparametric segment-model sweep
-- ``smc``: online particle filtering with parameter learning, including the
-  factorial filter that splits an aggregate meter signal across devices
+  nonparametric segment-model sweep that training runs
+- ``smc``: the auxiliary particle step and ``FactorialBpf``, the
+  particle-learning filter that splits an aggregate meter signal across
+  devices
 - ``dispatch``: randomized local load control, mean-field dynamics, transfer
   function data, and the PI feedback loop
 - ``pipeline``: file formats, synthetic data, training, and the CLI

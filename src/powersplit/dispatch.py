@@ -183,6 +183,7 @@ class Linearization:
     A: np.ndarray  # P_zeta transposed
     B: np.ndarray  # E_zeta^T pi_zeta
     C: np.ndarray  # centered power map
+    pi: np.ndarray  # invariant pmf of P_zeta, the unit eigenvector of A
 
 
 def linearize(model: NominalLoadModel, zeta: float) -> Linearization:
@@ -190,17 +191,30 @@ def linearize(model: NominalLoadModel, zeta: float) -> Linearization:
     pi = invariant_pmf(P)
     E = kernel_derivative(model, zeta)
     u = model.power_of_state
-    return Linearization(A=P.T, B=E.T @ pi, C=u - float(pi @ u))
+    return Linearization(A=P.T, B=E.T @ pi, C=u - float(pi @ u), pi=pi)
 
 
-def _gain_at(lin: Linearization, z: complex) -> complex:
+def _gains(lin: Linearization, zs) -> np.ndarray:
+    """Complex gains G(z) at every z in ``zs``, from one batched solve.
+
+    A - pi 1^T moves the unit eigenvalue of A to 0 and keeps the others.
+    Every gain is unchanged, because 1^T B = 0 (rows of E sum to zero) and
+    C pi = 0 (C is centered), so z = 1 is a regular point and the DC gain is
+    finite. Genuine poles raise, checked by each z's solve residual.
+    """
+    zs = np.atleast_1d(np.asarray(zs, dtype=complex))
     S = lin.A.shape[0]
-    Mz = z * np.eye(S) - lin.A
-    w, *_ = np.linalg.lstsq(Mz, lin.B.astype(complex), rcond=None)
-    resid = np.abs(Mz @ w - lin.B).max()
-    if not np.isfinite(resid) or resid > 1e-8 * (1.0 + np.abs(lin.B).max()):
-        raise ValueError(f"z = {z} is a pole of the linearized system")
-    return complex(lin.C @ w)
+    Mz = zs[:, None, None] * np.eye(S) - (lin.A - np.outer(lin.pi, np.ones(S)))
+    B = np.broadcast_to(lin.B.astype(complex)[:, None], (len(zs), S, 1))
+    try:
+        w = np.linalg.solve(Mz, B)
+    except np.linalg.LinAlgError:
+        raise ValueError("a requested z is a pole of the linearized system") from None
+    resid = np.abs(Mz @ w - B).max(axis=(1, 2))
+    bad = ~(resid <= 1e-8 * (1.0 + np.abs(lin.B).max()))
+    if bad.any():
+        raise ValueError(f"z = {zs[bad][0]} is a pole of the linearized system")
+    return w[:, :, 0] @ lin.C
 
 
 def transfer_function(model: NominalLoadModel, zeta: float, z: complex) -> complex:
@@ -210,7 +224,7 @@ def transfer_function(model: NominalLoadModel, zeta: float, z: complex) -> compl
     C and the zero row sums of E, so the DC gain is finite; genuine poles
     raise.
     """
-    return _gain_at(linearize(model, zeta), z)
+    return complex(_gains(linearize(model, zeta), z)[0])
 
 
 def bode_points(model: NominalLoadModel, zeta: float, freqs) -> np.ndarray:
@@ -219,15 +233,11 @@ def bode_points(model: NominalLoadModel, zeta: float, freqs) -> np.ndarray:
     A constant power map has zero gain everywhere; magnitude is reported as
     -inf dB in that case.
     """
-    lin = linearize(model, zeta)
-    out = np.empty((len(freqs), 3))
-    for i, w in enumerate(freqs):
-        g = _gain_at(lin, complex(math.cos(w), math.sin(w)))
-        mag = abs(g)
-        out[i, 0] = w
-        out[i, 1] = 20.0 * math.log10(mag) if mag > 0 else -np.inf
-        out[i, 2] = math.degrees(math.atan2(g.imag, g.real))
-    return out
+    freqs = np.asarray(freqs, dtype=float)
+    g = _gains(linearize(model, zeta), np.exp(1j * freqs))
+    with np.errstate(divide="ignore"):
+        mag_db = 20.0 * np.log10(np.abs(g))
+    return np.column_stack([freqs, mag_db, np.degrees(np.angle(g))])
 
 
 # ---------------------------------------------------------------------------

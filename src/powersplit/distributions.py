@@ -1,5 +1,5 @@
 """Probability primitives: simplex checks, conjugate updates, log densities,
-stick breaking, and the elementary samplers everything else builds on.
+and the elementary samplers everything else builds on.
 
 All density evaluation is in log space. Degenerate Dirichlet coordinates
 (zero concentration) produce exactly-zero weights rather than NaNs.
@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, logsumexp
+from scipy.special import gammaln
 
 SIMPLEX_ATOL = 1e-12
 
@@ -38,19 +38,6 @@ class NormalPrior:
     def __post_init__(self):
         if self.var <= 0:
             raise ValueError("prior variance must be positive")
-
-
-def dirichlet_mean(alpha) -> np.ndarray:
-    """Mean of a Dirichlet: alpha_k / sum(alpha). Zero coordinates stay zero."""
-    alpha = np.asarray(alpha, dtype=float)
-    if alpha.size < 2:
-        raise ValueError("need at least 2 concentration entries")
-    if np.any(alpha < 0):
-        raise ValueError("concentrations must be nonnegative")
-    total = alpha.sum()
-    if total <= 0:
-        raise ValueError("all-zero concentration vector")
-    return alpha / total
 
 
 def conj_update_normal(prior: NormalPrior, obs_sum: float, obs_count: int, sigma2: float) -> NormalPrior:
@@ -98,34 +85,6 @@ def conj_update_beta_negbin(hyper, data_sum, data_n, r):
     if r < 1:
         raise ValueError("r must be >= 1")
     return (a + data_sum, b + r * data_n)
-
-
-def stick_breaking(gamma: float, rng: np.random.Generator, epsilon: float = 1e-6) -> np.ndarray:
-    """Stick-breaking weights truncated once residual mass < epsilon.
-
-    The residual is folded into the final atom so the result is a proper pmf.
-    """
-    if gamma <= 0:
-        raise ValueError("concentration must be positive")
-    if not 0 < epsilon < 1:
-        raise ValueError("epsilon must lie in (0, 1)")
-    weights = []
-    remaining = 1.0
-    while remaining >= epsilon:
-        frac = rng.beta(1.0, gamma)
-        weights.append(remaining * frac)
-        remaining *= 1.0 - frac
-    weights.append(remaining)
-    return np.asarray(weights)
-
-
-def crp_predictive(table_counts, gamma: float) -> np.ndarray:
-    """Seating law over (existing tables..., new table)."""
-    if gamma <= 0:
-        raise ValueError("concentration must be positive")
-    counts = np.asarray(table_counts, dtype=float)
-    total = counts.sum() + gamma
-    return np.concatenate([counts, [gamma]]) / total
 
 
 # ---------------------------------------------------------------------------
@@ -181,56 +140,9 @@ def negbin_logpmf(d, r, vphi, form: str = "shifted"):
     return out[()] if out.ndim == 0 else out
 
 
-def duration_logpmf(d, phi, lam, r, vphi, form: str = "shifted"):
-    """Two-component duration mixture: phi * Poisson + (1-phi) * NegBin.
-
-    Evaluated exactly as the model writes it (no support renormalization);
-    the Poisson component covers d = 0, the shifted-form NegBin starts at 1.
-    """
-    if not 0 <= phi <= 1:
-        raise ValueError("phi must lie in [0, 1]")
-    parts = []
-    weights = []
-    if phi > 0:
-        parts.append(poisson_logpmf(d, lam))
-        weights.append(math.log(phi))
-    if phi < 1:
-        parts.append(negbin_logpmf(d, r, vphi, form=form))
-        weights.append(math.log1p(-phi))
-    stacked = np.stack([p + w for p, w in zip(parts, weights)])
-    return logsumexp(stacked, axis=0)
-
-
-def mixture_logpdf(component_logpdfs, weights):
-    """log sum_m w_m exp(logpdf_m); component_logpdfs stacked on axis 0."""
-    weights = np.asarray(weights, dtype=float)
-    logw = np.full(weights.shape, -np.inf)
-    pos = weights > 0
-    logw[pos] = np.log(weights[pos])
-    arr = np.asarray(component_logpdfs, dtype=float)
-    return logsumexp(arr + logw.reshape((-1,) + (1,) * (arr.ndim - 1)), axis=0)
-
-
-def normal_marglik_log(prior: NormalPrior, obs_sum, obs_sumsq, obs_count, sigma2):
-    """Log marginal likelihood of iid Normal data with a Normal mean prior."""
-    if obs_count == 0:
-        return 0.0
-    a = 1.0 / prior.var + obs_count / sigma2
-    b = prior.mean / prior.var + obs_sum / sigma2
-    quad = obs_sumsq / sigma2 + prior.mean**2 / prior.var - b * b / a
-    return -0.5 * (obs_count * (LOG2PI + math.log(sigma2)) + math.log(prior.var) + math.log(a) + quad)
-
-
 # ---------------------------------------------------------------------------
 # samplers
 # ---------------------------------------------------------------------------
-
-
-def geometric_sample(rng: np.random.Generator, p: float, size=None):
-    """Geometric on {0, 1, 2, ...} (number of failures before success)."""
-    if not 0 < p <= 1:
-        raise ValueError("success probability must lie in (0, 1]")
-    return rng.geometric(p, size=size) - 1
 
 
 def beta_sample(rng: np.random.Generator, a, b, size=None):
@@ -263,7 +175,8 @@ def dirichlet_sample(rng: np.random.Generator, alpha) -> np.ndarray:
 def categorical_sample(rng: np.random.Generator, probs) -> int:
     """Single categorical draw from a normalized probability vector."""
     u = rng.random()
-    return int(np.searchsorted(np.cumsum(probs), u, side="right").clip(0, len(probs) - 1))
+    # right-edge guard: the cdf may fall a hair short of 1
+    return min(int(np.searchsorted(np.cumsum(probs), u, side="right")), len(probs) - 1)
 
 
 def categorical_sample_logits(rng: np.random.Generator, logits) -> int:
@@ -286,20 +199,13 @@ def categorical_rows_sample(rng: np.random.Generator, probs: np.ndarray) -> np.n
 __all__ = [
     "NormalPrior",
     "assert_simplex",
-    "dirichlet_mean",
     "conj_update_normal",
     "conj_update_dirichlet",
     "conj_update_gamma_poisson",
     "conj_update_beta_negbin",
-    "stick_breaking",
-    "crp_predictive",
     "normal_logpdf",
     "poisson_logpmf",
     "negbin_logpmf",
-    "duration_logpmf",
-    "mixture_logpdf",
-    "normal_marglik_log",
-    "geometric_sample",
     "beta_sample",
     "gamma_sample",
     "dirichlet_sample",

@@ -1,5 +1,5 @@
-"""Finite-state Bayesian HMM: simulation, exact log-space message passing,
-blocked posterior draws of the state path, and the full Gibbs sweep.
+"""Finite-state HMM: simulation, exact log-space message passing, and
+blocked posterior draws of the state path.
 
 Emissions are Normal with per-state means and a shared, fixed variance.
 Simulated powers are clamped at zero; inference still uses the unclamped
@@ -8,19 +8,16 @@ Normal density (the clamp is a data-recording convention, not a model change).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import logsumexp
 
 from . import _kernels
 from .distributions import (
-    NormalPrior,
     assert_simplex,
     categorical_sample,
-    conj_update_dirichlet,
-    conj_update_normal,
-    dirichlet_sample,
+    categorical_sample_logits,
     normal_logpdf,
 )
 
@@ -58,19 +55,6 @@ class HmmParams:
     @property
     def J(self) -> int:
         return self.pi.shape[0]
-
-
-@dataclass(frozen=True)
-class HmmPriors:
-    """Conjugate hyperparameters for one chain: a Dirichlet concentration
-    vector shared by every transition row and a Normal prior per state."""
-
-    alpha: np.ndarray                 # (J,)
-    emission: tuple[NormalPrior, ...]  # length J
-
-    @property
-    def J(self) -> int:
-        return len(self.emission)
 
 
 def simulate_hmm(params: HmmParams, T: int, rng: np.random.Generator):
@@ -139,53 +123,9 @@ def blocked_sample_states(params: HmmParams, y, rng: np.random.Generator,
     T = len(y)
     x = np.empty(T, dtype=np.int64)
     logits = _log(params.init) + loglik_t[0] + betal[0]
-    x[0] = _sample_logits(rng, logits)
+    x[0] = categorical_sample_logits(rng, logits)
     for t in range(1, T):
         logits = logpi[x[t - 1]] + loglik_t[t] + betal[t]
-        x[t] = _sample_logits(rng, logits)
+        x[t] = categorical_sample_logits(rng, logits)
     return x
 
-
-def _sample_logits(rng, logits):
-    m = logits.max()
-    p = np.exp(logits - m)
-    return categorical_sample(rng, p / p.sum())
-
-
-def transition_counts(x, J: int) -> np.ndarray:
-    """Counts n[i, j] of observed i -> j steps along the path."""
-    x = np.asarray(x)
-    n = np.zeros((J, J))
-    np.add.at(n, (x[:-1], x[1:]), 1.0)
-    return n
-
-
-@dataclass(frozen=True)
-class HmmState:
-    params: HmmParams
-    x: np.ndarray
-
-
-def gibbs_sweep_hmm(state: HmmState, y, priors: HmmPriors,
-                    rng: np.random.Generator) -> HmmState:
-    """One sweep: blocked path draw, then emission means, then transition rows.
-
-    States with no assigned observations get a fresh prior draw.
-    """
-    params = state.params
-    y = np.asarray(y, dtype=float)
-    x = blocked_sample_states(params, y, rng)
-    J = params.J
-
-    theta = np.empty(J)
-    for j in range(J):
-        sel = y[x == j]
-        post = conj_update_normal(priors.emission[j], sel.sum(), len(sel), params.sigma2)
-        theta[j] = rng.normal(post.mean, np.sqrt(post.var))
-
-    counts = transition_counts(x, J)
-    pi = np.empty((J, J))
-    for j in range(J):
-        pi[j] = dirichlet_sample(rng, conj_update_dirichlet(priors.alpha, counts[j]))
-
-    return HmmState(params=replace(params, pi=pi, theta=theta), x=x)

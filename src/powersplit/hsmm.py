@@ -1,40 +1,38 @@
-"""Explicit-duration HSMM: simulation with right-censoring, backward messages,
-blocked super-state/duration draws, the generic mixture Gibbs pass, and the
-duration-parameter sampler.
+"""Explicit-duration HSMM: simulation with right-censoring, forward and
+backward messages, blocked super-state/duration draws, and the
+duration-parameter sampler that the nonparametric sweep in ``hdp`` calls.
 
 Durations follow a two-component mixture: Poisson (probability ``phi``) or
 negative binomial with fixed count ``r`` and success parameter ``vphi``. Both
-components are conditioned on d >= 1 so the runtime law is a proper pmf on
-positive durations; the raw textbook-form densities (including the d = 0
-Poisson mass) live in ``distributions.duration_logpmf``. With ``phi = 0`` and
-``r = 1`` the law is exactly Geometric(1 - vphi) on {1, 2, ...}, which makes
-the model collapse to a plain HMM.
+components are conditioned on d >= 1 so the law is a proper pmf on positive
+durations; ``DurationParams.weighted_logpmfs`` is the one place that density
+is written, on top of ``distributions.poisson_logpmf`` and the standard-form
+``negbin_logpmf``. With ``phi = 0`` and ``r = 1`` the law is exactly
+Geometric(1 - vphi) on {1, 2, ...}, which makes the model collapse to a plain
+HMM.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import logsumexp
-from scipy.stats import nbinom, poisson
+from scipy.special import logsumexp, nbdtrc, pdtrc
 
 from . import _kernels
 from .distributions import (
-    NormalPrior,
     assert_simplex,
     beta_sample,
     categorical_sample,
     categorical_sample_logits,
     conj_update_beta_negbin,
-    conj_update_dirichlet,
     conj_update_gamma_poisson,
-    conj_update_normal,
-    dirichlet_sample,
     gamma_sample,
+    negbin_logpmf,
     normal_logpdf,
+    poisson_logpmf,
 )
 
 # ---------------------------------------------------------------------------
@@ -72,40 +70,38 @@ class DurationParams:
         # log P(NB >= 1) = log(1 - (1-vphi)^r)
         return float(np.log(-np.expm1(self.r * math.log1p(-self.vphi))))
 
+    def _log_weights(self) -> tuple[float, float]:
+        """(log phi, log(1 - phi)), -inf for an empty component."""
+        return (math.log(self.phi) if self.phi > 0 else -math.inf,
+                math.log1p(-self.phi) if self.phi < 1 else -math.inf)
+
+    def weighted_logpmfs(self, d) -> tuple[np.ndarray, np.ndarray]:
+        """log phi p_Poi(d | d >= 1) and log (1 - phi) p_NB(d | d >= 1) at
+        positive durations d; their logaddexp is the mixture log pmf."""
+        d = np.asarray(d)
+        log_phi, log_rest = self._log_weights()
+        poi = log_phi + poisson_logpmf(d, self.lam) - self._log_poi_norm
+        nb = (log_rest + negbin_logpmf(d, self.r, self.vphi, form="standard")
+              - self._log_nb_norm)
+        return poi, nb
+
     def logpmf(self, d) -> np.ndarray:
         """log p(D = d) on the positive integers."""
         d = np.asarray(d)
         out = np.full(d.shape, -np.inf, dtype=float)
         pos = d >= 1
-        parts = []
-        if self.phi > 0:
-            lp = poisson.logpmf(d[pos], self.lam) - self._log_poi_norm
-            parts.append(math.log(self.phi) + lp)
-        if self.phi < 1:
-            ln = nbinom.logpmf(d[pos], self.r, 1.0 - self.vphi) - self._log_nb_norm
-            parts.append(math.log1p(-self.phi) + ln)
-        out[pos] = logsumexp(np.stack(parts), axis=0) if parts else -np.inf
+        out[pos] = np.logaddexp(*self.weighted_logpmfs(d[pos]))
         return out[()] if out.ndim == 0 else out
 
     def logtail(self, m) -> np.ndarray:
         """log P(D > m) for m >= 0."""
         m = np.asarray(m)
+        log_phi, log_rest = self._log_weights()
         with np.errstate(divide="ignore"):
-            parts = []
-            if self.phi > 0:
-                parts.append(
-                    math.log(self.phi)
-                    + poisson.logsf(m, self.lam)
-                    - self._log_poi_norm
-                )
-            if self.phi < 1:
-                parts.append(
-                    math.log1p(-self.phi)
-                    + nbinom.logsf(m, self.r, 1.0 - self.vphi)
-                    - self._log_nb_norm
-                )
-        out = logsumexp(np.stack(parts), axis=0)
-        return out[()] if np.ndim(out) == 0 else out
+            poi = log_phi + np.log(pdtrc(m, self.lam)) - self._log_poi_norm
+            nb = (log_rest + np.log(nbdtrc(m, self.r, 1.0 - self.vphi))
+                  - self._log_nb_norm)
+        return np.logaddexp(poi, nb)
 
     def mean(self) -> float:
         m = 0.0
@@ -154,25 +150,6 @@ def duration_tables(durations, dmax: int):
     """
     logdur, logtail = _duration_tables_frozen(tuple(durations), int(dmax))
     return logdur.copy(), logtail.copy()
-
-
-def duration_tail_by_complement(dur: DurationParams, dmax: int) -> np.ndarray:
-    """P(D > m) for m = 0..dmax via 1 - compensated cumulative sum.
-
-    Cross-check route for the analytic survival functions in ``logtail``.
-    """
-    pmf = np.exp(dur.logpmf(np.arange(1, dmax + 1)))
-    tails = np.empty(dmax + 1)
-    tails[0] = 1.0
-    acc = 0.0
-    comp = 0.0  # Kahan compensation
-    for i, p in enumerate(pmf):
-        y = p - comp
-        t = acc + y
-        comp = (t - acc) - y
-        acc = t
-        tails[i + 1] = 1.0 - acc
-    return tails
 
 
 # ---------------------------------------------------------------------------
@@ -427,107 +404,7 @@ def blocked_sample_segments(params: HsmmParams, y, rng: np.random.Generator,
 
 
 # ---------------------------------------------------------------------------
-# generic mixture Gibbs (shared by duration fitting and the tests)
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class NormalComponent:
-    """Normal data with known variance and a Normal mean prior."""
-
-    prior: NormalPrior
-    sigma2: float
-
-    def loglik(self, values, param):
-        return normal_logpdf(np.asarray(values, dtype=float), param, self.sigma2)
-
-    def sample_posterior(self, values, rng):
-        values = np.asarray(values, dtype=float)
-        post = conj_update_normal(self.prior, values.sum(), len(values), self.sigma2)
-        return rng.normal(post.mean, math.sqrt(post.var))
-
-
-@dataclass(frozen=True)
-class PoissonComponent:
-    """Positive-count data: Poisson conditioned on d >= 1, Gamma prior."""
-
-    shape: float
-    rate: float
-
-    def loglik(self, values, lam):
-        vals = np.asarray(values)
-        return poisson.logpmf(vals, lam) - np.log(-np.expm1(-lam))
-
-    def sample_posterior(self, values, rng):
-        vals = np.asarray(values)
-        a, b = conj_update_gamma_poisson((self.shape, self.rate), vals.sum(), len(vals))
-        return gamma_sample(rng, a, b)
-
-
-@dataclass(frozen=True)
-class NegBinComponent:
-    """Positive-count data: negative binomial conditioned on d >= 1 with
-    fixed count r, Beta prior on the success parameter."""
-
-    a: float
-    b: float
-    r: int
-
-    def loglik(self, values, vphi):
-        vals = np.asarray(values)
-        return nbinom.logpmf(vals, self.r, 1.0 - vphi) - np.log(
-            -np.expm1(self.r * math.log1p(-vphi))
-        )
-
-    def sample_posterior(self, values, rng):
-        vals = np.asarray(values)
-        a, b = conj_update_beta_negbin((self.a, self.b), vals.sum(), len(vals), self.r)
-        return beta_sample(rng, a, b)
-
-
-def mixture_gibbs(values, weights_alpha, components, sweeps: int,
-                  rng: np.random.Generator, init_labels=None):
-    """Finite-mixture Gibbs: params given labels, weights given labels,
-    labels given everything; returns the final (weights, params, labels).
-
-    Empty components are refreshed from their priors (posterior with no data).
-    """
-    M = len(components)
-    if M == 0:
-        raise ValueError("need at least one component")
-    values = np.asarray(values)
-    n = len(values)
-    weights_alpha = np.asarray(weights_alpha, dtype=float)
-    if weights_alpha.shape != (M,):
-        raise ValueError("weights_alpha length must match component count")
-    labels = (np.zeros(n, dtype=np.int64) if init_labels is None
-              else np.asarray(init_labels, dtype=np.int64).copy())
-    if init_labels is None and n:
-        labels = rng.integers(0, M, size=n)
-
-    weights = np.full(M, 1.0 / M)
-    params = [None] * M
-    for _ in range(sweeps):
-        for m in range(M):
-            params[m] = components[m].sample_posterior(values[labels == m], rng)
-        counts = np.bincount(labels, minlength=M)
-        weights = dirichlet_sample(rng, conj_update_dirichlet(weights_alpha, counts))
-        if n:
-            logits = np.stack(
-                [np.log(weights[m]) + components[m].loglik(values, params[m])
-                 for m in range(M)],
-                axis=1,
-            )
-            m0 = logits.max(axis=1, keepdims=True)
-            p = np.exp(logits - m0)
-            p /= p.sum(axis=1, keepdims=True)
-            u = rng.random(n)
-            labels = np.minimum((u[:, None] > np.cumsum(p, axis=1)).sum(axis=1), M - 1)
-    return weights, params, labels
-
-
-# ---------------------------------------------------------------------------
-# duration-parameter and full-sweep samplers
+# duration-parameter sampler
 # ---------------------------------------------------------------------------
 
 
@@ -558,18 +435,6 @@ class DurationHyper:
             vphi=beta_sample(rng, self.a_vphi, self.b_vphi),
         )
 
-    def log_prior(self, p: DurationParams) -> float:
-        """Log prior density of a parameter triple (r must match)."""
-        from scipy.stats import beta as beta_dist, gamma as gamma_dist
-
-        if p.r != self.r:
-            return -np.inf
-        return float(
-            beta_dist.logpdf(p.phi, self.a_phi, self.b_phi)
-            + gamma_dist.logpdf(p.lam, self.a_lam, scale=1.0 / self.b_lam)
-            + beta_dist.logpdf(p.vphi, self.a_vphi, self.b_vphi)
-        )
-
 
 def sample_duration_params(durations, hyper: DurationHyper, current: DurationParams,
                            rng: np.random.Generator) -> DurationParams:
@@ -582,10 +447,7 @@ def sample_duration_params(durations, hyper: DurationHyper, current: DurationPar
     ds = np.asarray(durations, dtype=np.int64)
     if len(ds) == 0:
         return hyper.sample_prior(rng)
-    lp1 = (math.log(current.phi) if current.phi > 0 else -np.inf) + \
-        poisson.logpmf(ds, current.lam) - current._log_poi_norm
-    lp2 = (math.log1p(-current.phi) if current.phi < 1 else -np.inf) + \
-        nbinom.logpmf(ds, current.r, 1.0 - current.vphi) - current._log_nb_norm
+    lp1, lp2 = current.weighted_logpmfs(ds)
     m0 = np.maximum(lp1, lp2)
     p1 = np.exp(lp1 - m0)
     p1 = p1 / (p1 + np.exp(lp2 - m0))
@@ -599,56 +461,3 @@ def sample_duration_params(durations, hyper: DurationHyper, current: DurationPar
     vphi = beta_sample(rng, a, b)
     phi = beta_sample(rng, hyper.a_phi + n1, hyper.b_phi + n2)
     return DurationParams(phi=phi, lam=lam, r=hyper.r, vphi=vphi)
-
-
-@dataclass(frozen=True)
-class HsmmPriors:
-    alpha: np.ndarray                      # (J,) Dirichlet for transition rows
-    emission: tuple[NormalPrior, ...]      # length J
-    duration: tuple[DurationHyper, ...]    # length J
-
-
-@dataclass(frozen=True)
-class HsmmState:
-    params: HsmmParams
-    path: SegmentPath
-
-
-def sample_pi_bar_row(alpha, counts_row, j, rng) -> np.ndarray:
-    """Dirichlet draw over the off-diagonal entries of row j."""
-    J = len(alpha)
-    keep = np.arange(J) != j
-    row = np.zeros(J)
-    row[keep] = dirichlet_sample(rng, conj_update_dirichlet(alpha[keep], counts_row[keep]))
-    return row
-
-
-def gibbs_sweep_hsmm(state: HsmmState, y, priors: HsmmPriors,
-                     rng: np.random.Generator, dmax: int | None = None) -> HsmmState:
-    """One sweep: blocked segments, emission means, transition rows (zero
-    diagonal preserved), then per-state duration parameters."""
-    params = state.params
-    y = np.asarray(y, dtype=float)
-    J = params.J
-    path = blocked_sample_segments(params, y, rng, dmax=dmax)
-    x = path.x
-
-    theta = np.empty(J)
-    for j in range(J):
-        sel = y[x == j]
-        post = conj_update_normal(priors.emission[j], sel.sum(), len(sel), params.sigma2)
-        theta[j] = rng.normal(post.mean, math.sqrt(post.var))
-
-    counts = np.zeros((J, J))
-    np.add.at(counts, (path.z[:-1], path.z[1:]), 1.0)
-    pi_bar = np.vstack([sample_pi_bar_row(np.asarray(priors.alpha, dtype=float), counts[j], j, rng)
-                        for j in range(J)])
-
-    durations = tuple(
-        sample_duration_params(path.D[path.z == j], priors.duration[j],
-                               params.durations[j], rng)
-        for j in range(J)
-    )
-
-    new_params = replace(params, pi_bar=pi_bar, theta=theta, durations=durations)
-    return HsmmState(params=new_params, path=path)

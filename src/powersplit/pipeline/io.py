@@ -1,4 +1,4 @@
-"""Trace file handling and plot-data emission.
+"""Trace file handling.
 
 Traces are CSV with a ``timestamp`` column (ISO-8601, minute cadence), one
 column per device in watts, and a ``total`` column. Loading clamps negative
@@ -155,21 +155,3 @@ def write_trace(path, start: datetime, devices, values: np.ndarray,
         lines.append(ts + "," + ",".join(cells))
     atomic_write_text(path, "\n".join(lines) + "\n")
 
-
-def emit_plot_data(kind: str, columns: dict[str, np.ndarray], path) -> None:
-    """Long-format CSV: a ``kind`` tag column plus named series columns.
-    Bit-stable for identical inputs."""
-    names = list(columns)
-    arrays = [np.asarray(columns[n]) for n in names]
-    n = arrays[0].shape[0] if arrays else 0
-    for a in arrays:
-        if a.shape[0] != n:
-            raise ValueError("plot-data columns must share a length")
-    lines = ["kind," + ",".join(names)]
-    for i in range(n):
-        cells = []
-        for a in arrays:
-            v = a[i]
-            cells.append(v if isinstance(v, str) else fmt(v))
-        lines.append(kind + "," + ",".join(cells))
-    atomic_write_text(path, "\n".join(lines) + "\n")

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import brentq
-from scipy.stats import nbinom, poisson
 
 from ..distributions import NormalPrior
 from ..hdp import (
@@ -31,7 +30,7 @@ from ..hdp import (
     init_hdphsmm_state,
     gibbs_sweep_hdphsmm,
 )
-from ..hsmm import DurationHyper
+from ..hsmm import DurationHyper, DurationParams
 from ..rng import substream
 from .config import DeviceBundle, DeviceConfig, HyperParamBundle, RunConfig
 from .io import Trace
@@ -86,9 +85,7 @@ def fit_duration_mixture(lengths, r: int, iters: int = 200,
 
     prev = -np.inf
     for _ in range(iters):
-        lp1 = math.log(phi) + poisson.logpmf(ds, lam) - math.log(-math.expm1(-lam))
-        lp2 = (math.log1p(-phi) + nbinom.logpmf(ds, r, 1.0 - vphi)
-               - math.log(-math.expm1(r * math.log1p(-vphi))))
+        lp1, lp2 = DurationParams(phi=phi, lam=lam, r=r, vphi=vphi).weighted_logpmfs(ds)
         m0 = np.maximum(lp1, lp2)
         tot = m0 + np.log(np.exp(lp1 - m0) + np.exp(lp2 - m0))
         g1 = np.exp(lp1 - tot)

@@ -1,35 +1,28 @@
 """Online inference: particle filters and particle learning.
 
-Three layers:
+Two layers:
 
-  * generic SIS / SIR / auxiliary steps driven by caller hooks,
-  * particle learning for a single Bayesian chain (parameters carried per
-    particle, refreshed from conjugate sufficient statistics each step),
-  * the factorial filter that splits an aggregate power reading across K
-    chains by enumerating the joint state space.
+  * a generic auxiliary particle filter step driven by caller hooks, with the
+    exact one-step proposal for a single chain with known parameters,
+  * ``FactorialBpf``, the particle-learning filter that splits an aggregate
+    power reading across K chains by enumerating the joint state space. Each
+    particle carries conjugate sufficient statistics and refreshes its
+    parameters from them every step.
 
 Per-step cost is fixed: sufficient statistics replace the path, so nothing
-grows with the stream length. Incremental weights use the ratio form
-p(x'|x) p(y|x') / q(x'|x, y); with the optimal proposal this collapses to
-the one-step predictive p(y|x).
+grows with the stream length. With the exact joint conditional as the
+proposal, the first-stage weight is the one-step predictive p(y | x).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from ._kernels import fbpf_accumulate, systematic_counts
-from .distributions import (
-    NormalPrior,
-    assert_simplex,
-    categorical_rows_sample,
-    conj_update_dirichlet,
-    conj_update_normal,
-    dirichlet_sample,
-)
+from .distributions import NormalPrior, assert_simplex, categorical_rows_sample
 from .hmm import HmmParams
 
 
@@ -54,12 +47,6 @@ def systematic_resample(weights, rng: np.random.Generator) -> np.ndarray:
 def counts_to_indices(counts: np.ndarray) -> np.ndarray:
     """Ancestor index vector (length N) from offspring counts."""
     return np.repeat(np.arange(len(counts)), counts)
-
-
-def ess(weights) -> float:
-    """Effective sample size 1 / sum(W_i^2)."""
-    w = np.asarray(weights, dtype=float)
-    return 1.0 / float((w * w).sum())
 
 
 def _normalize_log(logw: np.ndarray) -> np.ndarray:
@@ -98,26 +85,6 @@ def uniform_ensemble(particles, n: int = 0) -> Ensemble:
     return Ensemble(particles=particles, weights=np.full(N, 1.0 / N), n=n)
 
 
-def sis_step(ens: Ensemble, y, propose, log_incr, rng: np.random.Generator) -> Ensemble:
-    """Propagate through the proposal and multiply weights by the ratio-form
-    increment; no resampling."""
-    new = propose(ens.particles, y, rng)
-    logw = np.log(np.maximum(ens.weights, 1e-300)) + np.asarray(log_incr(new, ens.particles, y), dtype=float)
-    return Ensemble(particles=new, weights=_normalize_log(logw), n=ens.n + 1)
-
-
-def sir_step(ens: Ensemble, y, propose, log_incr, rng: np.random.Generator,
-             ess_threshold: float | None = None) -> Ensemble:
-    """SIS then a systematic resample. ``ess_threshold`` (off by default)
-    skips the resample while the effective sample size stays above it."""
-    stepped = sis_step(ens, y, propose, log_incr, rng)
-    if ess_threshold is not None and ess(stepped.weights) >= ess_threshold:
-        return stepped
-    idx = counts_to_indices(systematic_resample(stepped.weights, rng))
-    N = stepped.size
-    return Ensemble(particles=stepped.particles[idx], weights=np.full(N, 1.0 / N), n=stepped.n)
-
-
 def apf_step(ens: Ensemble, y, log_predictive, propose, rng: np.random.Generator,
              log_correction=None) -> Ensemble:
     """Auxiliary filter step: weight by the one-step predictive, resample,
@@ -141,7 +108,7 @@ def apf_step(ens: Ensemble, y, log_predictive, propose, rng: np.random.Generator
 
 
 # ---------------------------------------------------------------------------
-# optimal proposal and particle-learning pieces for one chain
+# optimal proposal for one chain
 # ---------------------------------------------------------------------------
 
 
@@ -160,33 +127,6 @@ def optimal_proposal_hmm(x_prev: int | None, params: HmmParams, y: float):
     if total <= 0:
         raise DegenerateWeightsError("zero predictive mass")
     return terms / total, float(total * np.exp(mx))
-
-
-@dataclass(frozen=True)
-class SufficientStats:
-    """Everything the conjugate parameter posterior needs, fixed size."""
-
-    trans_counts: np.ndarray  # (J, J)
-    emis_sums: np.ndarray     # (J,)
-    emis_counts: np.ndarray   # (J,)
-
-    @staticmethod
-    def empty(J: int) -> "SufficientStats":
-        return SufficientStats(np.zeros((J, J)), np.zeros(J), np.zeros(J))
-
-
-def pl_update_stats(r: SufficientStats, x_prev: int | None, x_new: int,
-                    y: float) -> SufficientStats:
-    """Fold one observation in. The first observation has no incoming
-    transition, so only the emission cells move."""
-    tc = r.trans_counts.copy()
-    es = r.emis_sums.copy()
-    ec = r.emis_counts.copy()
-    if x_prev is not None:
-        tc[x_prev, x_new] += 1.0
-    es[x_new] += y
-    ec[x_new] += 1.0
-    return SufficientStats(tc, es, ec)
 
 
 @dataclass(frozen=True)
@@ -213,22 +153,6 @@ class ChainPrior:
         return self.alpha.shape[0]
 
 
-def pl_sample_params(r: SufficientStats, prior: ChainPrior, rng: np.random.Generator):
-    """Parameter refresh from the streamed statistics: Dirichlet rows and
-    Normal state means. Unvisited cells reduce to the prior."""
-    J = prior.J
-    pi = np.vstack([
-        dirichlet_sample(rng, conj_update_dirichlet(prior.alpha[j], r.trans_counts[j]))
-        for j in range(J)
-    ])
-    theta = np.empty(J)
-    for j in range(J):
-        post = conj_update_normal(prior.emission[j], float(r.emis_sums[j]),
-                                  int(r.emis_counts[j]), prior.sigma2)
-        theta[j] = rng.normal(post.mean, math.sqrt(post.var))
-    return theta, pi
-
-
 # ---------------------------------------------------------------------------
 # factorial filter
 # ---------------------------------------------------------------------------
@@ -247,57 +171,21 @@ def joint_state_table(Js: tuple[int, ...], cap: int = JOINT_CAP) -> np.ndarray:
     return np.stack([g.ravel() for g in grids], axis=1).astype(np.int32)
 
 
-def factorial_state_proposal(x_prev, priors_or_params, ybar: float,
-                             cap: int = JOINT_CAP):
-    """Exact joint conditional over the K-chain next state given the
-    aggregate reading, plus its normalizer (the APF weight).
-
-    ``priors_or_params`` is a sequence of (pi, theta, sigma2) per chain;
-    ``x_prev`` None means first observation (uniform rows).
-    """
-    pis, thetas, sig2s = zip(*priors_or_params)
-    Js = tuple(len(t) for t in thetas)
-    K = len(Js)
-    table = joint_state_table(Js, cap=cap)
-    if x_prev is None:
-        rows = [np.full(J, 1.0 / J) for J in Js]
-    else:
-        rows = [np.asarray(pis[k])[x_prev[k]] for k in range(K)]
-    log_rows = [np.log(np.maximum(r, 1e-300)) for r in rows]
-    logtrans = np.zeros(len(table))
-    sumtheta = np.zeros(len(table))
-    for k in range(K):
-        logtrans += log_rows[k][table[:, k]]
-        sumtheta += np.asarray(thetas[k])[table[:, k]]
-    V = float(sum(sig2s))
-    loglik = -0.5 * ((ybar - sumtheta) ** 2 / V + math.log(2.0 * math.pi * V))
-    logw = logtrans + loglik
-    mx = logw.max()
-    terms = np.exp(logw - mx)
-    total = terms.sum()
-    if total <= 0 or not np.isfinite(mx):
-        raise DegenerateWeightsError("zero joint predictive mass")
-    return table, terms / total, float(total * np.exp(mx))
-
-
-def conditional_emission_sample(x, chain_params, ybar: float,
+def conditional_emission_sample(theta_sel: np.ndarray, sumtheta: np.ndarray,
+                                var_chain: np.ndarray, ybar: float,
                                 rng: np.random.Generator) -> np.ndarray:
-    """Split the aggregate across chains given their joint state.
+    """Split the aggregate across chains, one row per particle.
 
-    The conditional law is Normal with mean theta_k + s2_k (ybar - sum theta)/S
-    and covariance diag(s2) - s2 s2^T / S, S = sum s2. Sampling uses a
-    centered draw projected onto the zero-sum subspace, so the components sum
-    to ybar to machine precision by construction.
+    ``theta_sel`` (N, K) holds each particle's emission means at its joint
+    state and ``sumtheta`` (N,) their row sums. The conditional law is Normal
+    with mean theta_k + s2_k (ybar - sum theta) / S and covariance
+    diag(s2) - s2 s2^T / S, S = sum s2. Sampling uses a centered draw
+    projected onto the zero-sum subspace, so each row sums to ybar to machine
+    precision by construction.
     """
-    _, thetas, sig2s = zip(*chain_params)
-    K = len(thetas)
-    theta_sel = np.array([np.asarray(thetas[k])[x[k]] for k in range(K)])
-    d = np.asarray(sig2s, dtype=float)
-    if np.any(d <= 0):
-        raise ValueError("all chain variances must be positive")
-    S = d.sum()
-    g = rng.normal(0.0, np.sqrt(d))
-    return theta_sel + d * ((ybar - theta_sel.sum() - g.sum()) / S) + g
+    g = rng.normal(0.0, np.sqrt(var_chain), theta_sel.shape)
+    resid = ybar - sumtheta - g.sum(axis=1)
+    return theta_sel + var_chain * (resid / var_chain.sum())[:, None] + g
 
 
 # ---------------------------------------------------------------------------
@@ -419,12 +307,9 @@ class FactorialBpf:
         N, K = self.N, self.K
         ii = np.arange(N)[:, None]
         kk = np.arange(K)[None, :]
-        theta_sel = self.theta[ii, kk, new_states]
-        d = self.var_chain
-        S = d.sum()
-        g = rng.standard_normal((N, K)) * np.sqrt(d)[None, :]
-        resid = ybar - sumtheta[np.arange(N), j_star] - g.sum(axis=1)
-        self.emis = theta_sel + d[None, :] * (resid / S)[:, None] + g
+        self.emis = conditional_emission_sample(
+            self.theta[ii, kk, new_states], sumtheta[np.arange(N), j_star],
+            self.var_chain, ybar, rng)
 
         # statistics
         if self.n > 0:
@@ -461,11 +346,3 @@ class FactorialBpf:
     def emission_means(self) -> np.ndarray:
         """Posterior-mean imputed emission per chain at the current step."""
         return np.average(self.emis, axis=0, weights=self.weights)
-
-
-def bpf_step(filt: FactorialBpf, y: float) -> None:
-    """Single-chain Bayesian particle filter step; identical machinery with
-    K = 1 (the aggregate is the chain's own emission)."""
-    if filt.K != 1:
-        raise ValueError("bpf_step drives a single-chain filter")
-    filt.step(y)

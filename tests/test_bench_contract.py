@@ -1,0 +1,62 @@
+"""The names the benchmark reaches into the package by.
+
+``perfbench/`` patches layer entry points from outside ``src/`` and imports
+workload pieces by name, so renaming or deleting one breaks the benchmark
+without breaking any other test. These checks read the benchmark's source
+with ``ast`` and resolve every such name against the package; nothing under
+``perfbench/`` is executed or changed.
+"""
+
+import ast
+import importlib
+from pathlib import Path
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def parse(name: str) -> ast.Module:
+    return ast.parse((PERFBENCH / name).read_text(encoding="utf-8"))
+
+
+def test_patch_points_resolve():
+    tree = parse("spans.py")
+    points = next(
+        ast.literal_eval(node.value) for node in tree.body
+        if isinstance(node, ast.Assign)
+        and any(getattr(t, "id", None) == "PATCH_POINTS" for t in node.targets)
+    )
+    assert points
+    for module, owner, attr, _ in points:
+        target = importlib.import_module(module)
+        if owner:
+            target = getattr(target, owner)
+        assert callable(getattr(target, attr, None)), (module, owner, attr)
+
+
+def test_duration_cache_resolves():
+    hsmm = importlib.import_module("powersplit.hsmm")
+    assert hasattr(hsmm._duration_tables_frozen, "cache_info")
+
+
+def test_workload_imports_resolve():
+    tree = parse("workloads.py")
+    modules = {}  # local name -> imported powersplit module
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.startswith("powersplit"):
+                    module = importlib.import_module(alias.name)
+                    if alias.asname:
+                        modules[alias.asname] = module
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("powersplit"):
+            module = importlib.import_module(node.module)
+            for alias in node.names:
+                assert hasattr(module, alias.name), (node.module, alias.name)
+                if isinstance(getattr(module, alias.name), type(module)):
+                    modules[alias.asname or alias.name] = getattr(module, alias.name)
+    assert modules
+    # attributes read off imported modules, e.g. control.design_gains
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in modules):
+            assert hasattr(modules[node.value.id], node.attr), (node.value.id, node.attr)

@@ -33,6 +33,7 @@ from powersplit.dispatch import (
     tilted_controllable,
     transfer_function,
 )
+from powersplit.pipeline.control import DEFAULT_FREQS
 from powersplit.rng import stream
 
 
@@ -167,6 +168,35 @@ def test_mean_field_converges_to_invariant():
 # ---------------------------------------------------------------------------
 # linear response
 # ---------------------------------------------------------------------------
+
+
+def lstsq_gain_reference(lin, z):
+    """G(z) by a least-squares solve at one z, with no deflation: the route
+    the batched solve replaced. At z = 1 the system is singular and the
+    minimum-norm solution carries the DC gain."""
+    S = lin.A.shape[0]
+    Mz = z * np.eye(S) - lin.A
+    w, *_ = np.linalg.lstsq(Mz, lin.B.astype(complex), rcond=None)
+    resid = np.abs(Mz @ w - lin.B).max()
+    if not np.isfinite(resid) or resid > 1e-8 * (1.0 + np.abs(lin.B).max()):
+        raise ValueError(f"z = {z} is a pole of the linearized system")
+    return complex(lin.C @ w)
+
+
+def test_batched_gains_match_lstsq_reference():
+    zs = np.append(np.exp(1j * DEFAULT_FREQS), 1.0)
+    for model in (tiny_model(), chain_model(), tcl_nominal_model(TclConfig())):
+        lin = linearize(model, 0.0)
+        got = dispatch._gains(lin, zs)
+        want = np.array([lstsq_gain_reference(lin, z) for z in zs])
+        assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
+    # dyadic entries make I - A exactly singular in floating point; z = 1 is
+    # then regular only through the deflation
+    A = np.array([[0.75, 0.25], [0.25, 0.75]])
+    lin = dispatch.Linearization(A=A, B=np.array([-0.75, 0.75]), C=np.array([-2.0, 2.0]),
+                                 pi=np.array([0.5, 0.5]))
+    dc = lstsq_gain_reference(lin, 1.0)
+    assert abs(dispatch._gains(lin, 1.0)[0] - dc) <= 1e-12 * abs(dc)
 
 
 def test_dc_gain_matches_steady_state_sensitivity():

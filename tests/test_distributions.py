@@ -17,20 +17,16 @@ from powersplit.distributions import (
     NormalPrior,
     assert_simplex,
     categorical_rows_sample,
+    categorical_sample,
     conj_update_beta_negbin,
     conj_update_dirichlet,
     conj_update_gamma_poisson,
     conj_update_normal,
-    crp_predictive,
-    dirichlet_mean,
-    duration_logpmf,
-    mixture_logpdf,
     negbin_logpmf,
     normal_logpdf,
-    normal_marglik_log,
     poisson_logpmf,
-    stick_breaking,
 )
+from powersplit.hsmm import DurationParams
 from powersplit.rng import stream
 
 
@@ -104,22 +100,6 @@ def test_dirichlet_update_matches_beta_quadrature():
     assert abs(post[0] / post.sum() - mean) < 1e-6
 
 
-def test_normal_marginal_likelihood_matches_quadrature():
-    rng = stream(1, "marglik")
-    prior = NormalPrior(0.0, 25.0)
-    sigma2 = 4.0
-    y = rng.normal(1.0, 2.0, size=5)
-    got = normal_marglik_log(prior, y.sum(), (y**2).sum(), len(y), sigma2)
-    grid = np.linspace(-40, 40, 400_001)
-    logint = (
-        norm.logpdf(grid, prior.mean, math.sqrt(prior.var))
-        + norm.logpdf(y[:, None], grid[None, :], math.sqrt(sigma2)).sum(axis=0)
-    )
-    m = logint.max()
-    oracle = m + math.log(np.trapezoid(np.exp(logint - m), grid))
-    assert abs(got - oracle) < 1e-8
-
-
 def test_zero_count_updates_return_prior():
     prior = NormalPrior(1.0, 2.0)
     assert conj_update_normal(prior, 0.0, 0, 1.0) is prior
@@ -169,30 +149,24 @@ def test_negbin_shifted_form_moves_the_exponent():
 
 
 def test_duration_logpmf_is_the_stated_mixture():
+    # the duration law: each component conditioned on d >= 1, then mixed
     d = np.arange(0, 15)
     phi, lam, r, vphi = 0.3, 4.0, 2, 0.45
-    got = duration_logpmf(d, phi, lam, r, vphi)
-    poi = np.exp(poisson_logpmf(d, lam))
-    nb = np.exp(negbin_logpmf(d, r, vphi, form="shifted"))
-    assert np.allclose(np.exp(got), phi * poi + (1 - phi) * nb, atol=1e-12)
+    got = DurationParams(phi=phi, lam=lam, r=r, vphi=vphi).logpmf(d)
+    poi = np.exp(poisson_logpmf(d, lam)) / -math.expm1(-lam)
+    nb = np.exp(negbin_logpmf(d, r, vphi, form="standard")) / -math.expm1(r * math.log1p(-vphi))
+    want = np.where(d >= 1, phi * poi + (1 - phi) * nb, 0.0)
+    assert np.allclose(np.exp(got), want, atol=1e-12)
+    assert got[0] == -np.inf
 
 
 def test_duration_logpmf_degenerate_weights():
-    d = np.arange(0, 10)
-    assert np.allclose(duration_logpmf(d, 1.0, 2.0, 2, 0.5), poisson_logpmf(d, 2.0))
-    assert np.allclose(
-        duration_logpmf(d, 0.0, 2.0, 2, 0.5), negbin_logpmf(d, 2, 0.5, form="shifted")
-    )
-
-
-def test_mixture_logpdf_matches_direct_sum():
-    comps = np.log(np.array([[0.1, 0.2], [0.3, 0.4]]))
-    got = mixture_logpdf(comps, [0.25, 0.75])
-    want = np.log(0.25 * np.array([0.1, 0.2]) + 0.75 * np.array([0.3, 0.4]))
-    assert np.allclose(got, want)
-    # zero weights must not poison the sum
-    got0 = mixture_logpdf(comps, [0.0, 1.0])
-    assert np.allclose(got0, comps[1])
+    # a zero-weight component drops out exactly
+    d = np.arange(1, 10)
+    poi = poisson_logpmf(d, 2.0) - math.log(-math.expm1(-2.0))
+    nb = negbin_logpmf(d, 2, 0.5, form="standard") - math.log(1 - 0.5**2)
+    assert np.allclose(DurationParams(1.0, 2.0, 2, 0.5).logpmf(d), poi, rtol=1e-13, atol=0)
+    assert np.allclose(DurationParams(0.0, 2.0, 2, 0.5).logpmf(d), nb, rtol=1e-13, atol=0)
 
 
 # ---------------------------------------------------------------------------
@@ -209,22 +183,6 @@ def test_assert_simplex_accepts_and_rejects():
         assert_simplex([-0.1, 1.1])
 
 
-def test_dirichlet_mean():
-    assert np.allclose(dirichlet_mean([2.0, 6.0]), [0.25, 0.75])
-
-
-def test_stick_breaking_sums_to_one():
-    rng = stream(2, "stick")
-    w = stick_breaking(3.0, rng, epsilon=1e-8)
-    assert w.min() >= 0
-    assert abs(w.sum() - 1.0) < 1e-12
-
-
-def test_crp_predictive_weights():
-    p = crp_predictive([3, 1], 2.0)
-    assert np.allclose(p, [3 / 6, 1 / 6, 2 / 6])
-
-
 def test_categorical_rows_sample_hits_the_right_rows():
     rng = stream(3, "rows")
     probs = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
@@ -238,3 +196,20 @@ def test_categorical_rows_sample_frequencies():
     draws = categorical_rows_sample(rng, np.tile(row, (200_000, 1)))
     freq = np.bincount(draws, minlength=3) / len(draws)
     assert np.abs(freq - row).max() < 5e-3
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=12),
+       st.floats(0.9, 1.0), st.integers(0, 2**32 - 1))
+def test_categorical_sample_matches_clip_form(raw, mass, seed):
+    # the draw and the RNG use equal the former clip form, also when the cdf
+    # falls short of 1 and the draw lands past its end
+    w = np.asarray(raw)
+    probs = mass * (w / w.sum() if w.sum() > 0 else np.full(len(w), 1.0 / len(w)))
+    rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    for _ in range(5):
+        got = categorical_sample(rng, probs)
+        u = ref.random()
+        want = int(np.searchsorted(np.cumsum(probs), u, side="right").clip(0, len(probs) - 1))
+        assert got == want
+    assert rng.random() == ref.random()

@@ -12,20 +12,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.stats import norm
 
-from powersplit.distributions import NormalPrior
 from powersplit.hmm import (
     HmmParams,
-    HmmPriors,
-    HmmState,
     backward_messages,
     blocked_sample_states,
     filtering_marginals,
     forward_messages,
-    gibbs_sweep_hmm,
     loglik,
     simulate_hmm,
     smoothing_marginals,
-    transition_counts,
 )
 from powersplit.rng import stream
 
@@ -172,35 +167,3 @@ def test_simulate_shapes_and_clamp():
     assert y.min() >= 0.0
     with pytest.raises(ValueError):
         simulate_hmm(params, 0, stream(1, "sim"))
-
-
-def test_transition_counts():
-    n = transition_counts([0, 0, 1, 0, 1, 1], 2)
-    assert np.array_equal(n, [[1.0, 2.0], [1.0, 1.0]])
-
-
-def test_gibbs_sweep_recovers_separated_states():
-    rng = stream(2, "hmm-gibbs")
-    true = HmmParams(
-        pi=np.array([[0.9, 0.1], [0.2, 0.8]]), theta=np.array([0.0, 8.0]), sigma2=1.0
-    )
-    x, y = simulate_hmm(true, 1500, rng)
-    priors = HmmPriors(
-        alpha=np.ones(2),
-        emission=(NormalPrior(0.0, 100.0), NormalPrior(8.0, 100.0)),
-    )
-    state = HmmState(
-        params=HmmParams(
-            pi=np.full((2, 2), 0.5), theta=np.array([1.0, 5.0]), sigma2=1.0
-        ),
-        x=np.zeros(1500, dtype=np.int64),
-    )
-    thetas = []
-    for _ in range(40):
-        state = gibbs_sweep_hmm(state, y, priors, rng)
-        thetas.append(state.params.theta.copy())
-    avg = np.mean(thetas[20:], axis=0)
-    assert abs(avg[0] - 0.0) < 0.5   # clamped off state sits slightly above 0
-    assert abs(avg[1] - 8.0) < 0.3
-    acc = np.mean(state.x == x)
-    assert acc > 0.9

@@ -4,17 +4,19 @@ enumeration oracle.
 The oracle lists every segmentation of a short horizon: exact ones whose
 durations sum to T, plus right-censored ones whose final segment overruns
 with the matching survival weight. Summed, these give the likelihood; with
-occupancy bookkeeping, the smoothing marginals.
+occupancy bookkeeping, the smoothing marginals. The duration law itself is
+checked against ``scipy.stats`` and against a compensated complement sum.
 """
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.stats import norm
+from scipy.special import logsumexp
+from scipy.stats import nbinom, norm, poisson
 
-from powersplit.distributions import NormalPrior
 from powersplit.hmm import (
     HmmParams,
     backward_messages,
@@ -26,19 +28,11 @@ from powersplit.hsmm import (
     DurationHyper,
     DurationParams,
     HsmmParams,
-    HsmmPriors,
-    HsmmState,
-    NegBinComponent,
-    NormalComponent,
-    PoissonComponent,
     blocked_sample_segments,
     duration_tables,
-    duration_tail_by_complement,
-    gibbs_sweep_hsmm,
     hsmm_backward_messages,
     hsmm_loglik,
     hsmm_smoothed_marginals,
-    mixture_gibbs,
     sample_duration_params,
     simulate_hsmm,
 )
@@ -118,6 +112,50 @@ def oracle_segment_posterior(params, y):
     return {(s, d, c): p / Z for s, d, c, p in segs}
 
 
+def scipy_duration_logpmf(dur: DurationParams, d) -> np.ndarray:
+    """The duration law through ``scipy.stats``: each component's pmf over
+    its mass on d >= 1, mixed with weight phi."""
+    d = np.asarray(d)
+    parts = []
+    if dur.phi > 0:
+        parts.append(math.log(dur.phi) + poisson.logpmf(d, dur.lam)
+                     - math.log(-math.expm1(-dur.lam)))
+    if dur.phi < 1:
+        parts.append(math.log1p(-dur.phi) + nbinom.logpmf(d, dur.r, 1.0 - dur.vphi)
+                     - math.log(-math.expm1(dur.r * math.log1p(-dur.vphi))))
+    return logsumexp(np.stack(parts), axis=0)
+
+
+def scipy_duration_logtail(dur: DurationParams, m) -> np.ndarray:
+    """log P(D > m) through the ``scipy.stats`` survival functions."""
+    m = np.asarray(m)
+    parts = []
+    with np.errstate(divide="ignore"):
+        if dur.phi > 0:
+            parts.append(math.log(dur.phi) + poisson.logsf(m, dur.lam)
+                         - math.log(-math.expm1(-dur.lam)))
+        if dur.phi < 1:
+            parts.append(math.log1p(-dur.phi) + nbinom.logsf(m, dur.r, 1.0 - dur.vphi)
+                         - math.log(-math.expm1(dur.r * math.log1p(-dur.vphi))))
+    return logsumexp(np.stack(parts), axis=0)
+
+
+def duration_tail_by_complement(dur: DurationParams, dmax: int) -> np.ndarray:
+    """P(D > m) for m = 0..dmax via 1 - compensated cumulative sum of the pmf."""
+    pmf = np.exp(dur.logpmf(np.arange(1, dmax + 1)))
+    tails = np.empty(dmax + 1)
+    tails[0] = 1.0
+    acc = 0.0
+    comp = 0.0  # Kahan compensation
+    for i, p in enumerate(pmf):
+        y = p - comp
+        t = acc + y
+        comp = (t - acc) - y
+        acc = t
+        tails[i + 1] = 1.0 - acc
+    return tails
+
+
 def make_hsmm(seed=0, J=2):
     rng = np.random.default_rng(seed)
     pi_bar = np.zeros((J, J))
@@ -151,6 +189,25 @@ def test_duration_pmf_normalizes_and_tail_matches(phi, lam, r, vphi):
     tails = np.exp(dur.logtail(np.arange(0, 30)))
     want = duration_tail_by_complement(dur, 29)
     assert np.abs(tails - want).max() < 1e-9
+
+
+def test_duration_law_matches_scipy_stats():
+    # the grid includes both one-component edges, phi = 0 and phi = 1. Values
+    # below 1e-300 are left out: there the scipy.stats negative-binomial
+    # survival function loses digits on the way to underflow (nbdtrc agrees
+    # with a 50-digit incomplete-beta evaluation where it does not)
+    d = np.arange(1, 201)
+    m = np.arange(0, 201)
+    log_tiny = math.log(1e-300)
+    for phi, lam, r, vphi in itertools.product(
+            (0.0, 0.3, 0.8, 1.0), (0.05, 1.0, 4.0, 30.0), (1, 2, 5), (0.01, 0.3, 0.6, 0.95)):
+        dur = DurationParams(phi=phi, lam=lam, r=r, vphi=vphi)
+        for got, want in ((dur.logpmf(d), scipy_duration_logpmf(dur, d)),
+                          (dur.logtail(m), scipy_duration_logtail(dur, m))):
+            keep = want > log_tiny
+            assert np.all(np.isfinite(got[keep]))
+            err = np.abs(got[keep] - want[keep])
+            assert np.all(err <= 1e-12 * np.abs(want[keep]) + 1e-15), (phi, lam, r, vphi)
 
 
 def test_duration_mean_matches_series():
@@ -301,53 +358,3 @@ def test_sample_duration_params_prior_vs_posterior():
     cur = DurationParams(phi=1.0, lam=4.0, r=2, vphi=0.3)
     post = sample_duration_params(ds, hyper, cur, rng)
     assert post.lam > 6.0
-
-
-def test_mixture_gibbs_recovers_separated_normals():
-    rng = stream(4, "mixgibbs")
-    vals = np.concatenate([rng.normal(0.0, 1.0, 300), rng.normal(10.0, 1.0, 700)])
-    comps = (
-        NormalComponent(NormalPrior(0.0, 100.0), 1.0),
-        NormalComponent(NormalPrior(8.0, 100.0), 1.0),
-    )
-    init = (vals > 5.0).astype(int)
-    weights, params, labels = mixture_gibbs(vals, np.ones(2), comps, 30, rng,
-                                            init_labels=init)
-    assert abs(params[0] - 0.0) < 0.4
-    assert abs(params[1] - 10.0) < 0.4
-    assert abs(weights[1] - 0.7) < 0.08
-
-
-def test_mixture_gibbs_count_components():
-    rng = stream(5, "mixgibbs-count")
-    short = rng.poisson(2.0, 400) + 1
-    comps = (PoissonComponent(2.0, 1.0), NegBinComponent(2.0, 2.0, 2))
-    weights, params, labels = mixture_gibbs(short, np.ones(2), comps, 20, rng)
-    assert 0 < weights[0] < 1
-    assert params[0] > 0 and 0 < params[1] < 1
-
-
-def test_full_sweep_improves_fit():
-    rng = stream(6, "hsmm-gibbs")
-    true = make_hsmm(8)
-    true = HsmmParams(pi_bar=true.pi_bar, theta=np.array([0.0, 6.0]), sigma2=1.0,
-                      durations=true.durations, init=true.init)
-    path, y = simulate_hsmm(true, 800, rng)
-    priors = HsmmPriors(
-        alpha=np.ones(2),
-        emission=(NormalPrior(0.0, 100.0), NormalPrior(5.0, 100.0)),
-        duration=(DurationHyper(), DurationHyper()),
-    )
-    state = HsmmState(
-        params=HsmmParams(
-            pi_bar=np.array([[0.0, 1.0], [1.0, 0.0]]),
-            theta=np.array([1.0, 4.0]), sigma2=1.0,
-            durations=(DurationParams(0.5, 2.0, 2, 0.5), DurationParams(0.5, 2.0, 2, 0.5)),
-        ),
-        path=path,
-    )
-    for _ in range(25):
-        state = gibbs_sweep_hsmm(state, y, priors, rng, dmax=60)
-    assert abs(state.params.theta[1] - 6.0) < 0.5
-    acc = np.mean(state.path.x == path.x)
-    assert acc > 0.9

@@ -30,7 +30,6 @@ from powersplit.pipeline.disagg import chain_prior, disaggregate
 from powersplit.pipeline.io import (
     Trace,
     atomic_write_text,
-    emit_plot_data,
     fmt,
     load_trace,
     write_trace,
@@ -159,24 +158,6 @@ def test_write_trace_round_trip(tmp_path):
     assert np.array_equal(tr.values, values)
     assert np.array_equal(tr.total, total)
     assert tr.start == START
-
-
-def test_emit_plot_data(tmp_path):
-    p = tmp_path / "plot.csv"
-    emit_plot_data("bode", {"w": np.array([0.1, 0.2]), "mag": np.array([1.5, 2.5])}, p)
-    assert p.read_text().splitlines() == ["kind,w,mag", "bode,0.1,1.5", "bode,0.2,2.5"]
-    before = p.read_bytes()
-    emit_plot_data("bode", {"w": np.array([0.1, 0.2]), "mag": np.array([1.5, 2.5])}, p)
-    assert p.read_bytes() == before
-    emit_plot_data("trace", {"x": np.array([])}, p)
-    assert p.read_text() == "kind,x\n"
-    with pytest.raises(ValueError):
-        emit_plot_data("x", {"a": np.array([1.0]), "b": np.array([1.0, 2.0])}, p)
-
-
-# ---------------------------------------------------------------------------
-# config and bundles
-# ---------------------------------------------------------------------------
 
 
 def test_load_config_from_file(tmp_path):

@@ -1,8 +1,9 @@
 """Particle machinery against exact oracles.
 
 The filtering oracle is an independent probability-domain forward recursion,
-not the message module. Proposal and split-law checks compare against brute
-force over the joint state space and the conditional-Gaussian formulas.
+not the message module. Proposal and split-law checks compare the shipped
+``FactorialBpf`` pieces against brute force over the joint state space and
+the conditional-Gaussian formulas.
 """
 
 import math
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
+from powersplit import smc
 from powersplit.distributions import NormalPrior
 from powersplit.hmm import HmmParams, simulate_hmm
 from powersplit.rng import stream
@@ -19,19 +21,11 @@ from powersplit.smc import (
     DegenerateWeightsError,
     Ensemble,
     FactorialBpf,
-    SufficientStats,
     apf_step,
-    bpf_step,
     conditional_emission_sample,
     counts_to_indices,
-    ess,
-    factorial_state_proposal,
     joint_state_table,
     optimal_proposal_hmm,
-    pl_sample_params,
-    pl_update_stats,
-    sir_step,
-    sis_step,
     systematic_resample,
     uniform_ensemble,
 )
@@ -86,6 +80,19 @@ def apf_hmm_filter(params: HmmParams, y, n_particles, rng):
     return np.array(marg)
 
 
+def fixed_filter(pis, thetas, sig2s):
+    """A three-particle filter whose particles all carry the given rows and
+    means."""
+    priors = [ChainPrior(np.ones((len(t), len(t))), tuple(NormalPrior(0.0, 1.0) for _ in t), s2)
+              for t, s2 in zip(thetas, sig2s)]
+    filt = FactorialBpf(priors, n_particles=3, rng=stream(20, "fixed"))
+    for k, (pi, theta) in enumerate(zip(pis, thetas)):
+        J = len(theta)
+        filt.pi[:, k, :J, :J] = pi
+        filt.theta[:, k, :J] = theta
+    return filt
+
+
 def make_params():
     return HmmParams(
         pi=np.array([[0.92, 0.08], [0.10, 0.90]]),
@@ -115,11 +122,6 @@ def test_counts_to_indices():
     assert list(counts_to_indices(np.array([2, 0, 1]))) == [0, 0, 2]
 
 
-def test_ess_extremes():
-    assert abs(ess(np.full(10, 0.1)) - 10.0) < 1e-12
-    assert abs(ess(np.array([1.0, 0.0, 0.0])) - 1.0) < 1e-12
-
-
 def test_ensemble_validates_weights():
     with pytest.raises(ValueError):
         Ensemble(particles=np.arange(3), weights=np.array([0.5, 0.2, 0.2]))
@@ -128,38 +130,38 @@ def test_ensemble_validates_weights():
     assert np.all(ens.weights == 0.25)
 
 
-def test_sis_step_weights_are_likelihood_tilted():
-    # prior proposal + likelihood increment: weights end proportional to lik
+def test_apf_step_correction_tilts_weights():
+    # flat predictive: the systematic resample keeps every particle once, so
+    # the second-stage weights are the normalized correction
     ens = uniform_ensemble(np.array([0, 1, 2]))
     lik = np.array([0.2, 0.5, 0.3])
-    out = sis_step(
+    out = apf_step(
         ens, None,
+        log_predictive=lambda parts, y: np.zeros(len(parts)),
         propose=lambda parts, y, rng: parts,
-        log_incr=lambda new, prev, y: np.log(lik[new]),
         rng=stream(1, "sis"),
+        log_correction=lambda new, prev, y: np.log(lik[new]),
     )
+    assert np.array_equal(out.particles, ens.particles)
     assert np.abs(out.weights - lik).max() < 1e-12
     assert out.n == 1
 
 
-def test_sis_step_degenerate_raises():
+def test_apf_step_degenerate_raises():
     ens = uniform_ensemble(np.array([0, 1]))
     with pytest.raises(DegenerateWeightsError):
-        sis_step(ens, None, lambda p, y, r: p,
-                 lambda new, prev, y: np.full(len(new), -np.inf), stream(2, "deg"))
+        apf_step(ens, None, lambda p, y: np.full(len(p), -np.inf),
+                 lambda p, y, r: p, stream(2, "deg"))
 
 
-def test_sir_step_resamples_to_uniform():
+def test_apf_step_resamples_to_uniform():
     ens = uniform_ensemble(np.array([0, 1, 2, 3]))
     lik = np.array([0.7, 0.1, 0.1, 0.1])
-    out = sir_step(ens, None, lambda p, y, r: p,
-                   lambda new, prev, y: np.log(lik[new]), stream(3, "sir"))
+    out = apf_step(ens, None, lambda p, y: np.log(lik[p]), lambda p, y, r: p,
+                   stream(3, "sir"))
     assert np.all(out.weights == 0.25)
-    # high ESS threshold disabled: skip the resample entirely
-    kept = sir_step(ens, None, lambda p, y, r: p,
-                    lambda new, prev, y: np.zeros(len(new)), stream(4, "sir2"),
-                    ess_threshold=2.0)
-    assert np.all(kept.particles == ens.particles)
+    # weight 0.7 of 4 particles leaves 2 or 3 copies of particle 0
+    assert np.count_nonzero(out.particles == 0) in (2, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -188,52 +190,66 @@ def test_joint_state_table_row_major():
         joint_state_table((33, 32))
 
 
-def test_factorial_proposal_matches_brute_force():
+def test_factorial_proposal_matches_brute_force(monkeypatch):
     pis = (
         np.array([[0.9, 0.1], [0.2, 0.8]]),
         np.array([[0.7, 0.2, 0.1], [0.1, 0.6, 0.3], [0.3, 0.3, 0.4]]),
     )
     thetas = (np.array([0.0, 3.0]), np.array([0.0, 1.0, 5.0]))
     sig2s = (0.5, 1.5)
-    chain_params = list(zip(pis, thetas, sig2s))
     ybar = 4.2
-    x_prev = (1, 2)
+    sd = math.sqrt(sum(sig2s))
 
-    table, probs, pred = factorial_state_proposal(x_prev, chain_params, ybar)
-    V = sum(sig2s)
+    def step_probs(filt):
+        """The joint conditional ``FactorialBpf.step`` propagates through,
+        and the predictive p(ybar | x_prev) of each particle."""
+        logw, _ = smc.fbpf_accumulate(filt._gather_log_rows(), filt.theta,
+                                      filt.var_chain, filt.joint_idx, ybar)
+        seen = []
+        draw = smc.categorical_rows_sample
+
+        def spy(rng, probs):
+            seen.append(probs.copy())
+            return draw(rng, probs)
+
+        monkeypatch.setattr(smc, "categorical_rows_sample", spy)
+        filt.step(ybar)
+        monkeypatch.undo()
+        return seen[0], np.exp(logw).sum(axis=1)
+
+    filt = fixed_filter(pis, thetas, sig2s)
+    table = filt.joint_idx
+    filt.states[:] = (1, 2)
+    filt.n = 1
+    probs, pred = step_probs(filt)
     want = np.array([
-        pis[0][1, a] * pis[1][2, b]
-        * norm.pdf(ybar, thetas[0][a] + thetas[1][b], math.sqrt(V))
+        pis[0][1, a] * pis[1][2, b] * norm.pdf(ybar, thetas[0][a] + thetas[1][b], sd)
         for a, b in table
     ])
-    assert abs(pred - want.sum()) < 1e-12
+    assert np.abs(pred - want.sum()).max() < 1e-12
     assert np.abs(probs - want / want.sum()).max() < 1e-12
 
     # first observation: uniform over states in place of transition rows
-    _, probs0, _ = factorial_state_proposal(None, chain_params, ybar)
+    probs0, _ = step_probs(fixed_filter(pis, thetas, sig2s))
     want0 = np.array([
-        (1 / 2) * (1 / 3) * norm.pdf(ybar, thetas[0][a] + thetas[1][b], math.sqrt(V))
+        (1 / 2) * (1 / 3) * norm.pdf(ybar, thetas[0][a] + thetas[1][b], sd)
         for a, b in table
     ])
     assert np.abs(probs0 - want0 / want0.sum()).max() < 1e-12
 
 
 def test_conditional_emission_split_law():
-    thetas = (np.array([1.0, 4.0]), np.array([0.5]), np.array([2.0, 6.0]))
-    pis = tuple(np.eye(len(t)) for t in thetas)
-    sig2s = (0.5, 1.0, 2.0)
-    chain_params = list(zip(pis, thetas, sig2s))
-    x = (1, 0, 0)
+    d = np.array([0.5, 1.0, 2.0])
+    theta_sel = np.array([4.0, 0.5, 2.0])
     ybar = 9.3
-    rng = stream(5, "split")
-    draws = np.array([
-        conditional_emission_sample(x, chain_params, ybar, rng) for _ in range(100_000)
-    ])
+    n = 100_000
+    draws = conditional_emission_sample(np.tile(theta_sel, (n, 1)),
+                                        np.full(n, theta_sel.sum()), d, ybar,
+                                        stream(5, "split"))
+    assert draws.shape == (n, 3)
     assert np.abs(draws.sum(axis=1) - ybar).max() < 1e-9
 
-    d = np.array(sig2s)
     S = d.sum()
-    theta_sel = np.array([4.0, 0.5, 2.0])
     mean_want = theta_sel + d * (ybar - theta_sel.sum()) / S
     cov_want = np.diag(d) - np.outer(d, d) / S
     assert np.abs(draws.mean(axis=0) - mean_want).max() < 0.02
@@ -246,33 +262,42 @@ def test_conditional_emission_split_law():
 
 
 def test_pl_update_stats_folds_counts():
-    r = SufficientStats.empty(2)
-    r1 = pl_update_stats(r, None, 1, 2.5)
-    assert r1.trans_counts.sum() == 0
-    assert r1.emis_sums[1] == 2.5 and r1.emis_counts[1] == 1
-    r2 = pl_update_stats(r1, 1, 0, -0.5)
-    assert r2.trans_counts[1, 0] == 1
-    assert r2.emis_sums[0] == -0.5
-    # source object untouched
-    assert r.trans_counts.sum() == 0 and r.emis_sums.sum() == 0
+    # FactorialBpf.step folds each particle's new state and emission into its
+    # statistics; the first observation has no incoming transition
+    prior = ChainPrior(np.ones((2, 2)), (NormalPrior(0, 1), NormalPrior(3, 1)), 1.0)
+    filt = FactorialBpf([prior], n_particles=50, rng=stream(14, "fold"))
+    filt.step(2.5)
+    assert filt.trans_counts.sum() == 0
+    first = filt.states[:, 0].copy()
+    onehot = np.eye(2)[first]
+    assert np.array_equal(filt.emis_counts[:, 0], onehot)
+    assert np.array_equal(filt.emis_sums[:, 0], onehot * filt.emis[:, :1])
+    filt.step(-0.5)
+    new = filt.states[:, 0]
+    for i in range(filt.N):
+        # the ancestor's state is the one other count cell
+        counts = filt.emis_counts[i, 0].copy()
+        counts[new[i]] -= 1
+        prev = int(np.flatnonzero(counts)[0])
+        want = np.zeros((2, 2))
+        want[prev, new[i]] = 1
+        assert np.array_equal(filt.trans_counts[i, 0], want)
 
 
 def test_pl_sample_params_concentrates():
+    # FactorialBpf's parameter refresh draws from the conjugate posterior
     prior = ChainPrior(
         alpha=np.ones((2, 2)),
         emission=(NormalPrior(0.0, 100.0), NormalPrior(0.0, 100.0)),
         sigma2=1.0,
     )
-    r = SufficientStats(
-        trans_counts=np.array([[900.0, 100.0], [200.0, 800.0]]),
-        emis_sums=np.array([1000.0, 5000.0]),
-        emis_counts=np.array([1000.0, 1000.0]),
-    )
-    rng = stream(6, "plparams")
-    thetas = np.array([pl_sample_params(r, prior, rng)[0] for _ in range(300)])
-    pis = np.array([pl_sample_params(r, prior, rng)[1] for _ in range(300)])
-    assert np.abs(thetas.mean(axis=0) - [1.0, 5.0]).max() < 0.02
-    assert abs(pis[:, 0, 0].mean() - 900 / 1002) < 0.01
+    filt = FactorialBpf([prior], n_particles=300, rng=stream(6, "plparams"))
+    filt.trans_counts[:, 0] = [[900.0, 100.0], [200.0, 800.0]]
+    filt.emis_sums[:, 0] = [1000.0, 5000.0]
+    filt.emis_counts[:, 0] = [1000.0, 1000.0]
+    filt._draw_params()
+    assert np.abs(filt.theta[:, 0].mean(axis=0) - [1.0, 5.0]).max() < 0.02
+    assert abs(filt.pi[:, 0, 0, 0].mean() - 900 / 1002) < 0.01
 
 
 def test_chain_prior_validation():
@@ -333,7 +358,7 @@ def test_fbpf_single_chain_tracks_states_and_learns_means():
     filt = FactorialBpf([prior], n_particles=300, rng=stream(11, "bpf"))
     hits = 0
     for t in range(300):
-        bpf_step(filt, float(y[t]))
+        filt.step(float(y[t]))
         hits += int(filt.map_states()[0] == x[t])
     assert hits / 300 > 0.85
     means = filt.power_means()[0]
@@ -347,10 +372,3 @@ def test_map_states_tie_goes_to_lowest_index():
     filt = FactorialBpf([prior], n_particles=4, rng=stream(12, "tie"))
     filt.states[:, 0] = np.array([0, 0, 1, 1])
     assert filt.map_states()[0] == 0
-
-
-def test_bpf_step_rejects_multichain():
-    priors = [ChainPrior(np.ones((2, 2)), (NormalPrior(0, 1), NormalPrior(1, 1)), 1.0)] * 2
-    filt = FactorialBpf(priors, n_particles=8, rng=stream(13, "multi"))
-    with pytest.raises(ValueError):
-        bpf_step(filt, 1.0)
