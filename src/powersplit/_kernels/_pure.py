@@ -72,21 +72,36 @@ def fbpf_accumulate(logtrans_rows, theta_rows, var_chain, joint_idx, ybar):
                     previous state in each chain (padded with -inf)
     theta_rows    : (N, K, Jmax) per-particle emission means
     var_chain     : (K,) per-chain emission variances
-    joint_idx     : (M, K) int32 joint-state table
+    joint_idx     : (M, K) int32 joint-state table; must be
+                    ``smc.joint_state_table(Js)``, the row-major product of
+                    the chains' states, so M = prod(Js)
     ybar          : aggregate observation
 
     Returns (logw, sumtheta): both (N, M); logw includes the aggregate
     Normal likelihood with variance sum(var_chain).
+
+    The table is a full product, so both outputs are broadcast outer sums of
+    the K per-chain rows, added in chain order k = 0..K-1 with the last chain
+    varying fastest. Only the table's last row, (J_0-1, ..., J_{K-1}-1), is
+    read; a table that is not a full product raises ``ValueError``. The
+    compiled kernel walks the table row by row, which serves the same
+    contract.
     """
-    N, K, _ = logtrans_rows.shape
-    M = joint_idx.shape[0]
-    n_idx = np.arange(N)[:, None, None]
-    k_idx = np.arange(K)[None, None, :]
-    j_idx = joint_idx[None, :, :]
-    trans = logtrans_rows[n_idx, k_idx, j_idx]  # (N, M, K)
-    theta = theta_rows[n_idx, k_idx, j_idx]
-    sumtheta = theta.sum(axis=2)
-    logw = trans.sum(axis=2)
+    N = logtrans_rows.shape[0]
+    Js = joint_idx[-1] + 1
+    if len(joint_idx) != int(np.prod(Js)):
+        raise ValueError("joint_idx must be the full row-major product table")
+
+    def outer_sum(rows):
+        # a copy: with one chain the slice would be returned, and the
+        # in-place likelihood add below would write into the caller's rows
+        acc = rows[:, 0, :Js[0]].copy()
+        for k in range(1, len(Js)):
+            acc = (acc[:, :, None] + rows[:, k, None, :Js[k]]).reshape(N, -1)
+        return acc
+
+    logw = outer_sum(logtrans_rows)
+    sumtheta = outer_sum(theta_rows)
     svar = float(var_chain.sum())
     logw += -0.5 * (np.log(2.0 * np.pi * svar) + (ybar - sumtheta) ** 2 / svar)
     return logw, sumtheta

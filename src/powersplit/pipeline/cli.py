@@ -34,7 +34,12 @@ SYNTH_START = datetime(2026, 1, 1)
 
 
 def _config(path) -> RunConfig:
-    return load_config(path) if path else RunConfig()
+    if not path:
+        return RunConfig()
+    try:
+        return load_config(path)
+    except ValueError as exc:
+        raise click.BadParameter(str(exc), param_hint="--config") from exc
 
 
 @click.group()

@@ -81,6 +81,15 @@ _CONTROL_SCHEMA = {
 }
 
 
+def check_tracking_window(control: ControlConfig) -> None:
+    """Tracking is scored on the steps after the transient, so there must be
+    at least one."""
+    if control.transient >= control.steps:
+        raise ValueError(
+            f"control steps ({control.steps}) must exceed transient "
+            f"({control.transient}): tracking is scored after the transient")
+
+
 def _check_keys(doc: dict, schema: dict, where: str):
     for key, val in doc.items():
         if key not in schema:
@@ -112,6 +121,7 @@ def load_config(path_or_doc) -> RunConfig:
     cfg = RunConfig(**kwargs)
     if cfg.control.hook not in ("none", "oracle", "fbpf"):
         raise ValueError(f"unknown control hook {cfg.control.hook!r}")
+    check_tracking_window(cfg.control)
     return cfg
 
 

@@ -26,7 +26,7 @@ from ..dispatch import (
 from ..hsmm import simulate_hsmm
 from ..rng import substream
 from ..smc import ChainPrior, FactorialBpf
-from .config import ControlConfig, default_bundle
+from .config import ControlConfig, check_tracking_window, default_bundle
 from .disagg import chain_prior
 from .synth import draw_device_params
 
@@ -129,8 +129,10 @@ def simulate_control(config: ControlConfig, rng,
     Hooks: ``none`` evolves occupancy counts for ``n_loads`` loads;
     ``oracle`` runs loads individually with exact mode knowledge;
     ``fbpf`` runs one load per house behind a metered filter, so the fleet
-    size is ``n_houses``.
+    size is ``n_houses``. Raises ``ValueError`` unless ``steps`` exceeds
+    ``transient``.
     """
+    check_tracking_window(config)
     if model is None:
         model = tcl_nominal_model(TclConfig())
     kp, ki, bode = design_gains(model)

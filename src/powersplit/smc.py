@@ -9,9 +9,16 @@ Two layers:
     particle carries conjugate sufficient statistics and refreshes its
     parameters from them every step.
 
+The joint state space is always the full row-major product of the chains'
+states (``joint_state_table``), so the joint predictive of every particle is
+an outer sum of its K per-chain rows: a step builds (N, M) arrays and never
+an (N, M, K) gather.
+
 Per-step cost is fixed: sufficient statistics replace the path, so nothing
 grows with the stream length. With the exact joint conditional as the
-proposal, the first-stage weight is the one-step predictive p(y | x).
+proposal, the first-stage weight is the one-step predictive p(y | x), and
+the filter keeps the running log-evidence log p(y_1:t) as the sum of the
+log mean predictives.
 """
 
 from __future__ import annotations
@@ -157,6 +164,7 @@ class ChainPrior:
 # factorial filter
 # ---------------------------------------------------------------------------
 
+# largest joint state space M = prod(J_k); a step holds a few (N, M) arrays
 JOINT_CAP = 1024
 
 
@@ -202,6 +210,8 @@ class FactorialBpf:
     propagates through the exact joint conditional, imputes emissions that
     sum to the aggregate, folds the statistics, and refreshes parameters
     from their conjugate posteriors. Weights are uniform after every step.
+    ``log_evidence`` accumulates the log of the mean first-stage predictive,
+    an estimate of log p(y_1:t).
 
     With a single chain this is the plain Bayesian particle filter.
     """
@@ -218,6 +228,7 @@ class FactorialBpf:
         self.M = len(self.joint_idx)
         self.var_chain = np.array([p.sigma2 for p in priors])
         self.n = 0
+        self.log_evidence = 0.0
 
         N, K, Jm = self.N, self.K, self.Jmax
         self.states = np.zeros((N, K), dtype=np.int64)
@@ -274,7 +285,13 @@ class FactorialBpf:
             return np.log(rows)
 
     def step(self, ybar: float) -> None:
-        """Consume one aggregate reading."""
+        """Consume one aggregate reading.
+
+        The joint predictive comes from the outer sums of ``fbpf_accumulate``.
+        The resample copies only the statistics: ``pi`` and ``theta`` are
+        redrawn from them at the end of the step, so the split reads the
+        ancestors' means through the ancestor indices.
+        """
         rng = self.rng
         log_rows = self._gather_log_rows()
         logw, sumtheta = fbpf_accumulate(log_rows, self.theta, self.var_chain,
@@ -288,16 +305,15 @@ class FactorialBpf:
             shifted = np.exp(logw - row_max[:, None])
             row_tot = shifted.sum(axis=1)
             logpred = np.where(np.isfinite(row_max), row_max + np.log(row_tot), -np.inf)
+        mx = logpred.max()
+        self.log_evidence += float(mx + np.log(np.exp(logpred - mx).mean()))
         idx = counts_to_indices(systematic_resample(_normalize_log(logpred), rng))
 
         self.states = self.states[idx]
         self.trans_counts = self.trans_counts[idx]
         self.emis_sums = self.emis_sums[idx]
         self.emis_counts = self.emis_counts[idx]
-        self.theta = self.theta[idx]
-        self.pi = self.pi[idx]
         probs = shifted[idx] / row_tot[idx][:, None]
-        sumtheta = sumtheta[idx]
 
         # joint propagation through the exact conditional
         j_star = categorical_rows_sample(rng, probs)
@@ -305,20 +321,20 @@ class FactorialBpf:
 
         # emissions that sum to the aggregate
         N, K = self.N, self.K
-        ii = np.arange(N)[:, None]
         kk = np.arange(K)[None, :]
         self.emis = conditional_emission_sample(
-            self.theta[ii, kk, new_states], sumtheta[np.arange(N), j_star],
+            self.theta[idx[:, None], kk, new_states], sumtheta[idx, j_star],
             self.var_chain, ybar, rng)
 
-        # statistics
+        # statistics; every (particle, chain) row gets exactly one increment,
+        # so fancy-index adds equal np.add.at
+        rows = np.arange(N * K)
+        new_flat = new_states.ravel()
         if self.n > 0:
             flat = self.trans_counts.reshape(N * K, self.Jmax, self.Jmax)
-            np.add.at(flat, (np.arange(N * K), self.states.ravel(), new_states.ravel()), 1.0)
-        flat_es = self.emis_sums.reshape(N * K, self.Jmax)
-        flat_ec = self.emis_counts.reshape(N * K, self.Jmax)
-        np.add.at(flat_es, (np.arange(N * K), new_states.ravel()), self.emis.ravel())
-        np.add.at(flat_ec, (np.arange(N * K), new_states.ravel()), 1.0)
+            flat[rows, self.states.ravel(), new_flat] += 1.0
+        self.emis_sums.reshape(N * K, self.Jmax)[rows, new_flat] += self.emis.ravel()
+        self.emis_counts.reshape(N * K, self.Jmax)[rows, new_flat] += 1.0
 
         self.states = new_states
         self._draw_params()

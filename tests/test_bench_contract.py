@@ -3,13 +3,19 @@
 ``perfbench/`` patches layer entry points from outside ``src/`` and imports
 workload pieces by name, so renaming or deleting one breaks the benchmark
 without breaking any other test. These checks read the benchmark's source
-with ``ast`` and resolve every such name against the package; nothing under
-``perfbench/`` is executed or changed.
+with ``ast`` and resolve every such name against the package, and run the
+span tracer around a few filter steps; nothing under ``perfbench/`` is
+changed.
 """
 
 import ast
 import importlib
+import importlib.util
 from pathlib import Path
+
+from powersplit.pipeline.config import default_bundle
+from powersplit.pipeline.disagg import build_filter
+from powersplit.rng import stream
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -31,6 +37,22 @@ def test_patch_points_resolve():
         if owner:
             target = getattr(target, owner)
         assert callable(getattr(target, attr, None)), (module, owner, attr)
+
+
+def test_traced_filter_steps_count_and_crosscheck():
+    spec = importlib.util.spec_from_file_location("perfbench_spans", PERFBENCH / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    bundle = default_bundle()
+    filt = build_filter([d.name for d in bundle.devices], bundle, 50, stream(22, "traced"))
+    tracer = spans.Tracer("contract")
+    with tracer.installed():
+        for y in (120.0, 5300.0, 900.0):
+            filt.step(y)
+    N, K, M = filt.N, filt.K, filt.M
+    assert tracer.counters["kernels.fbpf_accumulate.gathers_computed"] == 3 * N * M * K
+    assert tracer.layer_stats()["smc.FactorialBpf.step"][0] == 3
+    assert tracer.crosscheck() == 0
 
 
 def test_duration_cache_resolves():

@@ -1,7 +1,8 @@
 """Backend equivalence and resampling-count correctness.
 
 The brute-force offspring oracle places each systematic position by linear
-search; the kernels must reproduce it exactly.
+search; the kernels must reproduce it exactly. The factorial accumulate is
+checked bit for bit against a direct gather through the joint-state table.
 
 The equivalence tests compare the compiled kernels with the pure ones. When
 the package was installed without its extension, the shipped ``_native.c``
@@ -22,6 +23,7 @@ from hypothesis import given, settings, strategies as st
 
 from powersplit import _kernels
 from powersplit._kernels import _pure
+from powersplit.smc import joint_state_table
 
 
 def load_native():
@@ -66,6 +68,33 @@ def offspring_oracle(weights, u0):
             j += 1
         counts[j] += 1
     return counts
+
+
+def fbpf_accumulate_gather_reference(logtrans_rows, theta_rows, var_chain, joint_idx, ybar):
+    """The factorial accumulate as an (N, M, K) gather through any joint
+    table, summed over chains."""
+    N, K, _ = logtrans_rows.shape
+    n_idx = np.arange(N)[:, None, None]
+    k_idx = np.arange(K)[None, None, :]
+    j_idx = joint_idx[None, :, :]
+    trans = logtrans_rows[n_idx, k_idx, j_idx]  # (N, M, K)
+    theta = theta_rows[n_idx, k_idx, j_idx]
+    sumtheta = theta.sum(axis=2)
+    logw = trans.sum(axis=2)
+    svar = float(var_chain.sum())
+    logw += -0.5 * (np.log(2.0 * np.pi * svar) + (ybar - sumtheta) ** 2 / svar)
+    return logw, sumtheta
+
+
+def random_rows(rng, N, Js, p_inf=0.0):
+    """Per-chain log rows and emission means padded to max(Js), with a
+    share of the log-row entries set to -inf."""
+    K, Jm = len(Js), max(Js)
+    rows = np.log(rng.dirichlet(np.ones(Jm), size=(N, K)))
+    rows[rng.random(rows.shape) < p_inf] = -np.inf
+    theta = rng.normal(100.0, 30.0, size=(N, K, Jm))
+    var = rng.uniform(10.0, 50.0, size=K)
+    return rows, theta, var
 
 
 def random_instance(rng, T, J):
@@ -115,15 +144,36 @@ def test_hsmm_backward_agrees_across_backends():
 @needs_native
 def test_fbpf_accumulate_agrees_across_backends():
     rng = np.random.default_rng(2)
-    N, K, Jm, M = 50, 3, 3, 10
-    rows = np.log(rng.dirichlet(np.ones(Jm), size=(N, K)))
-    theta = rng.normal(100.0, 30.0, size=(N, K, Jm))
-    var = rng.uniform(10.0, 50.0, size=K)
-    joint = rng.integers(0, Jm, size=(M, K)).astype(np.int32)
-    out_p = _pure.fbpf_accumulate(rows, theta, var, joint, 250.0)
-    out_n = _native.fbpf_accumulate(rows, theta, var, joint, 250.0)
-    for a, b in zip(out_p, out_n):
-        assert np.allclose(a, b, atol=1e-12)
+    for Js in [(3, 2, 3), (2, 3, 2, 3), (1,), (4, 1, 2)]:
+        rows, theta, var = random_rows(rng, 50, Js)
+        joint = joint_state_table(Js)
+        out_p = _pure.fbpf_accumulate(rows, theta, var, joint, 250.0)
+        out_n = _native.fbpf_accumulate(rows, theta, var, joint, 250.0)
+        for a, b in zip(out_p, out_n):
+            assert np.allclose(a, b, atol=1e-12)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.integers(1, 4), min_size=1, max_size=5), st.integers(1, 12),
+       st.floats(0.0, 0.5), st.integers(0, 10_000))
+def test_fbpf_accumulate_outer_sum_matches_gather(Js, N, p_inf, seed):
+    rng = np.random.default_rng(seed)
+    rows, theta, var = random_rows(rng, N, Js, p_inf)
+    joint = joint_state_table(tuple(Js))
+    ybar = float(rng.normal(300.0, 400.0))
+    got = _pure.fbpf_accumulate(rows, theta, var, joint, ybar)
+    want = fbpf_accumulate_gather_reference(rows, theta, var, joint, ybar)
+    for a, b in zip(got, want):
+        assert np.array_equal(a, b)
+
+
+def test_fbpf_accumulate_rejects_non_product_table():
+    rng = np.random.default_rng(4)
+    rows, theta, var = random_rows(rng, 5, (2, 3, 2))
+    joint = joint_state_table((2, 3, 2))
+    for subset in (joint[:-1], joint[1:], joint[[0, 3, 11]], joint[::3]):
+        with pytest.raises(ValueError, match="product"):
+            _pure.fbpf_accumulate(rows, theta, var, subset, 250.0)
 
 
 @settings(max_examples=60, deadline=None)

@@ -441,6 +441,17 @@ def test_simulate_control_hooks_run():
     assert np.all(np.isfinite(fbpf["traces"]["y"]))
 
 
+def test_simulate_control_rejects_empty_tracking_window():
+    # the default transient is 240 steps; scoring needs at least one after it
+    for steps, transient in [(200, 240), (240, 240), (30, 30)]:
+        cfg = ControlConfig(n_loads=50, steps=steps, transient=transient)
+        with pytest.raises(ValueError, match=r"steps \(\d+\) must exceed transient"):
+            simulate_control(cfg, stream(15, "ctl-window"))
+    with pytest.raises(ValueError, match="steps.*transient"):
+        load_config({"control": {"steps": 200}})
+    assert load_config({"control": {"steps": 241}}).control.steps == 241
+
+
 def test_simulate_control_oracle_tracks_at_full_scale():
     """Criterion 13's fleet and horizon run per load behind the oracle hook:
     it tracks as well as the count path and takes seconds, not minutes."""
@@ -537,6 +548,15 @@ def test_cli_bode(tmp_path, runner):
     lines = (tmp_path / "bode.csv").read_text().splitlines()
     assert lines[0] == "w,mag_db,phase_deg"
     assert len(lines) == 33
+
+
+def test_cli_control_rejects_empty_tracking_window(tmp_path, runner):
+    cfg = small_config(tmp_path, control={"n_loads": 50, "steps": 200})
+    out = tmp_path / "control.csv"
+    r = runner.invoke(main, ["control", "--config", cfg, "--out", str(out)])
+    assert r.exit_code != 0
+    assert "steps (200)" in r.output and "transient (240)" in r.output
+    assert not out.exists()
 
 
 def test_cli_control_small(tmp_path, runner):

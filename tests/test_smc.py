@@ -3,18 +3,26 @@
 The filtering oracle is an independent probability-domain forward recursion,
 not the message module. Proposal and split-law checks compare the shipped
 ``FactorialBpf`` pieces against brute force over the joint state space and
-the conditional-Gaussian formulas.
+the conditional-Gaussian formulas. The outer-sum accumulate is checked at
+filter level against the (N, M, K) gather it replaced, and the running
+log-evidence against the closed-form first-step predictive.
 """
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
 from scipy.stats import norm
+from test_kernels import fbpf_accumulate_gather_reference
 
 from powersplit import smc
+from powersplit.dispatch import TclConfig, tcl_nominal_model
 from powersplit.distributions import NormalPrior
 from powersplit.hmm import HmmParams, simulate_hmm
+from powersplit.pipeline.config import ControlConfig, default_bundle
+from powersplit.pipeline.control import FbpfHook
+from powersplit.pipeline.disagg import chain_prior
 from powersplit.rng import stream
 from powersplit.smc import (
     ChainPrior,
@@ -365,6 +373,64 @@ def test_fbpf_single_chain_tracks_states_and_learns_means():
     assert abs(means[0] - 0.0) < 0.5
     assert abs(means[1] - 5.0) < 0.5
     assert np.all(np.isfinite(filt.emission_means()))
+
+
+def bundle_stream(T):
+    """The default four-device house (Js = 2, 3, 2, 3) and watt readings."""
+    priors = [chain_prior(dev) for dev in default_bundle().devices]
+    rng = stream(16, "digest-bundle")
+    return priors, np.abs(rng.normal(800.0, 600.0, T))
+
+
+def hook_stream(T):
+    """One ``FbpfHook`` house (Js = 2, 2, 3) and kW readings of one
+    thermostat plus small appliances."""
+    model = tcl_nominal_model(TclConfig())
+    cfg = ControlConfig(n_houses=1, steps=T, hook="fbpf")
+    priors = FbpfHook(model, cfg, stream(17, "digest-hook")).filters[0].priors
+    rng = stream(18, "digest-hook-data")
+    u_on = float(model.U[1])
+    y = (u_on * (rng.random(T) < 0.5) + 0.15 * (rng.random(T) < 0.3)
+         + rng.normal(0.0, 0.02, T))
+    return priors, y
+
+
+@pytest.mark.parametrize("make", [bundle_stream, hook_stream])
+def test_fbpf_outer_sum_filter_matches_gather_reference(monkeypatch, make):
+    priors, y = make(200)
+
+    def digests():
+        filt = FactorialBpf(priors, n_particles=200, rng=stream(19, "digest"))
+        for v in y:
+            filt.step(float(v))
+        # the draws shrug off a one-ulp change in logw; the evidence does not
+        return [hashlib.sha256(getattr(filt, name).tobytes()).hexdigest()
+                for name in ("states", "emis", "theta")] + [filt.log_evidence]
+
+    shipped = digests()
+    monkeypatch.setattr(smc, "fbpf_accumulate", fbpf_accumulate_gather_reference)
+    assert digests() == shipped
+
+
+def test_log_evidence_first_step_matches_closed_form():
+    # K=1, J=2, uniform start: each particle's predictive is
+    # sum_j 1/2 N(y; theta_j, s2) with theta_j ~ N(m_j, v_j) drawn from the
+    # prior, so its mean over particles estimates
+    # p(y_1) = sum_j 1/2 N(y_1; m_j, v_j + s2)
+    m, v, s2, y = np.array([0.0, 3.0]), np.array([1.0, 2.0]), 1.0, 1.2
+    prior = ChainPrior(np.ones((2, 2)), tuple(NormalPrior(a, b) for a, b in zip(m, v)), s2)
+    n = 20_000
+    filt = FactorialBpf([prior], n_particles=n, rng=stream(21, "evidence"))
+    assert filt.log_evidence == 0.0
+    filt.step(y)
+
+    p = float(np.sum(0.5 * norm.pdf(y, m, np.sqrt(v + s2))))
+    # per-particle variance: N(y; t, s2)^2 = N(y; t, s2/2) / (2 sqrt(pi s2))
+    second = np.sum(0.25 * norm.pdf(y, m, np.sqrt(v + s2 / 2)) / (2.0 * np.sqrt(np.pi * s2)))
+    second += 0.5 * np.prod(norm.pdf(y, m, np.sqrt(v + s2)))
+    sd = math.sqrt((second - p * p) / n)
+    # CLT band: 4 standard errors of the particle mean
+    assert abs(math.exp(filt.log_evidence) - p) < 4.0 * sd
 
 
 def test_map_states_tie_goes_to_lowest_index():
