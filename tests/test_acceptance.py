@@ -7,7 +7,6 @@ enumeration, probability-domain filters, grid quadrature, closed-form
 transforms. They deliberately avoid the library's own message passes.
 """
 
-import copy
 import gc
 import itertools
 import json
@@ -579,15 +578,7 @@ def test_criterion_08_imputed_emissions_sum_to_aggregate():
 
 def test_criterion_09_per_step_cost_does_not_grow_with_history():
     """Median per-step wall time around step 10^5 stays within 20% of the
-    median around step 10^3 at fixed particle count.
-
-    A copy of the filter is kept at step 700, and the original runs on to
-    step 99 700. The two then take their next 600 readings in alternation,
-    one step each, so both windows are timed in the same second and a
-    change in the host's speed hits both equally. Timed one after the
-    other, 50 s apart, the windows moved by up to 1.7x on a shared host
-    while the cost did not grow.
-    """
+    median around step 10^3 at fixed particle count."""
     priors = [
         ChainPrior(np.full((2, 2), 2.0), (NormalPrior(0, 4), NormalPrior(3, 4)), 0.5),
         ChainPrior(np.full((2, 2), 2.0), (NormalPrior(0, 4), NormalPrior(1, 4)), 0.5),
@@ -595,28 +586,20 @@ def test_criterion_09_per_step_cost_does_not_grow_with_history():
     filt = FactorialBpf(priors, n_particles=128, rng=stream(110, "c9"))
     total = 100_300
     ys = stream(111, "c9-data").normal(3.0, 1.0, size=total)
-    for t in range(700):
-        filt.step(float(ys[t]))
-    early_filt = copy.deepcopy(filt)
-    for t in range(700, 99_700):
-        filt.step(float(ys[t]))
-    early_times = np.empty(600)
-    late_times = np.empty(600)
+    times = np.empty(total)
     gc.collect()
     gc.disable()
     try:
-        for i in range(600):
-            t0 = time.perf_counter()
-            early_filt.step(float(ys[700 + i]))
-            t1 = time.perf_counter()
-            filt.step(float(ys[99_700 + i]))
-            late_times[i] = time.perf_counter() - t1
-            early_times[i] = t1 - t0
+        prev = time.perf_counter()
+        for t in range(total):
+            filt.step(float(ys[t]))
+            now = time.perf_counter()
+            times[t] = now - prev
+            prev = now
     finally:
         gc.enable()
-    assert early_filt.n == 1_300 and filt.n == total
-    early = float(np.median(early_times))
-    late = float(np.median(late_times))
+    early = float(np.median(times[700:1_300]))
+    late = float(np.median(times[99_700:100_300]))
     assert 0.8 * early <= late <= 1.2 * early
 
 
