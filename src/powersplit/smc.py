@@ -305,9 +305,10 @@ class FactorialBpf:
             shifted = np.exp(logw - row_max[:, None])
             row_tot = shifted.sum(axis=1)
             logpred = np.where(np.isfinite(row_max), row_max + np.log(row_tot), -np.inf)
-        mx = logpred.max()
-        self.log_evidence += float(mx + np.log(np.exp(logpred - mx).mean()))
-        idx = counts_to_indices(systematic_resample(_normalize_log(logpred), rng))
+        mx = logpred.max()  # finite: some row_max is finite
+        w = np.exp(logpred - mx)
+        self.log_evidence += float(mx + np.log(w.mean()))
+        idx = counts_to_indices(systematic_resample(w / w.sum(), rng))
 
         self.states = self.states[idx]
         self.trans_counts = self.trans_counts[idx]

@@ -1,0 +1,36 @@
+"""Reference pieces shared by the kernel and filter tests.
+
+``fbpf_accumulate_gather_reference`` is the factorial accumulate written as a
+direct (N, M, K) gather through the joint-state table; the shipped outer-sum
+kernel must match it bit for bit on product tables. Importing this module
+builds nothing and has no side effects.
+"""
+
+import numpy as np
+
+
+def fbpf_accumulate_gather_reference(logtrans_rows, theta_rows, var_chain, joint_idx, ybar):
+    """The factorial accumulate as an (N, M, K) gather through any joint
+    table, summed over chains."""
+    N, K, _ = logtrans_rows.shape
+    n_idx = np.arange(N)[:, None, None]
+    k_idx = np.arange(K)[None, None, :]
+    j_idx = joint_idx[None, :, :]
+    trans = logtrans_rows[n_idx, k_idx, j_idx]  # (N, M, K)
+    theta = theta_rows[n_idx, k_idx, j_idx]
+    sumtheta = theta.sum(axis=2)
+    logw = trans.sum(axis=2)
+    svar = float(var_chain.sum())
+    logw += -0.5 * (np.log(2.0 * np.pi * svar) + (ybar - sumtheta) ** 2 / svar)
+    return logw, sumtheta
+
+
+def random_rows(rng, N, Js, p_inf=0.0):
+    """Per-chain log rows and emission means padded to max(Js), with a
+    share of the log-row entries set to -inf."""
+    K, Jm = len(Js), max(Js)
+    rows = np.log(rng.dirichlet(np.ones(Jm), size=(N, K)))
+    rows[rng.random(rows.shape) < p_inf] = -np.inf
+    theta = rng.normal(100.0, 30.0, size=(N, K, Jm))
+    var = rng.uniform(10.0, 50.0, size=K)
+    return rows, theta, var

@@ -50,6 +50,11 @@ def test_traced_filter_steps_count_and_crosscheck():
         for y in (120.0, 5300.0, 900.0):
             filt.step(y)
     N, K, M = filt.N, filt.K, filt.M
+    # The counter checks that the tracer still unpacks the kernel's name and
+    # arguments (N*M*K per call, from the argument shapes); on the pure
+    # backend it no longer measures work done, since no (N, M, K) gather is
+    # built. crosscheck() rechecks native calls only, so it is 0 here by
+    # construction when the pure backend is active.
     assert tracer.counters["kernels.fbpf_accumulate.gathers_computed"] == 3 * N * M * K
     assert tracer.layer_stats()["smc.FactorialBpf.step"][0] == 3
     assert tracer.crosscheck() == 0

@@ -19,6 +19,7 @@ import tempfile
 
 import numpy as np
 import pytest
+from fbpf_reference import fbpf_accumulate_gather_reference, random_rows
 from hypothesis import given, settings, strategies as st
 
 from powersplit import _kernels
@@ -68,33 +69,6 @@ def offspring_oracle(weights, u0):
             j += 1
         counts[j] += 1
     return counts
-
-
-def fbpf_accumulate_gather_reference(logtrans_rows, theta_rows, var_chain, joint_idx, ybar):
-    """The factorial accumulate as an (N, M, K) gather through any joint
-    table, summed over chains."""
-    N, K, _ = logtrans_rows.shape
-    n_idx = np.arange(N)[:, None, None]
-    k_idx = np.arange(K)[None, None, :]
-    j_idx = joint_idx[None, :, :]
-    trans = logtrans_rows[n_idx, k_idx, j_idx]  # (N, M, K)
-    theta = theta_rows[n_idx, k_idx, j_idx]
-    sumtheta = theta.sum(axis=2)
-    logw = trans.sum(axis=2)
-    svar = float(var_chain.sum())
-    logw += -0.5 * (np.log(2.0 * np.pi * svar) + (ybar - sumtheta) ** 2 / svar)
-    return logw, sumtheta
-
-
-def random_rows(rng, N, Js, p_inf=0.0):
-    """Per-chain log rows and emission means padded to max(Js), with a
-    share of the log-row entries set to -inf."""
-    K, Jm = len(Js), max(Js)
-    rows = np.log(rng.dirichlet(np.ones(Jm), size=(N, K)))
-    rows[rng.random(rows.shape) < p_inf] = -np.inf
-    theta = rng.normal(100.0, 30.0, size=(N, K, Jm))
-    var = rng.uniform(10.0, 50.0, size=K)
-    return rows, theta, var
 
 
 def random_instance(rng, T, J):

@@ -13,8 +13,8 @@ import math
 
 import numpy as np
 import pytest
+from fbpf_reference import fbpf_accumulate_gather_reference
 from scipy.stats import norm
-from test_kernels import fbpf_accumulate_gather_reference
 
 from powersplit import smc
 from powersplit.dispatch import TclConfig, tcl_nominal_model
