@@ -1,30 +1,19 @@
-"""Build script: compiles the optional Cython kernel extension.
+"""Build script: compiles the kernel library ``src/powersplit/_kernels/kernels.c``.
 
-The package works without the extension (pure NumPy fallback is selected at
-import time), so any failure here degrades gracefully to a pure build.
+The file is plain C99 with no Python or NumPy headers; ``_kernels/_compiled.py``
+loads it with ctypes. ``-ffp-contract=off`` keeps the compiler from fusing
+multiply-adds, which the bit-identical filter accumulate relies on.
 """
 
-from setuptools import setup
-
-ext_modules = []
-try:
-    import numpy
-    from Cython.Build import cythonize
-
-    ext_modules = cythonize(
-        ["src/powersplit/_kernels/_native.pyx"],
-        compiler_directives={
-            "language_level": "3",
-            "boundscheck": False,
-            "wraparound": False,
-            "cdivision": True,
-        },
-    )
-    include_dirs = [numpy.get_include()]
-except ImportError:
-    include_dirs = []
+from setuptools import Extension, setup
 
 setup(
-    ext_modules=ext_modules,
-    include_dirs=include_dirs,
+    ext_modules=[
+        Extension(
+            "powersplit._kernels._libkernels",
+            ["src/powersplit/_kernels/kernels.c"],
+            extra_compile_args=["-std=c99", "-ffp-contract=off"],
+            libraries=["m"],
+        )
+    ],
 )

@@ -16,8 +16,9 @@ Layers, bottom up:
   function data, and the PI feedback loop
 - ``pipeline``: file formats, synthetic data, training, and the CLI
 
-Compiled message-passing kernels are used when available; set
-``POWERSPLIT_PURE=1`` to force the pure NumPy fallback (see
+The segment-model backward pass and the filter's joint predictive run from
+a small C99 library that ``setup.py`` builds; a source tree without it, or
+``POWERSPLIT_PURE=1``, uses the pure NumPy kernels instead (see
 ``powersplit._kernels.BACKEND``).
 """
 

@@ -1,7 +1,10 @@
-"""Pure NumPy reference implementations of the hot kernels.
+"""Pure NumPy implementations of the kernels.
 
-Same contracts as the compiled versions in ``_native.pyx``; selected when the
-extension is unavailable or POWERSPLIT_PURE=1.
+The oracle for the compiled ``hsmm_backward`` and ``fbpf_accumulate`` in
+``kernels.c``, which share these contracts; those two are served from here
+when the library is not built or POWERSPLIT_PURE=1. The chain passes and
+``systematic_counts`` have no compiled version and are always served from
+here.
 """
 
 from __future__ import annotations
@@ -84,8 +87,8 @@ def fbpf_accumulate(logtrans_rows, theta_rows, var_chain, joint_idx, ybar):
     the K per-chain rows, added in chain order k = 0..K-1 with the last chain
     varying fastest. Only the table's last row, (J_0-1, ..., J_{K-1}-1), is
     read; a table that is not a full product raises ``ValueError``. The
-    compiled kernel walks the table row by row, which serves the same
-    contract.
+    compiled kernel adds in the same order with the same expressions, so
+    its outputs are bit-identical.
     """
     N = logtrans_rows.shape[0]
     Js = joint_idx[-1] + 1

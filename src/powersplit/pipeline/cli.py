@@ -2,7 +2,8 @@
 
 Every writer goes through the atomic nine-significant-digit emitters, so a
 command rerun with the same inputs and seed produces byte-identical files.
-Set POWERSPLIT_LOG=INFO (or DEBUG) for progress logging.
+Set POWERSPLIT_LOG=INFO (or DEBUG) for progress logging on stderr: every
+command then reports its name, the kernel backend and its wall time.
 """
 
 from __future__ import annotations
@@ -11,6 +12,8 @@ import json
 import logging
 import math
 import os
+import sys
+import time
 from dataclasses import replace
 from datetime import datetime
 from pathlib import Path
@@ -18,6 +21,7 @@ from pathlib import Path
 import click
 import numpy as np
 
+from .. import KERNEL_BACKEND
 from ..dispatch import TclConfig, tcl_nominal_model
 from ..rng import stream
 from .config import RunConfig, default_bundle, load_bundle, load_config, save_bundle
@@ -43,11 +47,23 @@ def _config(path) -> RunConfig:
 
 
 @click.group()
-def main():
+@click.pass_context
+def main(ctx):
     """Disaggregation and fleet-control pipeline."""
+    # one handler per invocation, bound to the current stderr (test runners swap it)
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
     level = os.environ.get("POWERSPLIT_LOG", "WARNING").upper()
-    logging.basicConfig(level=getattr(logging, level, logging.WARNING),
-                        format="%(levelname)s %(name)s: %(message)s")
+    log.setLevel(getattr(logging, level, logging.WARNING))
+    log.addHandler(handler)
+    t0 = time.perf_counter()
+
+    def finish():
+        log.info("%s: backend=%s wall=%.3fs", ctx.invoked_subcommand, KERNEL_BACKEND,
+                 time.perf_counter() - t0)
+        log.removeHandler(handler)
+
+    ctx.call_on_close(finish)
 
 
 @main.command()

@@ -2,14 +2,34 @@
 
 Collects the results of the acceptance tests and prints one pass/fail line
 per criterion at the end of the run, so the gate is readable even when the
-individual test output is folded away.
+individual test output is folded away. Provides the compiled kernels to the
+backend-equivalence tests.
 """
 
 from __future__ import annotations
 
 import re
 
+import pytest
+from kernel_build import build_compiled
+
 _acceptance: dict[str, str] = {}
+
+
+@pytest.fixture(scope="session")
+def compiled_kernels(tmp_path_factory):
+    """The compiled kernels: the tree's own library when it is built, else
+    one that ``setup.py`` builds into a temporary directory. A failed build
+    fails every test that asks for them."""
+    try:
+        from powersplit._kernels import _compiled
+        return _compiled
+    except ImportError:
+        pass
+    try:
+        return build_compiled(tmp_path_factory.mktemp("kernels"))
+    except RuntimeError as exc:
+        pytest.fail(str(exc), pytrace=False)
 
 
 def pytest_runtest_logreport(report):

@@ -1,60 +1,31 @@
-"""Backend equivalence and resampling-count correctness.
+"""Backend equivalence, input checks, the kernel build and resampling counts.
 
 The brute-force offspring oracle places each systematic position by linear
-search; the kernels must reproduce it exactly. The factorial accumulate is
-checked bit for bit against a direct gather through the joint-state table.
+search; the kernel must reproduce it exactly. The factorial accumulate is
+checked bit for bit against a direct gather through the joint-state table,
+on both backends.
 
-The equivalence tests compare the compiled kernels with the pure ones. When
-the package was installed without its extension, the shipped ``_native.c``
-is compiled into a temporary directory for this module; when no C compiler
-can build it, those tests report as skipped.
+The compiled kernels come from the ``compiled_kernels`` fixture: the tree's
+own library when it is built, else one ``setup.py`` builds into a temporary
+directory. When that build fails, the equivalence tests fail.
 """
-
-import importlib.util
-import os
-import shutil
-import subprocess
-import sysconfig
-import tempfile
 
 import numpy as np
 import pytest
 from fbpf_reference import fbpf_accumulate_gather_reference, random_rows
 from hypothesis import given, settings, strategies as st
+from kernel_build import LOADER, ROOT, build_compiled
 
 from powersplit import _kernels
 from powersplit._kernels import _pure
 from powersplit.smc import joint_state_table
 
 
-def load_native():
-    """The compiled kernels: the installed extension, else one built from
-    the shipped C source, else None."""
-    try:
-        from powersplit._kernels import _native
-        return _native
-    except ImportError:
-        pass
-    cc = (sysconfig.get_config_var("CC") or "cc").split()[0]
-    source = os.path.join(os.path.dirname(_pure.__file__), "_native.c")
-    if shutil.which(cc) is None or not os.path.exists(source):
-        return None
-    with tempfile.TemporaryDirectory() as tmp:
-        lib = os.path.join(tmp, "_native" + sysconfig.get_config_var("EXT_SUFFIX"))
-        cmd = [cc, "-O2", "-shared", "-fPIC", "-w",
-               "-I" + sysconfig.get_paths()["include"], "-I" + np.get_include(),
-               source, "-o", lib]
-        if subprocess.run(cmd, capture_output=True).returncode != 0:
-            return None
-        spec = importlib.util.spec_from_file_location("powersplit._kernels._native", lib)
-        native = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(native)
-        return native
-
-
-_native = load_native()
-BACKENDS = [_pure] + ([_native] if _native is not None else [])
-needs_native = pytest.mark.skipif(_native is None, reason="compiled kernels not built")
+@pytest.fixture(scope="module", params=["pure", "native"])
+def backend(request):
+    if request.param == "pure":
+        return _pure
+    return request.getfixturevalue("compiled_kernels")
 
 
 # oracle: offspring counts by direct placement of u0 + i/N
@@ -71,11 +42,18 @@ def offspring_oracle(weights, u0):
     return counts
 
 
-def random_instance(rng, T, J):
+def hsmm_instance(rng, T, J, dmax, p_inf=0.0):
+    """Backward-pass inputs with a -inf diagonal plus a share of -inf
+    off-diagonal transitions, duration tables dmax (dmax + 1) wide."""
     logtrans = np.log(rng.dirichlet(np.ones(J), size=J))
+    logtrans[rng.random((J, J)) < p_inf] = -np.inf
+    np.fill_diagonal(logtrans, -np.inf)
+    d = rng.dirichlet(np.ones(dmax), size=J)
+    logdur = np.log(d)
+    tail = np.concatenate([np.ones((J, 1)), 1.0 - np.cumsum(d, axis=1)], axis=1)
+    logtail = np.log(np.maximum(tail, 1e-300))
     loglik = rng.normal(size=(T, J))
-    loginit = np.log(rng.dirichlet(np.ones(J)))
-    return loginit, logtrans, loglik
+    return logtrans, logdur, logtail, loglik
 
 
 def test_backend_flag_is_exposed():
@@ -83,71 +61,123 @@ def test_backend_flag_is_exposed():
     assert _pure.BACKEND == "pure"
 
 
-@needs_native
-def test_forward_backward_agree_across_backends():
-    rng = np.random.default_rng(0)
-    for T, J in [(1, 2), (7, 3), (40, 5)]:
-        loginit, logtrans, loglik = random_instance(rng, T, J)
-        a_p = _pure.hmm_forward(loginit, logtrans, loglik)
-        a_n = _native.hmm_forward(loginit, logtrans, loglik)
-        assert np.allclose(a_p, a_n, atol=1e-12)
-        b_p = _pure.hmm_backward(logtrans, loglik)
-        b_n = _native.hmm_backward(logtrans, loglik)
-        assert np.allclose(b_p, b_n, atol=1e-12)
-
-
-@needs_native
-def test_hsmm_backward_agrees_across_backends():
+def test_hsmm_backward_agrees_across_backends(compiled_kernels):
     rng = np.random.default_rng(1)
-    T, J, dmax = 30, 3, 12
-    logtrans = np.full((J, J), -np.inf)
-    for j in range(J):
-        row = rng.dirichlet(np.ones(J - 1))
-        logtrans[j, np.arange(J) != j] = np.log(row)
-    d = rng.dirichlet(np.ones(dmax), size=J)
-    logdur = np.log(d)
-    tail = np.concatenate([np.ones((J, 1)), 1.0 - np.cumsum(d, axis=1)], axis=1)
-    logtail = np.log(np.maximum(tail, 1e-300))
-    loglik = rng.normal(size=(T, J))
-    out_p = _pure.hsmm_backward(logtrans, logdur, logtail, loglik, dmax)
-    out_n = _native.hsmm_backward(logtrans, logdur, logtail, loglik, dmax)
-    for a, b in zip(out_p, out_n):
-        assert np.allclose(a, b, atol=1e-12)
+    # (T, J, dmax): window inside the horizon, dmax == T, dmax > T, dmax == 1,
+    # a single state, a single observation
+    for T, J, dmax in [(30, 3, 12), (10, 3, 10), (10, 4, 25), (20, 4, 1),
+                       (15, 1, 6), (1, 2, 1), (1, 1, 3)]:
+        for p_inf in (0.0, 0.4):
+            args = hsmm_instance(rng, T, J, dmax, p_inf)
+            if J == 1 and p_inf == 0.0:
+                args[0][:] = 0.0  # the lone state may follow itself
+            want = _pure.hsmm_backward(*args, dmax)
+            got = compiled_kernels.hsmm_backward(*args, dmax)
+            for a, b in zip(want, got):
+                np.testing.assert_allclose(b, a, rtol=1e-12, atol=1e-12,
+                                           err_msg=str((T, J, dmax, p_inf)))
 
 
-@needs_native
-def test_fbpf_accumulate_agrees_across_backends():
+def test_fbpf_accumulate_agrees_across_backends(compiled_kernels):
     rng = np.random.default_rng(2)
     for Js in [(3, 2, 3), (2, 3, 2, 3), (1,), (4, 1, 2)]:
         rows, theta, var = random_rows(rng, 50, Js)
         joint = joint_state_table(Js)
         out_p = _pure.fbpf_accumulate(rows, theta, var, joint, 250.0)
-        out_n = _native.fbpf_accumulate(rows, theta, var, joint, 250.0)
+        out_n = compiled_kernels.fbpf_accumulate(rows, theta, var, joint, 250.0)
         for a, b in zip(out_p, out_n):
-            assert np.allclose(a, b, atol=1e-12)
+            assert np.array_equal(a, b)
 
 
 @settings(max_examples=80, deadline=None)
 @given(st.lists(st.integers(1, 4), min_size=1, max_size=5), st.integers(1, 12),
        st.floats(0.0, 0.5), st.integers(0, 10_000))
-def test_fbpf_accumulate_outer_sum_matches_gather(Js, N, p_inf, seed):
+def test_fbpf_accumulate_outer_sum_matches_gather(backend, Js, N, p_inf, seed):
     rng = np.random.default_rng(seed)
     rows, theta, var = random_rows(rng, N, Js, p_inf)
     joint = joint_state_table(tuple(Js))
     ybar = float(rng.normal(300.0, 400.0))
-    got = _pure.fbpf_accumulate(rows, theta, var, joint, ybar)
+    got = backend.fbpf_accumulate(rows, theta, var, joint, ybar)
     want = fbpf_accumulate_gather_reference(rows, theta, var, joint, ybar)
     for a, b in zip(got, want):
         assert np.array_equal(a, b)
 
 
-def test_fbpf_accumulate_rejects_non_product_table():
+def test_fbpf_accumulate_rejects_non_product_table(compiled_kernels):
     rng = np.random.default_rng(4)
     rows, theta, var = random_rows(rng, 5, (2, 3, 2))
     joint = joint_state_table((2, 3, 2))
-    for subset in (joint[:-1], joint[1:], joint[[0, 3, 11]], joint[::3]):
-        with pytest.raises(ValueError, match="product"):
-            _pure.fbpf_accumulate(rows, theta, var, subset, 250.0)
+    for impl in (_pure, compiled_kernels):
+        for subset in (joint[:-1], joint[1:], joint[[0, 3, 11]], joint[::3]):
+            with pytest.raises(ValueError, match="product"):
+                impl.fbpf_accumulate(rows, theta, var, subset, 250.0)
+
+
+def _hsmm_call(**change):
+    args = dict(zip(("logtrans_bar", "logdur", "logtail", "loglik"),
+                    hsmm_instance(np.random.default_rng(5), 12, 3, 4)), dmax=4)
+    args.update(change)
+    return "hsmm_backward", args
+
+
+def _fbpf_call(**change):
+    rows, theta, var = random_rows(np.random.default_rng(6), 4, (2, 3))
+    args = dict(logtrans_rows=rows, theta_rows=theta, var_chain=var,
+                joint_idx=joint_state_table((2, 3)), ybar=10.0)
+    args.update(change)
+    return "fbpf_accumulate", args
+
+
+BAD_INPUTS = {
+    # case: (kernel and keyword arguments, the error must name this)
+    "loglik_float32": (_hsmm_call(loglik=np.zeros((12, 3), np.float32)), "loglik"),
+    "logdur_1d": (_hsmm_call(logdur=np.zeros(4)), "logdur"),
+    "theta_rows_int": (_fbpf_call(theta_rows=np.zeros((4, 2, 3), np.int64)), "theta_rows"),
+    "var_chain_2d": (_fbpf_call(var_chain=np.ones((2, 1))), "var_chain"),
+    "joint_idx_float": (_fbpf_call(joint_idx=joint_state_table((2, 3)) * 1.0), "joint_idx"),
+    "logtrans_bar_not_square": (_hsmm_call(logtrans_bar=np.zeros((3, 2))), "logtrans_bar"),
+    "logtrans_bar_wrong_states": (_hsmm_call(logtrans_bar=np.zeros((4, 4))), "logtrans_bar"),
+    "logdur_short": (_hsmm_call(logdur=np.zeros((3, 3))), "logdur"),
+    "logtail_short": (_hsmm_call(logtail=np.zeros((3, 4))), "logtail"),
+    "dmax_negative": (_hsmm_call(dmax=-1), "dmax"),
+    "joint_idx_not_product": (_fbpf_call(joint_idx=joint_state_table((2, 3))[:-1]), "product"),
+    "joint_idx_exceeds_rows": (_fbpf_call(joint_idx=joint_state_table((2, 4))), "joint_idx"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+def test_compiled_kernels_reject_bad_input(compiled_kernels, case):
+    (kernel, args), name = BAD_INPUTS[case]
+    with pytest.raises(ValueError, match=name):
+        getattr(compiled_kernels, kernel)(**args)
+
+
+def test_compiled_kernels_copy_non_contiguous_input(compiled_kernels):
+    _, args = _hsmm_call()
+    strided = {k: np.asfortranarray(v) if isinstance(v, np.ndarray) else v
+               for k, v in args.items()}
+    assert not strided["loglik"].flags.c_contiguous
+    for a, b in zip(compiled_kernels.hsmm_backward(**args),
+                    compiled_kernels.hsmm_backward(**strided)):
+        assert np.array_equal(a, b)
+    _, args = _fbpf_call()
+    wide = np.repeat(args["logtrans_rows"], 2, axis=2)[:, :, ::2]
+    assert not wide.flags.c_contiguous
+    for a, b in zip(compiled_kernels.fbpf_accumulate(**args),
+                    compiled_kernels.fbpf_accumulate(**dict(args, logtrans_rows=wide))):
+        assert np.array_equal(a, b)
+
+
+def test_setup_py_builds_the_kernel_library(tmp_path):
+    # the benchmark runs the same build_ext step in place and stops when it fails
+    def listing():
+        return [sorted(p.name for p in d.iterdir()) for d in (ROOT, LOADER.parent)]
+
+    before = listing()
+    compiled = build_compiled(tmp_path)
+    assert compiled.BACKEND == "native"
+    assert compiled.__file__.startswith(str(tmp_path))
+    assert listing() == before
 
 
 @settings(max_examples=60, deadline=None)
@@ -156,11 +186,9 @@ def test_systematic_counts_match_oracle(n, u_frac, seed):
     rng = np.random.default_rng(seed)
     w = rng.dirichlet(np.ones(n) * 0.7)
     u0 = u_frac / n
-    want = offspring_oracle(w, u0)
-    for impl in BACKENDS:
-        got = np.asarray(impl.systematic_counts(w, u0))
-        assert got.sum() == n
-        assert np.array_equal(got, want), impl.BACKEND
+    got = np.asarray(_kernels.systematic_counts(w, u0))
+    assert got.sum() == n
+    assert np.array_equal(got, offspring_oracle(w, u0))
 
 
 def test_systematic_counts_are_within_one_of_expectation():

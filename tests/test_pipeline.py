@@ -5,6 +5,7 @@ control loop wrapper, and the CLI commands end to end.
 
 import json
 import math
+import re
 import time
 from datetime import datetime
 
@@ -12,6 +13,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from powersplit import KERNEL_BACKEND
 from powersplit.hsmm import DurationParams
 from powersplit.pipeline.cli import main
 from powersplit.pipeline.config import (
@@ -548,6 +550,22 @@ def test_cli_bode(tmp_path, runner):
     lines = (tmp_path / "bode.csv").read_text().splitlines()
     assert lines[0] == "w,mag_db,phase_deg"
     assert len(lines) == 33
+
+
+@pytest.mark.parametrize("command", ["bode", "synth"])
+def test_cli_logs_backend_and_wall_time_at_info(tmp_path, runner, command):
+    args = {"bode": ["bode", "--points", "8"],
+            "synth": ["synth", "--config", small_config(tmp_path)]}[command]
+    args = args + ["--out", str(tmp_path / "out.csv")]
+    quiet = runner.invoke(main, args)
+    assert quiet.exit_code == 0, quiet.output
+    assert quiet.stderr == ""
+    loud = runner.invoke(main, args, env={"POWERSPLIT_LOG": "INFO"})
+    assert loud.exit_code == 0, loud.output
+    assert loud.stdout == quiet.stdout
+    assert re.fullmatch(
+        rf"INFO powersplit: {command}: backend={KERNEL_BACKEND} wall=\d+\.\d{{3}}s\n",
+        loud.stderr), loud.stderr
 
 
 def test_cli_control_rejects_empty_tracking_window(tmp_path, runner):

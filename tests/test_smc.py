@@ -4,8 +4,9 @@ The filtering oracle is an independent probability-domain forward recursion,
 not the message module. Proposal and split-law checks compare the shipped
 ``FactorialBpf`` pieces against brute force over the joint state space and
 the conditional-Gaussian formulas. The outer-sum accumulate is checked at
-filter level against the (N, M, K) gather it replaced, and the running
-log-evidence against the closed-form first-step predictive.
+filter level against the (N, M, K) gather it replaced and against the
+compiled kernel, and the running log-evidence against the closed-form
+first-step predictive.
 """
 
 import hashlib
@@ -17,6 +18,7 @@ from fbpf_reference import fbpf_accumulate_gather_reference
 from scipy.stats import norm
 
 from powersplit import smc
+from powersplit._kernels import _pure
 from powersplit.dispatch import TclConfig, tcl_nominal_model
 from powersplit.distributions import NormalPrior
 from powersplit.hmm import HmmParams, simulate_hmm
@@ -395,21 +397,32 @@ def hook_stream(T):
     return priors, y
 
 
+def filter_digests(priors, y):
+    """sha256 of the particle states, emissions and means after filtering y,
+    plus the running log-evidence."""
+    filt = FactorialBpf(priors, n_particles=200, rng=stream(19, "digest"))
+    for v in y:
+        filt.step(float(v))
+    # the draws shrug off a one-ulp change in logw; the evidence does not
+    return [hashlib.sha256(getattr(filt, name).tobytes()).hexdigest()
+            for name in ("states", "emis", "theta")] + [filt.log_evidence]
+
+
 @pytest.mark.parametrize("make", [bundle_stream, hook_stream])
 def test_fbpf_outer_sum_filter_matches_gather_reference(monkeypatch, make):
     priors, y = make(200)
-
-    def digests():
-        filt = FactorialBpf(priors, n_particles=200, rng=stream(19, "digest"))
-        for v in y:
-            filt.step(float(v))
-        # the draws shrug off a one-ulp change in logw; the evidence does not
-        return [hashlib.sha256(getattr(filt, name).tobytes()).hexdigest()
-                for name in ("states", "emis", "theta")] + [filt.log_evidence]
-
-    shipped = digests()
+    shipped = filter_digests(priors, y)
     monkeypatch.setattr(smc, "fbpf_accumulate", fbpf_accumulate_gather_reference)
-    assert digests() == shipped
+    assert filter_digests(priors, y) == shipped
+
+
+@pytest.mark.parametrize("make", [bundle_stream, hook_stream])
+def test_fbpf_filter_does_not_depend_on_backend(monkeypatch, make, compiled_kernels):
+    priors, y = make(200)
+    monkeypatch.setattr(smc, "fbpf_accumulate", compiled_kernels.fbpf_accumulate)
+    native = filter_digests(priors, y)
+    monkeypatch.setattr(smc, "fbpf_accumulate", _pure.fbpf_accumulate)
+    assert filter_digests(priors, y) == native
 
 
 def test_log_evidence_first_step_matches_closed_form():
