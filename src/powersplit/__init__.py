@@ -16,10 +16,10 @@ Layers, bottom up:
   function data, and the PI feedback loop
 - ``pipeline``: file formats, synthetic data, training, and the CLI
 
-The segment-model backward pass and the filter's joint predictive run from
-a small C99 library that ``setup.py`` builds; a source tree without it, or
-``POWERSPLIT_PURE=1``, uses the pure NumPy kernels instead (see
-``powersplit._kernels.BACKEND``).
+The segment-model backward pass and forward draw and the filter's joint
+predictive run from a small C99 library that ``setup.py`` builds; a source
+tree without it, or ``POWERSPLIT_PURE=1``, uses the pure NumPy kernels
+instead (see ``powersplit._kernels.BACKEND``).
 """
 
 from ._kernels import BACKEND as KERNEL_BACKEND

@@ -9,6 +9,9 @@ raises ``ImportError`` when the library has not been built.
 
 Same contracts as ``_pure``: ``hsmm_backward`` agrees with it to
 floating-point reassociation, ``fbpf_accumulate`` bit for bit.
+``hsmm_forward_sample`` computes each pick as ``_pure`` does, save that
+libm's ``exp`` may differ from NumPy's in the last bit, which moves a
+draw only when a uniform lies within an ulp of a cdf boundary.
 """
 
 from __future__ import annotations
@@ -32,6 +35,10 @@ except OSError as exc:
 
 _lib.hsmm_backward.restype = None
 _lib.hsmm_backward.argtypes = [_n, _n, _n, _f64, _f64, _n, _f64, _n, _f64, _f64, _f64, _f64]
+_lib.hsmm_forward_sample.restype = _n
+_lib.hsmm_forward_sample.argtypes = [_n, _n, _n, _f64, _f64, _f64, _f64, _f64, _n, _f64, _n,
+                                     _f64, _f64, _i64, _i64, ctypes.POINTER(_n),
+                                     ctypes.POINTER(_n), _f64]
 _lib.fbpf_accumulate.restype = None
 _lib.fbpf_accumulate.argtypes = [_n, _n, _n, _i64, _n, _f64, _f64, ctypes.c_double,
                                  ctypes.c_double, ctypes.c_double, _f64, _f64]
@@ -71,6 +78,47 @@ def hsmm_backward(logtrans_bar, logdur, logtail, loglik, dmax):
     _lib.hsmm_backward(T, J, dmax, logtrans_bar, logdur, logdur.shape[1],
                        logtail, logtail.shape[1], cum, B, Bstar, buf)
     return B, Bstar
+
+
+def hsmm_forward_sample(loginit, logpibar, B, Bstar, logdur, logtail, cum, window, u):
+    """Forward segment draw over the backward messages; see ``_pure``."""
+    Bstar = _floats("Bstar", Bstar, 2)
+    T, J = Bstar.shape
+    loginit = _floats("loginit", loginit, 1)
+    logpibar = _floats("logpibar", logpibar, 2)
+    B = _floats("B", B, 2)
+    logdur = _floats("logdur", logdur, 2)
+    logtail = _floats("logtail", logtail, 2)
+    cum = _floats("cum", cum, 2)
+    u = _floats("u", u, 1)
+    window = operator.index(window)
+    if window < 0:
+        raise ValueError(f"window must be >= 0, got {window}")
+    if loginit.shape != (J,):
+        raise ValueError(f"loginit must be ({J},), got {loginit.shape}")
+    if logpibar.shape != (J, J):
+        raise ValueError(f"logpibar must be ({J}, {J}), got {logpibar.shape}")
+    for name, a in (("B", B), ("cum", cum)):
+        if a.shape != (T + 1, J):
+            raise ValueError(f"{name} must be ({T + 1}, {J}), got {a.shape}")
+    if logdur.shape[0] != J or logdur.shape[1] < window:
+        raise ValueError(f"logdur must have {J} rows and at least window={window} "
+                         f"columns, got {logdur.shape}")
+    if logtail.shape[0] != J or logtail.shape[1] < window + 1:
+        raise ValueError(f"logtail must have {J} rows and at least window+1={window + 1} "
+                         f"columns, got {logtail.shape}")
+    if len(u) < 2 * T:
+        raise ValueError(f"u must hold at least 2*T={2 * T} uniforms, got {len(u)}")
+    z = np.empty(T, dtype=np.int64)
+    D = np.empty(T, dtype=np.int64)
+    nseg, censored = _n(0), _n(0)
+    buf = np.empty(max(min(T, window) + 1, J))
+    used = _lib.hsmm_forward_sample(T, J, window, loginit, logpibar, B, Bstar, logdur,
+                                    logdur.shape[1], logtail, logtail.shape[1], cum, u,
+                                    z, D, ctypes.byref(nseg), ctypes.byref(censored), buf)
+    if used < 0:
+        raise ValueError("all categories have zero probability")
+    return z[:nseg.value], D[:nseg.value], used, bool(censored.value)
 
 
 def fbpf_accumulate(logtrans_rows, theta_rows, var_chain, joint_idx, ybar):

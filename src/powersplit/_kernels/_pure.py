@@ -1,15 +1,17 @@
 """Pure NumPy implementations of the kernels.
 
-The oracle for the compiled ``hsmm_backward`` and ``fbpf_accumulate`` in
-``kernels.c``, which share these contracts; those two are served from here
-when the library is not built or POWERSPLIT_PURE=1. The chain passes and
-``systematic_counts`` have no compiled version and are always served from
-here.
+The oracle for the compiled ``hsmm_backward``, ``hsmm_forward_sample`` and
+``fbpf_accumulate`` in ``kernels.c``, which share these contracts; those
+three are served from here when the library is not built or
+POWERSPLIT_PURE=1. The chain passes and ``systematic_counts`` have no
+compiled version and are always served from here.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from ..distributions import categorical_pick_logits
 
 BACKEND = "pure"
 
@@ -66,6 +68,48 @@ def hsmm_backward(logtrans_bar, logdur, logtail, loglik, dmax):
         Bstar[t] = _logsumexp_rows(stacked, axis=0)
         B[t] = _logsumexp_rows(logtrans_bar + Bstar[t][None, :], axis=1)
     return B, Bstar
+
+
+def hsmm_forward_sample(loginit, logpibar, B, Bstar, logdur, logtail, cum, window, u):
+    """Forward segment draw over the explicit-duration backward messages.
+
+    loginit (J,) scores the first state and logpibar (J, J) each later one.
+    B (T + 1, J) and Bstar (T, J) are ``hsmm_backward``'s messages, logdur
+    and logtail its duration tables with ``window`` in place of dmax, and cum
+    (T + 1, J) the running sums of the emission log-likelihoods, cum[0] = 0.
+    Each segment reads two uniforms from ``u``, which holds at least 2 T:
+    one picks its state, one its duration d = 1..span, span = min(T - t,
+    window), or the censor column, the mass of the durations beyond span.
+    Each pick is ``distributions.categorical_pick_logits``.
+
+    Returns (z, D, used, censored): the states and durations as int64
+    arrays, the number of uniforms read, and whether the walk ended on a
+    censor pick; then D[-1] is that pick's span and the true duration
+    exceeds it.
+    """
+    T = len(Bstar)
+    z, D = [], []
+    used = 0
+    t = 0
+    row = loginit
+    censored = False
+    while t < T:
+        j = categorical_pick_logits(row + Bstar[t], u[used])
+        span = min(T - t, window)
+        ends = slice(t + 1, t + span + 1)  # the segment ends after d = 1..span
+        dur_logits = B[ends, j] + logdur[j, :span] + (cum[ends, j] - cum[t, j])
+        censor_logit = logtail[j, span] + (cum[T, j] - cum[t, j])
+        pick = categorical_pick_logits(np.append(dur_logits, censor_logit), u[used + 1])
+        used += 2
+        z.append(j)
+        if pick == span:
+            D.append(span)
+            censored = True
+            break
+        D.append(pick + 1)
+        t += pick + 1
+        row = logpibar[j]
+    return np.array(z, dtype=np.int64), np.array(D, dtype=np.int64), used, censored
 
 
 def fbpf_accumulate(logtrans_rows, theta_rows, var_chain, joint_idx, ybar):

@@ -110,33 +110,19 @@ def poisson_logpmf(d, lam):
     return d * np.log(lam) - lam - gammaln(d + 1)
 
 
-def negbin_logpmf(d, r, vphi, form: str = "shifted"):
-    """Negative-binomial duration pmf.
-
-    form="shifted": C(d+r-1, r-1) vphi^(d-1) (1-vphi)^r on d >= 1 (the duration
-    model's convention; does not normalize for r >= 2).
-    form="standard": C(d+r-1, d) vphi^d (1-vphi)^r on d >= 0.
-    """
+def negbin_logpmf(d, r, vphi):
+    """Negative-binomial pmf C(d+r-1, d) vphi^d (1-vphi)^r on d >= 0."""
     d = np.asarray(d)
     if np.any((vphi <= 0) | (vphi >= 1)):
         raise ValueError("vphi must lie in (0, 1)")
     if r < 1:
         raise ValueError("r must be >= 1")
     log_binom = gammaln(d + r) - gammaln(r) - gammaln(d + 1)
-    if form == "shifted":
-        out = np.where(
-            d >= 1,
-            log_binom + (d - 1) * np.log(vphi) + r * np.log1p(-vphi),
-            -np.inf,
-        )
-    elif form == "standard":
-        out = np.where(
-            d >= 0,
-            log_binom + d * np.log(vphi) + r * np.log1p(-vphi),
-            -np.inf,
-        )
-    else:
-        raise ValueError(f"unknown negbin form {form!r}")
+    out = np.where(
+        d >= 0,
+        log_binom + d * np.log(vphi) + r * np.log1p(-vphi),
+        -np.inf,
+    )
     return out[()] if out.ndim == 0 else out
 
 
@@ -172,20 +158,30 @@ def dirichlet_sample(rng: np.random.Generator, alpha) -> np.ndarray:
     return g / total
 
 
-def categorical_sample(rng: np.random.Generator, probs) -> int:
-    """Single categorical draw from a normalized probability vector."""
-    u = rng.random()
+def categorical_pick(probs, u: float) -> int:
+    """The category that the uniform ``u`` picks from a normalized
+    probability vector: the count of cdf entries at or below ``u``."""
     # right-edge guard: the cdf may fall a hair short of 1
     return min(int(np.searchsorted(np.cumsum(probs), u, side="right")), len(probs) - 1)
 
 
-def categorical_sample_logits(rng: np.random.Generator, logits) -> int:
+def categorical_sample(rng: np.random.Generator, probs) -> int:
+    """Single categorical draw from a normalized probability vector."""
+    return categorical_pick(probs, rng.random())
+
+
+def categorical_pick_logits(logits, u: float) -> int:
+    """``categorical_pick`` on the normalized exponentials of ``logits``."""
     logits = np.asarray(logits, dtype=float)
     m = logits.max()
     if m == -np.inf:
         raise ValueError("all categories have zero probability")
     p = np.exp(logits - m)
-    return categorical_sample(rng, p / p.sum())
+    return categorical_pick(p / p.sum(), u)
+
+
+def categorical_sample_logits(rng: np.random.Generator, logits) -> int:
+    return categorical_pick_logits(logits, rng.random())
 
 
 def categorical_rows_sample(rng: np.random.Generator, probs: np.ndarray) -> np.ndarray:
@@ -209,6 +205,8 @@ __all__ = [
     "beta_sample",
     "gamma_sample",
     "dirichlet_sample",
+    "categorical_pick",
+    "categorical_pick_logits",
     "categorical_sample",
     "categorical_sample_logits",
     "categorical_rows_sample",

@@ -18,6 +18,7 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
+from scipy.special import betaln, gammaln, xlog1py, xlogy
 
 from .distributions import (
     NormalPrior,
@@ -299,6 +300,29 @@ def _sample_theta_mixture(prior: EmissionMixturePrior, theta_j: float, obs: np.n
     return rng.normal(post.mean, math.sqrt(post.var))
 
 
+def _beta_logpdf(x, a, b):
+    """``scipy.stats.beta._logpdf``, in its order of operations."""
+    return xlog1py(b - 1.0, -x) + xlogy(a - 1.0, x) - betaln(a, b)
+
+
+def duration_label_logits(prior: DurationMixturePrior, cur: DurationParams) -> np.ndarray:
+    """Log weight plus the Beta(phi), Gamma(lam) and Beta(vphi) prior log
+    densities of ``cur`` under each hyper bundle.
+
+    The densities are ``scipy.stats``' own ``_logpdf`` expressions, Gamma
+    at lam / scale minus log(scale) with scale = 1 / b_lam, so the logits
+    equal ``scipy.stats.beta.logpdf`` and ``gamma.logpdf`` to the bit.
+    """
+    a_phi, b_phi, a_lam, b_lam, a_vphi, b_vphi = np.array(
+        [(h.a_phi, h.b_phi, h.a_lam, h.b_lam, h.a_vphi, h.b_vphi) for h in prior.components]).T
+    scale = 1.0 / b_lam
+    x = cur.lam / scale
+    return np.log(np.maximum(prior.weights, 1e-300)) + (
+        _beta_logpdf(cur.phi, a_phi, b_phi)
+        + (xlogy(a_lam - 1.0, x) - x - gammaln(a_lam) - np.log(scale))
+        + _beta_logpdf(cur.vphi, a_vphi, b_vphi))
+
+
 def _sample_duration_mixture(prior: DurationMixturePrior, cur: DurationParams,
                              ds: np.ndarray, rng: np.random.Generator) -> DurationParams:
     """Label given the current parameters (prior density), then the parameter
@@ -308,18 +332,7 @@ def _sample_duration_mixture(prior: DurationMixturePrior, cur: DurationParams,
     coordinate, which makes the move approximate; bundles sharing r keep it
     an exact Gibbs pair move.
     """
-    from scipy.stats import beta as beta_dist, gamma as gamma_dist
-
-    logits = np.log(np.maximum(prior.weights, 1e-300))
-    logits = logits + np.array(
-        [
-            beta_dist.logpdf(cur.phi, h.a_phi, h.b_phi)
-            + gamma_dist.logpdf(cur.lam, h.a_lam, scale=1.0 / h.b_lam)
-            + beta_dist.logpdf(cur.vphi, h.a_vphi, h.b_vphi)
-            for h in prior.components
-        ]
-    )
-    m = categorical_sample_logits(rng, logits)
+    m = categorical_sample_logits(rng, duration_label_logits(prior, cur))
     return sample_duration_params(ds, prior.components[m], cur, rng)
 
 

@@ -6,8 +6,7 @@ Durations follow a two-component mixture: Poisson (probability ``phi``) or
 negative binomial with fixed count ``r`` and success parameter ``vphi``. Both
 components are conditioned on d >= 1 so the law is a proper pmf on positive
 durations; ``DurationParams.weighted_logpmfs`` is the one place that density
-is written, on top of ``distributions.poisson_logpmf`` and the standard-form
-``negbin_logpmf``. With ``phi = 0`` and ``r = 1`` the law is exactly
+is written, on top of ``distributions.poisson_logpmf`` and ``negbin_logpmf``. With ``phi = 0`` and ``r = 1`` the law is exactly
 Geometric(1 - vphi) on {1, 2, ...}, which makes the model collapse to a plain
 HMM.
 """
@@ -26,7 +25,7 @@ from .distributions import (
     assert_simplex,
     beta_sample,
     categorical_sample,
-    categorical_sample_logits,
+    categorical_sample_logits,  # unused here; perfbench/spans.py patches it by this name
     conj_update_beta_negbin,
     conj_update_gamma_poisson,
     gamma_sample,
@@ -81,8 +80,7 @@ class DurationParams:
         d = np.asarray(d)
         log_phi, log_rest = self._log_weights()
         poi = log_phi + poisson_logpmf(d, self.lam) - self._log_poi_norm
-        nb = (log_rest + negbin_logpmf(d, self.r, self.vphi, form="standard")
-              - self._log_nb_norm)
+        nb = log_rest + negbin_logpmf(d, self.r, self.vphi) - self._log_nb_norm
         return poi, nb
 
     def logpmf(self, d) -> np.ndarray:
@@ -366,7 +364,16 @@ def _sample_censored_duration(dur: DurationParams, m: int, rng: np.random.Genera
 
 def blocked_sample_segments(params: HsmmParams, y, rng: np.random.Generator,
                             messages=None, dmax: int | None = None) -> SegmentPath:
-    """One exact joint draw of (z, D) given the observations."""
+    """One exact joint draw of (z, D) given the observations.
+
+    ``_kernels.hsmm_forward_sample`` walks the segments on a block of
+    uniforms drawn ahead. ``rng`` is then rewound and moves on by the
+    uniforms the walk read, so it ends where one ``rng.random()`` per draw
+    would leave it. A pick of the censor column stops the walk: the length
+    comes from the censored conditional, and when the window is shorter
+    than what is left, a segment may still end inside the horizon, so the
+    walk resumes after it.
+    """
     y = np.asarray(y, dtype=float)
     T = len(y)
     window = T if dmax is None else min(dmax, T)
@@ -378,29 +385,26 @@ def blocked_sample_segments(params: HsmmParams, y, rng: np.random.Generator,
     cum = np.vstack([np.zeros((1, params.J)), np.cumsum(loglik, axis=0)])
     logpibar = _log(params.pi_bar)
 
-    z: list[int] = []
-    D: list[int] = []
+    head = _log(params.init)
+    zs, Ds = [], []
     t = 0
     while t < T:
-        if not z:
-            j = categorical_sample_logits(rng, _log(params.init) + Bstar[0])
-        else:
-            j = categorical_sample_logits(rng, logpibar[z[-1]] + Bstar[t])
-        span = min(T - t, window)
-        ds = np.arange(1, span + 1)
-        dur_logits = B[t + ds, j] + logdur[j, ds - 1] + (cum[t + ds, j] - cum[t, j])
-        censor_logit = logtail[j, span] + (cum[T, j] - cum[t, j])
-        pick = categorical_sample_logits(rng, np.append(dur_logits, censor_logit))
-        if pick < span:
-            d = int(ds[pick])
-        else:
-            # the segment runs past the horizon: draw the actual length from
-            # the censored conditional
-            d = _sample_censored_duration(params.durations[j], span, rng)
-        z.append(j)
-        D.append(d)
-        t += d
-    return SegmentPath(np.array(z), np.array(D), T)
+        saved = rng.bit_generator.state
+        z, D, used, censored = _kernels.hsmm_forward_sample(
+            head, logpibar, B[t:], Bstar[t:], logdur, logtail, cum[t:], window,
+            rng.random(2 * (T - t)))
+        rng.bit_generator.state = saved
+        rng.random(used)
+        zs.append(z)
+        Ds.append(D)
+        if not censored:
+            break  # the walk ended exactly at the horizon
+        # the segment runs past the window: draw its actual length
+        j = int(z[-1])
+        D[-1] = _sample_censored_duration(params.durations[j], int(D[-1]), rng)
+        t += int(D.sum())
+        head = logpibar[j]
+    return SegmentPath(np.concatenate(zs), np.concatenate(Ds), T)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,11 @@
 """Trace file handling.
 
 Traces are CSV with a ``timestamp`` column (ISO-8601, minute cadence), one
-column per device in watts, and a ``total`` column. Loading clamps negative
-readings to zero, forward-fills gaps of up to five minutes, and splits the
-trace into sessions at longer gaps. All writes are atomic
+column per device in watts, and a ``total`` column. Loading rejects a cell
+that is not a finite number (``inf``, ``nan``) with its row and column,
+treats a blank cell as missing, clamps negative readings to zero,
+forward-fills gaps of up to five minutes, and splits the trace into
+sessions at longer gaps. All writes are atomic
 (write-temp-then-rename) and numbers are printed with nine significant
 digits so identical runs produce byte-identical files.
 """
@@ -11,6 +13,7 @@ digits so identical runs produce byte-identical files.
 from __future__ import annotations
 
 import csv
+import math
 import os
 import tempfile
 from dataclasses import dataclass
@@ -67,6 +70,19 @@ def _parse_ts(s: str) -> datetime:
         raise ValueError(f"bad timestamp {s!r}") from ex
 
 
+def _parse_cell(cell: str, row: int, column: str) -> float:
+    """A reading in watts; a blank cell is missing (NaN)."""
+    if cell.strip() == "":
+        return np.nan
+    try:
+        value = float(cell)
+    except ValueError:
+        raise ValueError(f"row {row}, column {column!r}: not a number: {cell!r}") from None
+    if not math.isfinite(value):
+        raise ValueError(f"row {row}, column {column!r}: non-finite value {cell!r}")
+    return value
+
+
 def load_trace(path) -> Trace:
     """Read and validate a trace file; see the module docstring for the
     clamping, gap-fill, and session-split policy."""
@@ -89,8 +105,7 @@ def load_trace(path) -> Trace:
         if len(row) != len(header):
             raise ValueError(f"row {i + 2}: expected {len(header)} cells")
         times.append(_parse_ts(row[0]))
-        vals = [float(c) if c.strip() != "" else np.nan for c in row[1:]]
-        raw.append(vals)
+        raw.append([_parse_cell(c, i + 2, name) for c, name in zip(row[1:], header[1:])])
     for a, b in zip(times, times[1:]):
         if b <= a:
             raise ValueError("timestamps must be strictly increasing")

@@ -381,7 +381,7 @@ def test_criterion_04_conjugate_updates_match_quadrature():
     grid = np.linspace(1e-9, 1.0 - 1e-9, 200_001)
     logp = (hyper[0] - 1.0) * np.log(grid) + (hyper[1] - 1.0) * np.log1p(-grid)
     for d in data:
-        logp = logp + negbin_logpmf(int(d), r, grid, form="standard")
+        logp = logp + negbin_logpmf(int(d), r, grid)
     m, s = _grid_moments(grid, logp)
     assert abs(m - a / (a + b)) < 1e-6
     assert abs(s - math.sqrt(a * b / ((a + b) ** 2 * (a + b + 1.0)))) < 1e-6

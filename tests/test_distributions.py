@@ -10,7 +10,6 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.special import gammaln
 from scipy.stats import beta as beta_dist, gamma as gamma_dist, nbinom, norm, poisson
 
 from powersplit.distributions import (
@@ -128,24 +127,9 @@ def test_poisson_logpmf_matches_scipy(lam):
 @given(st.integers(1, 6), st.floats(0.05, 0.95))
 def test_negbin_standard_form_matches_scipy(r, vphi):
     d = np.arange(0, 25)
-    got = negbin_logpmf(d, r, vphi, form="standard")
+    got = negbin_logpmf(d, r, vphi)
     want = nbinom.logpmf(d, r, 1.0 - vphi)
     assert np.allclose(got, want, atol=1e-9)
-
-
-def test_negbin_shifted_form_moves_the_exponent():
-    # same binomial coefficient, exponent d-1, support starting at 1
-    d = np.arange(1, 20)
-    r, vphi = 3, 0.4
-    got = negbin_logpmf(d, r, vphi, form="shifted")
-    want = (
-        gammaln(d + r) - gammaln(r) - gammaln(d + 1)
-        + (d - 1) * math.log(vphi) + r * math.log1p(-vphi)
-    )
-    assert np.allclose(got, want, atol=1e-10)
-    assert negbin_logpmf(0, r, vphi, form="shifted") == -np.inf
-    # r = 1 is the geometric case and the only r where the form normalizes
-    assert abs(np.exp(negbin_logpmf(np.arange(1, 400), 1, 0.3, form="shifted")).sum() - 1.0) < 1e-12
 
 
 def test_duration_logpmf_is_the_stated_mixture():
@@ -154,7 +138,7 @@ def test_duration_logpmf_is_the_stated_mixture():
     phi, lam, r, vphi = 0.3, 4.0, 2, 0.45
     got = DurationParams(phi=phi, lam=lam, r=r, vphi=vphi).logpmf(d)
     poi = np.exp(poisson_logpmf(d, lam)) / -math.expm1(-lam)
-    nb = np.exp(negbin_logpmf(d, r, vphi, form="standard")) / -math.expm1(r * math.log1p(-vphi))
+    nb = np.exp(negbin_logpmf(d, r, vphi)) / -math.expm1(r * math.log1p(-vphi))
     want = np.where(d >= 1, phi * poi + (1 - phi) * nb, 0.0)
     assert np.allclose(np.exp(got), want, atol=1e-12)
     assert got[0] == -np.inf
@@ -164,7 +148,7 @@ def test_duration_logpmf_degenerate_weights():
     # a zero-weight component drops out exactly
     d = np.arange(1, 10)
     poi = poisson_logpmf(d, 2.0) - math.log(-math.expm1(-2.0))
-    nb = negbin_logpmf(d, 2, 0.5, form="standard") - math.log(1 - 0.5**2)
+    nb = negbin_logpmf(d, 2, 0.5) - math.log(1 - 0.5**2)
     assert np.allclose(DurationParams(1.0, 2.0, 2, 0.5).logpmf(d), poi, rtol=1e-13, atol=0)
     assert np.allclose(DurationParams(0.0, 2.0, 2, 0.5).logpmf(d), nb, rtol=1e-13, atol=0)
 

@@ -11,6 +11,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.stats import beta as beta_dist, gamma as gamma_dist
 
 from powersplit.distributions import NormalPrior
 from powersplit.hdp import (
@@ -19,6 +20,7 @@ from powersplit.hdp import (
     HdpHsmmPriors,
     WeakLimitHdp,
     antoniak_pmf,
+    duration_label_logits,
     gibbs_sweep_hdphsmm,
     hdp_sweep,
     init_hdphsmm_state,
@@ -296,3 +298,25 @@ def test_mixture_prior_validation():
     with pytest.raises(ValueError):
         DurationMixturePrior(weights=np.array([0.4, 0.4]),
                              components=(DurationHyper(), DurationHyper()))
+
+
+def test_duration_label_logits_equal_scipy_stats():
+    # the closed form repeats scipy.stats' own expressions, so the logits,
+    # and with them every label draw, match bit for bit; the grid includes
+    # the Beta support edges phi = 0 and phi = 1
+    rng = np.random.default_rng(40)
+    for i in range(2000):
+        k = 1 + i % 4
+        hypers = tuple(DurationHyper(*np.exp(rng.normal(0.0, 1.5, size=6)), r=2)
+                       for _ in range(k))
+        prior = DurationMixturePrior(weights=rng.dirichlet(np.ones(k)), components=hypers)
+        phi = (0.0, 1.0)[i % 2] if i % 50 == 0 else float(rng.beta(0.5, 0.5))
+        cur = DurationParams(phi=phi, lam=float(rng.gamma(2.0, 10.0)), r=2,
+                             vphi=float(np.clip(rng.beta(0.5, 0.5), 1e-12, 1 - 1e-12)))
+        want = np.log(np.maximum(prior.weights, 1e-300)) + np.array([
+            beta_dist.logpdf(cur.phi, h.a_phi, h.b_phi)
+            + gamma_dist.logpdf(cur.lam, h.a_lam, scale=1.0 / h.b_lam)
+            + beta_dist.logpdf(cur.vphi, h.a_vphi, h.b_vphi)
+            for h in hypers])
+        got = duration_label_logits(prior, cur)
+        assert np.array_equal(got, want), (i, got, want)

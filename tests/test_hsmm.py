@@ -13,10 +13,13 @@ import math
 
 import numpy as np
 import pytest
+from hsmm_reference import blocked_sample_segments_loop_reference
 from hypothesis import given, settings, strategies as st
 from scipy.special import logsumexp
 from scipy.stats import nbinom, norm, poisson
 
+from powersplit import _kernels
+from powersplit._kernels import _pure
 from powersplit.hmm import (
     HmmParams,
     backward_messages,
@@ -327,6 +330,49 @@ def test_blocked_segments_match_enumerated_law():
     # draws outside the oracle support would show up as missing mass
     assert sum(freq.get(sig, 0) for sig in post) == n
     assert tv < 0.02
+
+
+def long_segment_hsmm(seed, J):
+    """Segments far longer than a short window: with dmax below what is left
+    of the horizon, a censor pick then often ends inside it."""
+    rng = np.random.default_rng(seed)
+    pi_bar = rng.dirichlet(np.ones(J), size=J)
+    np.fill_diagonal(pi_bar, 0.0)
+    pi_bar /= pi_bar.sum(axis=1, keepdims=True)
+    durations = tuple(DurationParams(phi=0.5, lam=float(rng.uniform(15.0, 40.0)), r=2,
+                                     vphi=float(rng.uniform(0.8, 0.95)))
+                      for _ in range(J))
+    return HsmmParams(pi_bar=pi_bar, theta=np.arange(J) * 2.5, sigma2=1.0,
+                      durations=durations)
+
+
+@pytest.mark.parametrize("backend", ["pure", "native"])
+def test_blocked_segments_match_the_loop_reference(monkeypatch, request, backend):
+    # the block walk returns the loop's paths and leaves each generator where
+    # the loop leaves it, including PCG64's buffered 32-bit half (set by the
+    # small integers draw) and a generator that is not PCG64
+    impl = _pure if backend == "pure" else request.getfixturevalue("compiled_kernels")
+    monkeypatch.setattr(_kernels, "hsmm_forward_sample", impl.hsmm_forward_sample)
+    cases = [(make_hsmm(3, J=8), 300, 200), (long_segment_hsmm(4, 3), 120, 10),
+             (make_hsmm(5, J=3), 40, None), (make_hsmm(6, J=2), 1, None)]
+    resumed = 0
+    for i, (params, T, dmax) in enumerate(cases):
+        path, y = simulate_hsmm(params, T, stream(7, "reference-sim", i))
+        for seed in range(4):
+            shipped, reference = (np.random.Generator(np.random.MT19937(seed)) if seed == 3
+                                  else stream(seed, "reference-draw", i) for _ in range(2))
+            if seed == 2:
+                shipped.integers(0, 10)
+                reference.integers(0, 10)
+            for _ in range(3):
+                got = blocked_sample_segments(params, y, shipped, dmax=dmax)
+                want = blocked_sample_segments_loop_reference(params, y, reference, dmax=dmax)
+                assert np.array_equal(got.z, want.z) and np.array_equal(got.D, want.D)
+                if dmax is not None:
+                    resumed += int(np.any(got.D[:-1] > dmax))
+            for draw in (lambda g: g.integers(0, 10, 4), lambda g: g.random(4)):
+                assert np.array_equal(draw(shipped), draw(reference))
+    assert resumed > 0  # some walks went on after a censor pick
 
 
 def test_simulate_respects_censoring_contract():

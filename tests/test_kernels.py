@@ -3,12 +3,16 @@
 The brute-force offspring oracle places each systematic position by linear
 search; the kernel must reproduce it exactly. The factorial accumulate is
 checked bit for bit against a direct gather through the joint-state table,
-on both backends.
+on both backends. The compiled forward segment draw must walk the same
+segments, and read the same number of uniforms, as the pure one on inputs
+captured from a training fit and on edge cases.
 
 The compiled kernels come from the ``compiled_kernels`` fixture: the tree's
 own library when it is built, else one ``setup.py`` builds into a temporary
 directory. When that build fails, the equivalence tests fail.
 """
+
+from datetime import datetime
 
 import numpy as np
 import pytest
@@ -18,6 +22,11 @@ from kernel_build import LOADER, ROOT, build_compiled
 
 from powersplit import _kernels
 from powersplit._kernels import _pure
+from powersplit.pipeline.config import RunConfig, default_bundle
+from powersplit.pipeline.io import Trace
+from powersplit.pipeline.synth import synth_generate
+from powersplit.pipeline.train import train_hyperparams
+from powersplit.rng import stream
 from powersplit.smc import joint_state_table
 
 
@@ -78,6 +87,93 @@ def test_hsmm_backward_agrees_across_backends(compiled_kernels):
                                            err_msg=str((T, J, dmax, p_inf)))
 
 
+def forward_instance(rng, T, J, dmax, p_inf=0.0):
+    """Forward-draw inputs over the pure backward messages of an
+    ``hsmm_instance``, with the window set to dmax."""
+    logtrans, logdur, logtail, loglik = hsmm_instance(rng, T, J, dmax, p_inf)
+    if J == 1:
+        logtrans[:] = 0.0  # the lone state may follow itself
+    B, Bstar = _pure.hsmm_backward(logtrans, logdur, logtail, loglik, dmax)
+    cum = np.vstack([np.zeros((1, J)), np.cumsum(loglik, axis=0)])
+    loginit = np.log(rng.dirichlet(np.ones(J)))
+    return [loginit, logtrans, B, Bstar, logdur, logtail, cum, dmax]
+
+
+def assert_same_walk(compiled_kernels, args, u):
+    want = _pure.hsmm_forward_sample(*args, u)
+    got = compiled_kernels.hsmm_forward_sample(*args, u)
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+    assert got[2:] == want[2:]
+    assert got[0].dtype == got[1].dtype == np.int64
+    return want
+
+
+@pytest.fixture(scope="module")
+def captured_forward_calls():
+    """The arguments of every forward draw in a small fit shaped like the
+    benchmark's: 300 minutes per series, L=8, dmax=200."""
+    bundle = default_bundle()
+    houses = [synth_generate(bundle, 300, stream(31, "capture-house", i)) for i in range(2)]
+    traces = {f"house{i}": Trace(start=datetime(2020, 1, 1), devices=h.devices,
+                                 values=np.maximum(h.values, 0.0), total=h.total,
+                                 sessions=((0, 300),))
+              for i, h in enumerate(houses)}
+    calls = []
+    shipped = _kernels.hsmm_forward_sample
+
+    def capture(*args):
+        calls.append(args)
+        return shipped(*args)
+
+    _kernels.hsmm_forward_sample = capture
+    try:
+        train_hyperparams(traces, RunConfig(weak_limit=8, sweeps=2, burn_in=1),
+                          stream(31, "capture-fit"), dmax=200)
+    finally:
+        _kernels.hsmm_forward_sample = shipped
+    return calls
+
+
+def test_hsmm_forward_sample_agrees_on_captured_fit_inputs(compiled_kernels,
+                                                           captured_forward_calls):
+    assert len(captured_forward_calls) >= 16
+    rng = np.random.default_rng(8)
+    for *args, u in captured_forward_calls:
+        assert args[3].shape[1] == 8 and args[7] == 200
+        assert_same_walk(compiled_kernels, args, u)
+        for _ in range(5):
+            assert_same_walk(compiled_kernels, args, rng.random(len(u)))
+
+
+def test_hsmm_forward_sample_agrees_on_edge_cases(compiled_kernels):
+    rng = np.random.default_rng(9)
+    censored = 0
+    # (T, J, dmax): a single observation, a single state, dmax == 1, a window
+    # inside the horizon, dmax == T and dmax > T
+    for T, J, dmax in [(1, 3, 1), (1, 1, 4), (25, 1, 6), (30, 4, 1), (40, 3, 7),
+                       (12, 3, 12), (10, 4, 30)]:
+        for p_inf in (0.0, 0.5):
+            args = forward_instance(rng, T, J, dmax, p_inf)
+            for _ in range(30):
+                censored += assert_same_walk(compiled_kernels, args, rng.random(2 * T))[3]
+    assert censored > 0
+
+
+def test_hsmm_forward_sample_rejects_a_row_of_zero_probability(compiled_kernels):
+    args = forward_instance(np.random.default_rng(10), 6, 3, 3)
+    args[0] = np.full(3, -np.inf)
+    u = np.random.default_rng(11).random(12)
+    for impl in (_pure, compiled_kernels):
+        with pytest.raises(ValueError, match="zero probability"):
+            impl.hsmm_forward_sample(*args, u)
+    # mid-walk: a lone state that may not follow itself has nowhere to go
+    args = forward_instance(np.random.default_rng(12), 8, 1, 2)
+    args[1] = np.full((1, 1), -np.inf)
+    for impl in (_pure, compiled_kernels):
+        with pytest.raises(ValueError, match="zero probability"):
+            impl.hsmm_forward_sample(*args, np.zeros(16))
+
+
 def test_fbpf_accumulate_agrees_across_backends(compiled_kernels):
     rng = np.random.default_rng(2)
     for Js in [(3, 2, 3), (2, 3, 2, 3), (1,), (4, 1, 2)]:
@@ -120,6 +216,14 @@ def _hsmm_call(**change):
     return "hsmm_backward", args
 
 
+def _forward_call(**change):
+    names = ("loginit", "logpibar", "B", "Bstar", "logdur", "logtail", "cum", "window")
+    args = dict(zip(names, forward_instance(np.random.default_rng(13), 12, 3, 4)),
+                u=np.full(24, 0.5))
+    args.update(change)
+    return "hsmm_forward_sample", args
+
+
 def _fbpf_call(**change):
     rows, theta, var = random_rows(np.random.default_rng(6), 4, (2, 3))
     args = dict(logtrans_rows=rows, theta_rows=theta, var_chain=var,
@@ -140,6 +244,14 @@ BAD_INPUTS = {
     "logdur_short": (_hsmm_call(logdur=np.zeros((3, 3))), "logdur"),
     "logtail_short": (_hsmm_call(logtail=np.zeros((3, 4))), "logtail"),
     "dmax_negative": (_hsmm_call(dmax=-1), "dmax"),
+    "loginit_wrong_states": (_forward_call(loginit=np.zeros(4)), "loginit"),
+    "logpibar_not_square": (_forward_call(logpibar=np.zeros((3, 2))), "logpibar"),
+    "B_short": (_forward_call(B=np.zeros((12, 3))), "B"),
+    "cum_wrong_states": (_forward_call(cum=np.zeros((13, 2))), "cum"),
+    "forward_logtail_short": (_forward_call(logtail=np.zeros((3, 4))), "logtail"),
+    "u_short": (_forward_call(u=np.full(23, 0.5)), "u"),
+    "u_float32": (_forward_call(u=np.full(24, 0.5, np.float32)), "u"),
+    "window_negative": (_forward_call(window=-1), "window"),
     "joint_idx_not_product": (_fbpf_call(joint_idx=joint_state_table((2, 3))[:-1]), "product"),
     "joint_idx_exceeds_rows": (_fbpf_call(joint_idx=joint_state_table((2, 4))), "joint_idx"),
 }

@@ -5,9 +5,13 @@ control loop wrapper, and the CLI commands end to end.
 
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import time
 from datetime import datetime
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -148,6 +152,22 @@ def test_load_trace_error_paths(tmp_path):
         p = write_csv(tmp_path / f"bad{i}.csv", text)
         with pytest.raises(ValueError):
             load_trace(p)
+
+
+@pytest.mark.parametrize("cell", ["inf", "-inf", "nan"])
+@pytest.mark.parametrize("column", ["fridge", "total"])
+def test_load_trace_rejects_non_finite_cells(tmp_path, cell, column):
+    rows = ["2026-01-01T00:00,1,1", "2026-01-01T00:01,2,2"]
+    rows[1] = f"2026-01-01T00:01,{cell},2" if column == "fridge" else f"2026-01-01T00:01,2,{cell}"
+    p = write_csv(tmp_path / "bad.csv", "timestamp,fridge,total\n" + "\n".join(rows) + "\n")
+    with pytest.raises(ValueError, match=rf"row 3, column '{column}': non-finite value '{cell}'"):
+        load_trace(p)
+
+
+def test_load_trace_names_the_cell_that_is_not_a_number(tmp_path):
+    p = write_csv(tmp_path / "bad.csv", "timestamp,fridge,total\n2026-01-01T00:00,12W,1\n")
+    with pytest.raises(ValueError, match="row 2, column 'fridge': not a number: '12W'"):
+        load_trace(p)
 
 
 def test_write_trace_round_trip(tmp_path):
@@ -566,6 +586,58 @@ def test_cli_logs_backend_and_wall_time_at_info(tmp_path, runner, command):
     assert re.fullmatch(
         rf"INFO powersplit: {command}: backend={KERNEL_BACKEND} wall=\d+\.\d{{3}}s\n",
         loud.stderr), loud.stderr
+
+
+# Runs ``powersplit train`` with the kernels named by argv[1]: the path of a
+# compiled-kernel loader to install, or "" for the backend the environment
+# selects. Prints the module that served the segment draw and whether
+# scipy.stats was imported.
+TRAIN_SCRIPT = """
+import importlib.util, json, sys
+from powersplit import _kernels
+from powersplit.pipeline.cli import main
+
+if sys.argv[1]:
+    spec = importlib.util.spec_from_file_location("compiled_kernels", sys.argv[1])
+    compiled = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(compiled)
+    _kernels.hsmm_backward = compiled.hsmm_backward
+    _kernels.hsmm_forward_sample = compiled.hsmm_forward_sample
+main(sys.argv[2:], standalone_mode=False)
+print(json.dumps({"kernels": _kernels.hsmm_forward_sample.__module__,
+                  "scipy.stats": "scipy.stats" in sys.modules}))
+"""
+
+
+def test_cli_train_bundle_does_not_depend_on_backend(tmp_path, runner, compiled_kernels):
+    # four default devices, two houses; the native and the pure fit must
+    # write the same bytes, and neither imports scipy.stats
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"horizon": 300, "sweeps": 3, "burn_in": 2}))
+    traces = [str(tmp_path / f"h{seed}.csv") for seed in (1, 2)]
+    for seed, trace in zip((1, 2), traces):
+        r = runner.invoke(main, ["synth", "--config", str(cfg), "--seed", str(seed),
+                                 "--out", trace])
+        assert r.exit_code == 0, r.output
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    bundles = {}
+    for backend, loader in (("native", compiled_kernels.__file__), ("pure", "")):
+        env = {k: v for k, v in os.environ.items() if k != "POWERSPLIT_PURE"}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        if backend == "pure":
+            env["POWERSPLIT_PURE"] = "1"
+        out = tmp_path / f"bundle-{backend}.json"
+        proc = subprocess.run(
+            [sys.executable, "-c", TRAIN_SCRIPT, loader, "train", *traces,
+             "--config", str(cfg), "--out", str(out)],
+            env=env, capture_output=True, text=True, timeout=300, check=False)
+        assert proc.returncode == 0, proc.stderr
+        report = json.loads(proc.stdout.splitlines()[-1])
+        assert report == {"kernels": {"native": "compiled_kernels",
+                                      "pure": "powersplit._kernels._pure"}[backend],
+                          "scipy.stats": False}
+        bundles[backend] = out.read_bytes()
+    assert bundles["native"] == bundles["pure"]
 
 
 def test_cli_control_rejects_empty_tracking_window(tmp_path, runner):

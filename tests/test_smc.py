@@ -398,14 +398,27 @@ def hook_stream(T):
 
 
 def filter_digests(priors, y):
-    """sha256 of the particle states, emissions and means after filtering y,
-    plus the running log-evidence."""
-    filt = FactorialBpf(priors, n_particles=200, rng=stream(19, "digest"))
-    for v in y:
-        filt.step(float(v))
-    # the draws shrug off a one-ulp change in logw; the evidence does not
-    return [hashlib.sha256(getattr(filt, name).tobytes()).hexdigest()
-            for name in ("states", "emis", "theta")] + [filt.log_evidence]
+    """sha256 of every step's ``logw`` and of the particle states, emissions
+    and means after filtering y, plus the running log-evidence."""
+    accumulate = smc.fbpf_accumulate
+    logw_hash = hashlib.sha256()
+
+    def hashed_accumulate(*args):
+        logw, sumtheta = accumulate(*args)
+        logw_hash.update(logw.tobytes())
+        return logw, sumtheta
+
+    # the draws shrug off a one-ulp change in logw; its hash does not
+    smc.fbpf_accumulate = hashed_accumulate
+    try:
+        filt = FactorialBpf(priors, n_particles=200, rng=stream(19, "digest"))
+        for v in y:
+            filt.step(float(v))
+    finally:
+        smc.fbpf_accumulate = accumulate
+    return [logw_hash.hexdigest()] + [
+        hashlib.sha256(getattr(filt, name).tobytes()).hexdigest()
+        for name in ("states", "emis", "theta")] + [filt.log_evidence]
 
 
 @pytest.mark.parametrize("make", [bundle_stream, hook_stream])
