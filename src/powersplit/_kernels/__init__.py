@@ -4,7 +4,8 @@ Three kernels are compiled, from the C99 file ``kernels.c`` that
 ``setup.py`` always builds. Two serve every training sweep:
 ``hsmm_backward``, the backward messages, and ``hsmm_forward_sample``, the
 segment draw over them. The third, ``fbpf_accumulate``, is the joint
-predictive of every filter step. The compiled accumulate is bit-identical to
+predictive of every filter step, over the stacked particles of one or more
+houses with one reading per particle. The compiled accumulate is bit-identical to
 the pure one, so the filter's law does not depend on the backend. The
 compiled segment draw makes each pick with the pure one's operations, and
 paths differ only when a uniform falls within an ulp of a cdf boundary.

@@ -41,7 +41,7 @@ _lib.hsmm_forward_sample.argtypes = [_n, _n, _n, _f64, _f64, _f64, _f64, _f64, _
                                      ctypes.POINTER(_n), _f64]
 _lib.fbpf_accumulate.restype = None
 _lib.fbpf_accumulate.argtypes = [_n, _n, _n, _i64, _n, _f64, _f64, ctypes.c_double,
-                                 ctypes.c_double, ctypes.c_double, _f64, _f64]
+                                 ctypes.c_double, _f64, _f64, _f64]
 
 
 def _floats(name, a, ndim):
@@ -122,11 +122,12 @@ def hsmm_forward_sample(loginit, logpibar, B, Bstar, logdur, logtail, cum, windo
 
 
 def fbpf_accumulate(logtrans_rows, theta_rows, var_chain, joint_idx, ybar):
-    """Joint-state predictive (logw, sumtheta) of the factorial filter; see
-    ``_pure``."""
+    """Joint-state predictive (logw, sumtheta) of the factorial filter, one
+    reading per particle in the float64 (N,) array ``ybar``; see ``_pure``."""
     logtrans_rows = _floats("logtrans_rows", logtrans_rows, 3)
     theta_rows = _floats("theta_rows", theta_rows, 3)
     var_chain = _floats("var_chain", var_chain, 1)
+    ybar = _floats("ybar", ybar, 1)
     joint_idx = np.asarray(joint_idx)
     if joint_idx.dtype.kind not in "iu" or joint_idx.ndim != 2:
         raise ValueError(f"joint_idx must be a 2-d integer array, "
@@ -136,6 +137,8 @@ def fbpf_accumulate(logtrans_rows, theta_rows, var_chain, joint_idx, ybar):
         raise ValueError(f"theta_rows must be {(N, K, Jmax)}, got {theta_rows.shape}")
     if var_chain.shape != (K,):
         raise ValueError(f"var_chain must be ({K},), got {var_chain.shape}")
+    if ybar.shape != (N,):
+        raise ValueError(f"ybar must be ({N},), got {ybar.shape}")
     if joint_idx.shape[1:] != (K,) or len(joint_idx) == 0:
         raise ValueError(f"joint_idx must be (M, {K}) with M >= 1, got {joint_idx.shape}")
     Js = joint_idx[-1].astype(np.int64) + 1
@@ -148,5 +151,5 @@ def fbpf_accumulate(logtrans_rows, theta_rows, var_chain, joint_idx, ybar):
     logw = np.empty((N, M))
     sumtheta = np.empty((N, M))
     _lib.fbpf_accumulate(N, K, Jmax, Js, M, logtrans_rows, theta_rows, svar,
-                         float(np.log(2.0 * np.pi * svar)), float(ybar), logw, sumtheta)
+                         float(np.log(2.0 * np.pi * svar)), ybar, logw, sumtheta)
     return logw, sumtheta

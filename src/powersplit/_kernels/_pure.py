@@ -113,7 +113,8 @@ def hsmm_forward_sample(loginit, logpibar, B, Bstar, logdur, logtail, cum, windo
 
 
 def fbpf_accumulate(logtrans_rows, theta_rows, var_chain, joint_idx, ybar):
-    """Joint-state enumeration for the factorial filter, one observation.
+    """Joint-state enumeration for the factorial filter, one observation per
+    particle.
 
     logtrans_rows : (N, K, Jmax) per-particle transition log row from its
                     previous state in each chain (padded with -inf)
@@ -122,10 +123,13 @@ def fbpf_accumulate(logtrans_rows, theta_rows, var_chain, joint_idx, ybar):
     joint_idx     : (M, K) int32 joint-state table; must be
                     ``smc.joint_state_table(Js)``, the row-major product of
                     the chains' states, so M = prod(Js)
-    ybar          : aggregate observation
+    ybar          : (N,) float64 aggregate reading of each particle's house;
+                    particles stacked from several houses carry their own
+                    house's reading
 
     Returns (logw, sumtheta): both (N, M); logw includes the aggregate
-    Normal likelihood with variance sum(var_chain).
+    Normal likelihood with variance sum(var_chain) of each particle's
+    reading.
 
     The table is a full product, so both outputs are broadcast outer sums of
     the K per-chain rows, added in chain order k = 0..K-1 with the last chain
@@ -150,7 +154,7 @@ def fbpf_accumulate(logtrans_rows, theta_rows, var_chain, joint_idx, ybar):
     logw = outer_sum(logtrans_rows)
     sumtheta = outer_sum(theta_rows)
     svar = float(var_chain.sum())
-    logw += -0.5 * (np.log(2.0 * np.pi * svar) + (ybar - sumtheta) ** 2 / svar)
+    logw += -0.5 * (np.log(2.0 * np.pi * svar) + (ybar[:, None] - sumtheta) ** 2 / svar)
     return logw, sumtheta
 
 

@@ -183,12 +183,13 @@ ptrdiff_t hsmm_forward_sample(ptrdiff_t T, ptrdiff_t J, ptrdiff_t window,
  * rows and theta are (N, K, Jmax); chain k uses its first Js[k] entries. For
  * each particle the (M,) outputs, M = prod(Js), are outer sums of the chain
  * rows added in chain order k = 0..K-1 with the last chain fastest, expanded
- * in place from the back. The aggregate Normal likelihood, log normaliser
- * lognorm = log(2 pi svar), is then added with the pure kernel's expression.
+ * in place from the back. The aggregate Normal likelihood of particle n's
+ * reading ybar[n], log normaliser lognorm = log(2 pi svar), is then added
+ * with the pure kernel's expression.
  */
 void fbpf_accumulate(ptrdiff_t N, ptrdiff_t K, ptrdiff_t Jmax, const long long *Js,
                      ptrdiff_t M, const double *rows, const double *theta,
-                     double svar, double lognorm, double ybar,
+                     double svar, double lognorm, const double *ybar,
                      double *logw, double *sumtheta)
 {
     for (ptrdiff_t n = 0; n < N; n++) {
@@ -214,7 +215,7 @@ void fbpf_accumulate(ptrdiff_t N, ptrdiff_t K, ptrdiff_t Jmax, const long long *
             size *= Jk;
         }
         for (ptrdiff_t m = 0; m < M; m++) {
-            double d = ybar - s[m];
+            double d = ybar[n] - s[m];
             w[m] = w[m] + -0.5 * (lognorm + d * d / svar);
         }
     }

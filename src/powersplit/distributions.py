@@ -13,6 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln
 
+from .rng import stacked_draws
+
 SIMPLEX_ATOL = 1e-12
 
 
@@ -184,10 +186,14 @@ def categorical_sample_logits(rng: np.random.Generator, logits) -> int:
     return categorical_pick_logits(logits, rng.random())
 
 
-def categorical_rows_sample(rng: np.random.Generator, probs: np.ndarray) -> np.ndarray:
-    """Vectorized categorical draw per row of ``probs`` (rows normalized)."""
+def categorical_rows_sample(rng, probs: np.ndarray) -> np.ndarray:
+    """Vectorized categorical draw per row of ``probs`` (rows normalized).
+
+    ``rng`` is one generator, or a list of H generators that each draw the
+    uniforms of one of H equal blocks of rows (``rng.stacked_draws``).
+    """
     cdf = np.cumsum(probs, axis=1)
-    u = rng.random(probs.shape[0])
+    u = stacked_draws(rng, probs.shape[0], lambda g, rows: g.random(rows.stop - rows.start))
     # right-edge guard: cdf may fall a hair short of 1
     return np.minimum((u[:, None] > cdf).sum(axis=1), probs.shape[1] - 1)
 

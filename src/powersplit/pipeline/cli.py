@@ -3,7 +3,10 @@
 Every writer goes through the atomic nine-significant-digit emitters, so a
 command rerun with the same inputs and seed produces byte-identical files.
 Set POWERSPLIT_LOG=INFO (or DEBUG) for progress logging on stderr: every
-command then reports its name, the kernel backend and its wall time.
+command then reports its name, the kernel backend and its wall time, and
+``disagg`` also the filter's final log-evidence. A trace file that does not
+parse, or whose device columns the bundle does not know, is a bad parameter
+(exit code 2) whose message names the file and the row or device.
 """
 
 from __future__ import annotations
@@ -44,6 +47,13 @@ def _config(path) -> RunConfig:
         return load_config(path)
     except ValueError as exc:
         raise click.BadParameter(str(exc), param_hint="--config") from exc
+
+
+def _trace(path):
+    try:
+        return load_trace(path)
+    except ValueError as exc:
+        raise click.BadParameter(f"{path}: {exc}", param_hint="trace") from exc
 
 
 @click.group()
@@ -96,7 +106,7 @@ def usage(traces, out):
     """Summarize device usage over one or more traces."""
     rows = []
     for p in traces:
-        rep = usage_report(Path(p).stem, load_trace(p))
+        rep = usage_report(Path(p).stem, _trace(p))
         rows.extend(report_rows([rep]))
     lines = ["house,device,rank,used,energy,share,minutes_on"]
     for r in rows:
@@ -122,7 +132,7 @@ def train(traces, config_path, seed, weak_limit, out):
         cfg = replace(cfg, seed=seed)
     if weak_limit is not None:
         cfg = replace(cfg, weak_limit=weak_limit)
-    data = {Path(p).stem: load_trace(p) for p in traces}
+    data = {Path(p).stem: _trace(p) for p in traces}
     rng = stream(cfg.seed, "train")
     bundle = train_hyperparams(data, cfg, rng)
     save_bundle(bundle, out)
@@ -147,12 +157,19 @@ def disagg(trace_path, config_path, seed, bundle_path, particles, states_path,
     cfg = _config(config_path)
     seed = cfg.seed if seed is None else seed
     particles = cfg.particles if particles is None else particles
-    trace = load_trace(trace_path)
+    trace = _trace(trace_path)
     bundle = load_bundle(bundle_path) if bundle_path else default_bundle(cfg)
+    known = {d.name for d in bundle.devices}
+    unknown = [name for name in trace.devices if name not in known]
+    if unknown:
+        raise click.BadParameter(
+            f"{trace_path}: device column(s) {', '.join(map(repr, unknown))} not in the "
+            f"bundle, which has {', '.join(map(repr, sorted(known)))}", param_hint="trace")
     truth = load_states(states_path) if states_path else None
     rng = stream(seed, "disagg")
     res = disaggregate(trace, bundle, particles, rng,
                        noise_var=cfg.meter_noise_var, truth_states=truth)
+    log.info("disagg: log_evidence=%s", fmt(res.log_evidence))
 
     header = ["timestamp"]
     for name in res.devices:

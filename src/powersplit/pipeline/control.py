@@ -25,7 +25,7 @@ from ..dispatch import (
 )
 from ..hsmm import simulate_hsmm
 from ..rng import substream
-from ..smc import ChainPrior, FactorialBpf
+from ..smc import ChainPrior, FactorialBpf, map_states_of, power_means_of, step_filters
 from .config import ControlConfig, check_tracking_window, default_bundle
 from .disagg import chain_prior
 from .synth import draw_device_params
@@ -72,7 +72,8 @@ def _tcl_chain_prior(u_on: float) -> ChainPrior:
 
 class FbpfHook:
     """One factorial filter per house; each house meters one thermostat load
-    plus nuisance appliances plus white noise.
+    plus nuisance appliances plus white noise. Every control period steps
+    all houses in one ``smc.step_filters`` pass, each from its own generator.
 
     The hook hands the simulator each load's estimated mode and estimated ON
     power; the true states it receives drive only the meter readings.
@@ -104,14 +105,11 @@ class FbpfHook:
 
     def __call__(self, t: int, states) -> tuple[np.ndarray, np.ndarray]:
         n = len(self.filters)
-        tcl_kw = self.model.power_of_state[states]
-        xu = np.empty(n, dtype=np.int64)
-        u_on = np.empty(n)
-        for i, filt in enumerate(self.filters):
-            total = float(tcl_kw[i] + self.nuisance_kw[i, t] + self.noise[i, t])
-            filt.step(total)
-            xu[i] = filt.map_states()[0]
-            u_on[i] = filt.power_means()[0][1]
+        totals = (self.model.power_of_state[states] + self.nuisance_kw[:, t]
+                  + self.noise[:, t])
+        step_filters(self.filters, totals)
+        xu = map_states_of(self.filters)[:, 0]
+        u_on = power_means_of(self.filters)[0][:, 1]
         true_modes = self.model.xu_of[np.asarray(states, dtype=np.int64)]
         self.mode_hits += int((xu == true_modes).sum())
         self.mode_calls += n

@@ -66,6 +66,7 @@ class DisaggResult:
     residual: np.ndarray    # (T,) total minus summed MAP powers
     covered: np.ndarray     # (T,) bool, rows inside a session
     metrics: dict | None
+    log_evidence: float     # the filter's running log p(total readings)
 
 
 def disaggregate(trace: Trace, bundle: HyperParamBundle, n_particles: int,
@@ -118,4 +119,5 @@ def disaggregate(trace: Trace, bundle: HyperParamBundle, n_particles: int,
             metrics[name] = m
         metrics["aggregate_rmse"] = float(np.sqrt(np.mean(residual[sel] ** 2)))
     return DisaggResult(devices=trace.devices, states=states, powers=powers,
-                        residual=residual, covered=covered, metrics=metrics)
+                        residual=residual, covered=covered, metrics=metrics,
+                        log_evidence=filt.log_evidence)

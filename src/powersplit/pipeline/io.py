@@ -63,11 +63,11 @@ class Trace:
         return [self.start + timedelta(minutes=i) for i in range(self.T)]
 
 
-def _parse_ts(s: str) -> datetime:
+def _parse_ts(s: str, row: int) -> datetime:
     try:
         return datetime.strptime(s.strip()[:16], _TS_FMT)
     except ValueError as ex:
-        raise ValueError(f"bad timestamp {s!r}") from ex
+        raise ValueError(f"row {row}: bad timestamp {s!r}") from ex
 
 
 def _parse_cell(cell: str, row: int, column: str) -> float:
@@ -104,11 +104,11 @@ def load_trace(path) -> Trace:
     for i, row in enumerate(rows):
         if len(row) != len(header):
             raise ValueError(f"row {i + 2}: expected {len(header)} cells")
-        times.append(_parse_ts(row[0]))
+        times.append(_parse_ts(row[0], i + 2))
         raw.append([_parse_cell(c, i + 2, name) for c, name in zip(row[1:], header[1:])])
-    for a, b in zip(times, times[1:]):
+    for i, (a, b) in enumerate(zip(times, times[1:])):
         if b <= a:
-            raise ValueError("timestamps must be strictly increasing")
+            raise ValueError(f"row {i + 3}: timestamps must be strictly increasing")
 
     # lay rows onto the contiguous minute grid
     start = times[0]

@@ -14,6 +14,14 @@ states (``joint_state_table``), so the joint predictive of every particle is
 an outer sum of its K per-chain rows: a step builds (N, M) arrays and never
 an (N, M, K) gather.
 
+A filter serves one house. ``step_filters`` advances H houses that share
+priors, particle count and step count in one pass over their H*N stacked
+particles, with one reading per particle in the accumulate. Every draw stays
+per house, from the house's own generator in a lone house's order, so the
+pass leaves each house byte-identical to stepping it alone;
+``FactorialBpf.step`` is the pass for one house. ``map_states_of`` and
+``power_means_of`` read the estimators of all houses at once.
+
 Per-step cost is fixed: sufficient statistics replace the path, so nothing
 grows with the stream length. With the exact joint conditional as the
 proposal, the first-stage weight is the one-step predictive p(y | x), and
@@ -31,6 +39,7 @@ import numpy as np
 from ._kernels import fbpf_accumulate, systematic_counts
 from .distributions import NormalPrior, assert_simplex, categorical_rows_sample
 from .hmm import HmmParams
+from .rng import stacked_draws
 
 
 class DegenerateWeightsError(RuntimeError):
@@ -180,29 +189,38 @@ def joint_state_table(Js: tuple[int, ...], cap: int = JOINT_CAP) -> np.ndarray:
 
 
 def conditional_emission_sample(theta_sel: np.ndarray, sumtheta: np.ndarray,
-                                var_chain: np.ndarray, ybar: float,
-                                rng: np.random.Generator) -> np.ndarray:
+                                var_chain: np.ndarray, ybar,
+                                rng) -> np.ndarray:
     """Split the aggregate across chains, one row per particle.
 
     ``theta_sel`` (N, K) holds each particle's emission means at its joint
-    state and ``sumtheta`` (N,) their row sums. The conditional law is Normal
-    with mean theta_k + s2_k (ybar - sum theta) / S and covariance
+    state, ``sumtheta`` (N,) their row sums and ``ybar`` the reading, one
+    scalar or one per particle. The conditional law is Normal with mean
+    theta_k + s2_k (ybar - sum theta) / S and covariance
     diag(s2) - s2 s2^T / S, S = sum s2. Sampling uses a centered draw
     projected onto the zero-sum subspace, so each row sums to ybar to machine
-    precision by construction.
+    precision by construction. ``rng`` is one generator, or one generator per
+    equal block of rows (``rng.stacked_draws``).
     """
-    g = rng.normal(0.0, np.sqrt(var_chain), theta_sel.shape)
+    # the scaled standard normals are Generator.normal(0, sd)'s own draws
+    g = np.sqrt(var_chain) * stacked_draws(
+        rng, len(theta_sel), lambda r, rows: r.standard_normal(theta_sel[rows].shape))
     resid = ybar - sumtheta - g.sum(axis=1)
     return theta_sel + var_chain * (resid / var_chain.sum())[:, None] + g
 
 
 # ---------------------------------------------------------------------------
-# the streaming filter object (vectorized over particles)
+# the streaming filter object (vectorized over particles and houses)
 # ---------------------------------------------------------------------------
+
+# predictive lanes this far below their row's maximum weigh under 1e-304 of
+# it: they cannot move a row total >= 1 and no uniform lands in them, so the
+# step sets them to 0 instead of taking numpy's slow exp of deep negatives
+EXP_FLOOR = -700.0
 
 
 class FactorialBpf:
-    """Streaming disaggregation filter.
+    """Streaming disaggregation filter for one house.
 
     Each particle carries, for every chain: the current state, the imputed
     emission, transition counts, per-state emission sums/counts, and sampled
@@ -212,6 +230,12 @@ class FactorialBpf:
     from their conjugate posteriors. Weights are uniform after every step.
     ``log_evidence`` accumulates the log of the mean first-stage predictive,
     an estimate of log p(y_1:t).
+
+    Every draw comes from the house's own generator ``rng``. Houses that
+    share priors, particle count and step count advance together through
+    ``step_filters``, one pass over their stacked particles, and each ends
+    byte-identical to the same house stepped alone; ``step`` is that pass
+    for one house.
 
     With a single chain this is the plain Bayesian particle filter.
     """
@@ -236,8 +260,6 @@ class FactorialBpf:
         self.trans_counts = np.zeros((N, K, Jm, Jm))
         self.emis_sums = np.zeros((N, K, Jm))
         self.emis_counts = np.zeros((N, K, Jm))
-        self.theta = np.zeros((N, K, Jm))
-        self.pi = np.zeros((N, K, Jm, Jm))
         self.weights = np.full(N, 1.0 / N)
 
         # prior means/vars laid out per chain for the vectorized refresh
@@ -249,117 +271,211 @@ class FactorialBpf:
             self.prior_mean[k, :J] = [c.mean for c in p.emission]
             self.prior_var[k, :J] = [c.var for c in p.emission]
             self.alpha[k, :J, :J] = p.alpha
+        # what houses stepped together must share
+        self._law = (N, self.Js, self.var_chain.tobytes(), self.alpha.tobytes(),
+                     self.prior_mean.tobytes(), self.prior_var.tobytes())
 
         self._draw_params()
-
-    # -- internal passes ----------------------------------------------------
 
     def _draw_params(self):
         """Refresh every particle's parameters from prior + statistics."""
-        N, K, Jm = self.N, self.K, self.Jmax
-        s2 = self.var_chain[None, :, None]
-        post_var = 1.0 / (1.0 / self.prior_var[None] + self.emis_counts / s2)
-        post_mean = post_var * (self.prior_mean[None] / self.prior_var[None]
-                                + self.emis_sums / s2)
-        self.theta = post_mean + np.sqrt(post_var) * self.rng.standard_normal((N, K, Jm))
-        conc = self.alpha[None] + self.trans_counts
-        for k in range(K):
-            J = self.Js[k]
-            block = self.rng.standard_gamma(conc[:, k, :J, :J])
-            self.pi[:, k, :J, :J] = block / block.sum(axis=2, keepdims=True)
-
-    def _gather_log_rows(self) -> np.ndarray:
-        """(N, K, Jmax) log transition rows out of the current states, or the
-        log-uniform initial rows before the first observation."""
-        N, K, Jm = self.N, self.K, self.Jmax
-        rows = np.empty((N, K, Jm))
-        if self.n == 0:
-            for k, J in enumerate(self.Js):
-                rows[:, k, :J] = 1.0 / J
-                rows[:, k, J:] = 0.0
-        else:
-            ii = np.arange(N)[:, None]
-            kk = np.arange(K)[None, :]
-            rows = self.pi[ii, kk, self.states]
-        with np.errstate(divide="ignore"):
-            return np.log(rows)
+        self.theta, self.pi = _refresh_params(self, self.emis_sums, self.emis_counts,
+                                              self.trans_counts, self.rng)
 
     def step(self, ybar: float) -> None:
-        """Consume one aggregate reading.
-
-        The joint predictive comes from the outer sums of ``fbpf_accumulate``.
-        The resample copies only the statistics: ``pi`` and ``theta`` are
-        redrawn from them at the end of the step, so the split reads the
-        ancestors' means through the ancestor indices.
-        """
-        rng = self.rng
-        log_rows = self._gather_log_rows()
-        logw, sumtheta = fbpf_accumulate(log_rows, self.theta, self.var_chain,
-                                         self.joint_idx, float(ybar))
-        row_max = logw.max(axis=1)
-        if not np.any(np.isfinite(row_max)):
-            raise DegenerateWeightsError("all joint predictive weights are zero")
-
-        # first stage: predictive weights, then the systematic resample
-        with np.errstate(invalid="ignore", divide="ignore"):
-            shifted = np.exp(logw - row_max[:, None])
-            row_tot = shifted.sum(axis=1)
-            logpred = np.where(np.isfinite(row_max), row_max + np.log(row_tot), -np.inf)
-        mx = logpred.max()  # finite: some row_max is finite
-        w = np.exp(logpred - mx)
-        self.log_evidence += float(mx + np.log(w.mean()))
-        idx = counts_to_indices(systematic_resample(w / w.sum(), rng))
-
-        self.states = self.states[idx]
-        self.trans_counts = self.trans_counts[idx]
-        self.emis_sums = self.emis_sums[idx]
-        self.emis_counts = self.emis_counts[idx]
-        probs = shifted[idx] / row_tot[idx][:, None]
-
-        # joint propagation through the exact conditional
-        j_star = categorical_rows_sample(rng, probs)
-        new_states = self.joint_idx[j_star].astype(np.int64)
-
-        # emissions that sum to the aggregate
-        N, K = self.N, self.K
-        kk = np.arange(K)[None, :]
-        self.emis = conditional_emission_sample(
-            self.theta[idx[:, None], kk, new_states], sumtheta[idx, j_star],
-            self.var_chain, ybar, rng)
-
-        # statistics; every (particle, chain) row gets exactly one increment,
-        # so fancy-index adds equal np.add.at
-        rows = np.arange(N * K)
-        new_flat = new_states.ravel()
-        if self.n > 0:
-            flat = self.trans_counts.reshape(N * K, self.Jmax, self.Jmax)
-            flat[rows, self.states.ravel(), new_flat] += 1.0
-        self.emis_sums.reshape(N * K, self.Jmax)[rows, new_flat] += self.emis.ravel()
-        self.emis_counts.reshape(N * K, self.Jmax)[rows, new_flat] += 1.0
-
-        self.states = new_states
-        self._draw_params()
-        self.weights = np.full(N, 1.0 / N)
-        self.n += 1
+        """Consume one aggregate reading (``step_filters`` on this house)."""
+        step_filters([self], [ybar])
 
     # -- estimators ---------------------------------------------------------
 
     def map_states(self) -> np.ndarray:
         """Per-chain particle-vote winner; ties go to the lowest state index."""
-        out = np.empty(self.K, dtype=np.int64)
-        for k in range(self.K):
-            votes = np.bincount(self.states[:, k], weights=self.weights,
-                                minlength=self.Js[k])
-            out[k] = int(np.argmax(votes))
-        return out
+        return map_states_of([self])[0]
 
     def power_means(self) -> list[np.ndarray]:
         """Posterior-mean power per state, one array per chain."""
-        return [
-            np.average(self.theta[:, k, : self.Js[k]], axis=0, weights=self.weights)
-            for k in range(self.K)
-        ]
+        return [pm[0] for pm in power_means_of([self])]
 
     def emission_means(self) -> np.ndarray:
         """Posterior-mean imputed emission per chain at the current step."""
         return np.average(self.emis, axis=0, weights=self.weights)
+
+
+# -- passes over the stacked particles of one or more houses ----------------
+
+
+def _check_houses(filters) -> None:
+    law, n = filters[0]._law, filters[0].n
+    if any(f._law != law or f.n != n for f in filters):
+        raise ValueError("houses stepped together must share priors, "
+                         "particle count and step count")
+    if len({id(f.rng) for f in filters}) != len(filters):
+        raise ValueError("houses stepped together must draw from distinct generators")
+
+
+def _stack(filters, name: str) -> np.ndarray:
+    """The houses' ``name`` arrays stacked along the particle axis."""
+    parts = [getattr(f, name) for f in filters]
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+
+def _log_rows(spec: FactorialBpf, pi: np.ndarray, states: np.ndarray) -> np.ndarray:
+    """(rows, K, Jmax) log transition rows out of ``states`` under ``pi``, or
+    the log-uniform initial rows before the first observation."""
+    Jm = spec.Jmax
+    if spec.n == 0:
+        rows = np.zeros((len(states), spec.K, Jm))
+        for k, J in enumerate(spec.Js):
+            rows[:, k, :J] = 1.0 / J
+    else:
+        # row states[i, k] of pi[i, k], as one flat take
+        first = np.arange(states.size) * Jm + states.ravel()
+        rows = pi.reshape(-1, Jm).take(first, axis=0).reshape(len(states), spec.K, Jm)
+    with np.errstate(divide="ignore"):
+        return np.log(rows)
+
+
+def _refresh_params(spec: FactorialBpf, emis_sums, emis_counts, trans_counts, rng):
+    """(theta, pi) drawn from each particle's conjugate posterior: the theta
+    normals, then one gamma block per chain. ``rng`` is one generator, or one
+    per house (``rng.stacked_draws``)."""
+    # in place, on as few arrays as possible; each step is one IEEE add,
+    # multiply or divide, as in 1 / (1 / v0 + n / s2) and the rest
+    s2 = spec.var_chain[None, :, None]
+    post_var = emis_counts / s2
+    post_var += 1.0 / spec.prior_var[None]
+    np.divide(1.0, post_var, out=post_var)
+    post_mean = emis_sums / s2
+    post_mean += spec.prior_mean[None] / spec.prior_var[None]
+    post_mean *= post_var
+    n_rows = len(post_mean)
+    theta = stacked_draws(rng, n_rows, lambda g, rows: g.standard_normal(post_mean[rows].shape))
+    theta *= np.sqrt(post_var, out=post_var)
+    theta += post_mean
+    pi = np.zeros(trans_counts.shape)
+    for k, J in enumerate(spec.Js):
+        conc = spec.alpha[None, k, :J, :J] + trans_counts[:, k, :J, :J]
+        block = stacked_draws(rng, n_rows, lambda g, rows: g.standard_gamma(conc[rows]))
+        pi[:, k, :J, :J] = block / block.sum(axis=2, keepdims=True)
+    return theta, pi
+
+
+def step_filters(filters, readings) -> None:
+    """Advance H houses by one aggregate reading each, ``readings[h]`` for
+    ``filters[h]``, in one pass over their H*N stacked particles.
+
+    The houses must share priors, particle count and step count, and draw
+    from distinct generators. The pass computes the joint predictive from the
+    outer sums of ``fbpf_accumulate``, each house's normalisation and
+    log-evidence, the resample gathers, the propagation, the imputation, the
+    statistics fold and the parameter refresh once for all houses. Every
+    draw stays per house, from that house's generator and in a lone house's
+    order: the systematic uniform, the categorical uniforms, the emission
+    normals, the theta normals, then one gamma block per chain. So each
+    house ends byte-identical to stepping it alone, and its arrays become row
+    slices of the stacked results.
+
+    The resample copies only the statistics: ``pi`` and ``theta`` are redrawn
+    from them at the end of the step, so the split reads the ancestors' means
+    through the ancestor indices. Raises ``DegenerateWeightsError``, leaving
+    every house as it was, when all of some house's predictive weights vanish.
+    """
+    _check_houses(filters)
+    spec = filters[0]
+    H, N, K, Jm = len(filters), spec.N, spec.K, spec.Jmax
+    y = np.asarray(readings, dtype=float)
+    if y.shape != (H,):
+        raise ValueError(f"need one reading per house ({H}), got shape {y.shape}")
+    ybar = np.repeat(y, N)
+    rngs = [f.rng for f in filters]
+
+    states = _stack(filters, "states")
+    theta = _stack(filters, "theta")
+    logw, sumtheta = fbpf_accumulate(_log_rows(spec, _stack(filters, "pi"), states),
+                                     theta, spec.var_chain, spec.joint_idx, ybar)
+    row_max = logw.max(axis=1)
+    live = np.isfinite(row_max)
+    dead = np.flatnonzero(~live.reshape(H, N).any(axis=1))
+    if len(dead):
+        raise DegenerateWeightsError(
+            f"all joint predictive weights are zero (houses {dead.tolist()})")
+
+    # first stage: predictive weights, then each house's systematic resample
+    with np.errstate(invalid="ignore", divide="ignore"):
+        shifted = logw  # shifted and exponentiated in place
+        shifted -= row_max[:, None]
+        keep = shifted >= EXP_FLOOR
+        np.exp(shifted, out=shifted, where=keep)
+        shifted[~keep] = 0.0
+        row_tot = shifted.sum(axis=1)
+        logpred = np.where(live, row_max + np.log(row_tot), -np.inf).reshape(H, N)
+    mx = logpred.max(axis=1)  # finite: every house has a finite row_max
+    w = np.exp(logpred - mx[:, None])
+    evidence = mx + np.log(w.mean(axis=1))
+    w /= w.sum(axis=1, keepdims=True)
+    idx = counts_to_indices(np.concatenate(
+        [systematic_counts(w[h], rng.random() / N) for h, rng in enumerate(rngs)]))
+
+    old_states = states[idx]
+    trans_counts = _stack(filters, "trans_counts")[idx]
+    emis_sums = _stack(filters, "emis_sums")[idx]
+    emis_counts = _stack(filters, "emis_counts")[idx]
+    probs = shifted[idx]
+    probs /= row_tot[idx][:, None]
+
+    # joint propagation through the exact conditional
+    j_star = categorical_rows_sample(rngs, probs)
+    new_states = spec.joint_idx[j_star].astype(np.int64)
+
+    # emissions that sum to the aggregate
+    kk = np.arange(K)[None, :]
+    emis = conditional_emission_sample(theta[idx[:, None], kk, new_states],
+                                       sumtheta[idx, j_star], spec.var_chain, ybar, rngs)
+
+    # statistics; every (particle, chain) row gets exactly one increment,
+    # so fancy-index adds equal np.add.at
+    rows = np.arange(H * N * K)
+    new_flat = new_states.ravel()
+    if spec.n > 0:
+        flat = trans_counts.reshape(-1, Jm, Jm)
+        flat[rows, old_states.ravel(), new_flat] += 1.0
+    emis_sums.reshape(-1, Jm)[rows, new_flat] += emis.ravel()
+    emis_counts.reshape(-1, Jm)[rows, new_flat] += 1.0
+
+    del logw, shifted, sumtheta, probs  # the (H*N, M) arrays, before the refresh allocates
+    theta, pi = _refresh_params(spec, emis_sums, emis_counts, trans_counts, rngs)
+    weights = np.full(H * N, 1.0 / N)
+    for h, f in enumerate(filters):
+        own = slice(h * N, (h + 1) * N)
+        f.states, f.emis, f.theta, f.pi = new_states[own], emis[own], theta[own], pi[own]
+        f.trans_counts, f.emis_sums = trans_counts[own], emis_sums[own]
+        f.emis_counts, f.weights = emis_counts[own], weights[own]
+        f.log_evidence += float(evidence[h])
+        f.n += 1
+
+
+def map_states_of(filters) -> np.ndarray:
+    """(H, K) per-chain particle-vote winners of H houses that share priors
+    and particle count; ties go to the lowest state index."""
+    _check_houses(filters)
+    spec = filters[0]
+    H = len(filters)
+    states, weights = _stack(filters, "states"), _stack(filters, "weights")
+    house = np.repeat(np.arange(H), spec.N)
+    out = np.empty((H, spec.K), dtype=np.int64)
+    for k, J in enumerate(spec.Js):
+        votes = np.bincount(house * J + states[:, k], weights=weights, minlength=H * J)
+        out[:, k] = votes.reshape(H, J).argmax(axis=1)
+    return out
+
+
+def power_means_of(filters) -> list[np.ndarray]:
+    """Posterior-mean power per state of H houses that share priors and
+    particle count, one (H, J_k) array per chain."""
+    _check_houses(filters)
+    spec = filters[0]
+    H, N = len(filters), spec.N
+    theta, weights = _stack(filters, "theta"), _stack(filters, "weights")
+    total = weights.reshape(H, N).sum(axis=1)[:, None]
+    return [(theta[:, k, :J] * weights[:, None]).reshape(H, N, J).sum(axis=1) / total
+            for k, J in enumerate(spec.Js)]

@@ -1,11 +1,12 @@
 """Backend equivalence, input checks, the kernel build and resampling counts.
 
 The brute-force offspring oracle places each systematic position by linear
-search; the kernel must reproduce it exactly. The factorial accumulate is
-checked bit for bit against a direct gather through the joint-state table,
-on both backends. The compiled forward segment draw must walk the same
-segments, and read the same number of uniforms, as the pure one on inputs
-captured from a training fit and on edge cases.
+search; the kernel must reproduce it exactly. The factorial accumulate,
+which reads one aggregate reading per particle, is checked bit for bit
+against a direct gather through the joint-state table, on both backends.
+The compiled forward segment draw must walk the same segments, and read the
+same number of uniforms, as the pure one on inputs captured from a training
+fit and on edge cases.
 
 The compiled kernels come from the ``compiled_kernels`` fixture: the tree's
 own library when it is built, else one ``setup.py`` builds into a temporary
@@ -175,14 +176,40 @@ def test_hsmm_forward_sample_rejects_a_row_of_zero_probability(compiled_kernels)
 
 
 def test_fbpf_accumulate_agrees_across_backends(compiled_kernels):
+    # particles stacked from several houses: each carries its own reading,
+    # and some carry rows that are -inf in a chain or in every chain
     rng = np.random.default_rng(2)
     for Js in [(3, 2, 3), (2, 3, 2, 3), (1,), (4, 1, 2)]:
-        rows, theta, var = random_rows(rng, 50, Js)
+        rows, theta, var = random_rows(rng, 50, Js, p_inf=0.2)
+        rows[:5] = -np.inf
+        rows[5:10, 0] = -np.inf
         joint = joint_state_table(Js)
-        out_p = _pure.fbpf_accumulate(rows, theta, var, joint, 250.0)
-        out_n = compiled_kernels.fbpf_accumulate(rows, theta, var, joint, 250.0)
+        ybar = np.repeat(rng.normal(250.0, 300.0, 5), 10)
+        out_p = _pure.fbpf_accumulate(rows, theta, var, joint, ybar)
+        out_n = compiled_kernels.fbpf_accumulate(rows, theta, var, joint, ybar)
+        assert np.all(out_p[0][:10] == -np.inf)
         for a, b in zip(out_p, out_n):
             assert np.array_equal(a, b)
+
+
+def test_fbpf_gather_reference_reads_one_reading_per_particle():
+    # N == M = 6 as well, where reading the readings along the joint states
+    # would broadcast without an error
+    rng = np.random.default_rng(7)
+    Js = (2, 3)
+    joint = joint_state_table(Js)
+    for N in (6, 9):
+        rows, theta, var = random_rows(rng, N, Js)
+        ybar = rng.normal(200.0, 100.0, N)
+        logw, sumtheta = fbpf_accumulate_gather_reference(rows, theta, var, joint, ybar)
+        sd = np.sqrt(var.sum())
+        for n in range(N):
+            for m, (a, b) in enumerate(joint):
+                mean = theta[n, 0, a] + theta[n, 1, b]
+                assert sumtheta[n, m] == mean
+                want = rows[n, 0, a] + rows[n, 1, b] - 0.5 * (
+                    np.log(2.0 * np.pi) + 2.0 * np.log(sd) + ((ybar[n] - mean) / sd) ** 2)
+                assert abs(logw[n, m] - want) < 1e-9 * (1.0 + abs(want))
 
 
 @settings(max_examples=80, deadline=None)
@@ -192,7 +219,7 @@ def test_fbpf_accumulate_outer_sum_matches_gather(backend, Js, N, p_inf, seed):
     rng = np.random.default_rng(seed)
     rows, theta, var = random_rows(rng, N, Js, p_inf)
     joint = joint_state_table(tuple(Js))
-    ybar = float(rng.normal(300.0, 400.0))
+    ybar = rng.normal(300.0, 400.0, N)
     got = backend.fbpf_accumulate(rows, theta, var, joint, ybar)
     want = fbpf_accumulate_gather_reference(rows, theta, var, joint, ybar)
     for a, b in zip(got, want):
@@ -206,7 +233,7 @@ def test_fbpf_accumulate_rejects_non_product_table(compiled_kernels):
     for impl in (_pure, compiled_kernels):
         for subset in (joint[:-1], joint[1:], joint[[0, 3, 11]], joint[::3]):
             with pytest.raises(ValueError, match="product"):
-                impl.fbpf_accumulate(rows, theta, var, subset, 250.0)
+                impl.fbpf_accumulate(rows, theta, var, subset, np.full(5, 250.0))
 
 
 def _hsmm_call(**change):
@@ -227,7 +254,7 @@ def _forward_call(**change):
 def _fbpf_call(**change):
     rows, theta, var = random_rows(np.random.default_rng(6), 4, (2, 3))
     args = dict(logtrans_rows=rows, theta_rows=theta, var_chain=var,
-                joint_idx=joint_state_table((2, 3)), ybar=10.0)
+                joint_idx=joint_state_table((2, 3)), ybar=np.full(4, 10.0))
     args.update(change)
     return "fbpf_accumulate", args
 
@@ -254,6 +281,10 @@ BAD_INPUTS = {
     "window_negative": (_forward_call(window=-1), "window"),
     "joint_idx_not_product": (_fbpf_call(joint_idx=joint_state_table((2, 3))[:-1]), "product"),
     "joint_idx_exceeds_rows": (_fbpf_call(joint_idx=joint_state_table((2, 4))), "joint_idx"),
+    "ybar_scalar": (_fbpf_call(ybar=10.0), "ybar"),
+    "ybar_float32": (_fbpf_call(ybar=np.full(4, 10.0, np.float32)), "ybar"),
+    "ybar_one_per_house": (_fbpf_call(ybar=np.full(2, 10.0)), "ybar"),
+    "ybar_2d": (_fbpf_call(ybar=np.full((4, 1), 10.0)), "ybar"),
 }
 
 

@@ -588,6 +588,58 @@ def test_cli_logs_backend_and_wall_time_at_info(tmp_path, runner, command):
         loud.stderr), loud.stderr
 
 
+def test_cli_disagg_logs_log_evidence_at_info(tmp_path, runner):
+    cfg = small_config(tmp_path, horizon=60, particles=40)
+    trace = str(tmp_path / "house.csv")
+    assert runner.invoke(main, ["synth", "--config", cfg, "--out", trace]).exit_code == 0
+    runs = {}
+    for mode, env in (("quiet", {}), ("loud", {"POWERSPLIT_LOG": "INFO"})):
+        out, met = tmp_path / f"{mode}.csv", tmp_path / f"{mode}.json"
+        r = runner.invoke(main, ["disagg", trace, "--config", cfg, "--out", str(out),
+                                 "--metrics-out", str(met)], env=env)
+        assert r.exit_code == 0, r.output
+        runs[mode] = (r, out.read_bytes(), met.read_bytes())
+    (quiet, *quiet_files), (loud, *loud_files) = runs["quiet"], runs["loud"]
+    assert loud.stdout.replace("loud.csv", "quiet.csv") == quiet.stdout
+    assert loud_files == quiet_files
+    assert quiet.stderr == ""
+    lines = loud.stderr.splitlines()
+    assert len(lines) == 2 and lines[1].startswith("INFO powersplit: disagg: backend=")
+    m = re.fullmatch(r"INFO powersplit: disagg: log_evidence=(\S+)", lines[0])
+    assert m and math.isfinite(float(m.group(1))) and float(m.group(1)) < 0
+
+
+BAD_TRACES = {
+    # case: (trace text, what the message must name besides the file)
+    "unsorted": ("timestamp,refrigerator,total\n2026-01-01T00:01,1,1\n"
+                 "2026-01-01T00:00,1,1\n", "row 3: timestamps must be strictly increasing"),
+    "duplicate": ("timestamp,refrigerator,total\n2026-01-01T00:00,1,1\n"
+                  "2026-01-01T00:00,1,1\n", "row 3: timestamps"),
+    "ragged": ("timestamp,refrigerator,total\n2026-01-01T00:00,1\n", "row 2: expected 3 cells"),
+    "header_only": ("timestamp,refrigerator,total\n", "header but no rows"),
+    "bad_timestamp": ("timestamp,refrigerator,total\n2026-01-01T00:00,1,1\nnoon,1,1\n",
+                      "row 3: bad timestamp 'noon'"),
+    "non_finite": ("timestamp,refrigerator,total\n2026-01-01T00:00,1,1\n"
+                   "2026-01-01T00:01,1,nan\n", "row 3, column 'total'"),
+    "unknown_device": ("timestamp,foo,total\n2026-01-01T00:00,1,1\n",
+                       "device column(s) 'foo' not in the bundle, which has 'refrigerator'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_TRACES))
+def test_cli_disagg_rejects_bad_trace_cleanly(tmp_path, runner, case):
+    text, names = BAD_TRACES[case]
+    trace = tmp_path / "bad.csv"
+    trace.write_text(text)
+    out = tmp_path / "out.csv"
+    r = runner.invoke(main, ["disagg", str(trace), "--config", small_config(tmp_path),
+                             "--out", str(out)])
+    assert r.exit_code == 2, r.output
+    assert r.exception is None or isinstance(r.exception, SystemExit)
+    assert f"{trace}: " in r.output and names in r.output
+    assert not out.exists()
+
+
 # Runs ``powersplit train`` with the kernels named by argv[1]: the path of a
 # compiled-kernel loader to install, or "" for the backend the environment
 # selects. Prints the module that served the segment draw and whether

@@ -6,7 +6,8 @@ not the message module. Proposal and split-law checks compare the shipped
 the conditional-Gaussian formulas. The outer-sum accumulate is checked at
 filter level against the (N, M, K) gather it replaced and against the
 compiled kernel, and the running log-evidence against the closed-form
-first-step predictive.
+first-step predictive. Houses stepped together in one pass must end byte for
+byte where the same houses stepped alone end.
 """
 
 import hashlib
@@ -36,6 +37,7 @@ from powersplit.smc import (
     counts_to_indices,
     joint_state_table,
     optimal_proposal_hmm,
+    step_filters,
     systematic_resample,
     uniform_ensemble,
 )
@@ -210,11 +212,11 @@ def test_factorial_proposal_matches_brute_force(monkeypatch):
     ybar = 4.2
     sd = math.sqrt(sum(sig2s))
 
-    def step_probs(filt):
+    def step_probs(filt, ybar=ybar):
         """The joint conditional ``FactorialBpf.step`` propagates through,
         and the predictive p(ybar | x_prev) of each particle."""
-        logw, _ = smc.fbpf_accumulate(filt._gather_log_rows(), filt.theta,
-                                      filt.var_chain, filt.joint_idx, ybar)
+        logw, _ = smc.fbpf_accumulate(smc._log_rows(filt, filt.pi, filt.states), filt.theta,
+                                      filt.var_chain, filt.joint_idx, np.full(filt.N, ybar))
         seen = []
         draw = smc.categorical_rows_sample
 
@@ -246,6 +248,21 @@ def test_factorial_proposal_matches_brute_force(monkeypatch):
         for a, b in table
     ])
     assert np.abs(probs0 - want0 / want0.sum()).max() < 1e-12
+
+    # a reading far above most joint means: four of the six lanes sit more
+    # than 700 below the best one, where the step writes 0 in place of exp
+    far = 400.0
+    filt = fixed_filter(pis, thetas, sig2s)
+    filt.states[:] = (1, 2)
+    filt.n = 1
+    probs_far, _ = step_probs(filt, far)
+    log_want = np.array([
+        math.log(pis[0][1, a] * pis[1][2, b]) + norm.logpdf(far, thetas[0][a] + thetas[1][b], sd)
+        for a, b in table
+    ])
+    assert np.sum(log_want - log_want.max() < smc.EXP_FLOOR) == 4
+    want_far = np.exp(log_want - log_want.max())
+    assert np.abs(probs_far - want_far / want_far.sum()).max() < 1e-12
 
 
 def test_conditional_emission_split_law():
@@ -436,6 +453,53 @@ def test_fbpf_filter_does_not_depend_on_backend(monkeypatch, make, compiled_kern
     native = filter_digests(priors, y)
     monkeypatch.setattr(smc, "fbpf_accumulate", _pure.fbpf_accumulate)
     assert filter_digests(priors, y) == native
+
+
+def test_hook_houses_step_in_one_pass_as_they_do_alone():
+    # two identical hooks: one steps its three houses in one pass, the other
+    # steps each house alone and reads the estimators the per-house way
+    model = tcl_nominal_model(TclConfig())
+    cfg = ControlConfig(n_houses=3, steps=80, hook="fbpf", hook_particles=60)
+    batched = FbpfHook(model, cfg, stream(23, "batch"))
+    alone = FbpfHook(model, cfg, stream(23, "batch"))
+    load_states = stream(24, "batch-states")
+    for t in range(cfg.steps):
+        states = load_states.integers(0, len(model.power_of_state), cfg.n_houses)
+        xu, u_on = batched(t, states)
+        totals = model.power_of_state[states] + alone.nuisance_kw[:, t] + alone.noise[:, t]
+        for h, (a, b) in enumerate(zip(batched.filters, alone.filters)):
+            b.step(float(totals[h]))
+            for name in ("states", "emis", "theta"):
+                assert np.array_equal(getattr(a, name), getattr(b, name)), (t, h, name)
+            assert a.log_evidence == b.log_evidence
+            votes = np.bincount(b.states[:, 0], weights=b.weights, minlength=2)
+            assert xu[h] == np.argmax(votes)
+            assert u_on[h] == np.average(b.theta[:, 0, :2], axis=0, weights=b.weights)[1]
+
+
+def test_step_filters_rejects_houses_it_cannot_batch():
+    prior = ChainPrior(np.ones((2, 2)), (NormalPrior(0, 1), NormalPrior(3, 1)), 1.0)
+    other = ChainPrior(np.ones((2, 2)), (NormalPrior(0, 1), NormalPrior(4, 1)), 1.0)
+
+    def house(p, seed, n=20):
+        return FactorialBpf([p], n, stream(seed, "houses"))
+
+    a, b = house(prior, 1), house(prior, 2)
+    for mixed in (house(other, 3), house(prior, 3, n=30)):
+        with pytest.raises(ValueError, match="share"):
+            step_filters([a, mixed], [1.0, 1.0])
+    with pytest.raises(ValueError, match="distinct generators"):
+        step_filters([a, FactorialBpf([prior], 20, a.rng)], [1.0, 1.0])
+    with pytest.raises(ValueError, match="one reading per house"):
+        step_filters([a, b], [1.0])
+    # a house whose every weight vanishes stops the pass before any draw
+    before = a.rng.bit_generator.state
+    with pytest.raises(DegenerateWeightsError, match=r"houses \[1\]"):
+        step_filters([a, b], [1.0, 1e300])
+    assert a.n == b.n == 0 and a.rng.bit_generator.state == before
+    b.step(1.0)
+    with pytest.raises(ValueError, match="step count"):
+        step_filters([a, b], [1.0, 1.0])
 
 
 def test_log_evidence_first_step_matches_closed_form():
