@@ -9,9 +9,9 @@ houses with one reading per particle. The compiled accumulate is bit-identical t
 the pure one, so the filter's law does not depend on the backend. The
 compiled segment draw makes each pick with the pure one's operations, and
 paths differ only when a uniform falls within an ulp of a cdf boundary.
-``hmm_forward``, ``hmm_backward`` and ``systematic_counts`` are pure NumPy
-on every backend: the chain passes serve library and test paths at small T
-only, and one resampling call costs about 0.1 ms at 2000 particles.
+``systematic_counts`` is pure NumPy on every backend: one resampling call
+costs about 0.1 ms at 2000 particles. It is served from ``_pure``, where
+``perfbench/spans.py`` looks up the reference of every traced kernel.
 
 An unbuilt source tree (``PYTHONPATH=src``) falls back to the pure kernels;
 ``POWERSPLIT_PURE=1`` forces the fallback.
@@ -34,19 +34,12 @@ BACKEND = _impl.BACKEND
 hsmm_backward = _impl.hsmm_backward
 hsmm_forward_sample = _impl.hsmm_forward_sample
 fbpf_accumulate = _impl.fbpf_accumulate
-hmm_forward = _pure.hmm_forward
-hmm_backward = _pure.hmm_backward
 systematic_counts = _pure.systematic_counts
-
-pure = _pure
 
 __all__ = [
     "BACKEND",
-    "hmm_forward",
-    "hmm_backward",
     "hsmm_backward",
     "hsmm_forward_sample",
     "fbpf_accumulate",
     "systematic_counts",
-    "pure",
 ]

@@ -3,44 +3,17 @@
 The oracle for the compiled ``hsmm_backward``, ``hsmm_forward_sample`` and
 ``fbpf_accumulate`` in ``kernels.c``, which share these contracts; those
 three are served from here when the library is not built or
-POWERSPLIT_PURE=1. The chain passes and ``systematic_counts`` have no
-compiled version and are always served from here.
+POWERSPLIT_PURE=1. ``systematic_counts`` has no compiled version and is
+always served from here.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..distributions import categorical_pick_logits
+from ..distributions import categorical_pick_logits, logsumexp_axis
 
 BACKEND = "pure"
-
-
-def _logsumexp_rows(a, axis):
-    m = np.max(a, axis=axis, keepdims=True)
-    m_safe = np.where(np.isfinite(m), m, 0.0)
-    with np.errstate(divide="ignore"):
-        out = np.log(np.sum(np.exp(a - m_safe), axis=axis)) + np.squeeze(m_safe, axis=axis)
-    return np.where(np.isfinite(np.squeeze(m, axis=axis)), out, -np.inf)
-
-
-def hmm_forward(loginit, logtrans, loglik):
-    """Log-space forward pass: alphal[t, j] = log p(y[0..t], x_t = j)."""
-    T, J = loglik.shape
-    alphal = np.empty((T, J))
-    alphal[0] = loginit + loglik[0]
-    for t in range(1, T):
-        alphal[t] = _logsumexp_rows(alphal[t - 1][:, None] + logtrans, axis=0) + loglik[t]
-    return alphal
-
-
-def hmm_backward(logtrans, loglik):
-    """Log-space backward pass: betal[t, j] = log p(y[t+1..] | x_t = j)."""
-    T, J = loglik.shape
-    betal = np.zeros((T, J))
-    for t in range(T - 2, -1, -1):
-        betal[t] = _logsumexp_rows(logtrans + (betal[t + 1] + loglik[t + 1])[None, :], axis=1)
-    return betal
 
 
 def hsmm_backward(logtrans_bar, logdur, logtail, loglik, dmax):
@@ -65,8 +38,8 @@ def hsmm_backward(logtrans_bar, logdur, logtail, loglik, dmax):
         # censored continuation past the horizon (or the duration window)
         censor = logtail[:, span] + (cum[T] - cum[t])
         stacked = np.vstack([terms, censor[None, :]])
-        Bstar[t] = _logsumexp_rows(stacked, axis=0)
-        B[t] = _logsumexp_rows(logtrans_bar + Bstar[t][None, :], axis=1)
+        Bstar[t] = logsumexp_axis(stacked, axis=0)
+        B[t] = logsumexp_axis(logtrans_bar + Bstar[t][None, :], axis=1)
     return B, Bstar
 
 

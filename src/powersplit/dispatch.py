@@ -19,8 +19,6 @@ from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
 from .distributions import assert_simplex
 
@@ -120,6 +118,27 @@ def kernel_derivative(model: NominalLoadModel, zeta: float) -> np.ndarray:
     return P * (model.U[model.xu_of][None, :] - mean_u[:, None])
 
 
+def _reachable(P: np.ndarray) -> np.ndarray:
+    """R[i, j] is True iff state j can be reached from state i in zero or
+    more steps over the positive entries of P. Squares (P > 0) | I until it
+    stops changing: about log2(S) boolean products."""
+    R = (P > 0) | np.eye(len(P), dtype=bool)
+    while True:
+        R2 = R @ R
+        if np.array_equal(R2, R):
+            return R
+        R = R2
+
+
+def _largest_closed_class(P: np.ndarray) -> np.ndarray:
+    """Sorted states of the largest closed communicating class of P; among
+    closed classes of equal size, the one holding the lowest state index."""
+    R = _reachable(P)
+    cls = R & R.T  # cls[i] is the communicating class of state i
+    closed = (R == cls).all(axis=1)  # nothing outside its class is reachable
+    return np.flatnonzero(cls[np.argmax(np.where(closed, cls.sum(axis=1), 0))])
+
+
 def invariant_pmf(P: np.ndarray) -> np.ndarray:
     """Stationary pmf by dense solve of pi (P - I) = 0 with sum pi = 1.
 
@@ -130,8 +149,7 @@ def invariant_pmf(P: np.ndarray) -> np.ndarray:
     S = P.shape[0]
     if P.shape != (S, S):
         raise ValueError("P must be square")
-    ncomp, _ = connected_components(csr_matrix(P > 0), directed=True, connection="strong")
-    if ncomp != 1:
+    if not _reachable(P).all():
         raise ValueError("kernel is reducible; no unique invariant pmf")
     # replace one balance equation with the normalization constraint
     A = P.T - np.eye(S)
@@ -339,7 +357,8 @@ def tcl_nominal_model(config: TclConfig) -> NominalLoadModel:
     R0 is a thermostat with hysteresis, deterministic outside the deadband
     (hard quality-of-service bound at zeta = 0) and epsilon-noisy inside
     (keeps every tilted kernel irreducible). The returned model is trimmed
-    to the largest closed communicating class.
+    to the largest closed communicating class of P0; among closed classes
+    of equal size, the one holding the lowest state index is kept.
     """
     lo, hi = config.deadband
     temps = np.round(np.arange(lo - config.grid_margin,
@@ -370,19 +389,7 @@ def tcl_nominal_model(config: TclConfig) -> NominalLoadModel:
             R0[x, keep] = 1.0 - config.epsilon
             R0[x, 1 - keep] = config.epsilon
 
-    # trim to the largest closed communicating class of P0
-    P0 = R0[:, xu] * Q0[:, xn]
-    ncomp, labels = connected_components(csr_matrix(P0 > 0), directed=True,
-                                         connection="strong")
-    best, best_size = None, -1
-    for c in range(ncomp):
-        members = np.flatnonzero(labels == c)
-        mass = P0[np.ix_(members, members)].sum(axis=1)
-        if np.allclose(mass, 1.0, atol=1e-12) and len(members) > best_size:
-            best, best_size = members, len(members)
-    if best is None:
-        raise ValueError("no closed communicating class found")
-    keep = best
+    keep = _largest_closed_class(R0[:, xu] * Q0[:, xn])
     return NominalLoadModel(
         R0=R0[keep], Q0=Q0[keep], U=np.array([0.0, config.power_on]),
         xu_of=xu[keep], xn_of=xn[keep],

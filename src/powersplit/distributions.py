@@ -96,6 +96,15 @@ def conj_update_beta_negbin(hyper, data_sum, data_n, r):
 LOG2PI = math.log(2.0 * math.pi)
 
 
+def logsumexp_axis(a, axis):
+    """log sum exp of ``a`` along ``axis``; a slice of all -inf gives -inf."""
+    m = np.max(a, axis=axis, keepdims=True)
+    m_safe = np.where(np.isfinite(m), m, 0.0)
+    with np.errstate(divide="ignore"):
+        out = np.log(np.sum(np.exp(a - m_safe), axis=axis)) + np.squeeze(m_safe, axis=axis)
+    return np.where(np.isfinite(np.squeeze(m, axis=axis)), out, -np.inf)
+
+
 def normal_logpdf(y, mean, var):
     y = np.asarray(y, dtype=float)
     if np.any(np.asarray(var) <= 0):

@@ -13,11 +13,11 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import logsumexp
 
-from . import _kernels
 from .distributions import (
     assert_simplex,
     categorical_sample,
     categorical_sample_logits,
+    logsumexp_axis,
     normal_logpdf,
 )
 
@@ -70,7 +70,9 @@ def simulate_hmm(params: HmmParams, T: int, rng: np.random.Generator):
     return x, np.maximum(y, 0.0)
 
 
-def emission_loglik(params: HmmParams, y) -> np.ndarray:
+def emission_loglik(params, y) -> np.ndarray:
+    """(T, J) Normal log-densities of each reading under each state's mean;
+    ``params`` is an ``HmmParams`` or an ``hsmm.HsmmParams``."""
     y = np.asarray(y, dtype=float)
     return normal_logpdf(y[:, None], params.theta[None, :], params.sigma2)
 
@@ -83,17 +85,28 @@ def _log(a):
 def forward_messages(params: HmmParams, y) -> np.ndarray:
     """alphal[t, j] = log p(y[0..t], x_t = j)."""
     loglik = emission_loglik(params, y)
-    if loglik.shape[0] == 0:
+    T = loglik.shape[0]
+    if T == 0:
         raise ValueError("need at least one observation")
-    return _kernels.hmm_forward(_log(params.init), _log(params.pi), loglik)
+    logtrans = _log(params.pi)
+    alphal = np.empty(loglik.shape)
+    alphal[0] = _log(params.init) + loglik[0]
+    for t in range(1, T):
+        alphal[t] = logsumexp_axis(alphal[t - 1][:, None] + logtrans, axis=0) + loglik[t]
+    return alphal
 
 
 def backward_messages(params: HmmParams, y) -> np.ndarray:
     """betal[t, j] = log p(y[t+1..] | x_t = j); last row is zero."""
     loglik = emission_loglik(params, y)
-    if loglik.shape[0] == 0:
+    T = loglik.shape[0]
+    if T == 0:
         raise ValueError("need at least one observation")
-    return _kernels.hmm_backward(_log(params.pi), loglik)
+    logtrans = _log(params.pi)
+    betal = np.zeros(loglik.shape)
+    for t in range(T - 2, -1, -1):
+        betal[t] = logsumexp_axis(logtrans + (betal[t + 1] + loglik[t + 1])[None, :], axis=1)
+    return betal
 
 
 def loglik(params: HmmParams, y) -> float:

@@ -30,9 +30,9 @@ from .distributions import (
     conj_update_gamma_poisson,
     gamma_sample,
     negbin_logpmf,
-    normal_logpdf,
     poisson_logpmf,
 )
+from .hmm import _log, emission_loglik
 
 # ---------------------------------------------------------------------------
 # duration model
@@ -142,12 +142,11 @@ def _duration_tables_frozen(durations: tuple, dmax: int):
 def duration_tables(durations, dmax: int):
     """Stack per-state logpmf (J, dmax) and logtail (J, dmax+1) tables.
 
-    Memoized on the (hashable) parameter tuples; repeated draws at fixed
-    parameters skip the scipy survival/pmf evaluations. Callers get fresh
-    copies so the cache entries stay pristine.
+    Memoized on the (hashable) parameter tuples: the segment draw of a sweep
+    reuses the tables its message pass built. The cached arrays themselves
+    are returned, so they are read-only; writing to one raises.
     """
-    logdur, logtail = _duration_tables_frozen(tuple(durations), int(dmax))
-    return logdur.copy(), logtail.copy()
+    return _duration_tables_frozen(tuple(durations), int(dmax))
 
 
 # ---------------------------------------------------------------------------
@@ -252,16 +251,6 @@ def simulate_hsmm(params: HsmmParams, T: int, rng: np.random.Generator):
     return path, np.maximum(y, 0.0)
 
 
-def emission_loglik(params: HsmmParams, y) -> np.ndarray:
-    y = np.asarray(y, dtype=float)
-    return normal_logpdf(y[:, None], params.theta[None, :], params.sigma2)
-
-
-def _log(a):
-    with np.errstate(divide="ignore"):
-        return np.log(a)
-
-
 def hsmm_backward_messages(params: HsmmParams, y, dmax: int | None = None):
     """(B, Bstar) log-space tables; B has T+1 rows with B[T] = 0.
 
@@ -333,26 +322,14 @@ def hsmm_smoothed_marginals(params: HsmmParams, y, dmax: int | None = None) -> n
     return occ
 
 
-@lru_cache(maxsize=4096)
-def _tail_scalar(dur: DurationParams, m: int) -> float:
-    return math.exp(float(dur.logtail(m)))
-
-
-@lru_cache(maxsize=4096)
-def _pmf_block(dur: DurationParams, start: int, n: int) -> np.ndarray:
-    vals = np.exp(dur.logpmf(np.arange(start, start + n)))
-    vals.setflags(write=False)
-    return vals
-
-
 def _sample_censored_duration(dur: DurationParams, m: int, rng: np.random.Generator) -> int:
     """Draw from p(D = d | D > m) by inverting the cdf in growing blocks."""
-    target = rng.random() * _tail_scalar(dur, m)
+    target = rng.random() * math.exp(float(dur.logtail(m)))
     acc = 0.0
     d = m
     n = 32
     while d <= m + 1_000_000:
-        cum = acc + np.cumsum(_pmf_block(dur, d + 1, n))
+        cum = acc + np.cumsum(np.exp(dur.logpmf(np.arange(d + 1, d + 1 + n))))
         hit = int(np.searchsorted(cum, target))
         if hit < n:
             return d + 1 + hit

@@ -5,8 +5,10 @@ command rerun with the same inputs and seed produces byte-identical files.
 Set POWERSPLIT_LOG=INFO (or DEBUG) for progress logging on stderr: every
 command then reports its name, the kernel backend and its wall time, and
 ``disagg`` also the filter's final log-evidence. A trace file that does not
-parse, or whose device columns the bundle does not know, is a bad parameter
-(exit code 2) whose message names the file and the row or device.
+parse, whose device columns the bundle does not know, or whose total the
+filter cannot explain, is a bad parameter (exit code 2) whose message names
+the file and the row, device or timestamp; so is a ``--bundle`` file that
+does not parse.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ import numpy as np
 from .. import KERNEL_BACKEND
 from ..dispatch import TclConfig, tcl_nominal_model
 from ..rng import stream
+from ..smc import DegenerateWeightsError
 from .config import RunConfig, default_bundle, load_bundle, load_config, save_bundle
 from .control import design_gains, simulate_control
 from .disagg import disaggregate
@@ -54,6 +57,17 @@ def _trace(path):
         return load_trace(path)
     except ValueError as exc:
         raise click.BadParameter(f"{path}: {exc}", param_hint="trace") from exc
+
+
+def _bundle(path, cfg: RunConfig):
+    if not path:
+        return default_bundle(cfg)
+    try:
+        return load_bundle(path)
+    except KeyError as exc:
+        raise click.BadParameter(f"{path}: missing key {exc}", param_hint="--bundle") from exc
+    except (ValueError, TypeError) as exc:
+        raise click.BadParameter(f"{path}: {exc}", param_hint="--bundle") from exc
 
 
 @click.group()
@@ -88,7 +102,7 @@ def synth(config_path, seed, bundle_path, out, states_out):
     """Generate a synthetic house trace."""
     cfg = _config(config_path)
     seed = cfg.seed if seed is None else seed
-    bundle = load_bundle(bundle_path) if bundle_path else default_bundle(cfg)
+    bundle = _bundle(bundle_path, cfg)
     rng = stream(seed, "synth")
     house = synth_generate(bundle, cfg.horizon, rng,
                            meter_noise_var=cfg.meter_noise_var)
@@ -158,7 +172,7 @@ def disagg(trace_path, config_path, seed, bundle_path, particles, states_path,
     seed = cfg.seed if seed is None else seed
     particles = cfg.particles if particles is None else particles
     trace = _trace(trace_path)
-    bundle = load_bundle(bundle_path) if bundle_path else default_bundle(cfg)
+    bundle = _bundle(bundle_path, cfg)
     known = {d.name for d in bundle.devices}
     unknown = [name for name in trace.devices if name not in known]
     if unknown:
@@ -167,8 +181,11 @@ def disagg(trace_path, config_path, seed, bundle_path, particles, states_path,
             f"bundle, which has {', '.join(map(repr, sorted(known)))}", param_hint="trace")
     truth = load_states(states_path) if states_path else None
     rng = stream(seed, "disagg")
-    res = disaggregate(trace, bundle, particles, rng,
-                       noise_var=cfg.meter_noise_var, truth_states=truth)
+    try:
+        res = disaggregate(trace, bundle, particles, rng,
+                           noise_var=cfg.meter_noise_var, truth_states=truth)
+    except DegenerateWeightsError as exc:
+        raise click.BadParameter(f"{trace_path}: {exc}", param_hint="trace") from exc
     log.info("disagg: log_evidence=%s", fmt(res.log_evidence))
 
     header = ["timestamp"]

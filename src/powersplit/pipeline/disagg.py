@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..hsmm import DurationParams
-from ..smc import ChainPrior, FactorialBpf
+from ..smc import ChainPrior, DegenerateWeightsError, FactorialBpf
 from .config import DeviceBundle, HyperParamBundle
 from .io import Trace
 
@@ -79,6 +79,8 @@ def disaggregate(trace: Trace, bundle: HyperParamBundle, n_particles: int,
 
     ``truth_states`` (T, K) enables state accuracy metrics; per-device RMSE
     against ``trace.values`` is always reported when values are nonzero.
+    A reading that no particle can explain raises ``DegenerateWeightsError``
+    naming its timestamp.
     """
     T, K = trace.values.shape
     filt = build_filter(trace.devices, bundle, n_particles, rng, noise_var)
@@ -89,7 +91,12 @@ def disaggregate(trace: Trace, bundle: HyperParamBundle, n_particles: int,
     covered = np.zeros(T, dtype=bool)
     for a, b in trace.sessions:
         for t in range(a, b):
-            filt.step(float(trace.total[t]))
+            try:
+                filt.step(float(trace.total[t]))
+            except DegenerateWeightsError as exc:
+                raise DegenerateWeightsError(
+                    f"reading at {trace.timestamps()[t]:%Y-%m-%dT%H:%M} "
+                    f"(total {trace.total[t]:.9g}): {exc}") from exc
             mp = filt.map_states()
             pm = filt.power_means()
             states[t] = mp

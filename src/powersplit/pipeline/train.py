@@ -20,7 +20,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from ..distributions import NormalPrior
 from ..hdp import (
@@ -62,6 +61,9 @@ def _invert_increasing(f, target: float, lo: float, hi: float) -> float:
         hi *= 2.0
         if hi > 1e12:
             return hi
+    # imported here, so that commands which never train skip loading
+    # scipy.optimize and the scipy.sparse it imports
+    from scipy.optimize import brentq
     return float(brentq(lambda x: f(x) - target, lo, hi, xtol=1e-12))
 
 

@@ -143,6 +143,52 @@ def test_invariant_pmf_rejects_bad_kernels():
         invariant_pmf(np.ones((2, 3)))
 
 
+def random_kernels(n, seed):
+    """Row-stochastic kernels on 1..12 states, sparse enough that many are
+    reducible; every row has at least one positive entry."""
+    rng = np.random.default_rng(seed)
+    for _ in range(n):
+        S = int(rng.integers(1, 13))
+        mask = rng.random((S, S)) < rng.choice([0.1, 0.2, 0.4])
+        mask[np.arange(S), rng.integers(0, S, S)] = True
+        P = mask * (0.1 + rng.random((S, S)))
+        yield P / P.sum(axis=1, keepdims=True)
+
+
+def test_reachability_matches_csgraph_strong_components():
+    # scipy.sparse is the reference here only; the library does not import it
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import connected_components
+
+    seen = Counter()
+    for P in random_kernels(300, 1301):
+        ncomp, labels = connected_components(csr_matrix(P > 0), directed=True,
+                                             connection="strong")
+        R = dispatch._reachable(P)
+        assert np.array_equal(R & R.T, labels[:, None] == labels[None, :])
+        seen[ncomp == 1] += 1
+        if ncomp == 1:
+            assert np.abs(invariant_pmf(P) - eig_invariant(P)).max() < 1e-9
+        else:
+            with pytest.raises(ValueError, match="reducible"):
+                invariant_pmf(P)
+        # a class is closed when its rows keep all their mass inside it; the
+        # largest one is kept, the one holding the lowest state on a tie
+        classes = [np.flatnonzero(labels == c) for c in range(ncomp)]
+        closed = [c for c in classes
+                  if np.allclose(P[np.ix_(c, c)].sum(axis=1), 1.0, atol=1e-12)]
+        size = max(len(c) for c in closed)
+        want = min((c for c in closed if len(c) == size), key=lambda c: c[0])
+        assert np.array_equal(dispatch._largest_closed_class(P), want)
+    assert seen[True] > 30 and seen[False] > 30, seen
+
+
+def test_tcl_nominal_model_keeps_pinned_states():
+    model = tcl_nominal_model(TclConfig())
+    assert model.xu_of.tolist() == [0] * 9 + [1] * 8
+    assert model.xn_of.tolist() == list(range(2, 11)) + list(range(3, 11))
+
+
 # ---------------------------------------------------------------------------
 # mean-field recursion
 # ---------------------------------------------------------------------------

@@ -235,6 +235,10 @@ def test_duration_tables_shapes():
     logdur, logtail = duration_tables(durs, 12)
     assert logdur.shape == (2, 12) and logtail.shape == (2, 13)
     assert np.allclose(logtail[:, 0], 0.0)
+    # the memoized arrays themselves are returned, so they must be read-only
+    for table in (logdur, logtail):
+        with pytest.raises(ValueError, match="read-only"):
+            table[0, 0] = 0.0
 
 
 # ---------------------------------------------------------------------------

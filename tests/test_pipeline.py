@@ -623,6 +623,10 @@ BAD_TRACES = {
                    "2026-01-01T00:01,1,nan\n", "row 3, column 'total'"),
     "unknown_device": ("timestamp,foo,total\n2026-01-01T00:00,1,1\n",
                        "device column(s) 'foo' not in the bundle, which has 'refrigerator'"),
+    "impossible_total": ("timestamp,refrigerator,total\n2026-01-01T00:00,1,1\n"
+                         "2026-01-01T00:01,1,1e300\n",
+                         "reading at 2026-01-01T00:01 (total 1e+300): all joint predictive "
+                         "weights are zero"),
 }
 
 
@@ -640,10 +644,83 @@ def test_cli_disagg_rejects_bad_trace_cleanly(tmp_path, runner, case):
     assert not out.exists()
 
 
+def bad_bundle_text(case):
+    if case == "invalid_json":
+        return "{not json"
+    doc = bundle_to_doc(default_bundle())
+    dev = doc["devices"][2]  # the refrigerator, which small_config's trace names
+    if case == "missing_emission":
+        del dev["emission"]
+    elif case == "list_alpha":
+        dev["alpha"] = [1.0]
+    elif case == "text_r":
+        dev["r"] = "two"
+    return json.dumps(doc)
+
+
+BAD_BUNDLES = {
+    # case: what the message must name besides the file
+    "invalid_json": "Expecting property name",
+    "missing_emission": "missing key 'emission'",
+    "list_alpha": "float() argument must be",
+    "text_r": "invalid literal for int()",
+}
+
+
+@pytest.mark.parametrize("command", ["synth", "disagg"])
+@pytest.mark.parametrize("case", sorted(BAD_BUNDLES))
+def test_cli_rejects_bad_bundle_cleanly(tmp_path, runner, command, case):
+    bundle = tmp_path / "bundle.json"
+    bundle.write_text(bad_bundle_text(case))
+    trace = tmp_path / "house.csv"
+    trace.write_text("timestamp,refrigerator,total\n2026-01-01T00:00,1,1\n")
+    out = tmp_path / "out.csv"
+    args = {"synth": ["synth"], "disagg": ["disagg", str(trace)]}[command]
+    r = runner.invoke(main, args + ["--config", small_config(tmp_path),
+                                    "--bundle", str(bundle), "--out", str(out)])
+    assert r.exit_code == 2, r.output
+    assert r.exception is None or isinstance(r.exception, SystemExit)
+    assert f"{bundle}: " in r.output and BAD_BUNDLES[case] in r.output
+    assert not out.exists()
+
+
+# Runs bode, synth, control and disagg in one fresh interpreter and prints
+# which of the scipy subpackages that no such command needs were imported.
+IMPORT_SCRIPT = """
+import json, sys
+from powersplit.pipeline.cli import main
+
+for args in json.loads(sys.argv[1]):
+    main(args, standalone_mode=False)
+print(json.dumps([m for m in ("scipy.sparse", "scipy.optimize", "scipy.stats")
+                  if m in sys.modules]))
+"""
+
+
+def test_cli_commands_other_than_train_skip_heavy_scipy_imports(tmp_path):
+    cfg = small_config(tmp_path, horizon=60, particles=40,
+                       control={"n_loads": 100, "steps": 40, "transient": 10})
+    trace = str(tmp_path / "house.csv")
+    runs = [
+        ["bode", "--points", "8", "--out", str(tmp_path / "bode.csv")],
+        ["synth", "--config", cfg, "--out", trace],
+        ["control", "--config", cfg, "--out", str(tmp_path / "control.csv")],
+        ["disagg", trace, "--config", cfg, "--out", str(tmp_path / "disagg.csv")],
+    ]
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", IMPORT_SCRIPT, json.dumps(runs)],
+                          env=env, capture_output=True, text=True, timeout=300, check=False)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == []
+    assert (tmp_path / "disagg.csv").exists()
+
+
 # Runs ``powersplit train`` with the kernels named by argv[1]: the path of a
 # compiled-kernel loader to install, or "" for the backend the environment
 # selects. Prints the module that served the segment draw and whether
-# scipy.stats was imported.
+# scipy.stats and scipy.sparse were imported.
 TRAIN_SCRIPT = """
 import importlib.util, json, sys
 from powersplit import _kernels
@@ -657,13 +734,15 @@ if sys.argv[1]:
     _kernels.hsmm_forward_sample = compiled.hsmm_forward_sample
 main(sys.argv[2:], standalone_mode=False)
 print(json.dumps({"kernels": _kernels.hsmm_forward_sample.__module__,
-                  "scipy.stats": "scipy.stats" in sys.modules}))
+                  "scipy.stats": "scipy.stats" in sys.modules,
+                  "scipy.sparse": "scipy.sparse" in sys.modules}))
 """
 
 
 def test_cli_train_bundle_does_not_depend_on_backend(tmp_path, runner, compiled_kernels):
     # four default devices, two houses; the native and the pure fit must
-    # write the same bytes, and neither imports scipy.stats
+    # write the same bytes, and neither imports scipy.stats. scipy.sparse
+    # comes in only with the scipy.optimize that brentq needs.
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps({"horizon": 300, "sweeps": 3, "burn_in": 2}))
     traces = [str(tmp_path / f"h{seed}.csv") for seed in (1, 2)]
@@ -687,7 +766,7 @@ def test_cli_train_bundle_does_not_depend_on_backend(tmp_path, runner, compiled_
         report = json.loads(proc.stdout.splitlines()[-1])
         assert report == {"kernels": {"native": "compiled_kernels",
                                       "pure": "powersplit._kernels._pure"}[backend],
-                          "scipy.stats": False}
+                          "scipy.stats": False, "scipy.sparse": True}
         bundles[backend] = out.read_bytes()
     assert bundles["native"] == bundles["pure"]
 
