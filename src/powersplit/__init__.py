@@ -9,9 +9,8 @@ Layers, bottom up:
   its parameter move
 - ``hdp``: weak-limit hierarchical Dirichlet transition prior and the full
   nonparametric segment-model sweep that training runs
-- ``smc``: the auxiliary particle step and ``FactorialBpf``, the
-  particle-learning filter that splits an aggregate meter signal across
-  devices
+- ``smc``: ``FactorialBpf``, the particle-learning filter that splits an
+  aggregate meter signal across devices
 - ``dispatch``: randomized local load control, mean-field dynamics, transfer
   function data, and the PI feedback loop
 - ``pipeline``: file formats, synthetic data, training, and the CLI

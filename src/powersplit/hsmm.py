@@ -14,7 +14,7 @@ HMM.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -37,6 +37,11 @@ from .hmm import _log, emission_loglik
 # ---------------------------------------------------------------------------
 # duration model
 # ---------------------------------------------------------------------------
+
+
+# a duration component that reaches 1 less often than this is drawn by
+# inversion, not by rejecting zeros
+REJECT_FLOOR = 1e-4
 
 
 @dataclass(frozen=True)
@@ -111,14 +116,25 @@ class DurationParams:
         return m
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        """Draw positive durations (component pick, then rejection of zeros)."""
+        """Draw positive durations: a component pick, then rejection of zeros.
+
+        A component that reaches 1 with probability under ``REJECT_FLOOR``
+        would need about its inverse in redraws per length, so its lengths
+        come from its zero-truncated law by inversion instead, one uniform
+        each.
+        """
         use_poi = rng.random(size) < self.phi
         out = np.empty(size, dtype=np.int64)
-        for mask, draw in (
-            (use_poi, lambda n: rng.poisson(self.lam, n)),
-            (~use_poi, lambda n: rng.negative_binomial(self.r, 1.0 - self.vphi, n)),
+        for mask, draw, log_norm, phi_alone in (
+            (use_poi, lambda n: rng.poisson(self.lam, n), self._log_poi_norm, 1.0),
+            (~use_poi, lambda n: rng.negative_binomial(self.r, 1.0 - self.vphi, n),
+             self._log_nb_norm, 0.0),
         ):
             idx = np.flatnonzero(mask)
+            if log_norm < math.log(REJECT_FLOOR):
+                alone = replace(self, phi=phi_alone)
+                out[idx] = [_sample_censored_duration(alone, 0, rng) for _ in idx]
+                continue
             vals = draw(len(idx))
             bad = vals < 1
             while bad.any():

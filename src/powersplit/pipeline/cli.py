@@ -8,7 +8,9 @@ command then reports its name, the kernel backend and its wall time, and
 parse, whose device columns the bundle does not know, or whose total the
 filter cannot explain, is a bad parameter (exit code 2) whose message names
 the file and the row, device or timestamp; so is a ``--bundle`` file that
-does not parse.
+does not parse or breaks the bundle schema, and a ``--states`` sidecar whose
+device columns or minutes do not match the trace's or whose labels are not
+integers.
 """
 
 from __future__ import annotations
@@ -59,14 +61,19 @@ def _trace(path):
         raise click.BadParameter(f"{path}: {exc}", param_hint="trace") from exc
 
 
+def _states(path, trace):
+    try:
+        return load_states(path, trace.devices, trace.start, trace.T)
+    except ValueError as exc:
+        raise click.BadParameter(f"{path}: {exc}", param_hint="--states") from exc
+
+
 def _bundle(path, cfg: RunConfig):
     if not path:
         return default_bundle(cfg)
     try:
         return load_bundle(path)
-    except KeyError as exc:
-        raise click.BadParameter(f"{path}: missing key {exc}", param_hint="--bundle") from exc
-    except (ValueError, TypeError) as exc:
+    except ValueError as exc:
         raise click.BadParameter(f"{path}: {exc}", param_hint="--bundle") from exc
 
 
@@ -179,7 +186,7 @@ def disagg(trace_path, config_path, seed, bundle_path, particles, states_path,
         raise click.BadParameter(
             f"{trace_path}: device column(s) {', '.join(map(repr, unknown))} not in the "
             f"bundle, which has {', '.join(map(repr, sorted(known)))}", param_hint="trace")
-    truth = load_states(states_path) if states_path else None
+    truth = _states(states_path, trace) if states_path else None
     rng = stream(seed, "disagg")
     try:
         res = disaggregate(trace, bundle, particles, rng,

@@ -3,13 +3,15 @@
 Configuration is one JSON document validated against a closed schema:
 unknown keys are errors so typos fail fast instead of silently falling back
 to defaults. The bundle serializes the priors the training stage produces
-and the streaming/synthesis stages consume.
+and the streaming/synthesis stages consume; its documents are checked
+against a closed schema too, level by level. Neither accepts ``true`` or
+``false`` where a number is expected.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -62,6 +64,7 @@ class RunConfig:
         return [d.name for d in self.devices]
 
 
+_NUMBER = (int, float)
 _SCHEMA = {
     "seed": int,
     "particles": int,
@@ -69,15 +72,15 @@ _SCHEMA = {
     "sweeps": int,
     "burn_in": int,
     "horizon": int,
-    "meter_noise_var": (int, float),
+    "meter_noise_var": _NUMBER,
     "devices": list,
     "control": dict,
 }
-_DEVICE_SCHEMA = {"name": str, "n_states": int, "sigma2": (int, float)}
+_DEVICE_SCHEMA = {"name": str, "n_states": int, "sigma2": _NUMBER}
 _CONTROL_SCHEMA = {
     "n_loads": int, "n_houses": int, "steps": int,
-    "amplitude_frac": (int, float), "period": int, "transient": int,
-    "hook": str, "hook_particles": int, "meter_noise_var": (int, float),
+    "amplitude_frac": _NUMBER, "period": int, "transient": int,
+    "hook": str, "hook_particles": int, "meter_noise_var": _NUMBER,
 }
 
 
@@ -90,12 +93,19 @@ def check_tracking_window(control: ControlConfig) -> None:
             f"({control.transient}): tracking is scored after the transient")
 
 
-def _check_keys(doc: dict, schema: dict, where: str):
+def _check_keys(doc, schema: dict, where: str, required=()):
+    if not isinstance(doc, dict):
+        raise ValueError(f"{where} must be a JSON object")
     for key, val in doc.items():
         if key not in schema:
-            raise ValueError(f"unknown config key {key!r} in {where}")
-        if not isinstance(val, schema[key]):
-            raise ValueError(f"config key {key!r} in {where} has wrong type")
+            raise ValueError(f"{where}: unknown key {key!r}")
+        # bool is an int subclass, but no field here is a flag
+        if isinstance(val, bool) or not isinstance(val, schema[key]):
+            raise ValueError(f"{where}: field {key!r} has wrong type "
+                             f"({type(val).__name__})")
+    for key in required:
+        if key not in doc:
+            raise ValueError(f"{where}: missing key {key!r}")
 
 
 def load_config(path_or_doc) -> RunConfig:
@@ -110,9 +120,7 @@ def load_config(path_or_doc) -> RunConfig:
     if "devices" in doc:
         devs = []
         for i, d in enumerate(doc["devices"]):
-            _check_keys(d, _DEVICE_SCHEMA, f"devices[{i}]")
-            if "name" not in d:
-                raise ValueError(f"devices[{i}] needs a name")
+            _check_keys(d, _DEVICE_SCHEMA, f"devices[{i}]", required=("name",))
             devs.append(DeviceConfig(**d))
         kwargs["devices"] = tuple(devs)
     if "control" in doc:
@@ -178,22 +186,51 @@ def bundle_to_doc(bundle: HyperParamBundle) -> dict:
     return out
 
 
-def bundle_from_doc(doc: dict) -> HyperParamBundle:
+_BUNDLE_SCHEMA = {"devices": list}
+_BUNDLE_DEVICE_SCHEMA = {"name": str, "alpha": _NUMBER, "sigma2": _NUMBER, "r": int,
+                         "emission": dict, "duration": dict}
+_EMISSION_SCHEMA = {"weights": list, "means": list, "vars": list}
+_DURATION_SCHEMA = {"weights": list, "components": list}
+_DURATION_HYPER_SCHEMA = {f.name: int if f.name == "r" else _NUMBER
+                          for f in fields(DurationHyper)}
+
+
+def _numbers(doc: dict, key: str, where: str) -> list:
+    vals = doc[key]
+    if any(isinstance(v, bool) or not isinstance(v, _NUMBER) for v in vals):
+        raise ValueError(f"{where}: field {key!r} must hold numbers only")
+    return vals
+
+
+def bundle_from_doc(doc) -> HyperParamBundle:
+    """The bundle a document describes; ``ValueError`` names the device and
+    field of the first key or value that breaks the schema."""
+    _check_keys(doc, _BUNDLE_SCHEMA, "bundle", required=tuple(_BUNDLE_SCHEMA))
     devs = []
-    for d in doc["devices"]:
-        em = d["emission"]
+    for i, d in enumerate(doc["devices"]):
+        name = d.get("name") if isinstance(d, dict) else None
+        where = f"device {name!r}" if isinstance(name, str) else f"devices[{i}]"
+        _check_keys(d, _BUNDLE_DEVICE_SCHEMA, where, required=tuple(_BUNDLE_DEVICE_SCHEMA))
+        em, at = d["emission"], f"{where} emission"
+        _check_keys(em, _EMISSION_SCHEMA, at, required=tuple(_EMISSION_SCHEMA))
+        weights, means, vars_ = (_numbers(em, key, at) for key in ("weights", "means", "vars"))
+        if not len(weights) == len(means) == len(vars_):
+            raise ValueError(f"{at}: 'weights', 'means' and 'vars' differ in length")
         emission = EmissionMixturePrior(
-            weights=np.asarray(em["weights"], dtype=float),
-            components=tuple(NormalPrior(m, v) for m, v in zip(em["means"], em["vars"])),
+            weights=np.asarray(weights, dtype=float),
+            components=tuple(NormalPrior(m, v) for m, v in zip(means, vars_)),
         )
-        du = d["duration"]
+        du, at = d["duration"], f"{where} duration"
+        _check_keys(du, _DURATION_SCHEMA, at, required=tuple(_DURATION_SCHEMA))
+        for j, h in enumerate(du["components"]):
+            _check_keys(h, _DURATION_HYPER_SCHEMA, f"{at} component {j}")
         duration = DurationMixturePrior(
-            weights=np.asarray(du["weights"], dtype=float),
+            weights=np.asarray(_numbers(du, "weights", at), dtype=float),
             components=tuple(DurationHyper(**h) for h in du["components"]),
         )
-        devs.append(DeviceBundle(name=d["name"], emission_mix=emission,
+        devs.append(DeviceBundle(name=name, emission_mix=emission,
                                  duration_mix=duration, alpha=float(d["alpha"]),
-                                 sigma2=float(d["sigma2"]), r=int(d["r"])))
+                                 sigma2=float(d["sigma2"]), r=d["r"]))
     return HyperParamBundle(devices=tuple(devs))
 
 

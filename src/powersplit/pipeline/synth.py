@@ -84,9 +84,42 @@ def write_states(path, start: datetime, names, states: np.ndarray) -> None:
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
-def load_states(path) -> np.ndarray:
+def load_states(path, devices, start: datetime, T: int) -> np.ndarray:
+    """A true state sidecar as a (T, K) label array, columns in ``devices``
+    order. The header names each device once, in any order; row t holds
+    minute t from ``start`` and one integer label per device. Anything else
+    raises ``ValueError`` naming the device or row."""
     import csv
+    from datetime import timedelta
+    from .io import _parse_ts
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        return np.array([[int(c) for c in row[1:]] for row in reader], dtype=np.int64)
+        rows = list(csv.reader(fh))
+    header = rows.pop(0) if rows else []
+    if header[:1] != ["timestamp"]:
+        raise ValueError("header must be: timestamp, <devices...>")
+    names = header[1:]
+    for name in names:
+        if name not in devices:
+            raise ValueError(f"column {name!r} is not a device of the trace")
+    for name in devices:
+        if names.count(name) != 1:
+            raise ValueError(f"device {name!r} needs one column, found {names.count(name)}")
+    cols = [1 + names.index(name) for name in devices]
+    if len(rows) != T:
+        raise ValueError(f"{len(rows)} rows, but the trace spans {T} minutes")
+    out = np.empty((T, len(devices)), dtype=np.int64)
+    for t, row in enumerate(rows):
+        line = t + 2
+        if len(row) != len(header):
+            raise ValueError(f"row {line}: expected {len(header)} cells")
+        want = start + timedelta(minutes=t)
+        if _parse_ts(row[0], line) != want:
+            raise ValueError(f"row {line}: timestamp {row[0]!r}, expected "
+                             f"{want:%Y-%m-%dT%H:%M}")
+        for k, c in enumerate(cols):
+            try:
+                out[t, k] = int(row[c])
+            except ValueError:
+                raise ValueError(f"row {line}, device {devices[k]!r}: state "
+                                 f"{row[c]!r} is not an integer") from None
+    return out

@@ -1,13 +1,7 @@
-"""Online inference: particle filters and particle learning.
-
-Two layers:
-
-  * a generic auxiliary particle filter step driven by caller hooks, with the
-    exact one-step proposal for a single chain with known parameters,
-  * ``FactorialBpf``, the particle-learning filter that splits an aggregate
-    power reading across K chains by enumerating the joint state space. Each
-    particle carries conjugate sufficient statistics and refreshes its
-    parameters from them every step.
+"""Online inference: ``FactorialBpf``, the particle-learning filter that
+splits an aggregate power reading across K chains by enumerating the joint
+state space. Each particle carries conjugate sufficient statistics and
+refreshes its parameters from them every step.
 
 The joint state space is always the full row-major product of the chains'
 states (``joint_state_table``), so the joint predictive of every particle is
@@ -31,14 +25,12 @@ log mean predictives.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._kernels import fbpf_accumulate, systematic_counts
-from .distributions import NormalPrior, assert_simplex, categorical_rows_sample
-from .hmm import HmmParams
+from .distributions import NormalPrior, categorical_rows_sample
 from .rng import stacked_draws
 
 
@@ -46,103 +38,9 @@ class DegenerateWeightsError(RuntimeError):
     """Every incremental weight vanished: the model cannot explain the data."""
 
 
-# ---------------------------------------------------------------------------
-# resampling
-# ---------------------------------------------------------------------------
-
-
-def systematic_resample(weights, rng: np.random.Generator) -> np.ndarray:
-    """Offspring counts from one uniform draw: U_i = U_1 + (i-1)/N with
-    U_1 ~ U[0, 1/N). Stratification bounds each count near N * W_i."""
-    w = assert_simplex(np.asarray(weights, dtype=float), atol=1e-9)
-    n = len(w)
-    u0 = rng.random() / n
-    return systematic_counts(w, u0)
-
-
 def counts_to_indices(counts: np.ndarray) -> np.ndarray:
     """Ancestor index vector (length N) from offspring counts."""
     return np.repeat(np.arange(len(counts)), counts)
-
-
-def _normalize_log(logw: np.ndarray) -> np.ndarray:
-    mx = logw.max()
-    if not np.isfinite(mx):
-        raise DegenerateWeightsError("all incremental weights are zero")
-    w = np.exp(logw - mx)
-    return w / w.sum()
-
-
-# ---------------------------------------------------------------------------
-# generic particle steps
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Ensemble:
-    """Particle cloud: per-particle state, normalized weights, time index."""
-
-    particles: np.ndarray
-    weights: np.ndarray
-    n: int = 0
-
-    def __post_init__(self):
-        w = assert_simplex(np.asarray(self.weights, dtype=float), atol=1e-9)
-        object.__setattr__(self, "weights", w)
-
-    @property
-    def size(self) -> int:
-        return len(self.weights)
-
-
-def uniform_ensemble(particles, n: int = 0) -> Ensemble:
-    particles = np.asarray(particles)
-    N = len(particles)
-    return Ensemble(particles=particles, weights=np.full(N, 1.0 / N), n=n)
-
-
-def apf_step(ens: Ensemble, y, log_predictive, propose, rng: np.random.Generator,
-             log_correction=None) -> Ensemble:
-    """Auxiliary filter step: weight by the one-step predictive, resample,
-    then propagate the survivors.
-
-    With an exact predictive and the optimal proposal the second-stage
-    weights are uniform; ``log_correction(new, prev, y)`` adjusts them when
-    either piece is approximate.
-    """
-    logpred = np.asarray(log_predictive(ens.particles, y), dtype=float)
-    logw = np.log(np.maximum(ens.weights, 1e-300)) + logpred
-    idx = counts_to_indices(systematic_resample(_normalize_log(logw), rng))
-    survivors = ens.particles[idx]
-    new = propose(survivors, y, rng)
-    N = ens.size
-    if log_correction is None:
-        weights = np.full(N, 1.0 / N)
-    else:
-        weights = _normalize_log(np.asarray(log_correction(new, survivors, y), dtype=float))
-    return Ensemble(particles=new, weights=weights, n=ens.n + 1)
-
-
-# ---------------------------------------------------------------------------
-# optimal proposal for one chain
-# ---------------------------------------------------------------------------
-
-
-def optimal_proposal_hmm(x_prev: int | None, params: HmmParams, y: float):
-    """Exact one-step conditional over the next state and its normalizer.
-
-    Returns (probs over states, predictive p(y | x_prev)); x_prev None uses
-    the initial distribution (the first observation of a stream).
-    """
-    row = params.init if x_prev is None else params.pi[x_prev]
-    ll = -0.5 * ((y - params.theta) ** 2 / params.sigma2
-                 + np.log(2.0 * math.pi * params.sigma2))
-    mx = ll.max()
-    terms = row * np.exp(ll - mx)
-    total = terms.sum()
-    if total <= 0:
-        raise DegenerateWeightsError("zero predictive mass")
-    return terms / total, float(total * np.exp(mx))
 
 
 @dataclass(frozen=True)
@@ -177,13 +75,13 @@ class ChainPrior:
 JOINT_CAP = 1024
 
 
-def joint_state_table(Js: tuple[int, ...], cap: int = JOINT_CAP) -> np.ndarray:
+def joint_state_table(Js: tuple[int, ...]) -> np.ndarray:
     """Row-major enumeration of the joint state space, shape (prod J_k, K)."""
     M = 1
     for J in Js:
         M *= J
-    if M > cap:
-        raise ValueError(f"joint state space {M} exceeds cap {cap}")
+    if M > JOINT_CAP:
+        raise ValueError(f"joint state space {M} exceeds cap {JOINT_CAP}")
     grids = np.meshgrid(*[np.arange(J) for J in Js], indexing="ij")
     return np.stack([g.ravel() for g in grids], axis=1).astype(np.int32)
 
@@ -241,14 +139,14 @@ class FactorialBpf:
     """
 
     def __init__(self, priors: list[ChainPrior], n_particles: int,
-                 rng: np.random.Generator, cap: int = JOINT_CAP):
+                 rng: np.random.Generator):
         self.priors = list(priors)
         self.K = len(priors)
         self.Js = tuple(p.J for p in priors)
         self.Jmax = max(self.Js)
         self.N = int(n_particles)
         self.rng = rng
-        self.joint_idx = joint_state_table(self.Js, cap=cap)
+        self.joint_idx = joint_state_table(self.Js)
         self.M = len(self.joint_idx)
         self.var_chain = np.array([p.sigma2 for p in priors])
         self.n = 0
@@ -295,10 +193,6 @@ class FactorialBpf:
     def power_means(self) -> list[np.ndarray]:
         """Posterior-mean power per state, one array per chain."""
         return [pm[0] for pm in power_means_of([self])]
-
-    def emission_means(self) -> np.ndarray:
-        """Posterior-mean imputed emission per chain at the current step."""
-        return np.average(self.emis, axis=0, weights=self.weights)
 
 
 # -- passes over the stacked particles of one or more houses ----------------

@@ -77,14 +77,7 @@ from powersplit.pipeline.disagg import disaggregate
 from powersplit.pipeline.io import Trace
 from powersplit.pipeline.synth import synth_generate
 from powersplit.rng import stream
-from powersplit.smc import (
-    ChainPrior,
-    Ensemble,
-    FactorialBpf,
-    apf_step,
-    optimal_proposal_hmm,
-    uniform_ensemble,
-)
+from powersplit.smc import ChainPrior, FactorialBpf
 
 START = datetime(2026, 1, 1)
 
@@ -169,30 +162,18 @@ def oracle_filter(params: HmmParams, y):
     return np.array(out)
 
 
-def apf_hmm_filter(params: HmmParams, y, n_particles, rng):
-    """Fully adapted auxiliary filter with known parameters; empirical
-    filtering marginals, (T, J)."""
-    J = params.J
-    sd = math.sqrt(params.sigma2)
-    probs0, _ = optimal_proposal_hmm(None, params, float(y[0]))
-    ens = uniform_ensemble(rng.choice(J, size=n_particles, p=probs0), n=1)
-
-    def log_predictive(particles, yt):
-        likv = norm.pdf(yt, params.theta, sd)
-        return np.log((params.pi @ likv)[particles])
-
-    def propose(particles, yt, prng):
-        likv = norm.pdf(yt, params.theta, sd)
-        rows = params.pi[particles] * likv[None, :]
-        rows /= rows.sum(axis=1, keepdims=True)
-        u = prng.random(len(particles))
-        return np.minimum((u[:, None] > np.cumsum(rows, axis=1)).sum(axis=1), J - 1)
-
-    marg = [np.bincount(ens.particles, weights=ens.weights, minlength=J)]
-    for t in range(1, len(y)):
-        ens = apf_step(ens, float(y[t]), log_predictive, propose, rng)
-        marg.append(np.bincount(ens.particles, weights=ens.weights, minlength=J))
-    return np.array(marg)
+def pinned_filter(params: HmmParams, y, n_particles, rng):
+    """``FactorialBpf`` as one chain whose priors pin its parameters to
+    ``params``; the particle-state histograms, (T, J), and the filter."""
+    prior = ChainPrior(alpha=1e9 * params.pi,
+                       emission=tuple(NormalPrior(float(m), 1e-12) for m in params.theta),
+                       sigma2=params.sigma2)
+    filt = FactorialBpf([prior], n_particles, rng)
+    marg = []
+    for v in y:
+        filt.step(float(v))
+        marg.append(np.bincount(filt.states[:, 0], weights=filt.weights, minlength=params.J))
+    return np.array(marg), filt
 
 
 def tv_dicts(p: dict, q: dict) -> float:
@@ -534,23 +515,30 @@ def test_criterion_06_sweep_preserves_discretized_posterior():
 
 
 def test_criterion_07_particle_filter_tracks_exact_filter():
-    """Adapted auxiliary filtering marginals approach the exact filter:
-    mean TV under 0.05 at N=10^3 and 0.02 at N=10^4 on J=2, T=50, with an
-    error-vs-N slope in [-0.7, -0.3]."""
+    """The shipped ``FactorialBpf``, run as one chain with its parameters
+    pinned by near-point priors, approaches the exact filter of the same HMM
+    from its own uniform start: mean TV under 0.05 at N=10^3 and 0.02 at
+    N=10^4 on J=2, T=50, with an error-vs-N slope in [-0.7, -0.3]. The
+    pinned parameters stay within 1e-3 of the truth, so the check measures
+    filtering, not learning."""
     params = make_hmm()
     _, y = simulate_hmm(params, 50, stream(107, "c7-data"))
-    exact = oracle_filter(params, y)
+    # the filter starts uniform, so the exact filter does too
+    exact = oracle_filter(HmmParams(params.pi, params.theta, params.sigma2), y)
 
     def mean_tv(N, seed):
-        got = apf_hmm_filter(params, y, N, stream(seed, "c7-run"))
-        return float(0.5 * np.abs(got - exact).sum(axis=1).mean())
+        got, filt = pinned_filter(params, y, N, stream(seed, "c7-run"))
+        return float(0.5 * np.abs(got - exact).sum(axis=1).mean()), filt
 
-    assert mean_tv(1_000, 0) < 0.05
-    assert mean_tv(10_000, 1) < 0.02
+    assert mean_tv(1_000, 0)[0] < 0.05
+    tv, filt = mean_tv(10_000, 1)
+    assert tv < 0.02
+    assert np.abs(filt.theta[:, 0] - params.theta).max() < 1e-3
+    assert np.abs(filt.pi[:, 0] - params.pi).max() < 1e-3
 
     Ns = np.array([250, 1_000, 4_000, 16_000])
     errs = np.array([
-        np.mean([mean_tv(int(N), 10 + 7 * i + r) for r in range(4)])
+        np.mean([mean_tv(int(N), 10 + 7 * i + r)[0] for r in range(4)])
         for i, N in enumerate(Ns)
     ])
     slope = np.polyfit(np.log(Ns), np.log(errs), 1)[0]

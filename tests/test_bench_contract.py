@@ -13,7 +13,11 @@ import importlib
 import importlib.util
 from pathlib import Path
 
-from powersplit.pipeline.config import default_bundle
+import numpy as np
+
+from powersplit.dispatch import TclConfig, tcl_nominal_model
+from powersplit.pipeline.config import ControlConfig, default_bundle
+from powersplit.pipeline.control import FbpfHook
 from powersplit.pipeline.disagg import build_filter
 from powersplit.rng import stream
 
@@ -58,6 +62,23 @@ def test_traced_filter_steps_count_and_crosscheck():
     assert tracer.counters["kernels.fbpf_accumulate.gathers_computed"] == 3 * N * M * K
     assert tracer.layer_stats()["smc.FactorialBpf.step"][0] == 3
     assert tracer.crosscheck() == 0
+
+
+def test_objects_the_workloads_read_keep_their_attributes():
+    # fleet-fbpf checks the emission sums from the hook's filters, nuisance
+    # loads and meter noise; disagg-stream steps a build_filter filter
+    model = tcl_nominal_model(TclConfig())
+    cfg = ControlConfig(n_houses=2, steps=3, hook="fbpf", hook_particles=30)
+    hook = FbpfHook(model, cfg, stream(27, "contract-hook"))
+    hook(0, np.zeros(cfg.n_houses, dtype=np.int64))
+    assert len(hook.filters) == cfg.n_houses
+    assert hook.nuisance_kw.shape == hook.noise.shape == (cfg.n_houses, cfg.steps)
+    bundle = default_bundle()
+    filt = build_filter([d.name for d in bundle.devices], bundle, 40, stream(28, "contract"))
+    filt.step(900.0)
+    assert (filt.N, filt.K, filt.M) == (40, 4, 36)
+    for f in (*hook.filters, filt):
+        assert f.emis.shape == (f.N, f.K)
 
 
 def test_duration_cache_resolves():

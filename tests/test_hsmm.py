@@ -10,6 +10,7 @@ checked against ``scipy.stats`` and against a compensated complement sum.
 
 import itertools
 import math
+import signal
 
 import numpy as np
 import pytest
@@ -228,6 +229,28 @@ def test_duration_sampler_matches_pmf():
     freq = np.bincount(draws, minlength=hi + 1)[1 : hi + 1] / len(draws)
     pmf = np.exp(dur.logpmf(np.arange(1, hi + 1)))
     assert 0.5 * np.abs(freq - pmf).sum() < 0.01
+
+
+@pytest.mark.parametrize("lam, vphi", [(1e-50, 0.4), (2.0, 1e-50), (1e-5, 0.4)])
+def test_duration_sampler_inverts_components_that_rarely_reach_one(lam, vphi):
+    # rejection of zeros would redraw about 1 / P(component >= 1) times per
+    # length, up to 1e50 times here; the alarm turns a hang into a failure
+    def hang(signum, frame):
+        raise TimeoutError("DurationParams.sample did not return")
+
+    dur = DurationParams(phi=0.5, lam=lam, r=2, vphi=vphi)
+    before = signal.signal(signal.SIGALRM, hang)
+    signal.setitimer(signal.ITIMER_REAL, 20.0)
+    try:
+        assert dur.sample(stream(1, "dur-rare"), 3).min() >= 1
+        draws = dur.sample(stream(2, "dur-rare"), 20_000)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, before)
+    hi = 25
+    freq = np.bincount(draws, minlength=hi + 1)[1 : hi + 1] / len(draws)
+    pmf = np.exp(dur.logpmf(np.arange(1, hi + 1)))
+    assert draws.min() >= 1 and 0.5 * np.abs(freq - pmf).sum() < 0.015
 
 
 def test_duration_tables_shapes():

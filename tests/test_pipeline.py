@@ -200,10 +200,17 @@ def test_load_config_from_file(tmp_path):
 
 
 def test_load_config_rejects_unknown_and_mistyped_keys():
-    with pytest.raises(ValueError, match="unknown config key"):
+    with pytest.raises(ValueError, match="unknown key 'sede'"):
         load_config({"sede": 1})
     with pytest.raises(ValueError, match="wrong type"):
         load_config({"seed": "one"})
+    # bool is an int subclass, but true is not a seed or a particle count
+    with pytest.raises(ValueError, match="field 'seed' has wrong type \\(bool\\)"):
+        load_config({"seed": True, "particles": True})
+    with pytest.raises(ValueError, match="control: field 'period'"):
+        load_config({"control": {"period": False}})
+    with pytest.raises(ValueError, match="devices\\[0\\]: missing key 'name'"):
+        load_config({"devices": [{"n_states": 2}]})
     with pytest.raises(ValueError, match="devices\\[0\\]"):
         load_config({"devices": [{"name": "x", "states": 2}]})
     with pytest.raises(ValueError, match="control"):
@@ -266,7 +273,10 @@ def test_states_sidecar_round_trip(tmp_path):
     house = synth_generate(default_bundle(), 50, stream(3, "synth"))
     p = tmp_path / "states.csv"
     write_states(p, START, house.devices, house.states)
-    assert np.array_equal(load_states(p), house.states)
+    assert np.array_equal(load_states(p, house.devices, START, 50), house.states)
+    # columns come back in the order asked for
+    flipped = house.devices[::-1]
+    assert np.array_equal(load_states(p, flipped, START, 50), house.states[:, ::-1])
 
 
 # ---------------------------------------------------------------------------
@@ -644,6 +654,47 @@ def test_cli_disagg_rejects_bad_trace_cleanly(tmp_path, runner, case):
     assert not out.exists()
 
 
+def test_cli_disagg_checks_the_states_sidecar(tmp_path, runner):
+    devices = [{"name": "compressor", "n_states": 2, "sigma2": 2500.0},
+               {"name": "furnace", "n_states": 3, "sigma2": 400.0}]
+    cfg = small_config(tmp_path, horizon=60, particles=40, devices=devices)
+    trace, states = tmp_path / "house.csv", tmp_path / "states.csv"
+    r = runner.invoke(main, ["synth", "--config", cfg, "--out", str(trace),
+                             "--states-out", str(states)])
+    assert r.exit_code == 0, r.output
+    lines = states.read_text().splitlines()
+    side, out = tmp_path / "side.csv", tmp_path / "out.csv"
+
+    def disagg(sidecar_lines):
+        side.write_text("\n".join(sidecar_lines) + "\n")
+        out.unlink(missing_ok=True)
+        return runner.invoke(main, ["disagg", str(trace), "--config", cfg,
+                                    "--states", str(side), "--out", str(out)])
+
+    good = disagg(lines)
+    assert good.exit_code == 0, good.output
+    assert '"state_accuracy"' in good.output
+    # columns are matched by name, so swapping two scores the same
+    swapped = disagg([",".join([c[0], c[2], c[1]]) for c in (line.split(",") for line in lines)])
+    assert swapped.exit_code == 0, swapped.output
+    assert swapped.output == good.output
+
+    non_integer = lines[3].rsplit(",", 1)[0] + ",1.5"
+    bad = {
+        "short": (lines[:-1], "59 rows, but the trace spans 60 minutes"),
+        "narrow": ([",".join(line.split(",")[:2]) for line in lines],
+                   "device 'furnace' needs one column, found 0"),
+        "non_integer": (lines[:3] + [non_integer] + lines[4:],
+                        "row 4, device 'furnace': state '1.5' is not an integer"),
+    }
+    for case, (sidecar, names) in bad.items():
+        r = disagg(sidecar)
+        assert r.exit_code == 2, (case, r.output)
+        assert r.exception is None or isinstance(r.exception, SystemExit)
+        assert f"{side}: " in r.output and names in r.output, (case, r.output)
+        assert not out.exists()
+
+
 def bad_bundle_text(case):
     if case == "invalid_json":
         return "{not json"
@@ -655,15 +706,35 @@ def bad_bundle_text(case):
         dev["alpha"] = [1.0]
     elif case == "text_r":
         dev["r"] = "two"
+    elif case == "bool_alpha":
+        dev["alpha"] = True
+    elif case == "unknown_device_key":
+        dev["colour"] = "white"
+    elif case == "text_emission_mean":
+        dev["emission"]["means"][1] = "150"
+    elif case == "short_emission_vars":
+        dev["emission"]["vars"].pop()
+    elif case == "unknown_duration_key":
+        dev["duration"]["shape"] = 2
+    elif case == "bool_duration_rate":
+        dev["duration"]["components"][0]["a_lam"] = True
     return json.dumps(doc)
 
 
 BAD_BUNDLES = {
     # case: what the message must name besides the file
     "invalid_json": "Expecting property name",
-    "missing_emission": "missing key 'emission'",
-    "list_alpha": "float() argument must be",
-    "text_r": "invalid literal for int()",
+    "missing_emission": "device 'refrigerator': missing key 'emission'",
+    "list_alpha": "device 'refrigerator': field 'alpha' has wrong type (list)",
+    "text_r": "device 'refrigerator': field 'r' has wrong type (str)",
+    "bool_alpha": "device 'refrigerator': field 'alpha' has wrong type (bool)",
+    "unknown_device_key": "device 'refrigerator': unknown key 'colour'",
+    "text_emission_mean": "device 'refrigerator' emission: field 'means' must hold numbers",
+    "short_emission_vars": ("device 'refrigerator' emission: 'weights', 'means' and 'vars' "
+                            "differ in length"),
+    "unknown_duration_key": "device 'refrigerator' duration: unknown key 'shape'",
+    "bool_duration_rate": ("device 'refrigerator' duration component 0: "
+                           "field 'a_lam' has wrong type (bool)"),
 }
 
 
