@@ -24,8 +24,11 @@ import numpy as np
 
 BACKEND = "native"
 
-_f64 = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
-_i64 = np.ctypeslib.ndpointer(np.int64, flags="C_CONTIGUOUS")
+# arrays go in as plain addresses: an ``ndpointer`` argtype converts through
+# ``ndarray.ctypes.data_as``, whose ``ctypes.cast`` leaves a reference cycle
+# per array per call, so a filter stepped with the cyclic collector off grew
+# its heap by ~2 KB a step and slowed as the stream went on
+_p = ctypes.c_void_p
 _n = ctypes.c_ssize_t
 
 try:
@@ -34,14 +37,13 @@ except OSError as exc:
     raise ImportError(f"compiled kernels not built: {exc}") from exc
 
 _lib.hsmm_backward.restype = None
-_lib.hsmm_backward.argtypes = [_n, _n, _n, _f64, _f64, _n, _f64, _n, _f64, _f64, _f64, _f64]
+_lib.hsmm_backward.argtypes = [_n, _n, _n, _p, _p, _n, _p, _n, _p, _p, _p, _p]
 _lib.hsmm_forward_sample.restype = _n
-_lib.hsmm_forward_sample.argtypes = [_n, _n, _n, _f64, _f64, _f64, _f64, _f64, _n, _f64, _n,
-                                     _f64, _f64, _i64, _i64, ctypes.POINTER(_n),
-                                     ctypes.POINTER(_n), _f64]
+_lib.hsmm_forward_sample.argtypes = [_n, _n, _n, _p, _p, _p, _p, _p, _n, _p, _n, _p, _p, _p,
+                                     _p, ctypes.POINTER(_n), ctypes.POINTER(_n), _p]
 _lib.fbpf_accumulate.restype = None
-_lib.fbpf_accumulate.argtypes = [_n, _n, _n, _i64, _n, _f64, _f64, ctypes.c_double,
-                                 ctypes.c_double, _f64, _f64, _f64]
+_lib.fbpf_accumulate.argtypes = [_n, _n, _n, _p, _n, _p, _p, ctypes.c_double,
+                                 ctypes.c_double, _p, _p, _p]
 
 
 def _floats(name, a, ndim):
@@ -50,6 +52,14 @@ def _floats(name, a, ndim):
         raise ValueError(f"{name} must be a {ndim}-d float64 array, "
                          f"got {a.ndim}-d {a.dtype}")
     return np.ascontiguousarray(a)
+
+
+def _addr(a, dtype=np.float64):
+    """Address of the C-contiguous ``dtype`` array ``a``; the caller keeps
+    ``a`` alive for the call."""
+    if a.dtype != dtype or not a.flags.c_contiguous:
+        raise ValueError(f"kernel arrays must be C-contiguous {np.dtype(dtype)}")
+    return a.ctypes.data
 
 
 def hsmm_backward(logtrans_bar, logdur, logtail, loglik, dmax):
@@ -75,8 +85,9 @@ def hsmm_backward(logtrans_bar, logdur, logtail, loglik, dmax):
     B = np.empty((T + 1, J))
     Bstar = np.empty((T, J))
     buf = np.empty(max(min(T, dmax) + 1, J))
-    _lib.hsmm_backward(T, J, dmax, logtrans_bar, logdur, logdur.shape[1],
-                       logtail, logtail.shape[1], cum, B, Bstar, buf)
+    _lib.hsmm_backward(T, J, dmax, _addr(logtrans_bar), _addr(logdur), logdur.shape[1],
+                       _addr(logtail), logtail.shape[1], _addr(cum), _addr(B),
+                       _addr(Bstar), _addr(buf))
     return B, Bstar
 
 
@@ -113,9 +124,11 @@ def hsmm_forward_sample(loginit, logpibar, B, Bstar, logdur, logtail, cum, windo
     D = np.empty(T, dtype=np.int64)
     nseg, censored = _n(0), _n(0)
     buf = np.empty(max(min(T, window) + 1, J))
-    used = _lib.hsmm_forward_sample(T, J, window, loginit, logpibar, B, Bstar, logdur,
-                                    logdur.shape[1], logtail, logtail.shape[1], cum, u,
-                                    z, D, ctypes.byref(nseg), ctypes.byref(censored), buf)
+    used = _lib.hsmm_forward_sample(T, J, window, _addr(loginit), _addr(logpibar), _addr(B),
+                                    _addr(Bstar), _addr(logdur), logdur.shape[1],
+                                    _addr(logtail), logtail.shape[1], _addr(cum), _addr(u),
+                                    _addr(z, np.int64), _addr(D, np.int64),
+                                    ctypes.byref(nseg), ctypes.byref(censored), _addr(buf))
     if used < 0:
         raise ValueError("all categories have zero probability")
     return z[:nseg.value], D[:nseg.value], used, bool(censored.value)
@@ -150,6 +163,7 @@ def fbpf_accumulate(logtrans_rows, theta_rows, var_chain, joint_idx, ybar):
     svar = float(var_chain.sum())
     logw = np.empty((N, M))
     sumtheta = np.empty((N, M))
-    _lib.fbpf_accumulate(N, K, Jmax, Js, M, logtrans_rows, theta_rows, svar,
-                         float(np.log(2.0 * np.pi * svar)), ybar, logw, sumtheta)
+    _lib.fbpf_accumulate(N, K, Jmax, _addr(Js, np.int64), M, _addr(logtrans_rows),
+                         _addr(theta_rows), svar, float(np.log(2.0 * np.pi * svar)),
+                         _addr(ybar), _addr(logw), _addr(sumtheta))
     return logw, sumtheta

@@ -13,6 +13,7 @@ own library when it is built, else one ``setup.py`` builds into a temporary
 directory. When that build fails, the equivalence tests fail.
 """
 
+import gc
 from datetime import datetime
 
 import numpy as np
@@ -309,6 +310,22 @@ def test_compiled_kernels_copy_non_contiguous_input(compiled_kernels):
     for a, b in zip(compiled_kernels.fbpf_accumulate(**args),
                     compiled_kernels.fbpf_accumulate(**dict(args, logtrans_rows=wide))):
         assert np.array_equal(a, b)
+
+
+def test_compiled_kernels_leave_no_cyclic_garbage(compiled_kernels):
+    """A filter step calls the accumulate once; garbage that only the cyclic
+    collector frees would pile up over a long stream with it switched off."""
+    calls = [_hsmm_call(), _forward_call(), _fbpf_call()]
+    for kernel, args in calls:
+        getattr(compiled_kernels, kernel)(**args)
+    gc.collect()
+    gc.disable()
+    try:
+        for kernel, args in calls * 5:
+            getattr(compiled_kernels, kernel)(**args)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_setup_py_builds_the_kernel_library(tmp_path):
