@@ -1,14 +1,22 @@
 """Kernel backend selection.
 
-Three kernels are compiled, from the C99 file ``kernels.c`` that
+Nine kernels are compiled, from the C99 file ``kernels.c`` that
 ``setup.py`` always builds. Two serve every training sweep:
 ``hsmm_backward``, the backward messages, and ``hsmm_forward_sample``, the
-segment draw over them. The third, ``fbpf_accumulate``, is the joint
-predictive of every filter step, over the stacked particles of one or more
-houses with one reading per particle. The compiled accumulate is bit-identical to
-the pure one, so the filter's law does not depend on the backend. The
-compiled segment draw makes each pick with the pure one's operations, and
-paths differ only when a uniform falls within an ulp of a cdf boundary.
+segment draw over them. The other seven are the deterministic work of
+every filter step, over the stacked particles of one or more houses:
+``fbpf_accumulate``, the joint predictive with one reading per particle;
+``fbpf_shift``, its row max and shift, and ``fbpf_total``, the row totals
+after NumPy's exp; ``fbpf_propagate``, the resampled
+rows' joint-state pick on pre-drawn uniforms; ``fbpf_fold``, the
+ancestors' statistics plus the step's increments; ``fbpf_posterior``, theta
+from pre-drawn normals and the Dirichlet concentrations; and
+``fbpf_dirichlet``, the gamma draws normalised into transition rows. The
+step keeps every draw, exp and log in NumPy, and the compiled filter
+kernels are bit-identical to the pure ones, so the filter's law does not
+depend on the backend. The compiled segment draw makes each pick with the
+pure one's operations, and paths differ only when a uniform falls within
+an ulp of a cdf boundary.
 ``systematic_counts`` is pure NumPy on every backend: one resampling call
 costs about 0.1 ms at 2000 particles. It is served from ``_pure``, where
 ``perfbench/spans.py`` looks up the reference of every traced kernel.
@@ -34,6 +42,12 @@ BACKEND = _impl.BACKEND
 hsmm_backward = _impl.hsmm_backward
 hsmm_forward_sample = _impl.hsmm_forward_sample
 fbpf_accumulate = _impl.fbpf_accumulate
+fbpf_shift = _impl.fbpf_shift
+fbpf_total = _impl.fbpf_total
+fbpf_propagate = _impl.fbpf_propagate
+fbpf_fold = _impl.fbpf_fold
+fbpf_posterior = _impl.fbpf_posterior
+fbpf_dirichlet = _impl.fbpf_dirichlet
 systematic_counts = _pure.systematic_counts
 
 __all__ = [
@@ -41,5 +55,11 @@ __all__ = [
     "hsmm_backward",
     "hsmm_forward_sample",
     "fbpf_accumulate",
+    "fbpf_shift",
+    "fbpf_total",
+    "fbpf_propagate",
+    "fbpf_fold",
+    "fbpf_posterior",
+    "fbpf_dirichlet",
     "systematic_counts",
 ]

@@ -2,16 +2,20 @@
 
 ``setup.py`` builds that file into the plain shared library ``_libkernels``
 next to this module. The library knows nothing of Python or NumPy: each
-wrapper here checks its inputs, copies non-contiguous ones, allocates the
-outputs and passes raw pointers. A bad input raises ``ValueError`` naming
-the argument before the library reads any memory. Importing this module
+wrapper here checks its inputs, including the indices a kernel follows,
+copies non-contiguous ones, allocates the outputs and passes raw pointers.
+A bad input raises ``ValueError`` naming the argument before the library
+reads any memory. Importing this module
 raises ``ImportError`` when the library has not been built.
 
 Same contracts as ``_pure``: ``hsmm_backward`` agrees with it to
-floating-point reassociation, ``fbpf_accumulate`` bit for bit.
-``hsmm_forward_sample`` computes each pick as ``_pure`` does, save that
-libm's ``exp`` may differ from NumPy's in the last bit, which moves a
-draw only when a uniform lies within an ulp of a cdf boundary.
+floating-point reassociation, and ``fbpf_accumulate`` and the filter step's
+passes (``fbpf_shift``, ``fbpf_total``, ``fbpf_propagate``, ``fbpf_fold``,
+``fbpf_posterior``, ``fbpf_dirichlet``) bit for bit: they take no exp or
+log, which stay in NumPy. ``hsmm_forward_sample`` computes each pick as
+``_pure`` does, save that libm's ``exp`` may differ from NumPy's in the
+last bit, which moves a draw only when a uniform lies within an ulp of a
+cdf boundary.
 """
 
 from __future__ import annotations
@@ -44,6 +48,18 @@ _lib.hsmm_forward_sample.argtypes = [_n, _n, _n, _p, _p, _p, _p, _p, _n, _p, _n,
 _lib.fbpf_accumulate.restype = None
 _lib.fbpf_accumulate.argtypes = [_n, _n, _n, _p, _n, _p, _p, ctypes.c_double,
                                  ctypes.c_double, _p, _p, _p]
+_lib.fbpf_shift.restype = None
+_lib.fbpf_shift.argtypes = [_n, _n, ctypes.c_double, _p, _p, _p]
+_lib.fbpf_total.restype = None
+_lib.fbpf_total.argtypes = [_n, _n, _p, _p, _p]
+_lib.fbpf_propagate.restype = None
+_lib.fbpf_propagate.argtypes = [_n, _n, _n, _p, _p, _p, _p, _p, _p, _p]
+_lib.fbpf_fold.restype = None
+_lib.fbpf_fold.argtypes = [_n, _n, _n, _p, _p, _p, _p, ctypes.c_int, _p, _p, _p, _p, _p, _p]
+_lib.fbpf_posterior.restype = None
+_lib.fbpf_posterior.argtypes = [_n, _n, _n, _n, _p, _p, _p, _p, _p, _p, _p, _p, _p, _p, _p]
+_lib.fbpf_dirichlet.restype = None
+_lib.fbpf_dirichlet.argtypes = [_n, _n, _n, _n, _p, _p, _p]
 
 
 def _floats(name, a, ndim):
@@ -52,6 +68,34 @@ def _floats(name, a, ndim):
         raise ValueError(f"{name} must be a {ndim}-d float64 array, "
                          f"got {a.ndim}-d {a.dtype}")
     return np.ascontiguousarray(a)
+
+
+def _ints(name, a, ndim):
+    a = np.asarray(a)
+    if a.dtype != np.int64 or a.ndim != ndim:
+        raise ValueError(f"{name} must be a {ndim}-d int64 array, "
+                         f"got {a.ndim}-d {a.dtype}")
+    return np.ascontiguousarray(a)
+
+
+def _shape(name, a, shape):
+    if a.shape != shape:
+        raise ValueError(f"{name} must be {shape}, got {a.shape}")
+
+
+def _indices(name, a, stop, what):
+    """``a`` holds indices in 0..stop-1: the kernel follows them."""
+    if a.size and (a.min() < 0 or a.max() >= stop):
+        raise ValueError(f"{name} must index the {stop} {what}")
+
+
+def _chain_sizes(Js, Jmax=None):
+    """The chains' state counts as an int64 array, each at least 1 and at
+    most ``Jmax`` when given."""
+    Js = np.array(Js, dtype=np.int64).reshape(-1)
+    if len(Js) == 0 or Js.min() < 1 or (Jmax is not None and Js.max() > Jmax):
+        raise ValueError(f"Js {Js.tolist()} must give each chain 1..{Jmax or 'Jmax'} states")
+    return Js
 
 
 def _addr(a, dtype=np.float64):
@@ -167,3 +211,147 @@ def fbpf_accumulate(logtrans_rows, theta_rows, var_chain, joint_idx, ybar):
                          _addr(theta_rows), svar, float(np.log(2.0 * np.pi * svar)),
                          _addr(ybar), _addr(logw), _addr(sumtheta))
     return logw, sumtheta
+
+
+def _in_place(name, a):
+    """``a`` itself, a writeable C-contiguous 2-d float64 array with at
+    least one column: the kernel writes into it."""
+    if (not isinstance(a, np.ndarray) or a.ndim != 2 or a.dtype != np.float64
+            or not a.flags.c_contiguous or not a.flags.writeable or a.shape[1] == 0):
+        raise ValueError(f"{name} is written in place: it must be a writeable "
+                         f"C-contiguous 2-d float64 array with columns")
+    return a
+
+
+def fbpf_shift(logw, lo):
+    """Row max and in-place shift of ``logw``, dropping the lanes below
+    ``lo``; see ``_pure``."""
+    logw = _in_place("logw", logw)
+    R, M = logw.shape
+    row_max = np.empty(R)
+    keep = np.empty((R, M), dtype=bool)
+    _lib.fbpf_shift(R, M, float(lo), _addr(logw), _addr(row_max), _addr(keep, np.bool_))
+    return row_max, keep
+
+
+def fbpf_total(pred, keep):
+    """Row sums of ``pred`` after zeroing, in place, the lanes that
+    ``fbpf_shift`` dropped; see ``_pure``."""
+    pred = _in_place("pred", pred)
+    keep = np.ascontiguousarray(keep)
+    if keep.dtype != np.bool_ or keep.shape != pred.shape:
+        raise ValueError(f"keep must be a {pred.shape} bool array, "
+                         f"got {keep.shape} {keep.dtype}")
+    tot = np.empty(len(pred))
+    _lib.fbpf_total(*pred.shape, _addr(pred), _addr(keep, np.bool_), _addr(tot))
+    return tot
+
+
+def fbpf_propagate(pred, tot, anc, u, joint_idx):
+    """Joint-state draws of the rows ``anc`` of ``pred`` on the uniforms
+    ``u``; see ``_pure``."""
+    pred = _floats("pred", pred, 2)
+    tot = _floats("tot", tot, 1)
+    anc = _ints("anc", anc, 1)
+    u = _floats("u", u, 1)
+    joint_idx = np.asarray(joint_idx)
+    if joint_idx.dtype.kind not in "iu" or joint_idx.ndim != 2:
+        raise ValueError(f"joint_idx must be a 2-d integer array, "
+                         f"got {joint_idx.ndim}-d {joint_idx.dtype}")
+    joint_idx = np.ascontiguousarray(joint_idx, dtype=np.int32)
+    rows, M = pred.shape
+    R, K = len(anc), joint_idx.shape[1]
+    if M == 0:
+        raise ValueError("pred must have at least one column")
+    _shape("tot", tot, (rows,))
+    _shape("u", u, (R,))
+    _shape("joint_idx", joint_idx, (M, K))
+    _indices("anc", anc, rows, "rows of pred")
+    pick = np.empty(R, dtype=np.int64)
+    states = np.empty((R, K), dtype=np.int64)
+    _lib.fbpf_propagate(R, M, K, _addr(pred), _addr(tot), _addr(anc, np.int64), _addr(u),
+                        _addr(joint_idx, np.int32), _addr(pick, np.int64),
+                        _addr(states, np.int64))
+    return pick, states
+
+
+def fbpf_fold(anc, states, new_states, emis, transitions, trans_counts, emis_sums,
+              emis_counts):
+    """The ancestors' statistics plus this step's increments; see ``_pure``."""
+    trans_counts = _floats("trans_counts", trans_counts, 4)
+    emis_sums = _floats("emis_sums", emis_sums, 3)
+    emis_counts = _floats("emis_counts", emis_counts, 3)
+    emis = _floats("emis", emis, 2)
+    anc = _ints("anc", anc, 1)
+    states = _ints("states", states, 2)
+    new_states = _ints("new_states", new_states, 2)
+    rows, K, Jm = emis_sums.shape
+    R = len(anc)
+    _shape("trans_counts", trans_counts, (rows, K, Jm, Jm))
+    _shape("emis_counts", emis_counts, (rows, K, Jm))
+    _shape("states", states, (rows, K))
+    _shape("new_states", new_states, (R, K))
+    _shape("emis", emis, (R, K))
+    _indices("anc", anc, rows, "rows of the statistics")
+    _indices("states", states, Jm, "state lanes")
+    _indices("new_states", new_states, Jm, "state lanes")
+    tc = np.empty((R, K, Jm, Jm))
+    es = np.empty((R, K, Jm))
+    ec = np.empty((R, K, Jm))
+    _lib.fbpf_fold(R, K, Jm, _addr(anc, np.int64), _addr(states, np.int64),
+                   _addr(new_states, np.int64), _addr(emis), int(bool(transitions)),
+                   _addr(trans_counts), _addr(emis_sums), _addr(emis_counts), _addr(tc),
+                   _addr(es), _addr(ec))
+    return tc, es, ec
+
+
+def fbpf_posterior(z, emis_sums, emis_counts, trans_counts, var_chain, prior_mean,
+                   prior_var, alpha, Js, H):
+    """Posterior theta and the houses' Dirichlet concentrations; see ``_pure``."""
+    z = _floats("z", z, 3)
+    R, K, Jm = z.shape
+    emis_sums = _floats("emis_sums", emis_sums, 3)
+    emis_counts = _floats("emis_counts", emis_counts, 3)
+    trans_counts = _floats("trans_counts", trans_counts, 4)
+    var_chain = _floats("var_chain", var_chain, 1)
+    prior_mean = _floats("prior_mean", prior_mean, 2)
+    prior_var = _floats("prior_var", prior_var, 2)
+    alpha = _floats("alpha", alpha, 3)
+    for name, a in (("emis_sums", emis_sums), ("emis_counts", emis_counts)):
+        _shape(name, a, (R, K, Jm))
+    _shape("trans_counts", trans_counts, (R, K, Jm, Jm))
+    _shape("var_chain", var_chain, (K,))
+    _shape("prior_mean", prior_mean, (K, Jm))
+    _shape("prior_var", prior_var, (K, Jm))
+    _shape("alpha", alpha, (K, Jm, Jm))
+    Js = _chain_sizes(Js, Jm)
+    H = operator.index(H)
+    if len(Js) != K:
+        raise ValueError(f"Js must give {K} chains, got {len(Js)}")
+    if H < 1 or R % H:
+        raise ValueError(f"H must divide the {R} particles, got {H}")
+    # the prior's own quotients, as the pure kernel forms them
+    inv_v0 = 1.0 / prior_var
+    m0_v0 = prior_mean / prior_var
+    theta = np.empty((R, K, Jm))
+    conc = np.empty((H, R // H * int((Js * Js).sum())))
+    _lib.fbpf_posterior(H, R // H, K, Jm, _addr(Js, np.int64), _addr(var_chain),
+                        _addr(inv_v0), _addr(m0_v0), _addr(alpha), _addr(emis_sums),
+                        _addr(emis_counts), _addr(trans_counts), _addr(z), _addr(theta),
+                        _addr(conc))
+    return theta, conc
+
+
+def fbpf_dirichlet(gam, Js, N):
+    """Transition rows of the gamma draws ``gam``; see ``_pure``."""
+    gam = _floats("gam", gam, 2)
+    N = operator.index(N)
+    Js = _chain_sizes(Js)
+    K, Jm = len(Js), int(Js.max())
+    H = len(gam)
+    if N < 1:
+        raise ValueError(f"N must be >= 1, got {N}")
+    _shape("gam", gam, (H, N * int((Js * Js).sum())))
+    pi = np.empty((H * N, K, Jm, Jm))
+    _lib.fbpf_dirichlet(H, N, K, Jm, _addr(Js, np.int64), _addr(gam), _addr(pi))
+    return pi

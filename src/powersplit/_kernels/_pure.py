@@ -1,17 +1,22 @@
 """Pure NumPy implementations of the kernels.
 
-The oracle for the compiled ``hsmm_backward``, ``hsmm_forward_sample`` and
-``fbpf_accumulate`` in ``kernels.c``, which share these contracts; those
-three are served from here when the library is not built or
+The oracle for every compiled kernel in ``kernels.c``: ``hsmm_backward``,
+``hsmm_forward_sample``, ``fbpf_accumulate`` and the filter step's passes
+``fbpf_shift``, ``fbpf_total``, ``fbpf_propagate``, ``fbpf_fold``,
+``fbpf_posterior`` and ``fbpf_dirichlet``, which share these contracts;
+they are served from here when the library is not built or
 POWERSPLIT_PURE=1. ``systematic_counts`` has no compiled version and is
 always served from here.
+
+The filter passes take particles stacked house after house, N to a house,
+and draw nothing: the step hands them its uniforms, normals and gammas.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..distributions import categorical_pick_logits, logsumexp_axis
+from ..distributions import categorical_pick_logits, categorical_rows_pick, logsumexp_axis
 
 BACKEND = "pure"
 
@@ -129,6 +134,96 @@ def fbpf_accumulate(logtrans_rows, theta_rows, var_chain, joint_idx, ybar):
     svar = float(var_chain.sum())
     logw += -0.5 * (np.log(2.0 * np.pi * svar) + (ybar[:, None] - sumtheta) ** 2 / svar)
     return logw, sumtheta
+
+
+def fbpf_shift(logw, lo):
+    """Shift each row of the (R, M) log weights ``logw`` by its max, in
+    place, and drop the lanes not at or above ``lo`` (NaN included): they
+    become 0, whose exp is cheap, until ``fbpf_total`` zeroes them after the
+    caller's exp. Returns (row_max, keep), keep the lanes not dropped."""
+    row_max = logw.max(axis=1)
+    with np.errstate(invalid="ignore"):
+        logw -= row_max[:, None]
+        keep = logw >= lo
+    logw[~keep] = 0.0
+    return row_max, keep
+
+
+def fbpf_total(pred, keep):
+    """Zero the lanes of ``pred`` that ``fbpf_shift`` dropped, in place, and
+    return the row sums."""
+    pred[~keep] = 0.0
+    return pred.sum(axis=1)
+
+
+def fbpf_propagate(pred, tot, anc, u, joint_idx):
+    """Joint-state draws: row r picks, with uniform ``u[r]``, from predictive
+    row ``anc[r]`` of ``pred`` normalised by its total in ``tot``
+    (``distributions.categorical_rows_pick``). Returns (pick, states): the
+    joint states and their per-chain states, rows of ``joint_idx``, as int64."""
+    probs = pred[anc]
+    probs /= tot[anc][:, None]
+    pick = categorical_rows_pick(probs, u)
+    return pick, joint_idx[pick].astype(np.int64)
+
+
+def fbpf_fold(anc, states, new_states, emis, transitions, trans_counts, emis_sums,
+              emis_counts):
+    """Each particle's statistics: its ancestor ``anc[r]``'s, plus the
+    transition from the ancestor's ``states`` to ``new_states`` when
+    ``transitions``, the emission ``emis`` and one count in each chain's new
+    state. Returns new (trans_counts, emis_sums, emis_counts)."""
+    Jm = emis_sums.shape[2]
+    tc, es, ec = trans_counts[anc], emis_sums[anc], emis_counts[anc]
+    # every (particle, chain) row gets exactly one increment, so fancy-index
+    # adds equal np.add.at
+    rows = np.arange(new_states.size)
+    new = new_states.ravel()
+    if transitions:
+        tc.reshape(-1, Jm, Jm)[rows, states[anc].ravel(), new] += 1.0
+    es.reshape(-1, Jm)[rows, new] += emis.ravel()
+    ec.reshape(-1, Jm)[rows, new] += 1.0
+    return tc, es, ec
+
+
+def fbpf_posterior(z, emis_sums, emis_counts, trans_counts, var_chain, prior_mean,
+                   prior_var, alpha, Js, H):
+    """Each particle's conjugate posterior over its (R, K, Jmax) statistics.
+
+    Returns (theta, conc): theta drawn with the standard normals ``z`` from
+    the Normal posterior of every lane's mean, and the Dirichlet
+    concentrations ``alpha + trans_counts`` of the H houses, one row per
+    house holding its chain blocks (N, J_k, J_k) in chain order, ready for
+    one ``standard_gamma`` call per house.
+    """
+    # each step is one IEEE add, multiply or divide, as in
+    # 1 / (1 / v0 + n / s2) and the rest
+    s2 = var_chain[None, :, None]
+    post_var = emis_counts / s2
+    post_var += 1.0 / prior_var[None]
+    np.divide(1.0, post_var, out=post_var)
+    post_mean = emis_sums / s2
+    post_mean += prior_mean[None] / prior_var[None]
+    post_mean *= post_var
+    theta = z * np.sqrt(post_var, out=post_var)
+    theta += post_mean
+    conc = np.concatenate([(alpha[None, k, :J, :J] + trans_counts[:, k, :J, :J]).reshape(H, -1)
+                           for k, J in enumerate(Js)], axis=1)
+    return theta, conc
+
+
+def fbpf_dirichlet(gam, Js, N):
+    """The (H * N, K, Jmax, Jmax) transition rows of the gamma draws ``gam``,
+    laid out as ``fbpf_posterior``'s concentrations: each row of J_k draws
+    over its sum, zero in the padding."""
+    H = len(gam)
+    pi = np.zeros((H * N, len(Js), max(Js), max(Js)))
+    off = 0
+    for k, J in enumerate(Js):
+        block = gam[:, off:off + N * J * J].reshape(H * N, J, J)
+        off += N * J * J
+        pi[:, k, :J, :J] = block / block.sum(axis=2, keepdims=True)
+    return pi
 
 
 def systematic_counts(weights, u0):

@@ -1,17 +1,25 @@
 /* Compiled kernels: the explicit-duration backward pass, the forward segment
- * draw over its messages, and the factorial filter's joint-state accumulate.
+ * draw over its messages, and the factorial filter's joint-state accumulate
+ * and the deterministic passes of its step (shift, total, propagate, fold,
+ * posterior, Dirichlet normalisation).
  *
  * Plain C99 with no Python or NumPy API. ``_compiled.py`` loads the library
  * with ctypes, checks every input and allocates every output; arrays here are
- * C-contiguous float64 whose shapes the loader has already verified.
+ * C-contiguous, with shapes and the indices the filter passes follow
+ * already verified by the loader.
  *
- * Build with -ffp-contract=off and without -ffast-math: fbpf_accumulate is
- * bit-identical to the pure NumPy kernel only when each expression below is
+ * Build with -ffp-contract=off and without -ffast-math: the fbpf kernels are
+ * bit-identical to the pure NumPy ones only when each expression below is
  * evaluated as written, with no fused multiply-add and no reassociation.
+ * They use only + - * /, sqrt and comparisons, which IEEE 754 rounds as
+ * NumPy does, and NumPy's pairwise sum (pairwise_sum); every exp and log of
+ * the filter stays in NumPy, whose SIMD exp is not libm's.
  */
 
 #include <math.h>
 #include <stddef.h>
+#include <stdint.h>
+#include <string.h>
 
 /* exp(x) rounds to +0 below log(2^-1075) = -745.13 */
 #define EXP_UNDERFLOW (-746.0)
@@ -219,4 +227,182 @@ void fbpf_accumulate(ptrdiff_t N, ptrdiff_t K, ptrdiff_t Jmax, const long long *
             w[m] = w[m] + -0.5 * (lognorm + d * d / svar);
         }
     }
+}
+
+/* The filter step's deterministic passes, ``_pure.fbpf_shift`` and the
+ * rest. Particles are stacked house after house, N to a house, R = H * N
+ * rows; chain k of a particle uses the first Js[k] of its Jmax lanes. */
+
+/* Row max, as np.max (a NaN wins), into row_max; each of the R rows of M
+ * log weights is shifted by it in place. Lanes whose shifted value is not
+ * >= lo (NaN included) are dropped: keep = 0 and the lane becomes 0, whose
+ * exp NumPy takes at full speed, unlike the exp of a deep negative. The
+ * other lanes keep = 1. Four running maxima and a bit-mask select keep
+ * the loops free of data-dependent branches. */
+void fbpf_shift(ptrdiff_t R, ptrdiff_t M, double lo, double *logw,
+                double *row_max, unsigned char *keep)
+{
+    for (ptrdiff_t r = 0; r < R; r++) {
+        double *restrict w = logw + r * M;
+        unsigned char *restrict kp = keep + r * M;
+        double a[4] = {w[0], w[0], w[0], w[0]};
+        int nan = 0;
+        ptrdiff_t i = 0;
+        for (; i + 4 <= M; i += 4)
+            for (int j = 0; j < 4; j++) {
+                a[j] = w[i + j] > a[j] ? w[i + j] : a[j];
+                nan |= w[i + j] != w[i + j];
+            }
+        for (; i < M; i++) {
+            a[0] = w[i] > a[0] ? w[i] : a[0];
+            nan |= w[i] != w[i];
+        }
+        double m = a[0] > a[1] ? a[0] : a[1], m2 = a[2] > a[3] ? a[2] : a[3];
+        m = nan ? NAN : m > m2 ? m : m2;
+        row_max[r] = m;
+        for (i = 0; i < M; i++) {
+            double d = w[i] - m;
+            uint64_t bits, k = d >= lo;
+            memcpy(&bits, &d, sizeof bits);
+            bits &= -k;  /* +0.0 where dropped */
+            kp[i] = (unsigned char)k;
+            memcpy(w + i, &bits, sizeof bits);
+        }
+    }
+}
+
+/* Sets the lanes of pred (R, M) that fbpf_shift dropped (keep = 0) back to
+ * 0 and writes each row's pairwise sum, as np.sum, to tot. */
+void fbpf_total(ptrdiff_t R, ptrdiff_t M, double *pred, const unsigned char *keep,
+                double *tot)
+{
+    for (ptrdiff_t r = 0; r < R; r++) {
+        double *restrict p = pred + r * M;
+        const unsigned char *restrict kp = keep + r * M;
+        for (ptrdiff_t i = 0; i < M; i++) {
+            uint64_t bits, k = kp[i] != 0;
+            memcpy(&bits, p + i, sizeof bits);
+            bits &= -k;
+            memcpy(p + i, &bits, sizeof bits);
+        }
+        tot[r] = pairwise_sum(p, M);
+    }
+}
+
+/* Row r draws from predictive row a = anc[r] of pred (rows x M), normalised
+ * by tot[a]: the count of lanes whose running sum of pred[a, m] / tot[a]
+ * lies below u[r], clamped to M - 1, as np.cumsum and (u > cdf).sum().
+ * Writes that joint state to pick[r] and its per-chain states, row
+ * pick[r] of the (M, K) table joint, to states (R, K). */
+void fbpf_propagate(ptrdiff_t R, ptrdiff_t M, ptrdiff_t K, const double *pred,
+                    const double *tot, const long long *anc, const double *u,
+                    const int *joint, long long *pick, long long *states)
+{
+    for (ptrdiff_t r = 0; r < R; r++) {
+        long long a = anc[r];
+        const double *p = pred + a * M;
+        double t = tot[a], c = 0.0;
+        ptrdiff_t below = 0;
+        for (ptrdiff_t m = 0; m < M; m++) {
+            c += p[m] / t;
+            below += u[r] > c;
+        }
+        if (below > M - 1)
+            below = M - 1;
+        pick[r] = below;
+        for (ptrdiff_t k = 0; k < K; k++)
+            states[r * K + k] = joint[below * K + k];
+    }
+}
+
+/* Row r of the outputs is ancestor a = anc[r]'s statistics plus this
+ * step's increments: the transition count old[a, k] -> new[r, k] when
+ * transitions is nonzero, the emission emis[r, k] and one count in state
+ * new[r, k] of each chain k. tc is (rows, K, Jmax, Jmax), es and ec are
+ * (rows, K, Jmax), old is (rows, K) and new (R, K). */
+void fbpf_fold(ptrdiff_t R, ptrdiff_t K, ptrdiff_t Jmax, const long long *anc,
+               const long long *old, const long long *new_, const double *emis,
+               int transitions, const double *tc, const double *es, const double *ec,
+               double *tc_out, double *es_out, double *ec_out)
+{
+    ptrdiff_t sq = K * Jmax * Jmax, ln = K * Jmax;
+    for (ptrdiff_t r = 0; r < R; r++) {
+        long long a = anc[r];
+        double *t = tc_out + r * sq, *s = es_out + r * ln, *c = ec_out + r * ln;
+        for (ptrdiff_t i = 0; i < sq; i++)
+            t[i] = tc[a * sq + i];
+        for (ptrdiff_t i = 0; i < ln; i++) {
+            s[i] = es[a * ln + i];
+            c[i] = ec[a * ln + i];
+        }
+        for (ptrdiff_t k = 0; k < K; k++) {
+            long long i = old[a * K + k], j = new_[r * K + k];
+            if (transitions)
+                t[(k * Jmax + i) * Jmax + j] += 1.0;
+            s[k * Jmax + j] += emis[r * K + k];
+            c[k * Jmax + j] += 1.0;
+        }
+    }
+}
+
+/* Each particle's conjugate posterior, ``_pure.fbpf_posterior``. Lane
+ * (k, j) of row r, q = k * Jmax + j: variance pv = 1 / (ec / s2[k] +
+ * inv_v0[q]), mean (es / s2[k] + m0_v0[q]) * pv, and theta = z * sqrt(pv) +
+ * mean for the standard normal z, in every one of the Jmax lanes; inv_v0
+ * and m0_v0 are NumPy's 1 / v0 and m0 / v0 of the prior. conc holds H rows
+ * of C = N * sum Js[k]^2: house h's chain blocks (N, Js[k], Js[k]) of
+ * alpha[k] + tc, one after the other in chain order. */
+void fbpf_posterior(ptrdiff_t H, ptrdiff_t N, ptrdiff_t K, ptrdiff_t Jmax,
+                    const long long *Js, const double *s2, const double *inv_v0,
+                    const double *m0_v0, const double *alpha, const double *es,
+                    const double *ec, const double *tc, const double *z,
+                    double *theta, double *conc)
+{
+    ptrdiff_t ln = K * Jmax, sq = K * Jmax * Jmax;
+    for (ptrdiff_t r = 0; r < H * N; r++)
+        for (ptrdiff_t k = 0; k < K; k++)
+            for (ptrdiff_t j = 0; j < Jmax; j++) {
+                ptrdiff_t q = k * Jmax + j, x = r * ln + q;
+                double pv = 1.0 / (ec[x] / s2[k] + inv_v0[q]);
+                double pm = (es[x] / s2[k] + m0_v0[q]) * pv;
+                theta[x] = z[x] * sqrt(pv) + pm;
+            }
+    for (ptrdiff_t h = 0; h < H; h++)
+        for (ptrdiff_t k = 0; k < K; k++) {
+            ptrdiff_t J = (ptrdiff_t)Js[k];
+            for (ptrdiff_t n = 0; n < N; n++) {
+                const double *t = tc + (h * N + n) * sq + k * Jmax * Jmax;
+                for (ptrdiff_t i = 0; i < J; i++)
+                    for (ptrdiff_t j = 0; j < J; j++)
+                        *conc++ = alpha[(k * Jmax + i) * Jmax + j] + t[i * Jmax + j];
+            }
+        }
+}
+
+/* The gamma draws gam, laid out as fbpf_posterior's conc, normalised into
+ * transition rows: pi (H * N, K, Jmax, Jmax) gets each row of J = Js[k]
+ * draws divided by their pairwise sum, and 0 in the padding. */
+void fbpf_dirichlet(ptrdiff_t H, ptrdiff_t N, ptrdiff_t K, ptrdiff_t Jmax,
+                    const long long *Js, const double *gam, double *pi)
+{
+    ptrdiff_t sq = K * Jmax * Jmax;
+    for (ptrdiff_t i = 0; i < H * N * sq; i++)
+        pi[i] = 0.0;
+    for (ptrdiff_t h = 0; h < H; h++)
+        for (ptrdiff_t k = 0; k < K; k++) {
+            ptrdiff_t J = (ptrdiff_t)Js[k];
+            for (ptrdiff_t n = 0; n < N; n++) {
+                double *p = pi + (h * N + n) * sq + k * Jmax * Jmax;
+                for (ptrdiff_t i = 0; i < J; i++, gam += J) {
+                    double s = 0.0;  /* pairwise_sum's own order below 8 */
+                    if (J < 8)
+                        for (ptrdiff_t j = 0; j < J; j++)
+                            s += gam[j];
+                    else
+                        s = pairwise_sum(gam, J);
+                    for (ptrdiff_t j = 0; j < J; j++)
+                        p[i * Jmax + j] = gam[j] / s;
+                }
+            }
+        }
 }

@@ -195,16 +195,22 @@ def categorical_sample_logits(rng: np.random.Generator, logits) -> int:
     return categorical_pick_logits(logits, rng.random())
 
 
+def categorical_rows_pick(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """The category that ``u[i]`` picks from row i of ``probs`` (rows
+    normalized): the count of its cdf entries below ``u[i]``."""
+    cdf = np.cumsum(probs, axis=1)
+    # right-edge guard: cdf may fall a hair short of 1
+    return np.minimum((u[:, None] > cdf).sum(axis=1), probs.shape[1] - 1)
+
+
 def categorical_rows_sample(rng, probs: np.ndarray) -> np.ndarray:
     """Vectorized categorical draw per row of ``probs`` (rows normalized).
 
     ``rng`` is one generator, or a list of H generators that each draw the
     uniforms of one of H equal blocks of rows (``rng.stacked_draws``).
     """
-    cdf = np.cumsum(probs, axis=1)
     u = stacked_draws(rng, probs.shape[0], lambda g, rows: g.random(rows.stop - rows.start))
-    # right-edge guard: cdf may fall a hair short of 1
-    return np.minimum((u[:, None] > cdf).sum(axis=1), probs.shape[1] - 1)
+    return categorical_rows_pick(probs, u)
 
 
 __all__ = [
@@ -224,5 +230,6 @@ __all__ = [
     "categorical_pick_logits",
     "categorical_sample",
     "categorical_sample_logits",
+    "categorical_rows_pick",
     "categorical_rows_sample",
 ]

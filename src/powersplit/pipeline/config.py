@@ -202,30 +202,57 @@ def _numbers(doc: dict, key: str, where: str) -> list:
     return vals
 
 
+def _positive(doc: dict, keys, where: str) -> None:
+    """Each of ``keys`` in ``doc`` is a finite number above 0; NaN and
+    infinities fail too."""
+    for key in keys:
+        if not 0.0 < doc[key] < np.inf:
+            raise ValueError(f"{where}: field {key!r} must be positive and finite, "
+                             f"got {doc[key]!r}")
+
+
+def _simplex(doc: dict, key: str, where: str) -> np.ndarray:
+    """``doc[key]`` as a probability vector: numbers in [0, 1] that sum to 1
+    within the mixture priors' tolerance."""
+    w = np.asarray(_numbers(doc, key, where), dtype=float)
+    if not (np.all((w >= 0.0) & (w <= 1.0)) and abs(w.sum() - 1.0) <= 1e-9):
+        raise ValueError(f"{where}: field {key!r} must be a probability vector "
+                         f"(entries in [0, 1] summing to 1), got {doc[key]!r}")
+    return w
+
+
 def bundle_from_doc(doc) -> HyperParamBundle:
     """The bundle a document describes; ``ValueError`` names the device and
-    field of the first key or value that breaks the schema."""
+    field of the first key or value that breaks the schema or its range:
+    concentrations, variances and duration hyperparameters are positive,
+    and mixture weights are probability vectors."""
     _check_keys(doc, _BUNDLE_SCHEMA, "bundle", required=tuple(_BUNDLE_SCHEMA))
     devs = []
     for i, d in enumerate(doc["devices"]):
         name = d.get("name") if isinstance(d, dict) else None
         where = f"device {name!r}" if isinstance(name, str) else f"devices[{i}]"
         _check_keys(d, _BUNDLE_DEVICE_SCHEMA, where, required=tuple(_BUNDLE_DEVICE_SCHEMA))
+        _positive(d, ("alpha", "sigma2", "r"), where)
         em, at = d["emission"], f"{where} emission"
         _check_keys(em, _EMISSION_SCHEMA, at, required=tuple(_EMISSION_SCHEMA))
-        weights, means, vars_ = (_numbers(em, key, at) for key in ("weights", "means", "vars"))
+        means, vars_ = (_numbers(em, key, at) for key in ("means", "vars"))
+        weights = _simplex(em, "weights", at)
         if not len(weights) == len(means) == len(vars_):
             raise ValueError(f"{at}: 'weights', 'means' and 'vars' differ in length")
+        if not all(0.0 < v < np.inf for v in vars_):
+            raise ValueError(f"{at}: field 'vars' must hold positive finite numbers, "
+                             f"got {vars_!r}")
         emission = EmissionMixturePrior(
-            weights=np.asarray(weights, dtype=float),
+            weights=weights,
             components=tuple(NormalPrior(m, v) for m, v in zip(means, vars_)),
         )
         du, at = d["duration"], f"{where} duration"
         _check_keys(du, _DURATION_SCHEMA, at, required=tuple(_DURATION_SCHEMA))
         for j, h in enumerate(du["components"]):
             _check_keys(h, _DURATION_HYPER_SCHEMA, f"{at} component {j}")
+            _positive(h, h.keys(), f"{at} component {j}")
         duration = DurationMixturePrior(
-            weights=np.asarray(_numbers(du, "weights", at), dtype=float),
+            weights=_simplex(du, "weights", at),
             components=tuple(DurationHyper(**h) for h in du["components"]),
         )
         devs.append(DeviceBundle(name=name, emission_mix=emission,

@@ -13,8 +13,13 @@ priors, particle count and step count in one pass over their H*N stacked
 particles, with one reading per particle in the accumulate. Every draw stays
 per house, from the house's own generator in a lone house's order, so the
 pass leaves each house byte-identical to stepping it alone;
-``FactorialBpf.step`` is the pass for one house. ``map_states_of`` and
-``power_means_of`` read the estimators of all houses at once.
+``FactorialBpf.step`` is the pass for one house. Each house draws a step's
+randoms with one generator call per kind, and the deterministic work
+between the draws runs in the ``_kernels`` passes (accumulate, shift,
+total, propagate, fold, posterior, Dirichlet), which are compiled on the
+native backend and bit-identical to their NumPy twins; every exp and log
+stays in NumPy. ``map_states_of`` and ``power_means_of`` read the
+estimators of all houses at once.
 
 Per-step cost is fixed: sufficient statistics replace the path, so nothing
 grows with the stream length. With the exact joint conditional as the
@@ -29,9 +34,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import fbpf_accumulate, systematic_counts
-from .distributions import NormalPrior, categorical_rows_sample
-from .rng import stacked_draws
+from ._kernels import (
+    fbpf_accumulate,
+    fbpf_dirichlet,
+    fbpf_fold,
+    fbpf_posterior,
+    fbpf_propagate,
+    fbpf_shift,
+    fbpf_total,
+    systematic_counts,
+)
+from .distributions import NormalPrior
+# bound here, though the step draws through ``fbpf_propagate``, because the
+# benchmark's tracer patches ``smc.categorical_rows_sample``
+from .distributions import categorical_rows_sample  # noqa: F401
 
 
 class DegenerateWeightsError(RuntimeError):
@@ -88,21 +104,19 @@ def joint_state_table(Js: tuple[int, ...]) -> np.ndarray:
 
 def conditional_emission_sample(theta_sel: np.ndarray, sumtheta: np.ndarray,
                                 var_chain: np.ndarray, ybar,
-                                rng) -> np.ndarray:
+                                z: np.ndarray) -> np.ndarray:
     """Split the aggregate across chains, one row per particle.
 
     ``theta_sel`` (N, K) holds each particle's emission means at its joint
     state, ``sumtheta`` (N,) their row sums and ``ybar`` the reading, one
     scalar or one per particle. The conditional law is Normal with mean
     theta_k + s2_k (ybar - sum theta) / S and covariance
-    diag(s2) - s2 s2^T / S, S = sum s2. Sampling uses a centered draw
-    projected onto the zero-sum subspace, so each row sums to ybar to machine
-    precision by construction. ``rng`` is one generator, or one generator per
-    equal block of rows (``rng.stacked_draws``).
+    diag(s2) - s2 s2^T / S, S = sum s2. Sampling uses a centered draw, from
+    the (N, K) standard normals ``z``, projected onto the zero-sum subspace,
+    so each row sums to ybar to machine precision by construction.
     """
     # the scaled standard normals are Generator.normal(0, sd)'s own draws
-    g = np.sqrt(var_chain) * stacked_draws(
-        rng, len(theta_sel), lambda r, rows: r.standard_normal(theta_sel[rows].shape))
+    g = np.sqrt(var_chain) * z
     resid = ybar - sumtheta - g.sum(axis=1)
     return theta_sel + var_chain * (resid / var_chain.sum())[:, None] + g
 
@@ -177,8 +191,9 @@ class FactorialBpf:
 
     def _draw_params(self):
         """Refresh every particle's parameters from prior + statistics."""
+        z = self.rng.standard_normal((self.N, self.K, self.Jmax))
         self.theta, self.pi = _refresh_params(self, self.emis_sums, self.emis_counts,
-                                              self.trans_counts, self.rng)
+                                              self.trans_counts, z, [self.rng])
 
     def step(self, ybar: float) -> None:
         """Consume one aggregate reading (``step_filters`` on this house)."""
@@ -229,29 +244,18 @@ def _log_rows(spec: FactorialBpf, pi: np.ndarray, states: np.ndarray) -> np.ndar
         return np.log(rows)
 
 
-def _refresh_params(spec: FactorialBpf, emis_sums, emis_counts, trans_counts, rng):
-    """(theta, pi) drawn from each particle's conjugate posterior: the theta
-    normals, then one gamma block per chain. ``rng`` is one generator, or one
-    per house (``rng.stacked_draws``)."""
-    # in place, on as few arrays as possible; each step is one IEEE add,
-    # multiply or divide, as in 1 / (1 / v0 + n / s2) and the rest
-    s2 = spec.var_chain[None, :, None]
-    post_var = emis_counts / s2
-    post_var += 1.0 / spec.prior_var[None]
-    np.divide(1.0, post_var, out=post_var)
-    post_mean = emis_sums / s2
-    post_mean += spec.prior_mean[None] / spec.prior_var[None]
-    post_mean *= post_var
-    n_rows = len(post_mean)
-    theta = stacked_draws(rng, n_rows, lambda g, rows: g.standard_normal(post_mean[rows].shape))
-    theta *= np.sqrt(post_var, out=post_var)
-    theta += post_mean
-    pi = np.zeros(trans_counts.shape)
-    for k, J in enumerate(spec.Js):
-        conc = spec.alpha[None, k, :J, :J] + trans_counts[:, k, :J, :J]
-        block = stacked_draws(rng, n_rows, lambda g, rows: g.standard_gamma(conc[rows]))
-        pi[:, k, :J, :J] = block / block.sum(axis=2, keepdims=True)
-    return theta, pi
+def _refresh_params(spec: FactorialBpf, emis_sums, emis_counts, trans_counts, z, rngs):
+    """(theta, pi) drawn from each particle's conjugate posterior, the H
+    houses' particles stacked: theta from the pre-drawn standard normals
+    ``z``, pi from one ``standard_gamma`` call per house, over all of the
+    house's chain blocks, from its generator in ``rngs``."""
+    theta, conc = fbpf_posterior(z, emis_sums, emis_counts, trans_counts, spec.var_chain,
+                                 spec.prior_mean, spec.prior_var, spec.alpha, spec.Js,
+                                 len(rngs))
+    gam = np.empty_like(conc)
+    for h, g in enumerate(rngs):
+        g.standard_gamma(conc[h], out=gam[h])
+    return theta, fbpf_dirichlet(gam, spec.Js, spec.N)
 
 
 def step_filters(filters, readings) -> None:
@@ -264,10 +268,13 @@ def step_filters(filters, readings) -> None:
     log-evidence, the resample gathers, the propagation, the imputation, the
     statistics fold and the parameter refresh once for all houses. Every
     draw stays per house, from that house's generator and in a lone house's
-    order: the systematic uniform, the categorical uniforms, the emission
-    normals, the theta normals, then one gamma block per chain. So each
-    house ends byte-identical to stepping it alone, and its arrays become row
-    slices of the stacked results.
+    order, with one call per kind: ``random(N + 1)``, the systematic uniform
+    then the categorical ones; ``standard_normal(N*K + N*K*Jmax)``, the
+    emission normals then the theta ones; then ``standard_gamma`` over all
+    of the house's chain blocks. A generator method draws element by element
+    and keeps no state between calls, so these are the bits that one call
+    per draw would give, and each house ends byte-identical to stepping it
+    alone; its arrays become row slices of the stacked results.
 
     The resample copies only the statistics: ``pi`` and ``theta`` are redrawn
     from them at the end of the step, so the split reads the ancestors' means
@@ -287,7 +294,7 @@ def step_filters(filters, readings) -> None:
     theta = _stack(filters, "theta")
     logw, sumtheta = fbpf_accumulate(_log_rows(spec, _stack(filters, "pi"), states),
                                      theta, spec.var_chain, spec.joint_idx, ybar)
-    row_max = logw.max(axis=1)
+    row_max, keep = fbpf_shift(logw, EXP_FLOOR)
     live = np.isfinite(row_max)
     dead = np.flatnonzero(~live.reshape(H, N).any(axis=1))
     if len(dead):
@@ -295,49 +302,37 @@ def step_filters(filters, readings) -> None:
             f"all joint predictive weights are zero (houses {dead.tolist()})")
 
     # first stage: predictive weights, then each house's systematic resample
-    with np.errstate(invalid="ignore", divide="ignore"):
-        shifted = logw  # shifted and exponentiated in place
-        shifted -= row_max[:, None]
-        keep = shifted >= EXP_FLOOR
-        np.exp(shifted, out=shifted, where=keep)
-        shifted[~keep] = 0.0
-        row_tot = shifted.sum(axis=1)
+    pred = logw  # shifted and exponentiated in place
+    np.exp(pred, out=pred)
+    row_tot = fbpf_total(pred, keep)
+    with np.errstate(divide="ignore"):
         logpred = np.where(live, row_max + np.log(row_tot), -np.inf).reshape(H, N)
     mx = logpred.max(axis=1)  # finite: every house has a finite row_max
     w = np.exp(logpred - mx[:, None])
     evidence = mx + np.log(w.mean(axis=1))
     w /= w.sum(axis=1, keepdims=True)
+    u = np.empty((H, N + 1))
+    z = np.empty((H, N * K * (1 + Jm)))
+    for h, g in enumerate(rngs):
+        g.random(out=u[h])
+        g.standard_normal(out=z[h])
     idx = counts_to_indices(np.concatenate(
-        [systematic_counts(w[h], rng.random() / N) for h, rng in enumerate(rngs)]))
+        [systematic_counts(w[h], u[h, 0] / N) for h in range(H)]))
 
-    old_states = states[idx]
-    trans_counts = _stack(filters, "trans_counts")[idx]
-    emis_sums = _stack(filters, "emis_sums")[idx]
-    emis_counts = _stack(filters, "emis_counts")[idx]
-    probs = shifted[idx]
-    probs /= row_tot[idx][:, None]
+    # joint propagation through the exact conditional, then emissions that
+    # sum to the aggregate
+    j_star, new_states = fbpf_propagate(pred, row_tot, idx, u[:, 1:].reshape(-1),
+                                        spec.joint_idx)
+    emis = conditional_emission_sample(theta[idx[:, None], np.arange(K), new_states],
+                                       sumtheta[idx, j_star], spec.var_chain, ybar,
+                                       z[:, :N * K].reshape(H * N, K))
+    trans_counts, emis_sums, emis_counts = fbpf_fold(
+        idx, states, new_states, emis, spec.n > 0, _stack(filters, "trans_counts"),
+        _stack(filters, "emis_sums"), _stack(filters, "emis_counts"))
 
-    # joint propagation through the exact conditional
-    j_star = categorical_rows_sample(rngs, probs)
-    new_states = spec.joint_idx[j_star].astype(np.int64)
-
-    # emissions that sum to the aggregate
-    kk = np.arange(K)[None, :]
-    emis = conditional_emission_sample(theta[idx[:, None], kk, new_states],
-                                       sumtheta[idx, j_star], spec.var_chain, ybar, rngs)
-
-    # statistics; every (particle, chain) row gets exactly one increment,
-    # so fancy-index adds equal np.add.at
-    rows = np.arange(H * N * K)
-    new_flat = new_states.ravel()
-    if spec.n > 0:
-        flat = trans_counts.reshape(-1, Jm, Jm)
-        flat[rows, old_states.ravel(), new_flat] += 1.0
-    emis_sums.reshape(-1, Jm)[rows, new_flat] += emis.ravel()
-    emis_counts.reshape(-1, Jm)[rows, new_flat] += 1.0
-
-    del logw, shifted, sumtheta, probs  # the (H*N, M) arrays, before the refresh allocates
-    theta, pi = _refresh_params(spec, emis_sums, emis_counts, trans_counts, rngs)
+    del logw, pred, keep, sumtheta  # the (H*N, M) arrays, before the refresh allocates
+    theta, pi = _refresh_params(spec, emis_sums, emis_counts, trans_counts,
+                                z[:, N * K:].reshape(H * N, K, Jm), rngs)
     weights = np.full(H * N, 1.0 / N)
     for h, f in enumerate(filters):
         own = slice(h * N, (h + 1) * N)

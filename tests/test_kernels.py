@@ -4,9 +4,11 @@ The brute-force offspring oracle places each systematic position by linear
 search; the kernel must reproduce it exactly. The factorial accumulate,
 which reads one aggregate reading per particle, is checked bit for bit
 against a direct gather through the joint-state table, on both backends.
-The compiled forward segment draw must walk the same segments, and read the
-same number of uniforms, as the pure one on inputs captured from a training
-fit and on edge cases.
+The filter step's other passes must equal their pure twins bit for bit, on
+arguments captured from batched filter runs and on edge rows. The compiled
+forward segment draw must walk the same segments, and read the same number
+of uniforms, as the pure one on inputs captured from a training fit and on
+edge cases.
 
 The compiled kernels come from the ``compiled_kernels`` fixture: the tree's
 own library when it is built, else one ``setup.py`` builds into a temporary
@@ -28,8 +30,10 @@ from powersplit.pipeline.config import RunConfig, default_bundle
 from powersplit.pipeline.io import Trace
 from powersplit.pipeline.synth import synth_generate
 from powersplit.pipeline.train import train_hyperparams
+from powersplit import smc
+from powersplit.distributions import NormalPrior
 from powersplit.rng import stream
-from powersplit.smc import joint_state_table
+from powersplit.smc import ChainPrior, FactorialBpf, joint_state_table, step_filters
 
 
 @pytest.fixture(scope="module", params=["pure", "native"])
@@ -70,6 +74,21 @@ def hsmm_instance(rng, T, J, dmax, p_inf=0.0):
 def test_backend_flag_is_exposed():
     assert _kernels.BACKEND in ("native", "pure")
     assert _pure.BACKEND == "pure"
+
+
+def test_backends_export_the_same_kernels(compiled_kernels):
+    # every compiled kernel has its pure twin, and the package serves each
+    # from the backend it selected; systematic_counts is pure everywhere
+    def kernels(module):
+        return {name for name, obj in vars(module).items()
+                if callable(obj) and getattr(obj, "__module__", None) == module.__name__
+                and not name.startswith("_")}
+
+    served = set(_kernels.__all__) - {"BACKEND"}
+    assert kernels(compiled_kernels) == served - {"systematic_counts"}
+    assert kernels(_pure) == served
+    for name in served:
+        assert getattr(_kernels, name).__module__.endswith(("._pure", "._compiled"))
 
 
 def test_hsmm_backward_agrees_across_backends(compiled_kernels):
@@ -237,6 +256,139 @@ def test_fbpf_accumulate_rejects_non_product_table(compiled_kernels):
                 impl.fbpf_accumulate(rows, theta, var, subset, np.full(5, 250.0))
 
 
+# ---------------------------------------------------------------------------
+# the filter step's passes: compiled against pure, bit for bit
+# ---------------------------------------------------------------------------
+
+STEP_PASSES = ("fbpf_shift", "fbpf_total", "fbpf_propagate", "fbpf_fold", "fbpf_posterior",
+               "fbpf_dirichlet")
+
+
+def _copies(args):
+    return [a.copy() if isinstance(a, np.ndarray) else a for a in args]
+
+
+def captured_step_calls(monkeypatch, Js, H=3, N=40, steps=4):
+    """(pass, arguments) of every step pass in a batched run of H houses
+    with chains of Js states, the first step (n == 0) included. The third
+    reading sits far above every joint mean, so many predictive lanes drop
+    below ``smc.EXP_FLOOR``."""
+    priors = [ChainPrior(np.full((J, J), 1.5) + 4.0 * np.eye(J),
+                         tuple(NormalPrior(100.0 * j, 400.0) for j in range(J)), 30.0 + 10.0 * k)
+              for k, J in enumerate(Js)]
+    houses = [FactorialBpf(priors, N, stream(40 + h, "pass-capture")) for h in range(H)]
+    calls = []
+    for name in STEP_PASSES:
+        def spy(*args, _name=name, _shipped=getattr(smc, name)):
+            calls.append((_name, _copies(args)))
+            return _shipped(*args)
+
+        monkeypatch.setattr(smc, name, spy)
+    readings = stream(39, "pass-readings").normal(150.0, 80.0, (steps, H))
+    readings[2] = 1e4
+    for y in readings:
+        step_filters(houses, y)
+    monkeypatch.undo()
+    assert {name for name, _ in calls} == set(STEP_PASSES)
+    return calls
+
+
+def assert_pass_matches_pure(compiled_kernels, name, args):
+    """The pass on both backends: equal outputs, and equal arguments after
+    the call, as the shift and the total write in place."""
+    pure_args, native_args = _copies(args), _copies(args)
+    want = getattr(_pure, name)(*pure_args)
+    got = getattr(compiled_kernels, name)(*native_args)
+    if not isinstance(want, tuple):
+        want, got = (want,), (got,)
+    assert len(got) == len(want)
+    for a, b in zip(want, got):
+        assert a.shape == b.shape and a.dtype == b.dtype, name
+        assert np.array_equal(a, b, equal_nan=True), name
+        assert np.array_equal(np.signbit(a), np.signbit(b)), name
+    for a, b in zip(pure_args, native_args):
+        if isinstance(a, np.ndarray):
+            assert np.array_equal(a, b, equal_nan=True), name
+
+
+@pytest.mark.parametrize("Js", [(2, 3, 2, 3), (2, 2, 3), (3,)])
+def test_filter_step_passes_match_pure_on_captured_steps(monkeypatch, compiled_kernels, Js):
+    calls = captured_step_calls(monkeypatch, Js)
+    dropped = 0
+    for name, args in calls:
+        assert_pass_matches_pure(compiled_kernels, name, args)
+        if name == "fbpf_shift":
+            dropped += int((~_pure.fbpf_shift(*_copies(args))[1]).sum())
+    assert dropped > 0  # lanes below EXP_FLOOR were exercised
+    firsts = [args[4] for name, args in calls if name == "fbpf_fold"]
+    assert firsts[0] is False and firsts[1] is True  # n == 0, then transitions
+
+
+def test_shift_and_total_match_pure_on_dead_rows_and_nan(compiled_kernels):
+    rng = np.random.default_rng(14)
+    R, M = 30, 12
+    logw = rng.normal(-300.0, 400.0, (R, M))
+    logw[:4] = -np.inf           # a dead row in every sense
+    logw[4:8, ::3] = -np.inf     # some lanes vanish
+    logw[8, 5] = np.nan          # NaN wins the max, as np.max has it
+    logw[9, 0] = np.nan
+    logw[10] = -800.0            # a finite row far below the rest
+    logw[11, 2] = 0.0            # ties at the max
+    logw[11, 7] = 0.0
+    logw[12:16] = np.linspace(-702.0, 0.0, M)  # lanes straddling EXP_FLOOR
+    args = [logw, smc.EXP_FLOOR]
+    assert_pass_matches_pure(compiled_kernels, "fbpf_shift", args)
+    pred = logw.copy()
+    _, keep = _pure.fbpf_shift(pred, smc.EXP_FLOOR)
+    assert not keep[:4].any() and not keep[8].any() and keep[12, -1] and not keep[12, 0]
+    np.exp(pred, out=pred)
+    assert_pass_matches_pure(compiled_kernels, "fbpf_total", [pred, keep])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.integers(1, 10), min_size=1, max_size=3), st.integers(1, 3),
+       st.integers(1, 6), st.integers(0, 10_000))
+def test_posterior_and_dirichlet_match_pure(compiled_kernels, Js, H, N, seed):
+    # chains of 8 states and more take numpy's pairwise row sum
+    rng = np.random.default_rng(seed)
+    K, Jm, R = len(Js), max(Js), H * N
+    tc = rng.integers(0, 5, (R, K, Jm, Jm)).astype(float)
+    ec = rng.integers(0, 9, (R, K, Jm)).astype(float)
+    es = ec * rng.normal(50.0, 20.0, (R, K, Jm))
+    args = [rng.standard_normal((R, K, Jm)), es, ec, tc, rng.uniform(1.0, 30.0, K),
+            rng.normal(0.0, 100.0, (K, Jm)), rng.uniform(0.5, 900.0, (K, Jm)),
+            rng.uniform(0.1, 3.0, (K, Jm, Jm)), tuple(Js), H]
+    assert_pass_matches_pure(compiled_kernels, "fbpf_posterior", args)
+    conc = _pure.fbpf_posterior(*args)[1]
+    assert conc.shape == (H, N * sum(J * J for J in Js))
+    gam = rng.standard_gamma(conc) + rng.uniform(0.0, 1e-3, conc.shape)
+    assert_pass_matches_pure(compiled_kernels, "fbpf_dirichlet", [gam, tuple(Js), N])
+
+
+def test_propagate_and_fold_match_pure_on_edge_rows(compiled_kernels):
+    rng = np.random.default_rng(15)
+    Js = (2, 3)
+    joint = joint_state_table(Js)
+    R, M, K = 12, len(joint), len(Js)
+    pred = rng.uniform(0.0, 1.0, (R, M))
+    pred[0] = 0.0
+    pred[0, 3] = 1.0             # a one-lane row
+    pred[1, :] = 1e-300          # tiny lanes, normalised by a tiny total
+    tot = pred.sum(axis=1)
+    anc = np.array([0, 0, 1, 2, 3, 3, 3, 7, 8, 9, 11, 11])
+    u = rng.random(R)
+    u[:2] = [0.0, 1.0 - 1e-16]   # the picks at both ends of a row
+    assert_pass_matches_pure(compiled_kernels, "fbpf_propagate", [pred, tot, anc, u, joint])
+    states = joint[rng.integers(0, M, R)].astype(np.int64)
+    new_states = joint[rng.integers(0, M, R)].astype(np.int64)
+    stats = [rng.integers(0, 4, (R, K, 3, 3)).astype(float), rng.normal(0, 9, (R, K, 3)),
+             rng.integers(0, 4, (R, K, 3)).astype(float)]
+    emis = rng.normal(0.0, 50.0, (R, K))
+    for transitions in (False, True):
+        assert_pass_matches_pure(compiled_kernels, "fbpf_fold",
+                                 [anc, states, new_states, emis, transitions, *stats])
+
+
 def _hsmm_call(**change):
     args = dict(zip(("logtrans_bar", "logdur", "logtail", "loglik"),
                     hsmm_instance(np.random.default_rng(5), 12, 3, 4)), dmax=4)
@@ -258,6 +410,35 @@ def _fbpf_call(**change):
                 joint_idx=joint_state_table((2, 3)), ybar=np.full(4, 10.0))
     args.update(change)
     return "fbpf_accumulate", args
+
+
+def _pass_call(kernel, **change):
+    """A small call of one filter step pass, from two houses of three
+    particles with chains of 2 and 3 states."""
+    rng = np.random.default_rng(16)
+    Js, H, N = (2, 3), 2, 3
+    joint = joint_state_table(Js)
+    R, M, K, Jm = H * N, len(joint), len(Js), max(Js)
+    states = joint[[0, 5, 3, 1, 2, 4]].astype(np.int64)
+    stats = dict(trans_counts=rng.integers(0, 3, (R, K, Jm, Jm)).astype(float),
+                 emis_sums=rng.normal(0.0, 9.0, (R, K, Jm)),
+                 emis_counts=rng.integers(0, 3, (R, K, Jm)).astype(float))
+    pred = rng.uniform(0.1, 1.0, (R, M))
+    args = {
+        "fbpf_shift": dict(logw=rng.normal(-5.0, 3.0, (R, M)), lo=-700.0),
+        "fbpf_total": dict(pred=pred, keep=rng.random((R, M)) < 0.8),
+        "fbpf_propagate": dict(pred=pred, tot=pred.sum(axis=1), anc=np.array([0, 0, 2, 3, 5, 5]),
+                               u=rng.random(R), joint_idx=joint),
+        "fbpf_fold": dict(anc=np.array([1, 1, 2, 3, 3, 4]), states=states,
+                          new_states=states[::-1].copy(), emis=rng.normal(0.0, 5.0, (R, K)),
+                          transitions=True, **stats),
+        "fbpf_posterior": dict(z=rng.standard_normal((R, K, Jm)), var_chain=np.array([4.0, 9.0]),
+                               prior_mean=np.zeros((K, Jm)), prior_var=np.ones((K, Jm)),
+                               alpha=np.ones((K, Jm, Jm)), Js=Js, H=H, **stats),
+        "fbpf_dirichlet": dict(gam=rng.uniform(0.1, 2.0, (H, N * 13)), Js=Js, N=N),
+    }[kernel]
+    args.update(change)
+    return kernel, args
 
 
 BAD_INPUTS = {
@@ -286,6 +467,31 @@ BAD_INPUTS = {
     "ybar_float32": (_fbpf_call(ybar=np.full(4, 10.0, np.float32)), "ybar"),
     "ybar_one_per_house": (_fbpf_call(ybar=np.full(2, 10.0)), "ybar"),
     "ybar_2d": (_fbpf_call(ybar=np.full((4, 1), 10.0)), "ybar"),
+    "shift_logw_strided": (_pass_call("fbpf_shift", logw=np.zeros((6, 12))[:, ::2]), "logw"),
+    "shift_logw_read_only": (_pass_call("fbpf_shift", logw=np.broadcast_to(0.0, (6, 6))),
+                             "logw"),
+    "total_keep_wrong_shape": (_pass_call("fbpf_total", keep=np.ones((6, 5), bool)), "keep"),
+    "total_keep_float": (_pass_call("fbpf_total", keep=np.ones((6, 6))), "keep"),
+    "propagate_anc_past_rows": (_pass_call("fbpf_propagate", anc=np.array([0, 1, 2, 3, 4, 6])),
+                                "anc"),
+    "propagate_anc_negative": (_pass_call("fbpf_propagate", anc=np.array([0, -1, 2, 3, 4, 5])),
+                               "anc"),
+    "propagate_anc_int32": (_pass_call("fbpf_propagate", anc=np.arange(6, dtype=np.int32)),
+                            "anc"),
+    "propagate_short_u": (_pass_call("fbpf_propagate", u=np.full(5, 0.5)), "u"),
+    "propagate_joint_idx_wrong_rows": (_pass_call("fbpf_propagate",
+                                                  joint_idx=joint_state_table((2, 2))),
+                                       "joint_idx"),
+    "fold_anc_past_rows": (_pass_call("fbpf_fold", anc=np.array([0, 1, 2, 3, 4, 9])), "anc"),
+    "fold_state_past_lanes": (_pass_call("fbpf_fold", new_states=np.full((6, 2), 3)), "states"),
+    "fold_old_state_negative": (_pass_call("fbpf_fold", states=np.full((6, 2), -1)), "states"),
+    "fold_emis_wrong_shape": (_pass_call("fbpf_fold", emis=np.zeros((6, 3))), "emis"),
+    "posterior_H_not_dividing": (_pass_call("fbpf_posterior", H=4), "H"),
+    "posterior_Js_past_lanes": (_pass_call("fbpf_posterior", Js=(2, 4)), "Js"),
+    "posterior_alpha_wrong_shape": (_pass_call("fbpf_posterior", alpha=np.ones((2, 3, 2))),
+                                    "alpha"),
+    "dirichlet_gam_wrong_width": (_pass_call("fbpf_dirichlet", gam=np.ones((2, 38))), "gam"),
+    "dirichlet_Js_empty": (_pass_call("fbpf_dirichlet", Js=()), "Js"),
 }
 
 
@@ -313,9 +519,11 @@ def test_compiled_kernels_copy_non_contiguous_input(compiled_kernels):
 
 
 def test_compiled_kernels_leave_no_cyclic_garbage(compiled_kernels):
-    """A filter step calls the accumulate once; garbage that only the cyclic
-    collector frees would pile up over a long stream with it switched off."""
-    calls = [_hsmm_call(), _forward_call(), _fbpf_call()]
+    """A filter step calls the accumulate and each step pass once; garbage
+    that only the cyclic collector frees would pile up over a long stream
+    with it switched off."""
+    calls = [_hsmm_call(), _forward_call(), _fbpf_call()] + [
+        _pass_call(kernel) for kernel in STEP_PASSES]
     for kernel, args in calls:
         getattr(compiled_kernels, kernel)(**args)
     gc.collect()

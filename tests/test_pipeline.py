@@ -718,6 +718,18 @@ def bad_bundle_text(case):
         dev["duration"]["shape"] = 2
     elif case == "bool_duration_rate":
         dev["duration"]["components"][0]["a_lam"] = True
+    elif case == "negative_alpha":
+        dev["alpha"] = -1.0
+    elif case == "zero_sigma2":
+        dev["sigma2"] = 0
+    elif case == "negative_emission_var":
+        dev["emission"]["vars"][0] = -4.0
+    elif case == "emission_weights_off_simplex":
+        dev["emission"]["weights"] = [0.7, 0.7]
+    elif case == "duration_weights_off_simplex":
+        dev["duration"]["weights"] = [1.5]
+    elif case == "zero_duration_rate":
+        dev["duration"]["components"][0]["b_lam"] = 0.0
     return json.dumps(doc)
 
 
@@ -735,6 +747,15 @@ BAD_BUNDLES = {
     "unknown_duration_key": "device 'refrigerator' duration: unknown key 'shape'",
     "bool_duration_rate": ("device 'refrigerator' duration component 0: "
                            "field 'a_lam' has wrong type (bool)"),
+    "negative_alpha": "device 'refrigerator': field 'alpha' must be positive",
+    "zero_sigma2": "device 'refrigerator': field 'sigma2' must be positive",
+    "negative_emission_var": "device 'refrigerator' emission: field 'vars' must hold positive",
+    "emission_weights_off_simplex": ("device 'refrigerator' emission: field 'weights' "
+                                     "must be a probability vector"),
+    "duration_weights_off_simplex": ("device 'refrigerator' duration: field 'weights' "
+                                     "must be a probability vector"),
+    "zero_duration_rate": ("device 'refrigerator' duration component 0: "
+                           "field 'b_lam' must be positive"),
 }
 
 
@@ -840,6 +861,63 @@ def test_cli_train_bundle_does_not_depend_on_backend(tmp_path, runner, compiled_
                           "scipy.stats": False, "scipy.sparse": True}
         bundles[backend] = out.read_bytes()
     assert bundles["native"] == bundles["pure"]
+
+
+# Runs the CLI commands in argv[2] (a JSON list of argument lists) with the
+# filter kernels of the compiled-kernel loader at path argv[1], or with the
+# backend the environment selects when it is "". Prints the modules that
+# served the filter kernels.
+FILTER_KERNELS = ("fbpf_accumulate", "fbpf_shift", "fbpf_total", "fbpf_propagate",
+                  "fbpf_fold", "fbpf_posterior", "fbpf_dirichlet")
+FILTER_SCRIPT = f"""
+import importlib.util, json, sys
+from powersplit import smc
+from powersplit.pipeline.cli import main
+
+names = {FILTER_KERNELS!r}
+if sys.argv[1]:
+    spec = importlib.util.spec_from_file_location("compiled_kernels", sys.argv[1])
+    compiled = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(compiled)
+    for name in names:
+        setattr(smc, name, getattr(compiled, name))
+for args in json.loads(sys.argv[2]):
+    main(args, standalone_mode=False)
+print(json.dumps(sorted({{getattr(smc, name).__module__ for name in names}})))
+"""
+
+
+def test_cli_filter_outputs_do_not_depend_on_backend(tmp_path, runner, compiled_kernels):
+    # disagg over the four default devices and control with the fbpf hook on
+    # three houses: the native and the pure filter must write the same bytes
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"seed": 8, "horizon": 150, "particles": 120,
+                               "control": {"n_loads": 60, "n_houses": 3, "steps": 50,
+                                           "period": 25, "transient": 10, "hook": "fbpf",
+                                           "hook_particles": 40}}))
+    trace, states = tmp_path / "house.csv", tmp_path / "states.csv"
+    r = runner.invoke(main, ["synth", "--config", str(cfg), "--out", str(trace),
+                             "--states-out", str(states)])
+    assert r.exit_code == 0, r.output
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    outputs = {}
+    for backend, loader in (("native", compiled_kernels.__file__), ("pure", "")):
+        env = {k: v for k, v in os.environ.items() if k != "POWERSPLIT_PURE"}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        if backend == "pure":
+            env["POWERSPLIT_PURE"] = "1"
+        files = [tmp_path / f"{name}-{backend}.csv" for name in ("disagg", "metrics", "control")]
+        runs = [["disagg", str(trace), "--config", str(cfg), "--states", str(states),
+                 "--out", str(files[0]), "--metrics-out", str(files[1])],
+                ["control", "--config", str(cfg), "--out", str(files[2])]]
+        proc = subprocess.run([sys.executable, "-c", FILTER_SCRIPT, loader, json.dumps(runs)],
+                              env=env, capture_output=True, text=True, timeout=300,
+                              check=False)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout.splitlines()[-1]) == {
+            "native": ["compiled_kernels"], "pure": ["powersplit._kernels._pure"]}[backend]
+        outputs[backend] = [f.read_bytes() for f in files]
+    assert outputs["native"] == outputs["pure"]
 
 
 def test_cli_control_rejects_empty_tracking_window(tmp_path, runner):

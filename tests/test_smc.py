@@ -1,12 +1,13 @@
 """Particle machinery against exact oracles.
 
-Proposal and split-law checks compare the shipped ``FactorialBpf`` pieces
-against brute force over the joint state space and the conditional-Gaussian
-formulas. The outer-sum accumulate is checked at filter level against the
-(N, M, K) gather it replaced and against the compiled kernel, and the running
-log-evidence against the closed-form first-step predictive. Houses stepped
-together in one pass must end byte for byte where the same houses stepped
-alone end. Tracking of the exact filter is acceptance criterion 7.
+Proposal, first-stage weight and split-law checks compare the shipped
+``FactorialBpf`` pieces against brute force over the joint state space and
+the conditional-Gaussian formulas. The outer-sum accumulate is checked at
+filter level against the (N, M, K) gather it replaced and against the
+compiled kernel, and the running log-evidence against the closed-form
+first-step predictive. Houses stepped together in one pass must end byte
+for byte where the same houses stepped alone end. Tracking of the exact
+filter is acceptance criterion 7.
 """
 
 import hashlib
@@ -37,12 +38,11 @@ from powersplit.smc import (
 )
 
 
-def fixed_filter(pis, thetas, sig2s):
-    """A three-particle filter whose particles all carry the given rows and
-    means."""
+def fixed_filter(pis, thetas, sig2s, n_particles=3, seed=20):
+    """A filter whose particles all carry the given rows and means."""
     priors = [ChainPrior(np.ones((len(t), len(t))), tuple(NormalPrior(0.0, 1.0) for _ in t), s2)
               for t, s2 in zip(thetas, sig2s)]
-    filt = FactorialBpf(priors, n_particles=3, rng=stream(20, "fixed"))
+    filt = FactorialBpf(priors, n_particles=n_particles, rng=stream(seed, "fixed"))
     for k, (pi, theta) in enumerate(zip(pis, thetas)):
         J = len(theta)
         filt.pi[:, k, :J, :J] = pi
@@ -85,13 +85,15 @@ def test_factorial_proposal_matches_brute_force(monkeypatch):
         logw, _ = smc.fbpf_accumulate(smc._log_rows(filt, filt.pi, filt.states), filt.theta,
                                       filt.var_chain, filt.joint_idx, np.full(filt.N, ybar))
         seen = []
-        draw = smc.categorical_rows_sample
+        propagate = smc.fbpf_propagate
 
-        def spy(rng, probs):
-            seen.append(probs.copy())
-            return draw(rng, probs)
+        def spy(pred, tot, anc, u, joint_idx):
+            # the rows the pass draws from: the ancestors' predictive rows
+            # over their totals
+            seen.append(pred[anc] / tot[anc][:, None])
+            return propagate(pred, tot, anc, u, joint_idx)
 
-        monkeypatch.setattr(smc, "categorical_rows_sample", spy)
+        monkeypatch.setattr(smc, "fbpf_propagate", spy)
         filt.step(ybar)
         monkeypatch.undo()
         return seen[0], np.exp(logw).sum(axis=1)
@@ -132,6 +134,44 @@ def test_factorial_proposal_matches_brute_force(monkeypatch):
     assert np.abs(probs_far - want_far / want_far.sum()).max() < 1e-12
 
 
+def test_first_stage_weights_match_brute_force(monkeypatch):
+    # two houses stepped in one pass, each with its six particles in the six
+    # distinct joint states, so every particle has its own predictive; the
+    # resample must weight particle i by p(y | x_i) over the house's total
+    pis = [(np.array([[0.9, 0.1], [0.2, 0.8]]),
+            np.array([[0.7, 0.2, 0.1], [0.1, 0.6, 0.3], [0.3, 0.3, 0.4]])),
+           (np.array([[0.5, 0.5], [0.05, 0.95]]),
+            np.array([[0.2, 0.2, 0.6], [0.8, 0.1, 0.1], [0.1, 0.1, 0.8]]))]
+    thetas = [(np.array([0.0, 3.0]), np.array([0.0, 1.0, 5.0])),
+              (np.array([0.5, 2.0]), np.array([-1.0, 1.5, 4.0]))]
+    sig2s = (0.5, 1.5)
+    readings = [4.2, 1.1]
+    sd = math.sqrt(sum(sig2s))
+    houses = [fixed_filter(p, t, sig2s, n_particles=6, seed=30 + h)
+              for h, (p, t) in enumerate(zip(pis, thetas))]
+    for f in houses:
+        f.states[:] = f.joint_idx
+        f.n = 1
+    seen = []
+    counts = smc.systematic_counts
+
+    def spy(w, u0):
+        seen.append(np.array(w))
+        return counts(w, u0)
+
+    monkeypatch.setattr(smc, "systematic_counts", spy)
+    step_filters(houses, readings)
+    assert len(seen) == 2
+    for w, (pi0, pi1), (th0, th1), y in zip(seen, pis, thetas, readings):
+        pred = np.array([
+            sum(pi0[a0, a] * pi1[b0, b] * norm.pdf(y, th0[a] + th1[b], sd)
+                for a in range(2) for b in range(3))
+            for a0, b0 in joint_state_table((2, 3))
+        ])
+        assert np.abs(w - pred / pred.sum()).max() < 1e-12
+        assert np.ptp(pred / pred.sum()) > 0.05  # the reading does move the weights
+
+
 def test_conditional_emission_split_law():
     d = np.array([0.5, 1.0, 2.0])
     theta_sel = np.array([4.0, 0.5, 2.0])
@@ -139,7 +179,7 @@ def test_conditional_emission_split_law():
     n = 100_000
     draws = conditional_emission_sample(np.tile(theta_sel, (n, 1)),
                                         np.full(n, theta_sel.sum()), d, ybar,
-                                        stream(5, "split"))
+                                        stream(5, "split").standard_normal((n, 3)))
     assert draws.shape == (n, 3)
     assert np.abs(draws.sum(axis=1) - ybar).max() < 1e-9
 
