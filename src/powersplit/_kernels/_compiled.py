@@ -8,11 +8,12 @@ A bad input raises ``ValueError`` naming the argument before the library
 reads any memory. Importing this module
 raises ``ImportError`` when the library has not been built.
 
-Same contracts as ``_pure``: ``hsmm_backward`` agrees with it to
-floating-point reassociation, and ``fbpf_accumulate`` and the filter step's
-passes (``fbpf_shift``, ``fbpf_total``, ``fbpf_propagate``, ``fbpf_fold``,
-``fbpf_posterior``, ``fbpf_dirichlet``) bit for bit: they take no exp or
-log, which stay in NumPy. ``hsmm_forward_sample`` computes each pick as
+Same contracts as ``_pure``: ``hsmm_backward`` agrees with it to the last
+bit, where libm's ``exp`` and NumPy's SIMD one round apart, and
+``fbpf_accumulate`` and the filter step's passes (``fbpf_shift``,
+``fbpf_total``, ``fbpf_propagate``, ``fbpf_fold``, ``fbpf_posterior``,
+``fbpf_dirichlet``) bit for bit: they take no exp or log, which stay in
+NumPy. ``hsmm_forward_sample`` computes each pick as
 ``_pure`` does, save that libm's ``exp`` may differ from NumPy's in the
 last bit, which moves a draw only when a uniform lies within an ulp of a
 cdf boundary.
@@ -107,7 +108,8 @@ def _addr(a, dtype=np.float64):
 
 
 def hsmm_backward(logtrans_bar, logdur, logtail, loglik, dmax):
-    """Explicit-duration backward messages (B, Bstar); see ``_pure``."""
+    """Explicit-duration backward messages (B, Bstar); see ``_pure``. The
+    scratch buffer also holds the kernel's j-major copies of B and cum."""
     loglik = _floats("loglik", loglik, 2)
     logtrans_bar = _floats("logtrans_bar", logtrans_bar, 2)
     logdur = _floats("logdur", logdur, 2)
@@ -128,7 +130,7 @@ def hsmm_backward(logtrans_bar, logdur, logtail, loglik, dmax):
     np.cumsum(loglik, axis=0, out=cum[1:])
     B = np.empty((T + 1, J))
     Bstar = np.empty((T, J))
-    buf = np.empty(max(min(T, dmax) + 1, J))
+    buf = np.empty(2 * J * (T + 1) + max(min(T, dmax) + 1, J))
     _lib.hsmm_backward(T, J, dmax, _addr(logtrans_bar), _addr(logdur), logdur.shape[1],
                        _addr(logtail), logtail.shape[1], _addr(cum), _addr(B),
                        _addr(Bstar), _addr(buf))

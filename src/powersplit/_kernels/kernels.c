@@ -4,9 +4,14 @@
  * posterior, Dirichlet normalisation).
  *
  * Plain C99 with no Python or NumPy API. ``_compiled.py`` loads the library
- * with ctypes, checks every input and allocates every output; arrays here are
- * C-contiguous, with shapes and the indices the filter passes follow
- * already verified by the loader.
+ * with ctypes, checks every input and allocates every output and scratch
+ * buffer; arrays here are C-contiguous, with shapes and the indices the
+ * filter passes follow already verified by the loader.
+ *
+ * The backward pass walks j-major copies of its messages and running sums,
+ * so each state's duration terms are contiguous, and takes each window's
+ * max in four accumulators; every term and every sum keeps its order, so
+ * the output is the one of the plain row-major loops, bit for bit.
  *
  * Build with -ffp-contract=off and without -ffast-math: the fbpf kernels are
  * bit-identical to the pure NumPy ones only when each expression below is
@@ -24,18 +29,32 @@
 /* exp(x) rounds to +0 below log(2^-1075) = -745.13 */
 #define EXP_UNDERFLOW (-746.0)
 
-/* log(sum(exp(a[0..n-1]))); -inf when every entry is -inf. Terms that
- * exp() would round to zero are skipped, which leaves the sum unchanged bit
- * for bit; in a duration window most terms are (99% in training sweeps). */
+/* log(sum(exp(a[0..n-1]))); -inf when every entry is -inf. The max runs
+ * in four interleaved accumulators, which keeps its compare chain short and
+ * gives the same value as one running max: a max is exact in any order, a
+ * NaN is skipped by every compare, and where +0 and -0 tie the sum and the
+ * result do not depend on which one won. Terms that exp() would round to
+ * zero are skipped, which leaves the sum unchanged bit for bit; in a
+ * duration window most terms are (99% in training sweeps). The sum adds the
+ * rest in index order. */
 static double logsumexp(const double *a, ptrdiff_t n)
 {
-    double m = -INFINITY, s = 0.0;
-    for (ptrdiff_t i = 0; i < n; i++)
-        if (a[i] > m)
-            m = a[i];
+    double m0 = -INFINITY, m1 = -INFINITY, m2 = -INFINITY, m3 = -INFINITY, s = 0.0;
+    ptrdiff_t i = 0;
+    for (; i + 4 <= n; i += 4) {
+        m0 = a[i] > m0 ? a[i] : m0;
+        m1 = a[i + 1] > m1 ? a[i + 1] : m1;
+        m2 = a[i + 2] > m2 ? a[i + 2] : m2;
+        m3 = a[i + 3] > m3 ? a[i + 3] : m3;
+    }
+    for (; i < n; i++)
+        m0 = a[i] > m0 ? a[i] : m0;
+    m0 = m1 > m0 ? m1 : m0;
+    m2 = m3 > m2 ? m3 : m2;
+    double m = m2 > m0 ? m2 : m0;
     if (m == -INFINITY)
         return -INFINITY;
-    for (ptrdiff_t i = 0; i < n; i++) {
+    for (i = 0; i < n; i++) {
         double x = a[i] - m;
         if (!(x < EXP_UNDERFLOW))  /* NaN still reaches exp() */
             s += exp(x);
@@ -47,8 +66,13 @@ static double logsumexp(const double *a, ptrdiff_t n)
  *
  * logtrans_bar (J, J); logdur (J, ldur) with ldur >= dmax; logtail (J, ltail)
  * with ltail >= dmax + 1; cum (T + 1, J) the running sums of the emission
- * log-likelihoods, cum[0] = 0. Writes B (T + 1, J) and Bstar (T, J); buf
- * holds at least max(min(T, dmax) + 1, J) doubles of scratch.
+ * log-likelihoods, cum[0] = 0. Writes B (T + 1, J) and Bstar (T, J).
+ *
+ * A state's duration terms read B and cum down one column, so the pass
+ * keeps j-major copies of both, Bj and cj (J, T + 1) at the head of buf,
+ * and walks each state's terms contiguously; every term is the same
+ * expression of the same values as in the row-major layout. buf holds at
+ * least 2 J (T + 1) + max(min(T, dmax) + 1, J) doubles.
  */
 void hsmm_backward(ptrdiff_t T, ptrdiff_t J, ptrdiff_t dmax,
                    const double *logtrans_bar,
@@ -56,23 +80,27 @@ void hsmm_backward(ptrdiff_t T, ptrdiff_t J, ptrdiff_t dmax,
                    const double *logtail, ptrdiff_t ltail,
                    const double *cum, double *B, double *Bstar, double *buf)
 {
+    ptrdiff_t n = T + 1;
+    double *Bj = buf, *cj = buf + J * n, *terms = buf + 2 * J * n;
+    for (ptrdiff_t t = 0; t <= T; t++)
+        for (ptrdiff_t j = 0; j < J; j++)
+            cj[j * n + t] = cum[t * J + j];
     for (ptrdiff_t j = 0; j < J; j++)
-        B[T * J + j] = 0.0;
+        B[T * J + j] = Bj[j * n + T] = 0.0;
     for (ptrdiff_t t = T - 1; t >= 0; t--) {
         ptrdiff_t span = T - t < dmax ? T - t : dmax;
-        const double *ct = cum + t * J;
         for (ptrdiff_t j = 0; j < J; j++) {
+            const double *bt = Bj + j * n + t, *ct = cj + j * n + t, *dj = logdur + j * ldur;
             /* interior durations d = 1..span, then the censored remainder */
             for (ptrdiff_t d = 1; d <= span; d++)
-                buf[d - 1] = (B[(t + d) * J + j] + logdur[j * ldur + d - 1])
-                             + (ct[d * J + j] - ct[j]);
-            buf[span] = logtail[j * ltail + span] + (cum[T * J + j] - ct[j]);
-            Bstar[t * J + j] = logsumexp(buf, span + 1);
+                terms[d - 1] = (bt[d] + dj[d - 1]) + (ct[d] - ct[0]);
+            terms[span] = logtail[j * ltail + span] + (cj[j * n + T] - ct[0]);
+            Bstar[t * J + j] = logsumexp(terms, span + 1);
         }
         for (ptrdiff_t i = 0; i < J; i++) {
             for (ptrdiff_t j = 0; j < J; j++)
-                buf[j] = logtrans_bar[i * J + j] + Bstar[t * J + j];
-            B[t * J + i] = logsumexp(buf, J);
+                terms[j] = logtrans_bar[i * J + j] + Bstar[t * J + j];
+            B[t * J + i] = Bj[i * n + t] = logsumexp(terms, J);
         }
     }
 }

@@ -19,14 +19,28 @@ SIMPLEX_ATOL = 1e-12
 
 
 def assert_simplex(w, atol: float = SIMPLEX_ATOL) -> np.ndarray:
-    """Validate that ``w`` is a probability vector; returns it as an ndarray."""
+    """Validate that ``w`` is a probability vector, the one-row case of
+    ``assert_simplex_rows``; returns it as an ndarray."""
     w = np.asarray(w, dtype=float)
     if w.ndim != 1:
         raise ValueError("simplex vector must be 1-d")
-    if np.any(w < 0) or np.any(w > 1):
+    assert_simplex_rows(w[None], atol)
+    return w
+
+
+def assert_simplex_rows(w, atol: float = SIMPLEX_ATOL) -> np.ndarray:
+    """Validate that every row of the 2-d ``w`` is a probability vector:
+    entries in [0, 1] that sum to 1 within ``atol``; returns it as an
+    ndarray."""
+    w = np.asarray(w, dtype=float)
+    if w.ndim != 2:
+        raise ValueError("simplex rows must be 2-d")
+    if np.any((w < 0) | (w > 1)):
         raise ValueError("simplex entries must lie in [0, 1]")
-    if abs(w.sum() - 1.0) > atol:
-        raise ValueError(f"simplex entries sum to {w.sum()!r}, not 1")
+    sums = w.sum(axis=1)
+    off = np.abs(sums - 1.0) > atol
+    if off.any():
+        raise ValueError(f"simplex entries sum to {sums[off][0]!r}, not 1")
     return w
 
 
@@ -126,7 +140,7 @@ def negbin_logpmf(d, r, vphi):
     d = np.asarray(d)
     if np.any((vphi <= 0) | (vphi >= 1)):
         raise ValueError("vphi must lie in (0, 1)")
-    if r < 1:
+    if np.any(np.asarray(r) < 1):
         raise ValueError("r must be >= 1")
     log_binom = gammaln(d + r) - gammaln(r) - gammaln(d + 1)
     out = np.where(
@@ -140,18 +154,6 @@ def negbin_logpmf(d, r, vphi):
 # ---------------------------------------------------------------------------
 # samplers
 # ---------------------------------------------------------------------------
-
-
-def beta_sample(rng: np.random.Generator, a, b, size=None):
-    if np.any(np.asarray(a) <= 0) or np.any(np.asarray(b) <= 0):
-        raise ValueError("beta parameters must be positive")
-    return rng.beta(a, b, size=size)
-
-
-def gamma_sample(rng: np.random.Generator, shape, rate, size=None):
-    if np.any(np.asarray(shape) <= 0) or np.any(np.asarray(rate) <= 0):
-        raise ValueError("gamma parameters must be positive")
-    return rng.gamma(shape, 1.0 / np.asarray(rate, dtype=float), size=size)
 
 
 def dirichlet_sample(rng: np.random.Generator, alpha) -> np.ndarray:
@@ -195,6 +197,20 @@ def categorical_sample_logits(rng: np.random.Generator, logits) -> int:
     return categorical_pick_logits(logits, rng.random())
 
 
+def categorical_cdf_rows(logits) -> np.ndarray:
+    """The cdf that ``categorical_pick_logits`` forms from each row of the
+    2-d ``logits``, all rows at once and to the bit: the row's exponentials
+    shifted by its max, normalised and summed in order. The category that
+    ``u`` picks from a row is ``bisect.bisect_right(row, u)`` clamped to the
+    last one."""
+    logits = np.asarray(logits, dtype=float)
+    m = logits.max(axis=1, keepdims=True)
+    if np.any(m == -np.inf):
+        raise ValueError("all categories have zero probability")
+    p = np.exp(logits - m)
+    return np.cumsum(p / p.sum(axis=1, keepdims=True), axis=1)
+
+
 def categorical_rows_pick(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
     """The category that ``u[i]`` picks from row i of ``probs`` (rows
     normalized): the count of its cdf entries below ``u[i]``."""
@@ -216,6 +232,7 @@ def categorical_rows_sample(rng, probs: np.ndarray) -> np.ndarray:
 __all__ = [
     "NormalPrior",
     "assert_simplex",
+    "assert_simplex_rows",
     "conj_update_normal",
     "conj_update_dirichlet",
     "conj_update_gamma_poisson",
@@ -223,13 +240,12 @@ __all__ = [
     "normal_logpdf",
     "poisson_logpmf",
     "negbin_logpmf",
-    "beta_sample",
-    "gamma_sample",
     "dirichlet_sample",
     "categorical_pick",
     "categorical_pick_logits",
     "categorical_sample",
     "categorical_sample_logits",
+    "categorical_cdf_rows",
     "categorical_rows_pick",
     "categorical_rows_sample",
 ]

@@ -13,6 +13,7 @@ m_dot[j] = sum_k m[k][j] drive the beta posterior.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
@@ -23,6 +24,8 @@ from scipy.special import betaln, gammaln, xlog1py, xlogy
 from .distributions import (
     NormalPrior,
     assert_simplex,
+    assert_simplex_rows,
+    categorical_cdf_rows,
     categorical_sample_logits,
     conj_update_normal,
     dirichlet_sample,
@@ -34,6 +37,7 @@ from .hsmm import (
     HsmmParams,
     SegmentPath,
     blocked_sample_segments,
+    poisson_label_probs,
     sample_duration_params,
 )
 
@@ -79,7 +83,10 @@ def antoniak_pmf(n: int, weight: float) -> np.ndarray:
 
 
 def sample_m(n: int, weight: float, rng: np.random.Generator, size=None):
-    """Table-count draw(s) via the Bernoulli product: sum of Ber(w/(w+i))."""
+    """Table-count draw(s) via the Bernoulli product: sum of Ber(w/(w+i)).
+
+    ``hdp_sweep`` draws every cell's count at once, with the same uniforms
+    and the same comparisons as one call per cell."""
     if weight <= 0:
         raise ValueError("weight must be positive")
     if n == 0:
@@ -103,6 +110,8 @@ def sample_rho(pi_jj: float, count: int, rng: np.random.Generator,
 
     ``cap`` truncates the support at {0..cap} (renormalized); used by the
     enumerable-instance stationarity check, never in production sweeps.
+    ``hdp_sweep`` draws every state's auxiliaries at once, with the same
+    uniforms and the same inverse cdf as one call per state.
     """
     if not 0 <= pi_jj < 1:
         raise ValueError("pi_jj must lie in [0, 1)")
@@ -131,7 +140,8 @@ def sample_beta_posterior(m: np.ndarray, gamma: float, L: int,
 def sample_pi_posterior(beta: np.ndarray, alpha: float, n_row: np.ndarray,
                         rng: np.random.Generator) -> np.ndarray:
     """pi_j | beta, counts ~ Dir(alpha * beta + n_row); the diagonal entry of
-    n_row is the summed self-loop auxiliaries."""
+    n_row is the summed self-loop auxiliaries. Given the (L, L) counts of
+    every row, one ``standard_gamma`` call draws all rows, in row order."""
     return dirichlet_sample(rng, alpha * np.asarray(beta, dtype=float) + np.asarray(n_row, dtype=float))
 
 
@@ -150,8 +160,7 @@ class WeakLimitHdp:
         L = len(beta)
         if pi.shape != (L, L):
             raise ValueError("pi must be (L, L)")
-        for row in pi:
-            assert_simplex(row, atol=1e-9)
+        assert_simplex_rows(pi, atol=1e-9)
         if self.gamma <= 0 or self.alpha <= 0:
             raise ValueError("concentrations must be positive")
         object.__setattr__(self, "beta", beta)
@@ -181,11 +190,118 @@ def pi_bar_from(pi: np.ndarray) -> np.ndarray:
     return out / totals
 
 
+def _self_loop_totals(pjj: np.ndarray, out_counts: np.ndarray, rng: np.random.Generator,
+                      cap: int | None) -> np.ndarray:
+    """Each state's summed ``sample_rho`` draws, from one block of uniforms
+    that the states with draws to make read in state order, ``sample_rho``'s
+    inverse cdf applied to each. A state with no transitions out or with
+    pjj = 0 draws nothing, as ``sample_rho`` does."""
+    draw = (out_counts > 0) & (pjj > 0)
+    counts = out_counts[draw]
+    totals = np.zeros(len(pjj), dtype=np.int64)
+    if not counts.size:
+        return totals
+    q = pjj[draw].tolist()
+    u = rng.random(int(counts.sum()))
+    log_q = np.repeat([math.log(p) for p in q], counts)
+    if cap is None:
+        vals = np.floor(np.log1p(-u) / log_q).astype(np.int64)
+    else:
+        mass = np.repeat([1.0 - p ** (cap + 1) for p in q], counts)
+        vals = np.minimum(np.floor(np.log1p(-u * mass) / log_q).astype(np.int64), cap)
+    totals[draw] = np.add.reduceat(vals, np.cumsum(counts) - counts)
+    return totals
+
+
+# A self-transition probability near 1 makes the self-loop auxiliaries, and
+# with them a diagonal cell's customer count, astronomically large (5.8e12
+# in one training sweep). The table counts read their uniforms in blocks of
+# at most _BLOCK, so memory stays bounded, and a cell beyond _ONE_PER_CUSTOMER
+# customers jumps from one new table to the next instead of reading one
+# uniform a customer.
+_BLOCK = 2**18
+_ONE_PER_CUSTOMER = 2**27
+
+
+def _bernoulli_sums(cells: np.ndarray, weight: np.ndarray, rng: np.random.Generator,
+                    first: np.ndarray | None = None) -> np.ndarray:
+    """For each cell c, the count of its customers i = first[c] ..
+    first[c] + cells[c] - 1 (first defaults to 0) whose uniform lies below
+    weight[c] / (weight[c] + i), from one block of uniforms the cells read in
+    order."""
+    starts = np.cumsum(cells) - cells
+    p = np.repeat(weight, cells)
+    i = np.arange(len(p), dtype=float)
+    i -= np.repeat(starts if first is None else starts - first, cells)
+    i += p
+    np.divide(p, i, out=p)  # in place: the block can hold _BLOCK customers
+    del i
+    hits = rng.random(len(p)) < p
+    counts = np.zeros(len(cells))
+    full = cells > 0
+    if full.any():
+        counts[full] = np.add.reduceat(hits, starts[full], dtype=np.int64)
+    return counts
+
+
+def _tables_by_jumps(n: int, weight: float, rng: np.random.Generator) -> int:
+    """``sample_m``'s law for a cell of n customers, O(tables) work. The
+    first customer opens a table; after a table opened at customer a, the
+    customers a+1..i all join existing ones with probability S(i) =
+    prod_{k=a+1..i} k / (weight + k) = B(i+1, weight) / B(a+1, weight), so
+    the next table opens at the first i with S(i) < v for a fresh uniform v
+    in (0, 1], found by bisection, and none opens when S(n-1) >= v."""
+    tables, a = 1, 0
+    while a < n - 1:
+        log_v = math.log(1.0 - rng.random())
+        base = float(betaln(a + 1, weight))
+        if float(betaln(n, weight)) - base >= log_v:
+            break
+        lo, hi = a, n - 1  # S(lo) >= v > S(hi)
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if float(betaln(mid + 1, weight)) - base >= log_v:
+                lo = mid
+            else:
+                hi = mid
+        tables, a = tables + 1, hi
+    return tables
+
+
+def _table_counts(n: np.ndarray, weight: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """``sample_m`` for every cell (k, j) of the customer counts ``n``, at
+    concentration ``weight[j]``, the cells in row-major order: one block of
+    uniforms when they hold at most ``_BLOCK`` customers in all, else one
+    cell at a time, in blocks, and by jumps beyond ``_ONE_PER_CUSTOMER``."""
+    if np.any(weight <= 0):
+        raise ValueError("weight must be positive")
+    cells = n.astype(np.int64).ravel()
+    w = np.broadcast_to(weight, n.shape).ravel()
+    if cells.sum() <= _BLOCK:
+        return _bernoulli_sums(cells, w, rng).reshape(n.shape)
+    m = np.zeros(len(cells))
+    for c, (size, wc) in enumerate(zip(cells.tolist(), w.tolist())):
+        if size > _ONE_PER_CUSTOMER:
+            m[c] = _tables_by_jumps(size, wc, rng)
+            continue
+        for first in range(0, size, _BLOCK):
+            block = np.array([min(_BLOCK, size - first)])
+            m[c] += _bernoulli_sums(block, np.array([wc]), rng, np.array([first]))[0]
+    return m.reshape(n.shape)
+
+
 def hdp_sweep(hdp: WeakLimitHdp, trans_counts: np.ndarray,
               rng: np.random.Generator, rho_cap: int | None = None) -> WeakLimitHdp:
     """One partially collapsed pass in the fixed order rho, m, beta, pi.
 
     ``trans_counts`` are the observed super-state transitions (zero diagonal).
+    Each kind takes one generator call: a block of uniforms for every
+    state's self-loop auxiliaries, one for every cell's table count (or one
+    per cell and block past ``_BLOCK`` customers, see ``_table_counts``),
+    then one gamma call for beta and one for all the rows of pi. The draws
+    equal those of ``sample_rho`` per state and ``sample_m`` per cell in
+    that order, and the generator ends where they leave it, save for a cell
+    of more than ``_ONE_PER_CUSTOMER`` customers.
     """
     L = hdp.L
     n = np.asarray(trans_counts, dtype=np.int64)
@@ -195,23 +311,21 @@ def hdp_sweep(hdp: WeakLimitHdp, trans_counts: np.ndarray,
         raise ValueError("observed transitions cannot be self-loops")
 
     # rho: rebuild the unobserved diagonal from the current rows
-    n_aug = n.astype(float).copy()
-    for j in range(L):
-        out_count = int(n[j].sum())
-        pjj = float(hdp.pi[j, j])
-        if pjj >= 1.0 - 1e-12 and out_count > 0:
-            raise ValueError("self-transition probability saturated at 1")
-        rho = sample_rho(min(pjj, 1.0 - 1e-12), out_count, rng, cap=rho_cap)
-        n_aug[j, j] = rho.sum()
+    out_counts = n.sum(axis=1)
+    pjj = np.diag(hdp.pi).copy()
+    if np.any((pjj >= 1.0 - 1e-12) & (out_counts > 0)):
+        raise ValueError("self-transition probability saturated at 1")
+    pjj = np.minimum(pjj, 1.0 - 1e-12)
+    if not np.all(pjj >= 0):
+        raise ValueError("pi_jj must lie in [0, 1)")
+    n_aug = n.astype(float)
+    np.fill_diagonal(n_aug, _self_loop_totals(pjj, out_counts, rng, rho_cap))
 
     # m: table counts per (restaurant k, dish j)
-    m = np.zeros((L, L))
-    for k in range(L):
-        for j in range(L):
-            m[k, j] = sample_m(int(n_aug[k, j]), hdp.alpha * hdp.beta[j], rng)
+    m = _table_counts(n_aug, hdp.alpha * hdp.beta, rng)
 
     beta = sample_beta_posterior(m, hdp.gamma, L, rng)
-    pi = np.vstack([sample_pi_posterior(beta, hdp.alpha, n_aug[j], rng) for j in range(L)])
+    pi = sample_pi_posterior(beta, hdp.alpha, n_aug, rng)
     return replace(hdp, beta=beta, pi=pi)
 
 
@@ -288,16 +402,44 @@ def init_hdphsmm_state(gamma: float, alpha: float, L: int,
     return HdpHsmmState(hdp=hdp, theta=theta, durations=durations)
 
 
-def _sample_theta_mixture(prior: EmissionMixturePrior, theta_j: float, obs: np.ndarray,
-                          sigma2: float, rng: np.random.Generator) -> float:
-    """Gibbs pair move: component label given the current mean, then the mean
-    from that component's conjugate posterior."""
-    logits = np.log(np.maximum(prior.weights, 1e-300)) + np.array(
-        [normal_logpdf(theta_j, c.mean, c.var) for c in prior.components]
-    )
-    m = categorical_sample_logits(rng, logits)
-    post = conj_update_normal(prior.components[m], obs.sum(), len(obs), sigma2)
-    return rng.normal(post.mean, math.sqrt(post.var))
+def _pick(cdf: list, u: float) -> int:
+    """The category that ``u`` picks from a ``categorical_cdf_rows`` row."""
+    return min(bisect.bisect_right(cdf, u), len(cdf) - 1)
+
+
+def _state_slices(labels: np.ndarray, L: int):
+    """The stable sort order of ``labels`` and, for each state j, the slice
+    of the sorted positions labelled j, which keep their original order."""
+    ends = np.cumsum(np.bincount(labels, minlength=L)).tolist()
+    return np.argsort(labels, kind="stable"), [slice(a, b) for a, b in zip([0] + ends, ends)]
+
+
+def sample_theta(prior: EmissionMixturePrior, theta: np.ndarray, y: np.ndarray,
+                 x: np.ndarray, sigma2: float, rng: np.random.Generator) -> np.ndarray:
+    """Every state's emission-mean move, in state order: a Gibbs pair move
+    of the component label given the current mean, then the mean from that
+    component's conjugate posterior given the readings ``y[x == j]``.
+
+    The label cdfs are formed for all states at once and the readings
+    grouped by state, so the loop over states sums one contiguous slice, in
+    the order ``y[x == j]`` holds it, and makes the draws: one uniform, one
+    normal.
+    """
+    L = len(theta)
+    comps = prior.components
+    logits = np.log(np.maximum(prior.weights, 1e-300)) + normal_logpdf(
+        np.asarray(theta)[:, None], np.array([c.mean for c in comps]),
+        np.array([c.var for c in comps]))
+    cdfs = categorical_cdf_rows(logits).tolist()
+    order, slices = _state_slices(x, L)
+    ys = y[order]
+    out = np.empty(L)
+    for j, seg in enumerate(slices):
+        obs = ys[seg]
+        post = conj_update_normal(comps[_pick(cdfs[j], rng.random())], obs.sum(), len(obs),
+                                  sigma2)
+        out[j] = rng.normal(post.mean, math.sqrt(post.var))
+    return out
 
 
 def _beta_logpdf(x, a, b):
@@ -305,9 +447,10 @@ def _beta_logpdf(x, a, b):
     return xlog1py(b - 1.0, -x) + xlogy(a - 1.0, x) - betaln(a, b)
 
 
-def duration_label_logits(prior: DurationMixturePrior, cur: DurationParams) -> np.ndarray:
-    """Log weight plus the Beta(phi), Gamma(lam) and Beta(vphi) prior log
-    densities of ``cur`` under each hyper bundle.
+def duration_label_logits(prior: DurationMixturePrior, durations) -> np.ndarray:
+    """(L, C): log weight plus the Beta(phi), Gamma(lam) and Beta(vphi)
+    prior log densities of each state's parameters in ``durations`` under
+    each of the C hyper bundles.
 
     The densities are ``scipy.stats``' own ``_logpdf`` expressions, Gamma
     at lam / scale minus log(scale) with scale = 1 / b_lam, so the logits
@@ -315,25 +458,36 @@ def duration_label_logits(prior: DurationMixturePrior, cur: DurationParams) -> n
     """
     a_phi, b_phi, a_lam, b_lam, a_vphi, b_vphi = np.array(
         [(h.a_phi, h.b_phi, h.a_lam, h.b_lam, h.a_vphi, h.b_vphi) for h in prior.components]).T
+    phi, lam, vphi = np.array([(d.phi, d.lam, d.vphi) for d in durations]).T[:, :, None]
     scale = 1.0 / b_lam
-    x = cur.lam / scale
+    x = lam / scale
     return np.log(np.maximum(prior.weights, 1e-300)) + (
-        _beta_logpdf(cur.phi, a_phi, b_phi)
+        _beta_logpdf(phi, a_phi, b_phi)
         + (xlogy(a_lam - 1.0, x) - x - gammaln(a_lam) - np.log(scale))
-        + _beta_logpdf(cur.vphi, a_vphi, b_vphi))
+        + _beta_logpdf(vphi, a_vphi, b_vphi))
 
 
-def _sample_duration_mixture(prior: DurationMixturePrior, cur: DurationParams,
-                             ds: np.ndarray, rng: np.random.Generator) -> DurationParams:
-    """Label given the current parameters (prior density), then the parameter
-    pass under the labelled hyper bundle.
+def sample_durations(prior: DurationMixturePrior, durations: tuple, D: np.ndarray,
+                     z: np.ndarray, rng: np.random.Generator) -> tuple:
+    """Every state's duration move, in state order: a hyper-bundle label
+    given the state's current parameters (prior density), then
+    ``sample_duration_params`` on its segment lengths ``D[z == j]`` under
+    the labelled bundle.
 
+    The label cdfs and every segment's Poisson-vs-negbin weight are formed
+    for all states first, so the loop over states only makes the draws.
     When component r values differ the label density ignores the discrete r
     coordinate, which makes the move approximate; bundles sharing r keep it
     an exact Gibbs pair move.
     """
-    m = categorical_sample_logits(rng, duration_label_logits(prior, cur))
-    return sample_duration_params(ds, prior.components[m], cur, rng)
+    cdfs = categorical_cdf_rows(duration_label_logits(prior, durations)).tolist()
+    order, slices = _state_slices(z, len(durations))
+    ds = np.asarray(D, dtype=np.int64)[order]
+    p_poisson = poisson_label_probs(durations, D, z)[order]
+    return tuple(
+        sample_duration_params(ds[seg], p_poisson[seg],
+                               prior.components[_pick(cdfs[j], rng.random())], rng)
+        for j, seg in enumerate(slices))
 
 
 def gibbs_sweep_hdphsmm(state: HdpHsmmState, y, priors: HdpHsmmPriors,
@@ -346,21 +500,8 @@ def gibbs_sweep_hdphsmm(state: HdpHsmmState, y, priors: HdpHsmmPriors,
     params = state.hsmm_params(priors.sigma2)
     path = blocked_sample_segments(params, y, rng, dmax=dmax)
 
-    counts = np.zeros((L, L))
-    np.add.at(counts, (path.z[:-1], path.z[1:]), 1.0)
-    hdp = hdp_sweep(state.hdp, counts.astype(np.int64), rng)
-
-    x = path.x
-    theta = np.array(
-        [
-            _sample_theta_mixture(priors.emission_mix, state.theta[j], y[x == j],
-                                  priors.sigma2, rng)
-            for j in range(L)
-        ]
-    )
-    durations = tuple(
-        _sample_duration_mixture(priors.duration_mix, state.durations[j],
-                                 path.D[path.z == j], rng)
-        for j in range(L)
-    )
+    counts = np.bincount(path.z[:-1] * L + path.z[1:], minlength=L * L).reshape(L, L)
+    hdp = hdp_sweep(state.hdp, counts, rng)
+    theta = sample_theta(priors.emission_mix, state.theta, y, path.x, priors.sigma2, rng)
+    durations = sample_durations(priors.duration_mix, state.durations, path.D, path.z, rng)
     return HdpHsmmState(hdp=hdp, theta=theta, durations=durations, path=path)

@@ -1,12 +1,15 @@
 """Explicit-duration HSMM: simulation with right-censoring, forward and
-backward messages, blocked super-state/duration draws, and the
-duration-parameter sampler that the nonparametric sweep in ``hdp`` calls.
+backward messages, blocked super-state/duration draws, and the duration
+law, its hyperprior and the one-state duration-parameter pass that the
+nonparametric sweep in ``hdp`` uses.
 
 Durations follow a two-component mixture: Poisson (probability ``phi``) or
 negative binomial with fixed count ``r`` and success parameter ``vphi``. Both
 components are conditioned on d >= 1 so the law is a proper pmf on positive
-durations; ``DurationParams.weighted_logpmfs`` is the one place that density
-is written, on top of ``distributions.poisson_logpmf`` and ``negbin_logpmf``. With ``phi = 0`` and ``r = 1`` the law is exactly
+durations. ``_weighted_logpmfs`` is the one place that density is written,
+on top of ``distributions.poisson_logpmf`` and ``negbin_logpmf``; it takes
+the parameters of one state or, stacked by ``_stack_durations``, of all
+states at once. With ``phi = 0`` and ``r = 1`` the law is exactly
 Geometric(1 - vphi) on {1, 2, ...}, which makes the model collapse to a plain
 HMM.
 """
@@ -16,6 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import logsumexp, nbdtrc, pdtrc
@@ -23,12 +27,11 @@ from scipy.special import logsumexp, nbdtrc, pdtrc
 from . import _kernels
 from .distributions import (
     assert_simplex,
-    beta_sample,
+    assert_simplex_rows,
     categorical_sample,
     categorical_sample_logits,  # unused here; perfbench/spans.py patches it by this name
     conj_update_beta_negbin,
     conj_update_gamma_poisson,
-    gamma_sample,
     negbin_logpmf,
     poisson_logpmf,
 )
@@ -42,6 +45,72 @@ from .hmm import _log, emission_loglik
 # a duration component that reaches 1 less often than this is drawn by
 # inversion, not by rejecting zeros
 REJECT_FLOOR = 1e-4
+
+
+class _DurationStack(NamedTuple):
+    """The duration parameters of one or more states, one array per field,
+    with each component's log weight and the log of its mass on d >= 1."""
+
+    log_phi: np.ndarray       # log phi, -inf when phi = 0
+    log_rest: np.ndarray      # log(1 - phi), -inf when phi = 1
+    lam: np.ndarray
+    r: np.ndarray
+    vphi: np.ndarray
+    log_poi_norm: np.ndarray  # log P(Poisson >= 1)
+    log_nb_norm: np.ndarray   # log P(NB >= 1) = log(1 - (1-vphi)^r)
+
+    def take(self, index) -> _DurationStack:
+        """Every field indexed by ``index``: ``(slice(None), None)`` gives
+        (L, 1) columns, a vector of states one entry per segment."""
+        return _DurationStack(*(f[index] for f in self))
+
+
+def _state_logs(dur) -> tuple[float, float, float]:
+    """log phi and log(1 - phi), -inf for an empty component, and
+    log (1-vphi)^r, with ``math``'s logs."""
+    return (math.log(dur.phi) if dur.phi > 0 else -math.inf,
+            math.log1p(-dur.phi) if dur.phi < 1 else -math.inf,
+            dur.r * math.log1p(-dur.vphi))
+
+
+def _log_one_minus_exp(x):
+    """log(1 - exp(x)) for x < 0, NumPy's on scalars and arrays alike."""
+    return np.log(-np.expm1(x))
+
+
+def _stack_durations(durations) -> _DurationStack:
+    """The (L,) parameter arrays of the states ``durations``; each entry is
+    the value ``DurationParams._stack`` gives the state alone."""
+    log_phi, log_rest, nb_zero = np.array([_state_logs(d) for d in durations],
+                                          dtype=float).reshape(-1, 3).T
+    lam = np.array([d.lam for d in durations], dtype=float)
+    return _DurationStack(
+        log_phi=log_phi,
+        log_rest=log_rest,
+        lam=lam,
+        r=np.array([d.r for d in durations], dtype=np.int64),
+        vphi=np.array([d.vphi for d in durations], dtype=float),
+        log_poi_norm=_log_one_minus_exp(-lam),
+        log_nb_norm=_log_one_minus_exp(nb_zero),
+    )
+
+
+def _weighted_logpmfs(p: _DurationStack, d) -> tuple[np.ndarray, np.ndarray]:
+    """log phi p_Poi(d | d >= 1) and log (1 - phi) p_NB(d | d >= 1) at
+    positive durations d, for parameters ``p`` that broadcast against d;
+    their logaddexp is the mixture log pmf."""
+    poi = p.log_phi + poisson_logpmf(d, p.lam) - p.log_poi_norm
+    nb = p.log_rest + negbin_logpmf(d, p.r, p.vphi) - p.log_nb_norm
+    return poi, nb
+
+
+def _logtail(p: _DurationStack, m) -> np.ndarray:
+    """log P(D > m) for m >= 0, for parameters ``p`` that broadcast
+    against m."""
+    with np.errstate(divide="ignore"):
+        poi = p.log_phi + np.log(pdtrc(m, p.lam)) - p.log_poi_norm
+        nb = p.log_rest + np.log(nbdtrc(m, p.r, 1.0 - p.vphi)) - p.log_nb_norm
+    return np.logaddexp(poi, nb)
 
 
 @dataclass(frozen=True)
@@ -63,30 +132,15 @@ class DurationParams:
         if not 0 < self.vphi < 1:
             raise ValueError("vphi must lie in (0, 1)")
 
-    # normalizers for conditioning each component on d >= 1
-    @property
-    def _log_poi_norm(self) -> float:
-        # log P(Poisson >= 1)
-        return float(np.log(-np.expm1(-self.lam)))
-
-    @property
-    def _log_nb_norm(self) -> float:
-        # log P(NB >= 1) = log(1 - (1-vphi)^r)
-        return float(np.log(-np.expm1(self.r * math.log1p(-self.vphi))))
-
-    def _log_weights(self) -> tuple[float, float]:
-        """(log phi, log(1 - phi)), -inf for an empty component."""
-        return (math.log(self.phi) if self.phi > 0 else -math.inf,
-                math.log1p(-self.phi) if self.phi < 1 else -math.inf)
+    def _stack(self) -> _DurationStack:
+        """This state's parameters as a ``_DurationStack`` of scalars."""
+        log_phi, log_rest, nb_zero = _state_logs(self)
+        return _DurationStack(log_phi, log_rest, self.lam, self.r, self.vphi,
+                             _log_one_minus_exp(-self.lam), _log_one_minus_exp(nb_zero))
 
     def weighted_logpmfs(self, d) -> tuple[np.ndarray, np.ndarray]:
-        """log phi p_Poi(d | d >= 1) and log (1 - phi) p_NB(d | d >= 1) at
-        positive durations d; their logaddexp is the mixture log pmf."""
-        d = np.asarray(d)
-        log_phi, log_rest = self._log_weights()
-        poi = log_phi + poisson_logpmf(d, self.lam) - self._log_poi_norm
-        nb = log_rest + negbin_logpmf(d, self.r, self.vphi) - self._log_nb_norm
-        return poi, nb
+        """``_weighted_logpmfs`` for this state."""
+        return _weighted_logpmfs(self._stack(), np.asarray(d))
 
     def logpmf(self, d) -> np.ndarray:
         """log p(D = d) on the positive integers."""
@@ -98,21 +152,16 @@ class DurationParams:
 
     def logtail(self, m) -> np.ndarray:
         """log P(D > m) for m >= 0."""
-        m = np.asarray(m)
-        log_phi, log_rest = self._log_weights()
-        with np.errstate(divide="ignore"):
-            poi = log_phi + np.log(pdtrc(m, self.lam)) - self._log_poi_norm
-            nb = (log_rest + np.log(nbdtrc(m, self.r, 1.0 - self.vphi))
-                  - self._log_nb_norm)
-        return np.logaddexp(poi, nb)
+        return _logtail(self._stack(), np.asarray(m))
 
     def mean(self) -> float:
+        p = self._stack()
         m = 0.0
         if self.phi > 0:
-            m += self.phi * self.lam / math.exp(self._log_poi_norm)
+            m += self.phi * self.lam / math.exp(p.log_poi_norm)
         if self.phi < 1:
             nb_mean = self.r * self.vphi / (1.0 - self.vphi)
-            m += (1.0 - self.phi) * nb_mean / math.exp(self._log_nb_norm)
+            m += (1.0 - self.phi) * nb_mean / math.exp(p.log_nb_norm)
         return m
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
@@ -123,12 +172,13 @@ class DurationParams:
         come from its zero-truncated law by inversion instead, one uniform
         each.
         """
+        p = self._stack()
         use_poi = rng.random(size) < self.phi
         out = np.empty(size, dtype=np.int64)
         for mask, draw, log_norm, phi_alone in (
-            (use_poi, lambda n: rng.poisson(self.lam, n), self._log_poi_norm, 1.0),
+            (use_poi, lambda n: rng.poisson(self.lam, n), p.log_poi_norm, 1.0),
             (~use_poi, lambda n: rng.negative_binomial(self.r, 1.0 - self.vphi, n),
-             self._log_nb_norm, 0.0),
+             p.log_nb_norm, 0.0),
         ):
             idx = np.flatnonzero(mask)
             if log_norm < math.log(REJECT_FLOOR):
@@ -146,23 +196,34 @@ class DurationParams:
 
 @lru_cache(maxsize=512)
 def _duration_tables_frozen(durations: tuple, dmax: int):
-    ds = np.arange(1, dmax + 1)
-    ms = np.arange(0, dmax + 1)
-    logdur = np.stack([d.logpmf(ds) for d in durations])
-    logtail = np.stack([d.logtail(ms) for d in durations])
+    p = _stack_durations(durations).take((slice(None), None))
+    logdur = np.logaddexp(*_weighted_logpmfs(p, np.arange(1, dmax + 1)))
+    logtail = _logtail(p, np.arange(0, dmax + 1))
     logdur.setflags(write=False)
     logtail.setflags(write=False)
     return logdur, logtail
 
 
 def duration_tables(durations, dmax: int):
-    """Stack per-state logpmf (J, dmax) and logtail (J, dmax+1) tables.
+    """Per-state logpmf (J, dmax) and logtail (J, dmax+1) tables, built for
+    all states in one pass over (J, dmax).
 
     Memoized on the (hashable) parameter tuples: the segment draw of a sweep
     reuses the tables its message pass built. The cached arrays themselves
     are returned, so they are read-only; writing to one raises.
     """
     return _duration_tables_frozen(tuple(durations), int(dmax))
+
+
+def poisson_label_probs(durations, D, z) -> np.ndarray:
+    """P(Poisson component | length) of each segment length ``D[i]`` under
+    the current parameters of its state ``durations[z[i]]``, all segments
+    in one pass."""
+    lp1, lp2 = _weighted_logpmfs(_stack_durations(durations).take(np.asarray(z)),
+                                np.asarray(D, dtype=np.int64))
+    m0 = np.maximum(lp1, lp2)
+    p1 = np.exp(lp1 - m0)
+    return p1 / (p1 + np.exp(lp2 - m0))
 
 
 # ---------------------------------------------------------------------------
@@ -189,8 +250,7 @@ class HsmmParams:
         if np.any(np.diag(pi) != 0.0):
             raise ValueError("pi_bar diagonal must be exactly zero")
         if J > 1:
-            for row in pi:
-                assert_simplex(row, atol=1e-9)
+            assert_simplex_rows(pi, atol=1e-9)
         if theta.shape != (J,) or len(self.durations) != J:
             raise ValueError("theta/durations length must match state count")
         if self.sigma2 <= 0:
@@ -425,36 +485,36 @@ class DurationHyper:
             raise ValueError("r must be >= 1")
 
     def sample_prior(self, rng: np.random.Generator) -> DurationParams:
+        # the generator's arguments are positive: __post_init__ checked them
         return DurationParams(
-            phi=beta_sample(rng, self.a_phi, self.b_phi),
-            lam=gamma_sample(rng, self.a_lam, self.b_lam),
+            phi=rng.beta(self.a_phi, self.b_phi),
+            lam=rng.gamma(self.a_lam, 1.0 / self.b_lam),
             r=self.r,
-            vphi=beta_sample(rng, self.a_vphi, self.b_vphi),
+            vphi=rng.beta(self.a_vphi, self.b_vphi),
         )
 
 
-def sample_duration_params(durations, hyper: DurationHyper, current: DurationParams,
+def sample_duration_params(ds, p_poisson, hyper: DurationHyper,
                            rng: np.random.Generator) -> DurationParams:
     """One mixture-Gibbs pass for one state's duration parameters.
 
-    Labels the observed segment lengths Poisson-vs-negbin under the current
-    parameters, then draws the conjugate updates; with no segments this is a
-    fresh prior draw.
+    Labels each observed segment length in ``ds`` Poisson with its
+    probability in ``p_poisson`` (``poisson_label_probs`` under the current
+    parameters), then draws the conjugate updates; with no segments this is
+    a fresh prior draw. The draws' arguments are ``hyper``'s positive
+    values plus counts and sums, so they need no further check.
     """
-    ds = np.asarray(durations, dtype=np.int64)
+    ds = np.asarray(ds, dtype=np.int64)
     if len(ds) == 0:
         return hyper.sample_prior(rng)
-    lp1, lp2 = current.weighted_logpmfs(ds)
-    m0 = np.maximum(lp1, lp2)
-    p1 = np.exp(lp1 - m0)
-    p1 = p1 / (p1 + np.exp(lp2 - m0))
-    is_poi = rng.random(len(ds)) < p1
-
-    n1, n2 = int(is_poi.sum()), int((~is_poi).sum())
-    s1, s2 = int(ds[is_poi].sum()), int(ds[~is_poi].sum())
+    is_poi = rng.random(len(ds)) < p_poisson
+    n1 = int(np.count_nonzero(is_poi))
+    n2 = len(ds) - n1
+    s1 = int(ds[is_poi].sum())
+    s2 = int(ds.sum()) - s1
     a, b = conj_update_gamma_poisson((hyper.a_lam, hyper.b_lam), s1, n1)
-    lam = gamma_sample(rng, a, b)
+    lam = rng.gamma(a, 1.0 / b)
     a, b = conj_update_beta_negbin((hyper.a_vphi, hyper.b_vphi), s2, n2, hyper.r)
-    vphi = beta_sample(rng, a, b)
-    phi = beta_sample(rng, hyper.a_phi + n1, hyper.b_phi + n2)
+    vphi = rng.beta(a, b)
+    phi = rng.beta(hyper.a_phi + n1, hyper.b_phi + n2)
     return DurationParams(phi=phi, lam=lam, r=hyper.r, vphi=vphi)

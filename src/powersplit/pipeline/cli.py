@@ -8,9 +8,10 @@ command then reports its name, the kernel backend and its wall time, and
 parse, whose device columns the bundle does not know, or whose total the
 filter cannot explain, is a bad parameter (exit code 2) whose message names
 the file and the row, device or timestamp; so is a ``--bundle`` file that
-does not parse or breaks the bundle schema, and a ``--states`` sidecar whose
+does not parse or breaks the bundle schema, a ``--states`` sidecar whose
 device columns or minutes do not match the trace's or whose labels are not
-integers.
+integers, and a config setting or ``--weak-limit``/``--particles`` override
+below its floor.
 """
 
 from __future__ import annotations
@@ -45,13 +46,17 @@ log = logging.getLogger("powersplit")
 SYNTH_START = datetime(2026, 1, 1)
 
 
-def _config(path) -> RunConfig:
-    if not path:
-        return RunConfig()
+def _config(path, **overrides) -> RunConfig:
+    """The config at ``path``, or the defaults, with the command-line
+    ``overrides`` that were given; a config that does not parse or a
+    setting out of range is a bad parameter naming the field."""
+    given = {key: value for key, value in overrides.items() if value is not None}
     try:
-        return load_config(path)
+        cfg = load_config(path) if path else RunConfig()
+        return replace(cfg, **given)
     except ValueError as exc:
-        raise click.BadParameter(str(exc), param_hint="--config") from exc
+        hint = ["--config"] + [f"--{key.replace('_', '-')}" for key in given]
+        raise click.BadParameter(str(exc), param_hint=hint) from exc
 
 
 def _trace(path):
@@ -148,11 +153,9 @@ def usage(traces, out):
 @click.option("--out", required=True, type=click.Path())
 def train(traces, config_path, seed, weak_limit, out):
     """Fit a hyperparameter bundle from device-level traces."""
-    cfg = _config(config_path)
+    cfg = _config(config_path, weak_limit=weak_limit)
     if seed is not None:
         cfg = replace(cfg, seed=seed)
-    if weak_limit is not None:
-        cfg = replace(cfg, weak_limit=weak_limit)
     data = {Path(p).stem: _trace(p) for p in traces}
     rng = stream(cfg.seed, "train")
     bundle = train_hyperparams(data, cfg, rng)
@@ -175,9 +178,8 @@ def train(traces, config_path, seed, weak_limit, out):
 def disagg(trace_path, config_path, seed, bundle_path, particles, states_path,
            out, metrics_out):
     """Stream the factorial filter over a metered total."""
-    cfg = _config(config_path)
+    cfg = _config(config_path, particles=particles)
     seed = cfg.seed if seed is None else seed
-    particles = cfg.particles if particles is None else particles
     trace = _trace(trace_path)
     bundle = _bundle(bundle_path, cfg)
     known = {d.name for d in bundle.devices}
@@ -189,7 +191,7 @@ def disagg(trace_path, config_path, seed, bundle_path, particles, states_path,
     truth = _states(states_path, trace) if states_path else None
     rng = stream(seed, "disagg")
     try:
-        res = disaggregate(trace, bundle, particles, rng,
+        res = disaggregate(trace, bundle, cfg.particles, rng,
                            noise_var=cfg.meter_noise_var, truth_states=truth)
     except DegenerateWeightsError as exc:
         raise click.BadParameter(f"{trace_path}: {exc}", param_hint="trace") from exc

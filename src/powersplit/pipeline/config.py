@@ -48,6 +48,12 @@ _DEFAULT_DEVICES = (
 )
 
 
+# the sampler settings' smallest workable values: a weak limit of one state
+# leaves no transition row any off-diagonal mass, and training keeps the
+# path of its last sweep
+_LEAST = {"particles": 1, "weak_limit": 2, "sweeps": 1, "burn_in": 0, "horizon": 1}
+
+
 @dataclass(frozen=True)
 class RunConfig:
     seed: int = 0
@@ -59,6 +65,14 @@ class RunConfig:
     meter_noise_var: float = 0.0
     devices: tuple[DeviceConfig, ...] = _DEFAULT_DEVICES
     control: ControlConfig = field(default_factory=ControlConfig)
+
+    def __post_init__(self):
+        # every way of making a config, a file or a command-line override
+        # through ``dataclasses.replace``, passes here
+        for key, least in _LEAST.items():
+            value = getattr(self, key)
+            if value < least:
+                raise ValueError(f"field {key!r} must be >= {least}, got {value!r}")
 
     def device_names(self) -> list[str]:
         return [d.name for d in self.devices]

@@ -1,4 +1,10 @@
-"""Reference pieces for the segment-draw tests.
+"""Reference pieces for the segment-model kernel and segment-draw tests.
+
+``hsmm_backward_scalar_reference`` is the compiled backward pass as scalar
+Python in the kernel's own order: each term, then its log-sum-exp as the
+max, the sum in index order of the exponentials that do not underflow, and
+the log. ``math.exp`` and ``math.log`` call the libm the compiled kernel
+calls, so the two agree bit for bit.
 
 ``blocked_sample_segments_loop_reference`` is the blocked (z, D) draw as a
 Python loop that calls ``rng.random()`` once per categorical draw; the
@@ -7,6 +13,8 @@ shipped sampler, which walks a pre-drawn block in
 generator in the same state. Importing this module builds nothing and has no
 side effects.
 """
+
+import math
 
 import numpy as np
 
@@ -19,6 +27,47 @@ from powersplit.hsmm import (
     emission_loglik,
     hsmm_backward_messages,
 )
+
+# below this, exp() rounds to +0, and the kernel skips the term
+EXP_UNDERFLOW = -746.0
+
+
+def _logsumexp_kernel_order(terms):
+    m = -math.inf
+    for x in terms:
+        if x > m:
+            m = x
+    if m == -math.inf:
+        return -math.inf
+    s = 0.0
+    for x in terms:
+        d = x - m
+        if not d < EXP_UNDERFLOW:
+            s += math.exp(d)
+    return math.log(s) + m
+
+
+def hsmm_backward_scalar_reference(logtrans_bar, logdur, logtail, loglik, dmax):
+    """(B, Bstar) of the compiled ``hsmm_backward``, one scalar at a time."""
+    T, J = loglik.shape
+    logtrans_bar, logdur, logtail = (np.asarray(a).tolist()
+                                     for a in (logtrans_bar, logdur, logtail))
+    cum = [[0.0] * J]
+    for row in loglik.tolist():
+        cum.append([c + x for c, x in zip(cum[-1], row)])
+    B = [[0.0] * J for _ in range(T + 1)]
+    Bstar = [[0.0] * J for _ in range(T)]
+    for t in range(T - 1, -1, -1):
+        span = min(T - t, dmax)
+        for j in range(J):
+            terms = [(B[t + d][j] + logdur[j][d - 1]) + (cum[t + d][j] - cum[t][j])
+                     for d in range(1, span + 1)]
+            terms.append(logtail[j][span] + (cum[T][j] - cum[t][j]))
+            Bstar[t][j] = _logsumexp_kernel_order(terms)
+        for i in range(J):
+            B[t][i] = _logsumexp_kernel_order(
+                [logtrans_bar[i][j] + Bstar[t][j] for j in range(J)])
+    return np.array(B), np.array(Bstar).reshape(T, J)
 
 
 def blocked_sample_segments_loop_reference(params, y, rng, messages=None, dmax=None):

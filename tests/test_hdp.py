@@ -4,21 +4,27 @@ and stationarity of the collapsed sweep on an enumerable two-state instance.
 Two independent routes pin down the table-count law: the Stirling-number
 formula and direct convolution of the Bernoulli product representation. The
 sweep check rejection-samples the capped-model posterior, applies one sweep
-to each draw, and compares marginals before and after.
+to each draw, and compares marginals before and after. The shipped sweep,
+vectorised over states, must reproduce the per-state loop it replaced
+(``hdp_reference``) bit for bit and leave the generator where it leaves it.
 """
 
 import math
 
+import hdp_reference
 import numpy as np
 import pytest
 from scipy.stats import beta as beta_dist, gamma as gamma_dist
 
 from powersplit.distributions import NormalPrior
 from powersplit.hdp import (
+    _BLOCK,
     DurationMixturePrior,
     EmissionMixturePrior,
     HdpHsmmPriors,
     WeakLimitHdp,
+    _table_counts,
+    _tables_by_jumps,
     antoniak_pmf,
     duration_label_logits,
     gibbs_sweep_hdphsmm,
@@ -318,5 +324,127 @@ def test_duration_label_logits_equal_scipy_stats():
             + gamma_dist.logpdf(cur.lam, h.a_lam, scale=1.0 / h.b_lam)
             + beta_dist.logpdf(cur.vphi, h.a_vphi, h.b_vphi)
             for h in hypers])
-        got = duration_label_logits(prior, cur)
-        assert np.array_equal(got, want), (i, got, want)
+        got = duration_label_logits(prior, (cur,))
+        assert got.shape == (1, k) and np.array_equal(got[0], want), (i, got, want)
+
+
+# ---------------------------------------------------------------------------
+# the sweep against its per-state reference
+# ---------------------------------------------------------------------------
+
+
+def test_table_counts_in_blocks_equal_per_cell_draws():
+    # more customers than one block holds, so the cells are drawn one at a
+    # time and the big one in two blocks; draws and generator state match
+    # sample_m cell by cell
+    n = np.zeros((3, 3))
+    n[1, 1], n[0, 2], n[2, 0] = _BLOCK + 150_000, 7, 3
+    weight = np.array([0.3, 1.1, 2.0])
+    a, b = stream(64, "blocks"), stream(64, "blocks")
+    got = _table_counts(n, weight, a)
+    want = [[sample_m(int(n[k, j]), weight[j], b) for j in range(3)] for k in range(3)]
+    assert np.array_equal(got, np.array(want, dtype=float))
+    assert a.random() == b.random()
+
+
+@pytest.mark.parametrize("n, w", [(12, 0.7), (30, 3.0)])
+def test_tables_by_jumps_match_antoniak_pmf(n, w):
+    rng = stream(65, "jumps", n)
+    draws = np.array([_tables_by_jumps(n, w, rng) for _ in range(20_000)])
+    assert tv(np.bincount(draws, minlength=n + 1) / len(draws), antoniak_pmf(n, w)) < 0.03
+
+
+def test_sweep_survives_a_self_transition_near_one():
+    # pi_00 = 1 - 2e-12 makes the self-loop auxiliaries sum to about 1e12
+    # customers, which one uniform a customer cannot hold in memory
+    pi = np.array([[1 - 2e-12, 1e-12, 1e-12], [0.3, 0.4, 0.3], [0.5, 0.25, 0.25]])
+    hdp = WeakLimitHdp(gamma=2.0, alpha=3.0, beta=np.array([0.5, 0.3, 0.2]), pi=pi)
+    out = hdp_sweep(hdp, np.array([[0, 2, 1], [1, 0, 1], [2, 0, 0]]), stream(66, "near-one"))
+    assert out.pi[0, 0] > 1 - 1e-6
+    assert np.abs(out.pi.sum(axis=1) - 1.0).max() < 1e-9
+
+
+def _random_hdp(L, rng):
+    """A weak-limit state whose rows include an exact zero diagonal entry,
+    so the draw-free pjj = 0 path runs too."""
+    hdp = sample_hdp_prior(2.0, 3.0, L, rng)
+    if L == 1:
+        return hdp
+    pi = hdp.pi.copy()
+    j = int(rng.integers(L))
+    pi[j, j] = 0.0
+    pi[j] /= pi[j].sum()
+    return WeakLimitHdp(gamma=2.0, alpha=3.0, beta=hdp.beta, pi=pi)
+
+
+@pytest.mark.parametrize("rho_cap", [None, 0, 3, 20])
+def test_hdp_sweep_matches_per_state_reference(rho_cap):
+    rng = stream(60, "hdp-oracle")
+    for i in range(100):
+        L = 1 + i % 6
+        hdp = _random_hdp(L, rng)
+        counts = rng.integers(0, 6, size=(L, L)) * (rng.random((L, L)) < 0.7)
+        np.fill_diagonal(counts, 0)
+        a, b = stream(61, "hdp-oracle", i), stream(61, "hdp-oracle", i)
+        got = hdp_sweep(hdp, counts, a, rho_cap=rho_cap)
+        want = hdp_reference.hdp_sweep(hdp, counts, b, rho_cap=rho_cap)
+        assert np.array_equal(got.beta, want.beta) and np.array_equal(got.pi, want.pi), i
+        assert a.random() == b.random()
+
+
+def _sweep_case(T, L, dmax, mean_len, two_components):
+    """Data from a three-level segment model, priors as training builds
+    them (or with two components each) and an initial state."""
+    rng = stream(62, "sweep-case", T, L)
+    durs = tuple(DurationParams(0.5, mean_len, 2, mean_len / (mean_len + 2)) for _ in range(3))
+    true = HsmmParams(pi_bar=np.array([[0.0, 0.5, 0.5], [0.5, 0.0, 0.5], [0.5, 0.5, 0.0]]),
+                      theta=np.array([0.0, 150.0, 400.0]), sigma2=400.0, durations=durs)
+    _, y = simulate_hsmm(true, T, rng)
+    if two_components:
+        emission = EmissionMixturePrior(
+            weights=np.array([0.3, 0.7]),
+            components=(NormalPrior(0.0, 1e4), NormalPrior(300.0, 4e4)))
+        duration = DurationMixturePrior(
+            weights=np.array([0.6, 0.4]),
+            components=(DurationHyper(), DurationHyper(a_lam=4.0, b_lam=0.5, a_vphi=2.0, r=3)))
+    else:
+        spread = max(float(y.max() - y.min()), 1.0)
+        emission = EmissionMixturePrior(
+            weights=np.array([1.0]),
+            components=(NormalPrior(float(y.mean()), (2.0 * spread) ** 2),))
+        duration = DurationMixturePrior(weights=np.array([1.0]), components=(DurationHyper(),))
+    priors = HdpHsmmPriors(emission_mix=emission, duration_mix=duration, sigma2=400.0)
+    return y, priors, init_hdphsmm_state(4.0, 4.0, L, priors, rng)
+
+
+# case: (T, L, dmax, mean segment length, two-component priors)
+SWEEP_CASES = {
+    "train_fit_shape": (300, 8, 200, 12.0, False),
+    "window_covers_horizon": (40, 4, 60, 6.0, False),
+    "short_window_resumes_walks": (120, 5, 4, 15.0, False),
+    "two_component_priors": (80, 5, 20, 8.0, True),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SWEEP_CASES))
+def test_sweep_matches_per_state_reference(case):
+    T, L, dmax, mean_len, two = SWEEP_CASES[case]
+    y, priors, state = _sweep_case(T, L, dmax, mean_len, two)
+    a, b = stream(63, "sweep-oracle", case), stream(63, "sweep-oracle", case)
+    got = want = state
+    empty_states = resumed = 0
+    for sweep in range(20):
+        got = gibbs_sweep_hdphsmm(got, y, priors, a, dmax=dmax)
+        want = hdp_reference.gibbs_sweep_hdphsmm(want, y, priors, b, dmax=dmax)
+        for name, x, w in (("z", got.path.z, want.path.z), ("D", got.path.D, want.path.D),
+                           ("theta", got.theta, want.theta), ("beta", got.hdp.beta, want.hdp.beta),
+                           ("pi", got.hdp.pi, want.hdp.pi)):
+            assert np.array_equal(x, w), (case, sweep, name)
+        assert got.durations == want.durations, (case, sweep)
+        empty_states += int((np.bincount(got.path.z, minlength=L) == 0).sum())
+        resumed += int(np.any(got.path.D[:-1] > dmax))
+    assert a.random() == b.random()
+    # the prior draw of a state with no segments ran, and the short window
+    # resumed walks after censored picks
+    assert empty_states > 0
+    assert resumed > 0 or case != "short_window_resumes_walks"

@@ -12,6 +12,7 @@ import itertools
 import math
 import signal
 
+import hdp_reference
 import numpy as np
 import pytest
 from hsmm_reference import blocked_sample_segments_loop_reference
@@ -37,6 +38,7 @@ from powersplit.hsmm import (
     hsmm_backward_messages,
     hsmm_loglik,
     hsmm_smoothed_marginals,
+    poisson_label_probs,
     sample_duration_params,
     simulate_hsmm,
 )
@@ -264,6 +266,27 @@ def test_duration_tables_shapes():
             table[0, 0] = 0.0
 
 
+def test_duration_tables_match_per_state_reference():
+    # the one-pass tables equal the per-state ones bit for bit, sign bits
+    # included, at the phi = 0 and phi = 1 edges and for mixed r
+    rng = np.random.default_rng(41)
+    for i in range(300):
+        durs = tuple(
+            DurationParams(phi=float((0.0, 1.0, rng.random())[rng.integers(3)]),
+                           lam=float(np.exp(rng.normal(1.0, 2.0))), r=int(rng.integers(1, 5)),
+                           vphi=float(np.clip(rng.random(), 1e-9, 1 - 1e-9)))
+            for _ in range(1 + i % 8))
+        dmax = int(rng.integers(1, 250))
+        for got, want in zip(duration_tables(durs, dmax),
+                             hdp_reference.duration_tables(durs, dmax)):
+            assert np.array_equal(got, want) and np.array_equal(np.signbit(got),
+                                                                np.signbit(want)), (i, durs)
+        ds = np.arange(0, dmax + 2)
+        for dur in durs:
+            assert np.array_equal(dur.logpmf(ds), hdp_reference.logpmf(dur, ds))
+            assert np.array_equal(dur.logtail(ds), hdp_reference.logtail(dur, ds))
+
+
 # ---------------------------------------------------------------------------
 # messages vs the oracle
 # ---------------------------------------------------------------------------
@@ -422,12 +445,13 @@ def test_sample_duration_params_prior_vs_posterior():
     hyper = DurationHyper(a_phi=2.0, b_phi=2.0, a_lam=8.0, b_lam=2.0,
                           a_vphi=2.0, b_vphi=4.0, r=2)
     rng = stream(3, "durparams")
-    cur = hyper.sample_prior(rng)
+    hyper.sample_prior(rng)  # the stream position the draws below were pinned at
     # no data: fresh prior draw, statistically near the prior mean of lam
-    draws = [sample_duration_params([], hyper, cur, rng).lam for _ in range(4000)]
+    draws = [sample_duration_params([], [], hyper, rng).lam for _ in range(4000)]
     assert abs(np.mean(draws) - 4.0) < 0.15
     # plenty of long segments push lam upward
     ds = np.full(400, 9)
     cur = DurationParams(phi=1.0, lam=4.0, r=2, vphi=0.3)
-    post = sample_duration_params(ds, hyper, cur, rng)
+    post = sample_duration_params(ds, poisson_label_probs((cur,), ds, np.zeros(400, int)),
+                                  hyper, rng)
     assert post.lam > 6.0

@@ -10,17 +10,25 @@ forward segment draw must walk the same segments, and read the same number
 of uniforms, as the pure one on inputs captured from a training fit and on
 edge cases.
 
+The compiled backward pass must equal a scalar reference in its own order
+bit for bit, and ``kernels.c`` must compile cleanly under strict warnings.
+
 The compiled kernels come from the ``compiled_kernels`` fixture: the tree's
 own library when it is built, else one ``setup.py`` builds into a temporary
 directory. When that build fails, the equivalence tests fail.
 """
 
+import ast
 import gc
+import shlex
+import subprocess
+import sysconfig
 from datetime import datetime
 
 import numpy as np
 import pytest
 from fbpf_reference import fbpf_accumulate_gather_reference, random_rows
+from hsmm_reference import hsmm_backward_scalar_reference
 from hypothesis import given, settings, strategies as st
 from kernel_build import LOADER, ROOT, build_compiled
 
@@ -92,6 +100,9 @@ def test_backends_export_the_same_kernels(compiled_kernels):
 
 
 def test_hsmm_backward_agrees_across_backends(compiled_kernels):
+    # a tolerance, not equality: the pure pass exponentiates with NumPy's
+    # SIMD exp, which is not libm's, and on 3 of 60 captured training calls
+    # the two backends differ in the last bit (relative 2e-16 at most)
     rng = np.random.default_rng(1)
     # (T, J, dmax): window inside the horizon, dmax == T, dmax > T, dmax == 1,
     # a single state, a single observation
@@ -106,6 +117,25 @@ def test_hsmm_backward_agrees_across_backends(compiled_kernels):
             for a, b in zip(want, got):
                 np.testing.assert_allclose(b, a, rtol=1e-12, atol=1e-12,
                                            err_msg=str((T, J, dmax, p_inf)))
+
+
+@pytest.mark.parametrize("T, J, dmax, scale", [
+    (30, 3, 12, 1.0),    # window inside the horizon, spans not a multiple of 4
+    (9, 3, 9, 1.0),      # window equal to the horizon
+    (7, 4, 20, 1.0),     # window beyond the horizon
+    (12, 3, 1, 1.0),     # one-step window
+    (15, 1, 6, 1.0),     # a single state
+    (40, 4, 25, 400.0),  # terms far below their max, which the sum skips
+])
+@pytest.mark.parametrize("p_inf", [0.0, 0.4])
+def test_hsmm_backward_equals_scalar_reference(compiled_kernels, T, J, dmax, scale, p_inf):
+    args = list(hsmm_instance(np.random.default_rng(T * J + dmax), T, J, dmax, p_inf))
+    if J == 1:
+        args[0][:] = 0.0  # the lone state may follow itself
+    args[3] = args[3] * scale
+    for got, want in zip(compiled_kernels.hsmm_backward(*args, dmax),
+                         hsmm_backward_scalar_reference(*args, dmax)):
+        assert np.array_equal(got, want)
 
 
 def forward_instance(rng, T, J, dmax, p_inf=0.0):
@@ -546,6 +576,22 @@ def test_setup_py_builds_the_kernel_library(tmp_path):
     assert compiled.BACKEND == "native"
     assert compiled.__file__.startswith(str(tmp_path))
     assert listing() == before
+
+
+def test_kernels_c_compiles_cleanly_under_strict_warnings(tmp_path):
+    # setup.py's build flags plus strict C99 warnings, each one an error; a
+    # failed compile fails here, as a failed build fails the benchmark
+    setup = ast.parse((ROOT / "setup.py").read_text(encoding="utf-8"))
+    flags = next(ast.literal_eval(kw.value) for node in ast.walk(setup)
+                 if isinstance(node, ast.Call) for kw in node.keywords
+                 if kw.arg == "extra_compile_args")
+    cmd = [*shlex.split(sysconfig.get_config_var("CC") or "cc"),
+           *shlex.split(sysconfig.get_config_var("CFLAGS") or ""),
+           "-std=c99", "-Wall", "-Wextra", "-pedantic", "-Werror", *flags, "-fPIC",
+           "-c", str(LOADER.parent / "kernels.c"), "-o", str(tmp_path / "kernels.o")]
+    proc = subprocess.run(cmd, stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
+                          timeout=300, check=False)
+    assert proc.returncode == 0, f"{shlex.join(cmd)}\n{proc.stdout}"
 
 
 @settings(max_examples=60, deadline=None)

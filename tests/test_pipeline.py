@@ -10,6 +10,7 @@ import re
 import subprocess
 import sys
 import time
+from dataclasses import replace
 from datetime import datetime
 from pathlib import Path
 
@@ -918,6 +919,43 @@ def test_cli_filter_outputs_do_not_depend_on_backend(tmp_path, runner, compiled_
             "native": ["compiled_kernels"], "pure": ["powersplit._kernels._pure"]}[backend]
         outputs[backend] = [f.read_bytes() for f in files]
     assert outputs["native"] == outputs["pure"]
+
+
+# case: (command arguments after the inputs, config overrides, field named)
+OUT_OF_RANGE = {
+    "weak_limit_1": (["train", "--weak-limit", "1"], {}, "weak_limit"),
+    "weak_limit_0": (["train", "--weak-limit", "0"], {}, "weak_limit"),
+    "weak_limit_negative": (["train", "--weak-limit", "-3"], {}, "weak_limit"),
+    "no_sweeps": (["train"], {"sweeps": 0, "burn_in": -1}, "sweeps"),
+    "no_particles": (["disagg", "--particles", "0"], {}, "particles"),
+    "no_horizon": (["synth"], {"horizon": 0}, "horizon"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OUT_OF_RANGE))
+def test_cli_rejects_out_of_range_settings(tmp_path, runner, case):
+    args, over, field = OUT_OF_RANGE[case]
+    trace = tmp_path / "house.csv"
+    assert runner.invoke(main, ["synth", "--config", small_config(tmp_path, horizon=30),
+                                "--out", str(trace)]).exit_code == 0
+    inputs = [] if args[0] == "synth" else [str(trace)]
+    out = tmp_path / "out"
+    r = runner.invoke(main, [args[0], *inputs, *args[1:], "--config",
+                             small_config(tmp_path, **over), "--out", str(out)])
+    assert r.exit_code == 2, r.output
+    assert r.exception is None or isinstance(r.exception, SystemExit)
+    assert f"field '{field}' must be >= " in r.output
+    assert not out.exists()
+
+
+def test_load_config_rejects_out_of_range_settings():
+    for key, least in (("particles", 1), ("weak_limit", 2), ("sweeps", 1), ("burn_in", 0),
+                       ("horizon", 1)):
+        load_config({key: least})
+        with pytest.raises(ValueError, match=f"field '{key}' must be >= {least}, got"):
+            load_config({key: least - 1})
+    with pytest.raises(ValueError, match="field 'weak_limit'"):
+        replace(RunConfig(), weak_limit=1)
 
 
 def test_cli_control_rejects_empty_tracking_window(tmp_path, runner):
