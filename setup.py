@@ -5,16 +5,26 @@ loads it with ctypes. ``-ffp-contract=off`` keeps the compiler from fusing
 multiply-adds, which the bit-identical filter kernels rely on.
 ``-fno-math-errno`` lets ``sqrt`` compile to the instruction; no kernel
 reads ``errno``, and every result stays the correctly rounded one.
+``KERNELS_DIGEST`` is the sha256 of the source, which the loader checks
+against the ``kernels.c`` next to it.
 """
 
+import hashlib
+
 from setuptools import Extension, setup
+
+SOURCE = "src/powersplit/_kernels/kernels.c"
+
+with open(SOURCE, "rb") as fh:
+    DIGEST = hashlib.sha256(fh.read()).hexdigest()
 
 setup(
     ext_modules=[
         Extension(
             "powersplit._kernels._libkernels",
-            ["src/powersplit/_kernels/kernels.c"],
+            [SOURCE],
             extra_compile_args=["-std=c99", "-ffp-contract=off", "-fno-math-errno"],
+            define_macros=[("KERNELS_DIGEST", f'"{DIGEST}"')],
             libraries=["m"],
         )
     ],

@@ -11,17 +11,19 @@ after NumPy's exp; ``fbpf_propagate``, the resampled
 rows' joint-state pick on pre-drawn uniforms; ``fbpf_fold``, the
 ancestors' statistics plus the step's increments; ``fbpf_posterior``, theta
 from pre-drawn normals and the Dirichlet concentrations; and
-``fbpf_dirichlet``, the gamma draws normalised into transition rows. The
-step keeps every draw, exp and log in NumPy, and the compiled filter
-kernels are bit-identical to the pure ones, so the filter's law does not
-depend on the backend. The compiled segment draw makes each pick with the
-pure one's operations, and paths differ only when a uniform falls within
-an ulp of a cdf boundary.
+``fbpf_dirichlet``, which normalises, of the gamma draws, only each
+particle's transition row out of its new state in each chain, the row
+the next step reads. The step keeps every draw, exp and log in NumPy, and
+the compiled filter kernels are bit-identical to the pure ones, so the
+filter's law does not depend on the backend. The compiled segment draw
+makes each pick with the pure one's operations, and paths differ only when
+a uniform falls within an ulp of a cdf boundary.
 ``systematic_counts`` is pure NumPy on every backend: one resampling call
 costs about 0.1 ms at 2000 particles. It is served from ``_pure``, where
 ``perfbench/spans.py`` looks up the reference of every traced kernel.
 
-An unbuilt source tree (``PYTHONPATH=src``) falls back to the pure kernels;
+An unbuilt source tree (``PYTHONPATH=src``), or one whose library was
+built from another ``kernels.c``, falls back to the pure kernels;
 ``POWERSPLIT_PURE=1`` forces the fallback.
 """
 

@@ -5,8 +5,9 @@ next to this module. The library knows nothing of Python or NumPy: each
 wrapper here checks its inputs, including the indices a kernel follows,
 copies non-contiguous ones, allocates the outputs and passes raw pointers.
 A bad input raises ``ValueError`` naming the argument before the library
-reads any memory. Importing this module
-raises ``ImportError`` when the library has not been built.
+reads any memory. Importing this module raises ``ImportError`` when the
+library has not been built, or was built from a ``kernels.c`` other than
+the one next to it: a stale library may take other arguments.
 
 Same contracts as ``_pure``: ``hsmm_backward`` agrees with it to the last
 bit, where libm's ``exp`` and NumPy's SIMD one round apart, and
@@ -22,6 +23,7 @@ cdf boundary.
 from __future__ import annotations
 
 import ctypes
+import hashlib
 import operator
 import os
 
@@ -36,10 +38,18 @@ BACKEND = "native"
 _p = ctypes.c_void_p
 _n = ctypes.c_ssize_t
 
+_here = os.path.dirname(os.path.abspath(__file__))
 try:
-    _lib = np.ctypeslib.load_library("_libkernels", os.path.dirname(os.path.abspath(__file__)))
+    _lib = np.ctypeslib.load_library("_libkernels", _here)
 except OSError as exc:
     raise ImportError(f"compiled kernels not built: {exc}") from exc
+with open(os.path.join(_here, "kernels.c"), "rb") as _fh:
+    _source = hashlib.sha256(_fh.read()).hexdigest().encode()
+_built = getattr(_lib, "kernels_digest", None)  # absent from older builds
+if _built is not None:
+    _built.restype = ctypes.c_char_p
+if _built is None or _built() != _source:
+    raise ImportError("compiled kernels were built from another kernels.c: rebuild them")
 
 _lib.hsmm_backward.restype = None
 _lib.hsmm_backward.argtypes = [_n, _n, _n, _p, _p, _n, _p, _n, _p, _p, _p, _p]
@@ -60,7 +70,7 @@ _lib.fbpf_fold.argtypes = [_n, _n, _n, _p, _p, _p, _p, ctypes.c_int, _p, _p, _p,
 _lib.fbpf_posterior.restype = None
 _lib.fbpf_posterior.argtypes = [_n, _n, _n, _n, _p, _p, _p, _p, _p, _p, _p, _p, _p, _p, _p]
 _lib.fbpf_dirichlet.restype = None
-_lib.fbpf_dirichlet.argtypes = [_n, _n, _n, _n, _p, _p, _p]
+_lib.fbpf_dirichlet.argtypes = [_n, _n, _n, _n, _p, _p, _p, _p]
 
 
 def _floats(name, a, ndim):
@@ -344,9 +354,11 @@ def fbpf_posterior(z, emis_sums, emis_counts, trans_counts, var_chain, prior_mea
     return theta, conc
 
 
-def fbpf_dirichlet(gam, Js, N):
-    """Transition rows of the gamma draws ``gam``; see ``_pure``."""
+def fbpf_dirichlet(gam, states, Js, N):
+    """The transition rows out of ``states`` of the gamma draws ``gam``;
+    see ``_pure``."""
     gam = _floats("gam", gam, 2)
+    states = _ints("states", states, 2)
     N = operator.index(N)
     Js = _chain_sizes(Js)
     K, Jm = len(Js), int(Js.max())
@@ -354,6 +366,10 @@ def fbpf_dirichlet(gam, Js, N):
     if N < 1:
         raise ValueError(f"N must be >= 1, got {N}")
     _shape("gam", gam, (H, N * int((Js * Js).sum())))
-    pi = np.empty((H * N, K, Jm, Jm))
-    _lib.fbpf_dirichlet(H, N, K, Jm, _addr(Js, np.int64), _addr(gam), _addr(pi))
-    return pi
+    _shape("states", states, (H * N, K))
+    if states.size and (states.min() < 0 or (states >= Js).any()):
+        raise ValueError("states must index each chain's states")
+    rows = np.empty((H * N, K, Jm))
+    _lib.fbpf_dirichlet(H, N, K, Jm, _addr(Js, np.int64), _addr(states, np.int64), _addr(gam),
+                        _addr(rows))
+    return rows

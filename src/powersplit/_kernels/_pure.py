@@ -212,18 +212,19 @@ def fbpf_posterior(z, emis_sums, emis_counts, trans_counts, var_chain, prior_mea
     return theta, conc
 
 
-def fbpf_dirichlet(gam, Js, N):
-    """The (H * N, K, Jmax, Jmax) transition rows of the gamma draws ``gam``,
-    laid out as ``fbpf_posterior``'s concentrations: each row of J_k draws
-    over its sum, zero in the padding."""
-    H = len(gam)
-    pi = np.zeros((H * N, len(Js), max(Js), max(Js)))
+def fbpf_dirichlet(gam, states, Js, N):
+    """The (H * N, K, Jmax) transition rows the next step reads, of the gamma
+    draws ``gam`` laid out as ``fbpf_posterior``'s concentrations: for each
+    particle r and chain k, row ``states[r, k]`` of its J_k square block over
+    its sum, zero in the padding."""
+    R = len(gam) * N
+    rows = np.zeros((R, len(Js), max(Js)))
     off = 0
     for k, J in enumerate(Js):
-        block = gam[:, off:off + N * J * J].reshape(H * N, J, J)
+        row = gam[:, off:off + N * J * J].reshape(R, J, J)[np.arange(R), states[:, k]]
         off += N * J * J
-        pi[:, k, :J, :J] = block / block.sum(axis=2, keepdims=True)
-    return pi
+        rows[:, k, :J] = row / row.sum(axis=1, keepdims=True)
+    return rows
 
 
 def systematic_counts(weights, u0):

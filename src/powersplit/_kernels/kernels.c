@@ -1,7 +1,8 @@
 /* Compiled kernels: the explicit-duration backward pass, the forward segment
  * draw over its messages, and the factorial filter's joint-state accumulate
  * and the deterministic passes of its step (shift, total, propagate, fold,
- * posterior, Dirichlet normalisation).
+ * posterior, and the Dirichlet normalisation of the rows the next step
+ * reads).
  *
  * Plain C99 with no Python or NumPy API. ``_compiled.py`` loads the library
  * with ctypes, checks every input and allocates every output and scratch
@@ -408,29 +409,41 @@ void fbpf_posterior(ptrdiff_t H, ptrdiff_t N, ptrdiff_t K, ptrdiff_t Jmax,
 }
 
 /* The gamma draws gam, laid out as fbpf_posterior's conc, normalised into
- * transition rows: pi (H * N, K, Jmax, Jmax) gets each row of J = Js[k]
- * draws divided by their pairwise sum, and 0 in the padding. */
+ * the transition rows the next step reads: row (r, k) of rows (H * N, K,
+ * Jmax) is row states[r, k] of particle r's J = Js[k] square block of chain
+ * k, divided by its pairwise sum, and 0 in the padding. */
 void fbpf_dirichlet(ptrdiff_t H, ptrdiff_t N, ptrdiff_t K, ptrdiff_t Jmax,
-                    const long long *Js, const double *gam, double *pi)
+                    const long long *Js, const long long *states, const double *gam,
+                    double *rows)
 {
-    ptrdiff_t sq = K * Jmax * Jmax;
-    for (ptrdiff_t i = 0; i < H * N * sq; i++)
-        pi[i] = 0.0;
     for (ptrdiff_t h = 0; h < H; h++)
         for (ptrdiff_t k = 0; k < K; k++) {
             ptrdiff_t J = (ptrdiff_t)Js[k];
-            for (ptrdiff_t n = 0; n < N; n++) {
-                double *p = pi + (h * N + n) * sq + k * Jmax * Jmax;
-                for (ptrdiff_t i = 0; i < J; i++, gam += J) {
-                    double s = 0.0;  /* pairwise_sum's own order below 8 */
-                    if (J < 8)
-                        for (ptrdiff_t j = 0; j < J; j++)
-                            s += gam[j];
-                    else
-                        s = pairwise_sum(gam, J);
+            for (ptrdiff_t n = 0; n < N; n++, gam += J * J) {
+                ptrdiff_t r = h * N + n;
+                const double *g = gam + states[r * K + k] * J;
+                double *p = rows + (r * K + k) * Jmax;
+                double s = 0.0;  /* pairwise_sum's own order below 8 */
+                if (J < 8)
                     for (ptrdiff_t j = 0; j < J; j++)
-                        p[i * Jmax + j] = gam[j] / s;
-                }
+                        s += g[j];
+                else
+                    s = pairwise_sum(g, J);
+                for (ptrdiff_t j = 0; j < J; j++)
+                    p[j] = g[j] / s;
+                for (ptrdiff_t j = J; j < Jmax; j++)
+                    p[j] = 0.0;
             }
         }
+}
+
+/* The sha256 of the kernels.c this library was built from, which setup.py
+ * passes in; the loader refuses a library built from other source. */
+#ifndef KERNELS_DIGEST
+#define KERNELS_DIGEST ""
+#endif
+
+const char *kernels_digest(void)
+{
+    return KERNELS_DIGEST;
 }

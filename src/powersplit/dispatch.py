@@ -78,7 +78,7 @@ class NominalLoadModel:
         return self.U[self.xu_of]
 
 
-def product_model(R0, Q0, U, meta=None) -> NominalLoadModel:
+def product_model(R0, Q0, U) -> NominalLoadModel:
     """Full product enumeration, x = iu * nn + i_n; no trimming."""
     R0 = np.asarray(R0, dtype=float)
     Q0 = np.asarray(Q0, dtype=float)
@@ -88,7 +88,7 @@ def product_model(R0, Q0, U, meta=None) -> NominalLoadModel:
         raise ValueError("rows must enumerate the full product")
     xu = np.repeat(np.arange(nu), nn)
     xn = np.tile(np.arange(nn), nu)
-    return NominalLoadModel(R0=R0, Q0=Q0, U=U, xu_of=xu, xn_of=xn, meta=meta)
+    return NominalLoadModel(R0=R0, Q0=Q0, U=U, xu_of=xu, xn_of=xn)
 
 
 def tilted_controllable(model: NominalLoadModel, zeta: float) -> np.ndarray:
@@ -174,7 +174,6 @@ def invariant_pmf(P: np.ndarray) -> np.ndarray:
 class MeanFieldState:
     mu: np.ndarray
     y: float
-    zeta: float = 0.0
 
     def __post_init__(self):
         object.__setattr__(self, "mu", assert_simplex(np.asarray(self.mu, dtype=float), atol=1e-9))
@@ -182,7 +181,7 @@ class MeanFieldState:
 
 def mean_field_init(model: NominalLoadModel, mu=None) -> MeanFieldState:
     mu = invariant_pmf(controlled_kernel(model, 0.0)) if mu is None else np.asarray(mu, dtype=float)
-    return MeanFieldState(mu=mu, y=float(mu @ model.power_of_state), zeta=0.0)
+    return MeanFieldState(mu=mu, y=float(mu @ model.power_of_state))
 
 
 def mean_field_step(state: MeanFieldState, model: NominalLoadModel,
@@ -191,7 +190,7 @@ def mean_field_step(state: MeanFieldState, model: NominalLoadModel,
     P = controlled_kernel(model, zeta)
     mu = state.mu @ P
     mu = mu / mu.sum()
-    return MeanFieldState(mu=mu, y=float(mu @ model.power_of_state), zeta=zeta)
+    return MeanFieldState(mu=mu, y=float(mu @ model.power_of_state))
 
 
 @dataclass(frozen=True)
@@ -422,8 +421,7 @@ def sample_fleet(model: NominalLoadModel, n_loads: int,
 
 def closed_loop_simulate(n_loads: int, model: NominalLoadModel, reference,
                          gains: tuple[float, float], rng: np.random.Generator,
-                         disagg_hook=None, init_counts=None,
-                         init_states=None) -> dict:
+                         disagg_hook=None) -> dict:
     """Track a per-load power deviation reference with PI feedback.
 
     Per step: measure fleet mean power y_t, subtract the nominal baseline
@@ -450,15 +448,11 @@ def closed_loop_simulate(n_loads: int, model: NominalLoadModel, reference,
     per_load = disagg_hook is not None
     if per_load:
         tables = _fleet_tables(model)
-        if init_states is None:
-            pi0 = invariant_pmf(controlled_kernel(model, 0.0))
-            states = rng.choice(model.S, size=n_loads, p=pi0)
-        else:
-            states = np.asarray(init_states, dtype=np.int64).copy()
+        pi0 = invariant_pmf(controlled_kernel(model, 0.0))
+        states = rng.choice(model.S, size=n_loads, p=pi0)
         mu = np.bincount(states, minlength=model.S) / n_loads
     else:
-        counts = sample_fleet(model, n_loads, rng) if init_counts is None \
-            else np.asarray(init_counts, dtype=np.int64).copy()
+        counts = sample_fleet(model, n_loads, rng)
         mu = counts / n_loads
 
     twin = MeanFieldState(mu=mu, y=float(mu @ u_state))

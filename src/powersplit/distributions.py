@@ -13,8 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln
 
-from .rng import stacked_draws
-
 SIMPLEX_ATOL = 1e-12
 
 
@@ -35,10 +33,11 @@ def assert_simplex_rows(w, atol: float = SIMPLEX_ATOL) -> np.ndarray:
     w = np.asarray(w, dtype=float)
     if w.ndim != 2:
         raise ValueError("simplex rows must be 2-d")
-    if np.any((w < 0) | (w > 1)):
+    # each check is written so that NaN fails it
+    if not np.all((w >= 0) & (w <= 1)):
         raise ValueError("simplex entries must lie in [0, 1]")
     sums = w.sum(axis=1)
-    off = np.abs(sums - 1.0) > atol
+    off = ~(np.abs(sums - 1.0) <= atol)
     if off.any():
         raise ValueError(f"simplex entries sum to {sums[off][0]!r}, not 1")
     return w
@@ -219,14 +218,9 @@ def categorical_rows_pick(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
     return np.minimum((u[:, None] > cdf).sum(axis=1), probs.shape[1] - 1)
 
 
-def categorical_rows_sample(rng, probs: np.ndarray) -> np.ndarray:
-    """Vectorized categorical draw per row of ``probs`` (rows normalized).
-
-    ``rng`` is one generator, or a list of H generators that each draw the
-    uniforms of one of H equal blocks of rows (``rng.stacked_draws``).
-    """
-    u = stacked_draws(rng, probs.shape[0], lambda g, rows: g.random(rows.stop - rows.start))
-    return categorical_rows_pick(probs, u)
+def categorical_rows_sample(rng: np.random.Generator, probs: np.ndarray) -> np.ndarray:
+    """Vectorized categorical draw per row of ``probs`` (rows normalized)."""
+    return categorical_rows_pick(probs, rng.random(probs.shape[0]))
 
 
 __all__ = [

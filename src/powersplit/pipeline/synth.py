@@ -26,7 +26,6 @@ class SynthHouse:
     values: np.ndarray    # (T, K) device watts
     total: np.ndarray     # (T,) with meter noise
     states: np.ndarray    # (T, K) true state labels, power-ordered
-    params: dict          # per-device drawn parameters
 
 
 def draw_device_params(bundle: DeviceBundle, rng: np.random.Generator) -> HsmmParams:
@@ -59,19 +58,16 @@ def synth_generate(bundle: HyperParamBundle, T: int, rng,
     K = len(names)
     values = np.empty((T, K))
     states = np.empty((T, K), dtype=np.int64)
-    params = {}
     for k, dev in enumerate(bundle.devices):
         r = substream(rng, "device", dev.name)
         p = draw_device_params(dev, r)
         path, y = simulate_hsmm(p, T, r)
         values[:, k] = y
         states[:, k] = path.x
-        params[dev.name] = p
     total = values.sum(axis=1)
     if meter_noise_var > 0:
         total = total + rng.normal(0.0, np.sqrt(meter_noise_var), size=T)
-    return SynthHouse(devices=names, values=values, total=total,
-                      states=states, params=params)
+    return SynthHouse(devices=names, values=values, total=total, states=states)
 
 
 def write_states(path, start: datetime, names, states: np.ndarray) -> None:

@@ -47,18 +47,3 @@ def substream(rng_or_seed, *path) -> np.random.Generator:
         child_seed = int(rng_or_seed.integers(0, 2**63 - 1))
         return stream(child_seed, *path)
     return stream(int(rng_or_seed), *path)
-
-
-def stacked_draws(rng, n_rows: int, draw) -> np.ndarray:
-    """Draws for ``n_rows`` stacked rows; ``draw(g, rows)`` returns the draws
-    of the row slice ``rows`` from generator ``g``.
-
-    One generator draws every row at once. A list of H generators splits the
-    rows into H equal blocks and generator h draws block h, so the result
-    equals H separate draws stacked in list order.
-    """
-    if isinstance(rng, np.random.Generator):
-        return draw(rng, slice(0, n_rows))
-    n = n_rows // len(rng)
-    blocks = [draw(g, slice(h * n, (h + 1) * n)) for h, g in enumerate(rng)]
-    return blocks[0] if len(blocks) == 1 else np.concatenate(blocks)

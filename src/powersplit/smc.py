@@ -1,7 +1,9 @@
 """Online inference: ``FactorialBpf``, the particle-learning filter that
 splits an aggregate power reading across K chains by enumerating the joint
 state space. Each particle carries conjugate sufficient statistics and
-refreshes its parameters from them every step.
+refreshes its parameters from them every step; of its transition matrices
+it keeps only the rows out of its current states, the rows the next step
+reads.
 
 The joint state space is always the full row-major product of the chains'
 states (``joint_state_table``), so the joint predictive of every particle is
@@ -16,9 +18,9 @@ pass leaves each house byte-identical to stepping it alone;
 ``FactorialBpf.step`` is the pass for one house. Each house draws a step's
 randoms with one generator call per kind, and the deterministic work
 between the draws runs in the ``_kernels`` passes (accumulate, shift,
-total, propagate, fold, posterior, Dirichlet), which are compiled on the
-native backend and bit-identical to their NumPy twins; every exp and log
-stays in NumPy. ``map_states_of`` and ``power_means_of`` read the
+total, propagate, fold, posterior, Dirichlet rows), which are compiled on
+the native backend and bit-identical to their NumPy twins; every exp and
+log stays in NumPy. ``map_states_of`` and ``power_means_of`` read the
 estimators of all houses at once.
 
 Per-step cost is fixed: sufficient statistics replace the path, so nothing
@@ -136,12 +138,13 @@ class FactorialBpf:
 
     Each particle carries, for every chain: the current state, the imputed
     emission, transition counts, per-state emission sums/counts, and sampled
-    parameters. Every step weights by the joint predictive, resamples,
-    propagates through the exact joint conditional, imputes emissions that
-    sum to the aggregate, folds the statistics, and refreshes parameters
-    from their conjugate posteriors. Weights are uniform after every step.
-    ``log_evidence`` accumulates the log of the mean first-stage predictive,
-    an estimate of log p(y_1:t).
+    parameters: the emission means ``theta`` and, in ``rows``, the
+    transition row out of the current state. Every step weights by the
+    joint predictive, resamples, propagates through the exact joint
+    conditional, imputes emissions that sum to the aggregate, folds the
+    statistics, and refreshes parameters from their conjugate posteriors.
+    Weights are uniform after every step. ``log_evidence`` accumulates the
+    log of the mean first-stage predictive, an estimate of log p(y_1:t).
 
     Every draw comes from the house's own generator ``rng``. Houses that
     share priors, particle count and step count advance together through
@@ -187,13 +190,14 @@ class FactorialBpf:
         self._law = (N, self.Js, self.var_chain.tobytes(), self.alpha.tobytes(),
                      self.prior_mean.tobytes(), self.prior_var.tobytes())
 
-        self._draw_params()
-
-    def _draw_params(self):
-        """Refresh every particle's parameters from prior + statistics."""
-        z = self.rng.standard_normal((self.N, self.K, self.Jmax))
-        self.theta, self.pi = _refresh_params(self, self.emis_sums, self.emis_counts,
-                                              self.trans_counts, z, [self.rng])
+        # theta from the prior; the first step moves from the uniform rows,
+        # and the prior's row draw only keeps each step's draws in place
+        self.theta, _ = _refresh_params(self, self.emis_sums, self.emis_counts,
+                                        self.trans_counts, self.states,
+                                        rng.standard_normal((N, K, Jm)), [rng])
+        self.rows = np.zeros((N, K, Jm))
+        for k, J in enumerate(self.Js):
+            self.rows[:, k, :J] = 1.0 / J
 
     def step(self, ybar: float) -> None:
         """Consume one aggregate reading (``step_filters`` on this house)."""
@@ -228,34 +232,20 @@ def _stack(filters, name: str) -> np.ndarray:
     return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
-def _log_rows(spec: FactorialBpf, pi: np.ndarray, states: np.ndarray) -> np.ndarray:
-    """(rows, K, Jmax) log transition rows out of ``states`` under ``pi``, or
-    the log-uniform initial rows before the first observation."""
-    Jm = spec.Jmax
-    if spec.n == 0:
-        rows = np.zeros((len(states), spec.K, Jm))
-        for k, J in enumerate(spec.Js):
-            rows[:, k, :J] = 1.0 / J
-    else:
-        # row states[i, k] of pi[i, k], as one flat take
-        first = np.arange(states.size) * Jm + states.ravel()
-        rows = pi.reshape(-1, Jm).take(first, axis=0).reshape(len(states), spec.K, Jm)
-    with np.errstate(divide="ignore"):
-        return np.log(rows)
-
-
-def _refresh_params(spec: FactorialBpf, emis_sums, emis_counts, trans_counts, z, rngs):
-    """(theta, pi) drawn from each particle's conjugate posterior, the H
+def _refresh_params(spec: FactorialBpf, emis_sums, emis_counts, trans_counts, states, z,
+                    rngs):
+    """(theta, rows) drawn from each particle's conjugate posterior, the H
     houses' particles stacked: theta from the pre-drawn standard normals
-    ``z``, pi from one ``standard_gamma`` call per house, over all of the
-    house's chain blocks, from its generator in ``rngs``."""
+    ``z``; the transition matrices from one ``standard_gamma`` call per
+    house, over all of the house's chain blocks, from its generator in
+    ``rngs``, of which ``rows`` keeps the rows out of ``states``."""
     theta, conc = fbpf_posterior(z, emis_sums, emis_counts, trans_counts, spec.var_chain,
                                  spec.prior_mean, spec.prior_var, spec.alpha, spec.Js,
                                  len(rngs))
     gam = np.empty_like(conc)
     for h, g in enumerate(rngs):
         g.standard_gamma(conc[h], out=gam[h])
-    return theta, fbpf_dirichlet(gam, spec.Js, spec.N)
+    return theta, fbpf_dirichlet(gam, states, spec.Js, spec.N)
 
 
 def step_filters(filters, readings) -> None:
@@ -276,10 +266,11 @@ def step_filters(filters, readings) -> None:
     per draw would give, and each house ends byte-identical to stepping it
     alone; its arrays become row slices of the stacked results.
 
-    The resample copies only the statistics: ``pi`` and ``theta`` are redrawn
-    from them at the end of the step, so the split reads the ancestors' means
-    through the ancestor indices. Raises ``DegenerateWeightsError``, leaving
-    every house as it was, when all of some house's predictive weights vanish.
+    The resample copies only the statistics: ``rows`` and ``theta`` are
+    redrawn from them at the end of the step, ``rows`` out of the new states,
+    so the split reads the ancestors' means through the ancestor indices.
+    Raises ``DegenerateWeightsError``, leaving every house as it was, when
+    all of some house's predictive weights vanish.
     """
     _check_houses(filters)
     spec = filters[0]
@@ -292,8 +283,9 @@ def step_filters(filters, readings) -> None:
 
     states = _stack(filters, "states")
     theta = _stack(filters, "theta")
-    logw, sumtheta = fbpf_accumulate(_log_rows(spec, _stack(filters, "pi"), states),
-                                     theta, spec.var_chain, spec.joint_idx, ybar)
+    with np.errstate(divide="ignore"):  # the padding lanes' log is -inf
+        logrows = np.log(_stack(filters, "rows"))
+    logw, sumtheta = fbpf_accumulate(logrows, theta, spec.var_chain, spec.joint_idx, ybar)
     row_max, keep = fbpf_shift(logw, EXP_FLOOR)
     live = np.isfinite(row_max)
     dead = np.flatnonzero(~live.reshape(H, N).any(axis=1))
@@ -331,12 +323,12 @@ def step_filters(filters, readings) -> None:
         _stack(filters, "emis_sums"), _stack(filters, "emis_counts"))
 
     del logw, pred, keep, sumtheta  # the (H*N, M) arrays, before the refresh allocates
-    theta, pi = _refresh_params(spec, emis_sums, emis_counts, trans_counts,
-                                z[:, N * K:].reshape(H * N, K, Jm), rngs)
+    theta, rows = _refresh_params(spec, emis_sums, emis_counts, trans_counts, new_states,
+                                  z[:, N * K:].reshape(H * N, K, Jm), rngs)
     weights = np.full(H * N, 1.0 / N)
     for h, f in enumerate(filters):
         own = slice(h * N, (h + 1) * N)
-        f.states, f.emis, f.theta, f.pi = new_states[own], emis[own], theta[own], pi[own]
+        f.states, f.emis, f.theta, f.rows = new_states[own], emis[own], theta[own], rows[own]
         f.trans_counts, f.emis_sums = trans_counts[own], emis_sums[own]
         f.emis_counts, f.weights = emis_counts[own], weights[own]
         f.log_evidence += float(evidence[h])

@@ -2,7 +2,8 @@
 
 ``build_compiled(dest)`` runs ``setup.py build_ext`` with its library and
 temporary directories under ``dest``, then imports a copy of the ctypes
-loader placed next to the library it built. The tests use it to exercise
+loader placed next to the library it built, with the ``kernels.c`` the
+loader checks the library against. The tests use it to exercise
 the compiled kernels when the tree has none built. Importing this module
 builds nothing.
 """
@@ -30,6 +31,7 @@ def build_compiled(dest: Path):
         raise RuntimeError(f"setup.py build_ext failed ({proc.returncode}):\n{proc.stdout}")
     kernel_dir = lib_dir / "powersplit" / "_kernels"
     shutil.copy(LOADER, kernel_dir)
+    shutil.copy(LOADER.parent / "kernels.c", kernel_dir)  # the source it checks against
     spec = importlib.util.spec_from_file_location(
         f"compiled_kernels_{dest.name}", kernel_dir / LOADER.name)
     module = importlib.util.module_from_spec(spec)

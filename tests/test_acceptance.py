@@ -534,7 +534,7 @@ def test_criterion_07_particle_filter_tracks_exact_filter():
     tv, filt = mean_tv(10_000, 1)
     assert tv < 0.02
     assert np.abs(filt.theta[:, 0] - params.theta).max() < 1e-3
-    assert np.abs(filt.pi[:, 0] - params.pi).max() < 1e-3
+    assert np.abs(filt.rows[:, 0, :2] - params.pi[filt.states[:, 0]]).max() < 1e-3
 
     Ns = np.array([250, 1_000, 4_000, 16_000])
     errs = np.array([

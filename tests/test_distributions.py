@@ -165,6 +165,9 @@ def test_assert_simplex_accepts_and_rejects():
         assert_simplex([0.5, 0.6])
     with pytest.raises(ValueError):
         assert_simplex([-0.1, 1.1])
+    for bad in ([np.nan, 1.0], [0.5, np.nan], [np.nan, np.nan]):
+        with pytest.raises(ValueError, match="simplex"):
+            assert_simplex(bad)
 
 
 def test_categorical_rows_sample_hits_the_right_rows():

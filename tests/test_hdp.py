@@ -180,6 +180,13 @@ def test_weak_limit_validation():
         WeakLimitHdp(gamma=0.0, alpha=1.0, beta=good_beta, pi=good_pi)
 
 
+def test_weak_limit_rejects_a_nan_row():
+    # a 0/0 row: every comparison with NaN is false, so each check must fail it
+    pi = np.array([[0.5, 0.5], [np.nan, np.nan]])
+    with pytest.raises(ValueError, match="simplex"):
+        WeakLimitHdp(gamma=1.0, alpha=1.0, beta=np.array([0.5, 0.5]), pi=pi)
+
+
 def test_sample_hdp_prior_shapes():
     hdp = sample_hdp_prior(2.0, 3.0, 5, stream(5, "prior"))
     assert hdp.L == 5

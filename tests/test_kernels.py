@@ -20,16 +20,19 @@ directory. When that build fails, the equivalence tests fail.
 
 import ast
 import gc
+import importlib.util
 import shlex
+import shutil
 import subprocess
 import sysconfig
 from datetime import datetime
+from pathlib import Path
 
 import numpy as np
 import pytest
 from fbpf_reference import fbpf_accumulate_gather_reference, random_rows
 from hsmm_reference import hsmm_backward_scalar_reference
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from kernel_build import LOADER, ROOT, build_compiled
 
 from powersplit import _kernels
@@ -378,6 +381,7 @@ def test_shift_and_total_match_pure_on_dead_rows_and_nan(compiled_kernels):
 @settings(max_examples=40, deadline=None)
 @given(st.lists(st.integers(1, 10), min_size=1, max_size=3), st.integers(1, 3),
        st.integers(1, 6), st.integers(0, 10_000))
+@example([2, 9, 10], 2, 3, 0)
 def test_posterior_and_dirichlet_match_pure(compiled_kernels, Js, H, N, seed):
     # chains of 8 states and more take numpy's pairwise row sum
     rng = np.random.default_rng(seed)
@@ -392,7 +396,18 @@ def test_posterior_and_dirichlet_match_pure(compiled_kernels, Js, H, N, seed):
     conc = _pure.fbpf_posterior(*args)[1]
     assert conc.shape == (H, N * sum(J * J for J in Js))
     gam = rng.standard_gamma(conc) + rng.uniform(0.0, 1e-3, conc.shape)
-    assert_pass_matches_pure(compiled_kernels, "fbpf_dirichlet", [gam, tuple(Js), N])
+    states = rng.integers(0, Js, (R, K))
+    states[0] = np.array(Js) - 1  # each chain's last state
+    assert_pass_matches_pure(compiled_kernels, "fbpf_dirichlet", [gam, states, tuple(Js), N])
+    # the rows out of ``states`` of the whole normalised matrices, bit for bit
+    rows = _pure.fbpf_dirichlet(gam, states, tuple(Js), N)
+    off = 0
+    for k, J in enumerate(Js):
+        block = gam[:, off:off + N * J * J].reshape(R, J, J)
+        off += N * J * J
+        full = block / block.sum(axis=2, keepdims=True)
+        assert np.array_equal(rows[:, k, :J], full[np.arange(R), states[:, k]])
+        assert not rows[:, k, J:].any()
 
 
 def test_propagate_and_fold_match_pure_on_edge_rows(compiled_kernels):
@@ -465,7 +480,8 @@ def _pass_call(kernel, **change):
         "fbpf_posterior": dict(z=rng.standard_normal((R, K, Jm)), var_chain=np.array([4.0, 9.0]),
                                prior_mean=np.zeros((K, Jm)), prior_var=np.ones((K, Jm)),
                                alpha=np.ones((K, Jm, Jm)), Js=Js, H=H, **stats),
-        "fbpf_dirichlet": dict(gam=rng.uniform(0.1, 2.0, (H, N * 13)), Js=Js, N=N),
+        "fbpf_dirichlet": dict(gam=rng.uniform(0.1, 2.0, (H, N * 13)), states=states, Js=Js,
+                               N=N),
     }[kernel]
     args.update(change)
     return kernel, args
@@ -522,6 +538,16 @@ BAD_INPUTS = {
                                     "alpha"),
     "dirichlet_gam_wrong_width": (_pass_call("fbpf_dirichlet", gam=np.ones((2, 38))), "gam"),
     "dirichlet_Js_empty": (_pass_call("fbpf_dirichlet", Js=()), "Js"),
+    "dirichlet_state_past_chain": (_pass_call("fbpf_dirichlet",
+                                              states=np.tile([2, 0], (6, 1))), "states"),
+    "dirichlet_state_negative": (_pass_call("fbpf_dirichlet",
+                                            states=np.tile([0, -1], (6, 1))), "states"),
+    "dirichlet_states_short": (_pass_call("fbpf_dirichlet",
+                                          states=np.zeros((5, 2), np.int64)), "states"),
+    "dirichlet_states_one_chain": (_pass_call("fbpf_dirichlet",
+                                              states=np.zeros((6, 1), np.int64)), "states"),
+    "dirichlet_states_int32": (_pass_call("fbpf_dirichlet",
+                                          states=np.zeros((6, 2), np.int32)), "states"),
 }
 
 
@@ -564,6 +590,30 @@ def test_compiled_kernels_leave_no_cyclic_garbage(compiled_kernels):
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_compiled_loader_refuses_a_library_built_from_other_source(compiled_kernels,
+                                                                   tmp_path):
+    """The loader checks the library against the ``kernels.c`` next to it: a
+    stale one may take other arguments than the wrappers pass, so it must
+    not load, and the package falls back to the pure kernels."""
+    built = Path(compiled_kernels.__file__).parent
+    lib = next(built.glob("_libkernels*"))
+    source = (LOADER.parent / "kernels.c").read_bytes()
+    for name, text in (("same", source), ("edited", source + b"/* edited */\n")):
+        where = tmp_path / name
+        where.mkdir()
+        shutil.copy(lib, where)
+        shutil.copy(LOADER, where)
+        (where / "kernels.c").write_bytes(text)
+        spec = importlib.util.spec_from_file_location(f"loader_{name}", where / LOADER.name)
+        loader = importlib.util.module_from_spec(spec)
+        if name == "same":
+            spec.loader.exec_module(loader)
+            assert loader.BACKEND == "native"
+        else:
+            with pytest.raises(ImportError, match="kernels.c"):
+                spec.loader.exec_module(loader)
 
 
 def test_setup_py_builds_the_kernel_library(tmp_path):

@@ -38,15 +38,21 @@ from powersplit.smc import (
 )
 
 
-def fixed_filter(pis, thetas, sig2s, n_particles=3, seed=20):
-    """A filter whose particles all carry the given rows and means."""
+def fixed_filter(pis, thetas, sig2s, n_particles=3, seed=20, states=None):
+    """A filter whose particles all carry the given means. Without
+    ``states`` it awaits its first reading, from the uniform rows; given
+    ``states`` (one joint state, or one per particle) it has seen one
+    reading, sits in them and carries the rows of ``pis`` out of them."""
     priors = [ChainPrior(np.ones((len(t), len(t))), tuple(NormalPrior(0.0, 1.0) for _ in t), s2)
               for t, s2 in zip(thetas, sig2s)]
     filt = FactorialBpf(priors, n_particles=n_particles, rng=stream(seed, "fixed"))
-    for k, (pi, theta) in enumerate(zip(pis, thetas)):
-        J = len(theta)
-        filt.pi[:, k, :J, :J] = pi
-        filt.theta[:, k, :J] = theta
+    for k, theta in enumerate(thetas):
+        filt.theta[:, k, :len(theta)] = theta
+    if states is not None:
+        filt.states[:] = states
+        filt.n = 1
+        for k, pi in enumerate(pis):
+            filt.rows[:, k, :len(pi)] = pi[filt.states[:, k]]
     return filt
 
 
@@ -82,8 +88,10 @@ def test_factorial_proposal_matches_brute_force(monkeypatch):
     def step_probs(filt, ybar=ybar):
         """The joint conditional ``FactorialBpf.step`` propagates through,
         and the predictive p(ybar | x_prev) of each particle."""
-        logw, _ = smc.fbpf_accumulate(smc._log_rows(filt, filt.pi, filt.states), filt.theta,
-                                      filt.var_chain, filt.joint_idx, np.full(filt.N, ybar))
+        with np.errstate(divide="ignore"):
+            logrows = np.log(filt.rows)
+        logw, _ = smc.fbpf_accumulate(logrows, filt.theta, filt.var_chain, filt.joint_idx,
+                                      np.full(filt.N, ybar))
         seen = []
         propagate = smc.fbpf_propagate
 
@@ -98,10 +106,8 @@ def test_factorial_proposal_matches_brute_force(monkeypatch):
         monkeypatch.undo()
         return seen[0], np.exp(logw).sum(axis=1)
 
-    filt = fixed_filter(pis, thetas, sig2s)
+    filt = fixed_filter(pis, thetas, sig2s, states=(1, 2))
     table = filt.joint_idx
-    filt.states[:] = (1, 2)
-    filt.n = 1
     probs, pred = step_probs(filt)
     want = np.array([
         pis[0][1, a] * pis[1][2, b] * norm.pdf(ybar, thetas[0][a] + thetas[1][b], sd)
@@ -121,9 +127,7 @@ def test_factorial_proposal_matches_brute_force(monkeypatch):
     # a reading far above most joint means: four of the six lanes sit more
     # than 700 below the best one, where the step writes 0 in place of exp
     far = 400.0
-    filt = fixed_filter(pis, thetas, sig2s)
-    filt.states[:] = (1, 2)
-    filt.n = 1
+    filt = fixed_filter(pis, thetas, sig2s, states=(1, 2))
     probs_far, _ = step_probs(filt, far)
     log_want = np.array([
         math.log(pis[0][1, a] * pis[1][2, b]) + norm.logpdf(far, thetas[0][a] + thetas[1][b], sd)
@@ -147,11 +151,9 @@ def test_first_stage_weights_match_brute_force(monkeypatch):
     sig2s = (0.5, 1.5)
     readings = [4.2, 1.1]
     sd = math.sqrt(sum(sig2s))
-    houses = [fixed_filter(p, t, sig2s, n_particles=6, seed=30 + h)
+    houses = [fixed_filter(p, t, sig2s, n_particles=6, seed=30 + h,
+                           states=joint_state_table((2, 3)))
               for h, (p, t) in enumerate(zip(pis, thetas))]
-    for f in houses:
-        f.states[:] = f.joint_idx
-        f.n = 1
     seen = []
     counts = smc.systematic_counts
 
@@ -229,9 +231,15 @@ def test_pl_sample_params_concentrates():
     filt.trans_counts[:, 0] = [[900.0, 100.0], [200.0, 800.0]]
     filt.emis_sums[:, 0] = [1000.0, 5000.0]
     filt.emis_counts[:, 0] = [1000.0, 1000.0]
-    filt._draw_params()
-    assert np.abs(filt.theta[:, 0].mean(axis=0) - [1.0, 5.0]).max() < 0.02
-    assert abs(filt.pi[:, 0, 0, 0].mean() - 900 / 1002) < 0.01
+    states = np.repeat([[0], [1]], 150, axis=0)  # half the particles in each state
+    theta, rows = smc._refresh_params(filt, filt.emis_sums, filt.emis_counts,
+                                      filt.trans_counts, states,
+                                      filt.rng.standard_normal((300, 1, 2)), [filt.rng])
+    assert np.abs(theta[:, 0].mean(axis=0) - [1.0, 5.0]).max() < 0.02
+    # each particle keeps the row out of its state, drawn from Dir(alpha + n)
+    want = (prior.alpha + filt.trans_counts[0, 0]) / 1002.0
+    for s in (0, 1):
+        assert np.abs(rows[states[:, 0] == s, 0].mean(axis=0) - want[s]).max() < 0.01
 
 
 def test_chain_prior_validation():
