@@ -5,6 +5,10 @@ loads it with ctypes. ``-ffp-contract=off`` keeps the compiler from fusing
 multiply-adds, which the bit-identical filter kernels rely on.
 ``-fno-math-errno`` lets ``sqrt`` compile to the instruction; no kernel
 reads ``errno``, and every result stays the correctly rounded one.
+``-falign-functions=64`` starts every kernel on a cache line, so the
+placement of its hot loops does not move when code before it changes
+size: a 16-byte shift of ``hsmm_backward``, after another pass stopped
+calling ``memset``, made it about 7% slower on an Intel Xeon host.
 ``KERNELS_DIGEST`` is the sha256 of the source, which the loader checks
 against the ``kernels.c`` next to it.
 """
@@ -23,7 +27,8 @@ setup(
         Extension(
             "powersplit._kernels._libkernels",
             [SOURCE],
-            extra_compile_args=["-std=c99", "-ffp-contract=off", "-fno-math-errno"],
+            extra_compile_args=["-std=c99", "-ffp-contract=off", "-fno-math-errno",
+                                "-falign-functions=64"],
             define_macros=[("KERNELS_DIGEST", f'"{DIGEST}"')],
             libraries=["m"],
         )

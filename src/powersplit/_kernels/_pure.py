@@ -95,7 +95,8 @@ def fbpf_accumulate(logtrans_rows, theta_rows, var_chain, joint_idx, ybar):
     particle.
 
     logtrans_rows : (N, K, Jmax) per-particle transition log row from its
-                    previous state in each chain (padded with -inf)
+                    previous state in each chain; chain k reads only its
+                    first Js[k] lanes
     theta_rows    : (N, K, Jmax) per-particle emission means
     var_chain     : (K,) per-chain emission variances
     joint_idx     : (M, K) int32 joint-state table; must be
@@ -216,9 +217,10 @@ def fbpf_dirichlet(gam, states, Js, N):
     """The (H * N, K, Jmax) transition rows the next step reads, of the gamma
     draws ``gam`` laid out as ``fbpf_posterior``'s concentrations: for each
     particle r and chain k, row ``states[r, k]`` of its J_k square block over
-    its sum, zero in the padding."""
+    its sum, and 1.0 in the padding lanes, whose log (0) is cheap and which
+    no pass reads."""
     R = len(gam) * N
-    rows = np.zeros((R, len(Js), max(Js)))
+    rows = np.ones((R, len(Js), max(Js)))
     off = 0
     for k, J in enumerate(Js):
         row = gam[:, off:off + N * J * J].reshape(R, J, J)[np.arange(R), states[:, k]]

@@ -411,7 +411,8 @@ void fbpf_posterior(ptrdiff_t H, ptrdiff_t N, ptrdiff_t K, ptrdiff_t Jmax,
 /* The gamma draws gam, laid out as fbpf_posterior's conc, normalised into
  * the transition rows the next step reads: row (r, k) of rows (H * N, K,
  * Jmax) is row states[r, k] of particle r's J = Js[k] square block of chain
- * k, divided by its pairwise sum, and 0 in the padding. */
+ * k, divided by its pairwise sum, and 1.0 in the padding lanes j >= J, whose
+ * log (0) is cheap and which no pass reads. */
 void fbpf_dirichlet(ptrdiff_t H, ptrdiff_t N, ptrdiff_t K, ptrdiff_t Jmax,
                     const long long *Js, const long long *states, const double *gam,
                     double *rows)
@@ -432,7 +433,7 @@ void fbpf_dirichlet(ptrdiff_t H, ptrdiff_t N, ptrdiff_t K, ptrdiff_t Jmax,
                 for (ptrdiff_t j = 0; j < J; j++)
                     p[j] = g[j] / s;
                 for (ptrdiff_t j = J; j < Jmax; j++)
-                    p[j] = 0.0;
+                    p[j] = 1.0;
             }
         }
 }

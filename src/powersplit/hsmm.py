@@ -327,12 +327,11 @@ def simulate_hsmm(params: HsmmParams, T: int, rng: np.random.Generator):
     return path, np.maximum(y, 0.0)
 
 
-def hsmm_backward_messages(params: HsmmParams, y, dmax: int | None = None):
-    """(B, Bstar) log-space tables; B has T+1 rows with B[T] = 0.
-
-    ``dmax`` truncates the duration window; longer durations are folded into
-    the censor term (exact when dmax >= T).
-    """
+def _series(params: HsmmParams, y, dmax: int | None):
+    """One series' inputs to the segment passes, (window, loglik, logdur,
+    logtail, cum): the duration window min(dmax, T), T when dmax is None;
+    the (T, J) emission log-likelihoods; ``duration_tables`` over the
+    window; and the (T + 1, J) running sums of loglik, cum[0] = 0."""
     y = np.asarray(y, dtype=float)
     T = len(y)
     if T == 0:
@@ -340,6 +339,17 @@ def hsmm_backward_messages(params: HsmmParams, y, dmax: int | None = None):
     window = T if dmax is None else min(dmax, T)
     loglik = emission_loglik(params, y)
     logdur, logtail = duration_tables(params.durations, window)
+    cum = np.vstack([np.zeros((1, params.J)), np.cumsum(loglik, axis=0)])
+    return window, loglik, logdur, logtail, cum
+
+
+def hsmm_backward_messages(params: HsmmParams, y, dmax: int | None = None):
+    """(B, Bstar) log-space tables; B has T+1 rows with B[T] = 0.
+
+    ``dmax`` truncates the duration window; longer durations are folded into
+    the censor term (exact when dmax >= T).
+    """
+    window, loglik, logdur, logtail, _ = _series(params, y, dmax)
     return _kernels.hsmm_backward(_log(params.pi_bar), logdur, logtail, loglik, window)
 
 
@@ -351,12 +361,12 @@ def hsmm_loglik(params: HsmmParams, y, dmax: int | None = None) -> float:
 def hsmm_forward_messages(params: HsmmParams, y, dmax: int | None = None):
     """(A, Astar): A[t, j] = log p(y[0..t-1], segment ends after t, state j),
     Astar[t, j] = log p(y[0..t-1], next segment starts at t in state j)."""
-    y = np.asarray(y, dtype=float)
-    T = len(y)
-    window = T if dmax is None else min(dmax, T)
-    loglik = emission_loglik(params, y)
-    logdur, _ = duration_tables(params.durations, window)
-    cum = np.vstack([np.zeros((1, params.J)), np.cumsum(loglik, axis=0)])
+    window, _, logdur, _, cum = _series(params, y, dmax)
+    return _forward(params, window, logdur, cum)
+
+
+def _forward(params: HsmmParams, window, logdur, cum):
+    T = len(cum) - 1
     A = np.full((T + 1, params.J), -np.inf)
     Astar = np.full((T + 1, params.J), -np.inf)
     Astar[0] = _log(params.init)
@@ -375,14 +385,10 @@ def hsmm_smoothed_marginals(params: HsmmParams, y, dmax: int | None = None) -> n
 
     Quadratic in T: sums the posterior weight of every candidate segment.
     """
-    y = np.asarray(y, dtype=float)
-    T = len(y)
-    window = T if dmax is None else min(dmax, T)
-    loglik = emission_loglik(params, y)
-    logdur, logtail = duration_tables(params.durations, window)
-    cum = np.vstack([np.zeros((1, params.J)), np.cumsum(loglik, axis=0)])
-    B, Bstar = hsmm_backward_messages(params, y, dmax)
-    _, Astar = hsmm_forward_messages(params, y, dmax)
+    window, loglik, logdur, logtail, cum = _series(params, y, dmax)
+    T = len(loglik)
+    B, Bstar = _kernels.hsmm_backward(_log(params.pi_bar), logdur, logtail, loglik, window)
+    _, Astar = _forward(params, window, logdur, cum)
     logZ = logsumexp(Astar[0] + Bstar[0])
 
     occ = np.zeros((T, params.J))
@@ -427,15 +433,11 @@ def blocked_sample_segments(params: HsmmParams, y, rng: np.random.Generator,
     than what is left, a segment may still end inside the horizon, so the
     walk resumes after it.
     """
-    y = np.asarray(y, dtype=float)
-    T = len(y)
-    window = T if dmax is None else min(dmax, T)
+    window, loglik, logdur, logtail, cum = _series(params, y, dmax)
+    T = len(loglik)
     if messages is None:
         messages = hsmm_backward_messages(params, y, dmax)
     B, Bstar = messages
-    loglik = emission_loglik(params, y)
-    logdur, logtail = duration_tables(params.durations, window)
-    cum = np.vstack([np.zeros((1, params.J)), np.cumsum(loglik, axis=0)])
     logpibar = _log(params.pi_bar)
 
     head = _log(params.init)

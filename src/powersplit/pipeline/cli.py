@@ -112,10 +112,9 @@ def main(ctx):
               help="Also write the true state paths for later scoring.")
 def synth(config_path, seed, bundle_path, out, states_out):
     """Generate a synthetic house trace."""
-    cfg = _config(config_path)
-    seed = cfg.seed if seed is None else seed
+    cfg = _config(config_path, seed=seed)
     bundle = _bundle(bundle_path, cfg)
-    rng = stream(seed, "synth")
+    rng = stream(cfg.seed, "synth")
     house = synth_generate(bundle, cfg.horizon, rng,
                            meter_noise_var=cfg.meter_noise_var)
     write_trace(out, SYNTH_START, house.devices, house.values, house.total)
@@ -153,9 +152,7 @@ def usage(traces, out):
 @click.option("--out", required=True, type=click.Path())
 def train(traces, config_path, seed, weak_limit, out):
     """Fit a hyperparameter bundle from device-level traces."""
-    cfg = _config(config_path, weak_limit=weak_limit)
-    if seed is not None:
-        cfg = replace(cfg, seed=seed)
+    cfg = _config(config_path, seed=seed, weak_limit=weak_limit)
     data = {Path(p).stem: _trace(p) for p in traces}
     rng = stream(cfg.seed, "train")
     bundle = train_hyperparams(data, cfg, rng)
@@ -178,8 +175,7 @@ def train(traces, config_path, seed, weak_limit, out):
 def disagg(trace_path, config_path, seed, bundle_path, particles, states_path,
            out, metrics_out):
     """Stream the factorial filter over a metered total."""
-    cfg = _config(config_path, particles=particles)
-    seed = cfg.seed if seed is None else seed
+    cfg = _config(config_path, seed=seed, particles=particles)
     trace = _trace(trace_path)
     bundle = _bundle(bundle_path, cfg)
     known = {d.name for d in bundle.devices}
@@ -189,7 +185,7 @@ def disagg(trace_path, config_path, seed, bundle_path, particles, states_path,
             f"{trace_path}: device column(s) {', '.join(map(repr, unknown))} not in the "
             f"bundle, which has {', '.join(map(repr, sorted(known)))}", param_hint="trace")
     truth = _states(states_path, trace) if states_path else None
-    rng = stream(seed, "disagg")
+    rng = stream(cfg.seed, "disagg")
     try:
         res = disaggregate(trace, bundle, cfg.particles, rng,
                            noise_var=cfg.meter_noise_var, truth_states=truth)
@@ -227,9 +223,8 @@ def disagg(trace_path, config_path, seed, bundle_path, particles, states_path,
 @click.option("--out", required=True, type=click.Path())
 def control(config_path, seed, out):
     """Closed-loop fleet tracking with designed PI gains."""
-    cfg = _config(config_path)
-    seed = cfg.seed if seed is None else seed
-    rng = stream(seed, "control")
+    cfg = _config(config_path, seed=seed)
+    rng = stream(cfg.seed, "control")
     res = simulate_control(cfg.control, rng)
     tr = res["traces"]
     lines = ["t,reference,y,ybar,ytilde,e,zeta"]

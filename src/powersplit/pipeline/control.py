@@ -25,7 +25,7 @@ from ..dispatch import (
 )
 from ..hsmm import simulate_hsmm
 from ..rng import substream
-from ..smc import ChainPrior, FactorialBpf, map_states_of, power_means_of, step_filters
+from ..smc import ChainPrior, FactorialBpf
 from .config import ControlConfig, check_tracking_window, default_bundle
 from .disagg import chain_prior
 from .synth import draw_device_params
@@ -71,9 +71,10 @@ def _tcl_chain_prior(u_on: float) -> ChainPrior:
 
 
 class FbpfHook:
-    """One factorial filter per house; each house meters one thermostat load
-    plus nuisance appliances plus white noise. Every control period steps
-    all houses in one ``smc.step_filters`` pass, each from its own generator.
+    """A filter bank (``smc.FactorialBpf``) of one house per load; each
+    house meters one thermostat load plus nuisance appliances plus white
+    noise, and every house shares one prior list. Every control period
+    steps the bank once, each house from its own generator.
 
     The hook hands the simulator each load's estimated mode and estimated ON
     power; the true states it receives drive only the meter readings.
@@ -83,36 +84,39 @@ class FbpfHook:
         self.model = model
         n, T = config.n_houses, config.steps
         bundle = default_bundle()
+        priors = [_tcl_chain_prior(float(model.U[1]))] + [
+            _scale_prior(chain_prior(bundle.device(name), noise_var=0.0), 1e-3)
+            for name in HOOK_NUISANCE]
         self.nuisance_kw = np.zeros((n, T))
-        self.filters = []
-        u_on = float(model.U[1])
+        rngs = []
         for i in range(n):
             r = substream(rng, "hook-house", i)
-            priors = [_tcl_chain_prior(u_on)]
             for name in HOOK_NUISANCE:
-                dev = bundle.device(name)
-                params = draw_device_params(dev, r)
+                params = draw_device_params(bundle.device(name), r)
                 _, y = simulate_hsmm(params, T, r)
                 self.nuisance_kw[i] += y / 1000.0
-                priors.append(_scale_prior(
-                    chain_prior(dev, noise_var=0.0), 1e-3))
-            self.filters.append(FactorialBpf(
-                priors, config.hook_particles, substream(rng, "hook-filter", i)))
+            rngs.append(substream(rng, "hook-filter", i))
+        self.bank = FactorialBpf(priors, config.hook_particles, rngs)
         self.noise = (math.sqrt(config.meter_noise_var)
                       * substream(rng, "hook-noise").standard_normal((n, T)))
         self.mode_hits = 0
         self.mode_calls = 0
 
+    @property
+    def filters(self) -> list[FactorialBpf]:
+        """Each house as a read-only lone filter (``FactorialBpf.house``),
+        valid until the next period."""
+        return [self.bank.house(h) for h in range(self.bank.H)]
+
     def __call__(self, t: int, states) -> tuple[np.ndarray, np.ndarray]:
-        n = len(self.filters)
         totals = (self.model.power_of_state[states] + self.nuisance_kw[:, t]
                   + self.noise[:, t])
-        step_filters(self.filters, totals)
-        xu = map_states_of(self.filters)[:, 0]
-        u_on = power_means_of(self.filters)[0][:, 1]
+        self.bank.step(totals)
+        xu = self.bank.map_states()[:, 0]
+        u_on = self.bank.power_means()[0][:, 1]
         true_modes = self.model.xu_of[np.asarray(states, dtype=np.int64)]
         self.mode_hits += int((xu == true_modes).sum())
-        self.mode_calls += n
+        self.mode_calls += len(xu)
         return xu, u_on
 
     @property

@@ -38,6 +38,9 @@ from .io import Trace
 # folded into the censor term, so keep it comfortably above real run lengths
 TRAIN_DMAX = 200
 
+# negative-binomial count of every trained duration component
+TRAIN_R = 2
+
 
 # ---------------------------------------------------------------------------
 # truncated duration mixture point fit
@@ -67,13 +70,14 @@ def _invert_increasing(f, target: float, lo: float, hi: float) -> float:
     return float(brentq(lambda x: f(x) - target, lo, hi, xtol=1e-12))
 
 
-def fit_duration_mixture(lengths, r: int, iters: int = 200,
-                         tol: float = 1e-10) -> tuple[float, float, float]:
+def fit_duration_mixture(lengths, r: int) -> tuple[float, float, float]:
     """EM point fit (phi, lam, vphi) of the positive-support mixture
     phi * Poisson(lam | d >= 1) + (1 - phi) * NegBin(r, vphi | d >= 1).
 
     Both truncated components are one-parameter exponential families in
-    their natural parameter, so the M-step is exact mean inversion.
+    their natural parameter, so the M-step is exact mean inversion. EM stops
+    after 200 iterations, or once the log-likelihood moves by less than
+    1e-10 of itself.
     """
     ds = np.asarray(lengths, dtype=np.int64)
     if np.any(ds < 1):
@@ -86,7 +90,7 @@ def fit_duration_mixture(lengths, r: int, iters: int = 200,
         return phi, lam, vphi
 
     prev = -np.inf
-    for _ in range(iters):
+    for _ in range(200):
         lp1, lp2 = DurationParams(phi=phi, lam=lam, r=r, vphi=vphi).weighted_logpmfs(ds)
         m0 = np.maximum(lp1, lp2)
         tot = m0 + np.log(np.exp(lp1 - m0) + np.exp(lp2 - m0))
@@ -105,15 +109,15 @@ def fit_duration_mixture(lengths, r: int, iters: int = 200,
                 _invert_increasing(lambda v: _trunc_negbin_mean(v, r), m2,
                                    1e-12, 1.0 - 1e-12),
                 1e-4), 1.0 - 1e-4)
-        if abs(ll - prev) < tol * (1.0 + abs(ll)):
+        if abs(ll - prev) < 1e-10 * (1.0 + abs(ll)):
             break
         prev = ll
     return phi, lam, vphi
 
 
-def _duration_hyper(phi: float, lam: float, vphi: float, r: int,
-                    strength: float = 6.0, lam_conc: float = 4.0) -> DurationHyper:
+def _duration_hyper(phi: float, lam: float, vphi: float, r: int) -> DurationHyper:
     """Re-expand a point fit into a proper hyperprior centered on it."""
+    strength, lam_conc = 6.0, 4.0  # the hyperprior's pseudo-counts
     return DurationHyper(
         a_phi=1.0 + strength * phi,
         b_phi=1.0 + strength * (1.0 - phi),
@@ -142,8 +146,7 @@ class HouseSummary:
 
 
 def summarize_house(y: np.ndarray, n_states: int, L: int, sweeps: int,
-                    burn_in: int, sigma2: float, rng,
-                    dmax: int = TRAIN_DMAX) -> HouseSummary:
+                    burn_in: int, sigma2: float, rng) -> HouseSummary:
     y = np.asarray(y, dtype=float)
     lo, hi = float(y.min()), float(y.max())
     spread = max(hi - lo, 1.0)
@@ -159,7 +162,7 @@ def summarize_house(y: np.ndarray, n_states: int, L: int, sweeps: int,
     )
     state = init_hdphsmm_state(gamma=4.0, alpha=4.0, L=L, priors=priors, rng=rng)
     for _ in range(max(sweeps, burn_in + 1)):
-        state = gibbs_sweep_hdphsmm(state, y, priors, rng, dmax=dmax)
+        state = gibbs_sweep_hdphsmm(state, y, priors, rng, dmax=TRAIN_DMAX)
 
     path = state.path
     x = path.x
@@ -199,8 +202,7 @@ def _longest_session(trace: Trace, k: int) -> np.ndarray:
 
 
 def train_device(series_by_house: dict, dev: DeviceConfig, L: int, sweeps: int,
-                 burn_in: int, rng, r: int = 2,
-                 dmax: int = TRAIN_DMAX) -> DeviceBundle:
+                 burn_in: int, rng) -> DeviceBundle:
     """Fit one device's bundle from its per-house series."""
     if not series_by_house:
         raise ValueError("no houses to train on")
@@ -213,7 +215,7 @@ def train_device(series_by_house: dict, dev: DeviceConfig, L: int, sweeps: int,
     for house, y in series_by_house.items():
         sub = substream(rng, "train", dev.name, house)
         summaries[house] = summarize_house(
-            y, dev.n_states, L, sweeps, burn_in, dev.sigma2, sub, dmax=dmax
+            y, dev.n_states, L, sweeps, burn_in, dev.sigma2, sub
         )
 
     M = dev.n_states
@@ -246,8 +248,8 @@ def train_device(series_by_house: dict, dev: DeviceConfig, L: int, sweeps: int,
         comps.append(NormalPrior(mean, var))
         weights.append(float(np.mean(per_rank_share[m])))
         pooled = np.concatenate(per_rank_lengths[m]) if per_rank_lengths[m] else np.array([2])
-        phi, lam, vphi = fit_duration_mixture(pooled, r)
-        dur_comps.append(_duration_hyper(phi, lam, vphi, r))
+        phi, lam, vphi = fit_duration_mixture(pooled, TRAIN_R)
+        dur_comps.append(_duration_hyper(phi, lam, vphi, TRAIN_R))
 
     if not comps:
         raise RuntimeError(f"no occupied states found for {dev.name!r}")
@@ -259,12 +261,11 @@ def train_device(series_by_house: dict, dev: DeviceConfig, L: int, sweeps: int,
         duration_mix=DurationMixturePrior(weights=w.copy(), components=tuple(dur_comps)),
         alpha=1.0,
         sigma2=sigma2,
-        r=r,
+        r=TRAIN_R,
     )
 
 
-def train_hyperparams(traces: dict, config: RunConfig, rng,
-                      dmax: int = TRAIN_DMAX) -> HyperParamBundle:
+def train_hyperparams(traces: dict, config: RunConfig, rng) -> HyperParamBundle:
     """Bundle fit across houses; ``traces`` maps house name to Trace.
 
     Uses each trace's longest contiguous session: the segment message pass
@@ -285,8 +286,7 @@ def train_hyperparams(traces: dict, config: RunConfig, rng,
                           stacklevel=2)
             continue
         bundles.append(train_device(series, dev, config.weak_limit,
-                                    config.sweeps, config.burn_in, rng,
-                                    dmax=dmax))
+                                    config.sweeps, config.burn_in, rng))
     if not bundles:
         raise RuntimeError("no devices could be trained")
     return HyperParamBundle(devices=tuple(bundles))

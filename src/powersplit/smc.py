@@ -10,18 +10,13 @@ states (``joint_state_table``), so the joint predictive of every particle is
 an outer sum of its K per-chain rows: a step builds (N, M) arrays and never
 an (N, M, K) gather.
 
-A filter serves one house. ``step_filters`` advances H houses that share
-priors, particle count and step count in one pass over their H*N stacked
-particles, with one reading per particle in the accumulate. Every draw stays
-per house, from the house's own generator in a lone house's order, so the
-pass leaves each house byte-identical to stepping it alone;
-``FactorialBpf.step`` is the pass for one house. Each house draws a step's
-randoms with one generator call per kind, and the deterministic work
-between the draws runs in the ``_kernels`` passes (accumulate, shift,
-total, propagate, fold, posterior, Dirichlet rows), which are compiled on
-the native backend and bit-identical to their NumPy twins; every exp and
-log stays in NumPy. ``map_states_of`` and ``power_means_of`` read the
-estimators of all houses at once.
+A filter serves one house, or a bank of houses that share priors and
+particle count, stepped in one pass over their stacked particles. Each
+house draws a step's randoms from its own generator, with one call per
+kind, and the deterministic work between the draws runs in the
+``_kernels`` passes (accumulate, shift, total, propagate, fold, posterior,
+Dirichlet rows), which are compiled on the native backend and
+bit-identical to their NumPy twins; every exp and log stays in NumPy.
 
 Per-step cost is fixed: sufficient statistics replace the path, so nothing
 grows with the stream length. With the exact joint conditional as the
@@ -32,6 +27,7 @@ log mean predictives.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -134,48 +130,58 @@ EXP_FLOOR = -700.0
 
 
 class FactorialBpf:
-    """Streaming disaggregation filter for one house.
+    """Streaming disaggregation filter for one house, or a bank of houses
+    that share priors and particle count.
 
     Each particle carries, for every chain: the current state, the imputed
     emission, transition counts, per-state emission sums/counts, and sampled
     parameters: the emission means ``theta`` and, in ``rows``, the
-    transition row out of the current state. Every step weights by the
-    joint predictive, resamples, propagates through the exact joint
-    conditional, imputes emissions that sum to the aggregate, folds the
-    statistics, and refreshes parameters from their conjugate posteriors.
-    Weights are uniform after every step. ``log_evidence`` accumulates the
-    log of the mean first-stage predictive, an estimate of log p(y_1:t).
+    transition row out of the current state (1.0 in the padding lanes of
+    chains with fewer than ``Jmax`` states, which no pass reads). Every step
+    weights by the joint predictive, resamples, propagates through the exact
+    joint conditional, imputes emissions that sum to the aggregate, folds
+    the statistics, and refreshes parameters from their conjugate
+    posteriors. Weights are uniform after every step. ``log_evidence``
+    accumulates the log of the mean first-stage predictive, an estimate of
+    log p(y_1:t).
 
-    Every draw comes from the house's own generator ``rng``. Houses that
-    share priors, particle count and step count advance together through
-    ``step_filters``, one pass over their stacked particles, and each ends
-    byte-identical to the same house stepped alone; ``step`` is that pass
-    for one house.
+    ``rng`` is one generator for a lone house: ``step`` takes a scalar
+    reading, ``map_states`` returns (K,), ``power_means`` (J_k,) arrays and
+    ``log_evidence`` is a float. A sequence of H distinct generators makes
+    a bank: the particle arrays hold (H*N, ...) rows, house after house,
+    ``step`` takes H readings, and the estimators and ``log_evidence`` gain
+    a leading house axis. Every draw stays per house, from the house's own
+    generator in a lone house's order, so each house of a bank ends
+    byte-identical to the same house filtered alone; ``house(h)`` reads one
+    house as a lone filter.
 
     With a single chain this is the plain Bayesian particle filter.
     """
 
-    def __init__(self, priors: list[ChainPrior], n_particles: int,
-                 rng: np.random.Generator):
+    def __init__(self, priors: list[ChainPrior], n_particles: int, rng):
         self.priors = list(priors)
         self.K = len(priors)
         self.Js = tuple(p.J for p in priors)
         self.Jmax = max(self.Js)
         self.N = int(n_particles)
-        self.rng = rng
+        self._lone = isinstance(rng, np.random.Generator)
+        self.rngs = (rng,) if self._lone else tuple(rng)
+        if not self.rngs or len({id(g) for g in self.rngs}) != len(self.rngs):
+            raise ValueError("a bank needs one distinct generator per house")
+        self.H = len(self.rngs)
         self.joint_idx = joint_state_table(self.Js)
         self.M = len(self.joint_idx)
         self.var_chain = np.array([p.sigma2 for p in priors])
         self.n = 0
-        self.log_evidence = 0.0
+        self.log_evidence = 0.0 if self._lone else np.zeros(self.H)
 
-        N, K, Jm = self.N, self.K, self.Jmax
-        self.states = np.zeros((N, K), dtype=np.int64)
-        self.emis = np.zeros((N, K))
-        self.trans_counts = np.zeros((N, K, Jm, Jm))
-        self.emis_sums = np.zeros((N, K, Jm))
-        self.emis_counts = np.zeros((N, K, Jm))
-        self.weights = np.full(N, 1.0 / N)
+        H, N, K, Jm = self.H, self.N, self.K, self.Jmax
+        self.states = np.zeros((H * N, K), dtype=np.int64)
+        self.emis = np.zeros((H * N, K))
+        self.trans_counts = np.zeros((H * N, K, Jm, Jm))
+        self.emis_sums = np.zeros((H * N, K, Jm))
+        self.emis_counts = np.zeros((H * N, K, Jm))
+        self.weights = np.full(H * N, 1.0 / N)
 
         # prior means/vars laid out per chain for the vectorized refresh
         self.prior_mean = np.zeros((K, Jm))
@@ -186,177 +192,152 @@ class FactorialBpf:
             self.prior_mean[k, :J] = [c.mean for c in p.emission]
             self.prior_var[k, :J] = [c.var for c in p.emission]
             self.alpha[k, :J, :J] = p.alpha
-        # what houses stepped together must share
-        self._law = (N, self.Js, self.var_chain.tobytes(), self.alpha.tobytes(),
-                     self.prior_mean.tobytes(), self.prior_var.tobytes())
 
-        # theta from the prior; the first step moves from the uniform rows,
-        # and the prior's row draw only keeps each step's draws in place
-        self.theta, _ = _refresh_params(self, self.emis_sums, self.emis_counts,
-                                        self.trans_counts, self.states,
-                                        rng.standard_normal((N, K, Jm)), [rng])
-        self.rows = np.zeros((N, K, Jm))
+        # theta from the prior, each house drawing its normals, then its
+        # gammas; the first step moves from the uniform rows, and the
+        # prior's row draw only keeps each step's draws in place
+        z = np.empty((H, N, K, Jm))
+        for h, g in enumerate(self.rngs):
+            g.standard_normal(out=z[h])
+        self.theta, _ = self._refresh(self.emis_sums, self.emis_counts, self.trans_counts,
+                                      self.states, z.reshape(H * N, K, Jm))
+        self.rows = np.ones((H * N, K, Jm))
         for k, J in enumerate(self.Js):
             self.rows[:, k, :J] = 1.0 / J
 
-    def step(self, ybar: float) -> None:
-        """Consume one aggregate reading (``step_filters`` on this house)."""
-        step_filters([self], [ybar])
+    def house(self, h: int) -> FactorialBpf:
+        """House ``h`` as a lone filter over its row slices of the arrays,
+        without a copy. The view is read-only: its arrays are not writeable
+        and it does not step. It is valid until the next step."""
+        h = range(self.H)[h]
+        own = slice(h * self.N, (h + 1) * self.N)
+        view = copy.copy(self)
+        for name in ("states", "emis", "theta", "rows", "trans_counts", "emis_sums",
+                     "emis_counts", "weights"):
+            part = getattr(self, name)[own]
+            part.flags.writeable = False
+            setattr(view, name, part)
+        view.H, view._lone, view.rngs = 1, True, None
+        view.log_evidence = float(np.reshape(self.log_evidence, -1)[h])
+        return view
+
+    def _refresh(self, emis_sums, emis_counts, trans_counts, states, z):
+        """(theta, rows) drawn from each particle's conjugate posterior:
+        theta from the pre-drawn standard normals ``z``; the transition
+        matrices from one ``standard_gamma`` call per house, over all of the
+        house's chain blocks, of which ``rows`` keeps the rows out of
+        ``states``."""
+        theta, conc = fbpf_posterior(z, emis_sums, emis_counts, trans_counts, self.var_chain,
+                                     self.prior_mean, self.prior_var, self.alpha, self.Js,
+                                     self.H)
+        gam = np.empty_like(conc)
+        for h, g in enumerate(self.rngs):
+            g.standard_gamma(conc[h], out=gam[h])
+        return theta, fbpf_dirichlet(gam, states, self.Js, self.N)
+
+    def step(self, ybar) -> None:
+        """Consume one aggregate reading per house: a scalar for a lone
+        house, H readings for a bank.
+
+        One pass over the H*N particles computes the joint predictive from
+        the outer sums of ``fbpf_accumulate``, each house's normalisation
+        and log-evidence, the resample gathers, the propagation, the
+        imputation, the statistics fold and the parameter refresh. Every
+        draw stays per house, from that house's generator and in a lone
+        house's order, with one call per kind: ``random(N + 1)``, the
+        systematic uniform then the categorical ones;
+        ``standard_normal(N*K + N*K*Jmax)``, the emission normals then the
+        theta ones; then ``standard_gamma`` over all of the house's chain
+        blocks. A generator method draws element by element and keeps no
+        state between calls, so these are the bits that one call per draw
+        would give, and each house ends byte-identical to filtering it
+        alone.
+
+        The resample copies only the statistics: ``rows`` and ``theta`` are
+        redrawn from them at the end of the step, ``rows`` out of the new
+        states, so the split reads the ancestors' means through the ancestor
+        indices. Raises ``DegenerateWeightsError``, leaving every house and
+        generator as they were, when all of some house's predictive weights
+        vanish.
+        """
+        if self.rngs is None:
+            raise TypeError("a house view does not step: step the filter it reads")
+        H, N, K, Jm = self.H, self.N, self.K, self.Jmax
+        y = np.asarray(ybar, dtype=float)
+        want = () if self._lone else (H,)
+        if y.shape != want:
+            raise ValueError(f"need one reading per house, shape {want}, got {y.shape}")
+        ybar = np.repeat(y.reshape(H), N)
+
+        states, theta = self.states, self.theta
+        logw, sumtheta = fbpf_accumulate(np.log(self.rows), theta, self.var_chain,
+                                         self.joint_idx, ybar)
+        row_max, keep = fbpf_shift(logw, EXP_FLOOR)
+        live = np.isfinite(row_max)
+        dead = np.flatnonzero(~live.reshape(H, N).any(axis=1))
+        if len(dead):
+            raise DegenerateWeightsError(
+                f"all joint predictive weights are zero (houses {dead.tolist()})")
+
+        # first stage: predictive weights, then each house's systematic resample
+        pred = logw  # shifted and exponentiated in place
+        np.exp(pred, out=pred)
+        row_tot = fbpf_total(pred, keep)
+        with np.errstate(divide="ignore"):
+            logpred = np.where(live, row_max + np.log(row_tot), -np.inf).reshape(H, N)
+        mx = logpred.max(axis=1)  # finite: every house has a finite row_max
+        w = np.exp(logpred - mx[:, None])
+        evidence = mx + np.log(w.mean(axis=1))
+        w /= w.sum(axis=1, keepdims=True)
+        u = np.empty((H, N + 1))
+        z = np.empty((H, N * K * (1 + Jm)))
+        for h, g in enumerate(self.rngs):
+            g.random(out=u[h])
+            g.standard_normal(out=z[h])
+        idx = counts_to_indices(np.concatenate(
+            [systematic_counts(w[h], u[h, 0] / N) for h in range(H)]))
+
+        # joint propagation through the exact conditional, then emissions that
+        # sum to the aggregate
+        j_star, new_states = fbpf_propagate(pred, row_tot, idx, u[:, 1:].reshape(-1),
+                                            self.joint_idx)
+        emis = conditional_emission_sample(theta[idx[:, None], np.arange(K), new_states],
+                                           sumtheta[idx, j_star], self.var_chain, ybar,
+                                           z[:, :N * K].reshape(H * N, K))
+        trans_counts, emis_sums, emis_counts = fbpf_fold(
+            idx, states, new_states, emis, self.n > 0, self.trans_counts, self.emis_sums,
+            self.emis_counts)
+
+        del logw, pred, keep, sumtheta  # the (H*N, M) arrays, before the refresh allocates
+        self.theta, self.rows = self._refresh(emis_sums, emis_counts, trans_counts, new_states,
+                                              z[:, N * K:].reshape(H * N, K, Jm))
+        self.states, self.emis = new_states, emis
+        self.trans_counts, self.emis_sums, self.emis_counts = trans_counts, emis_sums, emis_counts
+        self.weights = np.full(H * N, 1.0 / N)
+        evidence = self.log_evidence + evidence
+        self.log_evidence = float(evidence[0]) if self._lone else evidence
+        self.n += 1
 
     # -- estimators ---------------------------------------------------------
 
     def map_states(self) -> np.ndarray:
-        """Per-chain particle-vote winner; ties go to the lowest state index."""
-        return map_states_of([self])[0]
+        """Per-chain particle-vote winners, (K,) for a lone house and (H, K)
+        for a bank; ties go to the lowest state index."""
+        H = self.H
+        house = np.repeat(np.arange(H), self.N)
+        out = np.empty((H, self.K), dtype=np.int64)
+        for k, J in enumerate(self.Js):
+            votes = np.bincount(house * J + self.states[:, k], weights=self.weights,
+                                minlength=H * J)
+            out[:, k] = votes.reshape(H, J).argmax(axis=1)
+        return out[0] if self._lone else out
 
     def power_means(self) -> list[np.ndarray]:
-        """Posterior-mean power per state, one array per chain."""
-        return [pm[0] for pm in power_means_of([self])]
-
-
-# -- passes over the stacked particles of one or more houses ----------------
-
-
-def _check_houses(filters) -> None:
-    law, n = filters[0]._law, filters[0].n
-    if any(f._law != law or f.n != n for f in filters):
-        raise ValueError("houses stepped together must share priors, "
-                         "particle count and step count")
-    if len({id(f.rng) for f in filters}) != len(filters):
-        raise ValueError("houses stepped together must draw from distinct generators")
-
-
-def _stack(filters, name: str) -> np.ndarray:
-    """The houses' ``name`` arrays stacked along the particle axis."""
-    parts = [getattr(f, name) for f in filters]
-    return parts[0] if len(parts) == 1 else np.concatenate(parts)
-
-
-def _refresh_params(spec: FactorialBpf, emis_sums, emis_counts, trans_counts, states, z,
-                    rngs):
-    """(theta, rows) drawn from each particle's conjugate posterior, the H
-    houses' particles stacked: theta from the pre-drawn standard normals
-    ``z``; the transition matrices from one ``standard_gamma`` call per
-    house, over all of the house's chain blocks, from its generator in
-    ``rngs``, of which ``rows`` keeps the rows out of ``states``."""
-    theta, conc = fbpf_posterior(z, emis_sums, emis_counts, trans_counts, spec.var_chain,
-                                 spec.prior_mean, spec.prior_var, spec.alpha, spec.Js,
-                                 len(rngs))
-    gam = np.empty_like(conc)
-    for h, g in enumerate(rngs):
-        g.standard_gamma(conc[h], out=gam[h])
-    return theta, fbpf_dirichlet(gam, states, spec.Js, spec.N)
-
-
-def step_filters(filters, readings) -> None:
-    """Advance H houses by one aggregate reading each, ``readings[h]`` for
-    ``filters[h]``, in one pass over their H*N stacked particles.
-
-    The houses must share priors, particle count and step count, and draw
-    from distinct generators. The pass computes the joint predictive from the
-    outer sums of ``fbpf_accumulate``, each house's normalisation and
-    log-evidence, the resample gathers, the propagation, the imputation, the
-    statistics fold and the parameter refresh once for all houses. Every
-    draw stays per house, from that house's generator and in a lone house's
-    order, with one call per kind: ``random(N + 1)``, the systematic uniform
-    then the categorical ones; ``standard_normal(N*K + N*K*Jmax)``, the
-    emission normals then the theta ones; then ``standard_gamma`` over all
-    of the house's chain blocks. A generator method draws element by element
-    and keeps no state between calls, so these are the bits that one call
-    per draw would give, and each house ends byte-identical to stepping it
-    alone; its arrays become row slices of the stacked results.
-
-    The resample copies only the statistics: ``rows`` and ``theta`` are
-    redrawn from them at the end of the step, ``rows`` out of the new states,
-    so the split reads the ancestors' means through the ancestor indices.
-    Raises ``DegenerateWeightsError``, leaving every house as it was, when
-    all of some house's predictive weights vanish.
-    """
-    _check_houses(filters)
-    spec = filters[0]
-    H, N, K, Jm = len(filters), spec.N, spec.K, spec.Jmax
-    y = np.asarray(readings, dtype=float)
-    if y.shape != (H,):
-        raise ValueError(f"need one reading per house ({H}), got shape {y.shape}")
-    ybar = np.repeat(y, N)
-    rngs = [f.rng for f in filters]
-
-    states = _stack(filters, "states")
-    theta = _stack(filters, "theta")
-    with np.errstate(divide="ignore"):  # the padding lanes' log is -inf
-        logrows = np.log(_stack(filters, "rows"))
-    logw, sumtheta = fbpf_accumulate(logrows, theta, spec.var_chain, spec.joint_idx, ybar)
-    row_max, keep = fbpf_shift(logw, EXP_FLOOR)
-    live = np.isfinite(row_max)
-    dead = np.flatnonzero(~live.reshape(H, N).any(axis=1))
-    if len(dead):
-        raise DegenerateWeightsError(
-            f"all joint predictive weights are zero (houses {dead.tolist()})")
-
-    # first stage: predictive weights, then each house's systematic resample
-    pred = logw  # shifted and exponentiated in place
-    np.exp(pred, out=pred)
-    row_tot = fbpf_total(pred, keep)
-    with np.errstate(divide="ignore"):
-        logpred = np.where(live, row_max + np.log(row_tot), -np.inf).reshape(H, N)
-    mx = logpred.max(axis=1)  # finite: every house has a finite row_max
-    w = np.exp(logpred - mx[:, None])
-    evidence = mx + np.log(w.mean(axis=1))
-    w /= w.sum(axis=1, keepdims=True)
-    u = np.empty((H, N + 1))
-    z = np.empty((H, N * K * (1 + Jm)))
-    for h, g in enumerate(rngs):
-        g.random(out=u[h])
-        g.standard_normal(out=z[h])
-    idx = counts_to_indices(np.concatenate(
-        [systematic_counts(w[h], u[h, 0] / N) for h in range(H)]))
-
-    # joint propagation through the exact conditional, then emissions that
-    # sum to the aggregate
-    j_star, new_states = fbpf_propagate(pred, row_tot, idx, u[:, 1:].reshape(-1),
-                                        spec.joint_idx)
-    emis = conditional_emission_sample(theta[idx[:, None], np.arange(K), new_states],
-                                       sumtheta[idx, j_star], spec.var_chain, ybar,
-                                       z[:, :N * K].reshape(H * N, K))
-    trans_counts, emis_sums, emis_counts = fbpf_fold(
-        idx, states, new_states, emis, spec.n > 0, _stack(filters, "trans_counts"),
-        _stack(filters, "emis_sums"), _stack(filters, "emis_counts"))
-
-    del logw, pred, keep, sumtheta  # the (H*N, M) arrays, before the refresh allocates
-    theta, rows = _refresh_params(spec, emis_sums, emis_counts, trans_counts, new_states,
-                                  z[:, N * K:].reshape(H * N, K, Jm), rngs)
-    weights = np.full(H * N, 1.0 / N)
-    for h, f in enumerate(filters):
-        own = slice(h * N, (h + 1) * N)
-        f.states, f.emis, f.theta, f.rows = new_states[own], emis[own], theta[own], rows[own]
-        f.trans_counts, f.emis_sums = trans_counts[own], emis_sums[own]
-        f.emis_counts, f.weights = emis_counts[own], weights[own]
-        f.log_evidence += float(evidence[h])
-        f.n += 1
-
-
-def map_states_of(filters) -> np.ndarray:
-    """(H, K) per-chain particle-vote winners of H houses that share priors
-    and particle count; ties go to the lowest state index."""
-    _check_houses(filters)
-    spec = filters[0]
-    H = len(filters)
-    states, weights = _stack(filters, "states"), _stack(filters, "weights")
-    house = np.repeat(np.arange(H), spec.N)
-    out = np.empty((H, spec.K), dtype=np.int64)
-    for k, J in enumerate(spec.Js):
-        votes = np.bincount(house * J + states[:, k], weights=weights, minlength=H * J)
-        out[:, k] = votes.reshape(H, J).argmax(axis=1)
-    return out
-
-
-def power_means_of(filters) -> list[np.ndarray]:
-    """Posterior-mean power per state of H houses that share priors and
-    particle count, one (H, J_k) array per chain."""
-    _check_houses(filters)
-    spec = filters[0]
-    H, N = len(filters), spec.N
-    theta, weights = _stack(filters, "theta"), _stack(filters, "weights")
-    total = weights.reshape(H, N).sum(axis=1)[:, None]
-    return [(theta[:, k, :J] * weights[:, None]).reshape(H, N, J).sum(axis=1) / total
-            for k, J in enumerate(spec.Js)]
+        """Posterior-mean power per state, one array per chain: (J_k,) for a
+        lone house and (H, J_k) for a bank."""
+        H, N = self.H, self.N
+        theta, weights = self.theta, self.weights
+        total = weights.reshape(H, N).sum(axis=1)[:, None]
+        means = [(theta[:, k, :J] * weights[:, None]).reshape(H, N, J).sum(axis=1) / total
+                 for k, J in enumerate(self.Js)]
+        return [m[0] for m in means] if self._lone else means

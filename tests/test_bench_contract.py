@@ -43,10 +43,15 @@ def test_patch_points_resolve():
         assert callable(getattr(target, attr, None)), (module, owner, attr)
 
 
-def test_traced_filter_steps_count_and_crosscheck():
+def load_spans():
     spec = importlib.util.spec_from_file_location("perfbench_spans", PERFBENCH / "spans.py")
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
+    return spans
+
+
+def test_traced_filter_steps_count_and_crosscheck():
+    spans = load_spans()
     bundle = default_bundle()
     filt = build_filter([d.name for d in bundle.devices], bundle, 50, stream(22, "traced"))
     tracer = spans.Tracer("contract")
@@ -61,6 +66,26 @@ def test_traced_filter_steps_count_and_crosscheck():
     # construction when the pure backend is active.
     assert tracer.counters["kernels.fbpf_accumulate.gathers_computed"] == 3 * N * M * K
     assert tracer.layer_stats()["smc.FactorialBpf.step"][0] == 3
+    assert tracer.crosscheck() == 0
+
+
+def test_traced_hook_periods_count_filter_layers():
+    # the hook steps its bank through the methods the tracer patches: one
+    # step and one read of each estimator per period, and one filter built;
+    # its per-house views build none
+    spans = load_spans()
+    model = tcl_nominal_model(TclConfig())
+    cfg = ControlConfig(n_houses=3, steps=5, hook="fbpf", hook_particles=20)
+    tracer = spans.Tracer("contract-hook")
+    with tracer.installed():
+        hook = FbpfHook(model, cfg, stream(29, "traced-hook"))
+        for t in range(cfg.steps):
+            hook(t, np.zeros(cfg.n_houses, dtype=np.int64))
+            assert len(hook.filters) == cfg.n_houses
+    stats = tracer.layer_stats()
+    for layer in ("step", "map_states", "power_means"):
+        assert stats[f"smc.FactorialBpf.{layer}"][0] == cfg.steps, layer
+    assert stats["smc.FactorialBpf.__init__"][0] == 1
     assert tracer.crosscheck() == 0
 
 

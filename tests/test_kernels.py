@@ -44,7 +44,7 @@ from powersplit.pipeline.train import train_hyperparams
 from powersplit import smc
 from powersplit.distributions import NormalPrior
 from powersplit.rng import stream
-from powersplit.smc import ChainPrior, FactorialBpf, joint_state_table, step_filters
+from powersplit.smc import ChainPrior, FactorialBpf, joint_state_table
 
 
 @pytest.fixture(scope="module", params=["pure", "native"])
@@ -182,7 +182,7 @@ def captured_forward_calls():
     _kernels.hsmm_forward_sample = capture
     try:
         train_hyperparams(traces, RunConfig(weak_limit=8, sweeps=2, burn_in=1),
-                          stream(31, "capture-fit"), dmax=200)
+                          stream(31, "capture-fit"))
     finally:
         _kernels.hsmm_forward_sample = shipped
     return calls
@@ -302,14 +302,14 @@ def _copies(args):
 
 
 def captured_step_calls(monkeypatch, Js, H=3, N=40, steps=4):
-    """(pass, arguments) of every step pass in a batched run of H houses
-    with chains of Js states, the first step (n == 0) included. The third
+    """(pass, arguments) of every step pass in a bank of H houses with
+    chains of Js states, the first step (n == 0) included. The third
     reading sits far above every joint mean, so many predictive lanes drop
     below ``smc.EXP_FLOOR``."""
     priors = [ChainPrior(np.full((J, J), 1.5) + 4.0 * np.eye(J),
                          tuple(NormalPrior(100.0 * j, 400.0) for j in range(J)), 30.0 + 10.0 * k)
               for k, J in enumerate(Js)]
-    houses = [FactorialBpf(priors, N, stream(40 + h, "pass-capture")) for h in range(H)]
+    bank = FactorialBpf(priors, N, [stream(40 + h, "pass-capture") for h in range(H)])
     calls = []
     for name in STEP_PASSES:
         def spy(*args, _name=name, _shipped=getattr(smc, name)):
@@ -320,7 +320,7 @@ def captured_step_calls(monkeypatch, Js, H=3, N=40, steps=4):
     readings = stream(39, "pass-readings").normal(150.0, 80.0, (steps, H))
     readings[2] = 1e4
     for y in readings:
-        step_filters(houses, y)
+        bank.step(y)
     monkeypatch.undo()
     assert {name for name, _ in calls} == set(STEP_PASSES)
     return calls
@@ -407,7 +407,7 @@ def test_posterior_and_dirichlet_match_pure(compiled_kernels, Js, H, N, seed):
         off += N * J * J
         full = block / block.sum(axis=2, keepdims=True)
         assert np.array_equal(rows[:, k, :J], full[np.arange(R), states[:, k]])
-        assert not rows[:, k, J:].any()
+        assert (rows[:, k, J:] == 1.0).all()  # padding whose log is 0
 
 
 def test_propagate_and_fold_match_pure_on_edge_rows(compiled_kernels):

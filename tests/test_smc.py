@@ -5,9 +5,9 @@ Proposal, first-stage weight and split-law checks compare the shipped
 the conditional-Gaussian formulas. The outer-sum accumulate is checked at
 filter level against the (N, M, K) gather it replaced and against the
 compiled kernel, and the running log-evidence against the closed-form
-first-step predictive. Houses stepped together in one pass must end byte
-for byte where the same houses stepped alone end. Tracking of the exact
-filter is acceptance criterion 7.
+first-step predictive. Each house of a bank must end byte for byte where
+the same house filtered alone ends. Tracking of the exact filter is
+acceptance criterion 7.
 """
 
 import hashlib
@@ -34,25 +34,34 @@ from powersplit.smc import (
     conditional_emission_sample,
     counts_to_indices,
     joint_state_table,
-    step_filters,
 )
 
 
 def fixed_filter(pis, thetas, sig2s, n_particles=3, seed=20, states=None):
-    """A filter whose particles all carry the given means. Without
-    ``states`` it awaits its first reading, from the uniform rows; given
-    ``states`` (one joint state, or one per particle) it has seen one
-    reading, sits in them and carries the rows of ``pis`` out of them."""
+    """A filter whose particles all carry the given means: a lone house for
+    one ``seed``, or a bank of one house per seed in a list, with ``pis``
+    and ``thetas`` then listing each house's, pinned on its own rows.
+    Without ``states`` it awaits its first reading, from the uniform rows;
+    given ``states`` (one joint state, or one per particle of a house) it
+    has seen one reading, sits in them and carries the rows of ``pis`` out
+    of them."""
+    lone = np.ndim(seed) == 0
+    if lone:
+        pis, thetas, seed = [pis], [thetas], [seed]
     priors = [ChainPrior(np.ones((len(t), len(t))), tuple(NormalPrior(0.0, 1.0) for _ in t), s2)
-              for t, s2 in zip(thetas, sig2s)]
-    filt = FactorialBpf(priors, n_particles=n_particles, rng=stream(seed, "fixed"))
-    for k, theta in enumerate(thetas):
-        filt.theta[:, k, :len(theta)] = theta
+              for t, s2 in zip(thetas[0], sig2s)]
+    rngs = [stream(sd, "fixed") for sd in seed]
+    filt = FactorialBpf(priors, n_particles=n_particles, rng=rngs[0] if lone else rngs)
+    for h, (house_pis, house_thetas) in enumerate(zip(pis, thetas)):
+        own = slice(h * n_particles, (h + 1) * n_particles)
+        for k, theta in enumerate(house_thetas):
+            filt.theta[own, k, :len(theta)] = theta
+        if states is not None:
+            filt.states[own] = states
+            for k, pi in enumerate(house_pis):
+                filt.rows[own, k, :len(pi)] = pi[filt.states[own, k]]
     if states is not None:
-        filt.states[:] = states
         filt.n = 1
-        for k, pi in enumerate(pis):
-            filt.rows[:, k, :len(pi)] = pi[filt.states[:, k]]
     return filt
 
 
@@ -88,9 +97,7 @@ def test_factorial_proposal_matches_brute_force(monkeypatch):
     def step_probs(filt, ybar=ybar):
         """The joint conditional ``FactorialBpf.step`` propagates through,
         and the predictive p(ybar | x_prev) of each particle."""
-        with np.errstate(divide="ignore"):
-            logrows = np.log(filt.rows)
-        logw, _ = smc.fbpf_accumulate(logrows, filt.theta, filt.var_chain, filt.joint_idx,
+        logw, _ = smc.fbpf_accumulate(np.log(filt.rows), filt.theta, filt.var_chain, filt.joint_idx,
                                       np.full(filt.N, ybar))
         seen = []
         propagate = smc.fbpf_propagate
@@ -139,9 +146,9 @@ def test_factorial_proposal_matches_brute_force(monkeypatch):
 
 
 def test_first_stage_weights_match_brute_force(monkeypatch):
-    # two houses stepped in one pass, each with its six particles in the six
-    # distinct joint states, so every particle has its own predictive; the
-    # resample must weight particle i by p(y | x_i) over the house's total
+    # a bank of two houses, each with its six particles in the six distinct
+    # joint states, so every particle has its own predictive; the resample
+    # must weight particle i by p(y | x_i) over the house's total
     pis = [(np.array([[0.9, 0.1], [0.2, 0.8]]),
             np.array([[0.7, 0.2, 0.1], [0.1, 0.6, 0.3], [0.3, 0.3, 0.4]])),
            (np.array([[0.5, 0.5], [0.05, 0.95]]),
@@ -151,9 +158,8 @@ def test_first_stage_weights_match_brute_force(monkeypatch):
     sig2s = (0.5, 1.5)
     readings = [4.2, 1.1]
     sd = math.sqrt(sum(sig2s))
-    houses = [fixed_filter(p, t, sig2s, n_particles=6, seed=30 + h,
-                           states=joint_state_table((2, 3)))
-              for h, (p, t) in enumerate(zip(pis, thetas))]
+    bank = fixed_filter(pis, thetas, sig2s, n_particles=6, seed=[30, 31],
+                        states=joint_state_table((2, 3)))
     seen = []
     counts = smc.systematic_counts
 
@@ -162,7 +168,7 @@ def test_first_stage_weights_match_brute_force(monkeypatch):
         return counts(w, u0)
 
     monkeypatch.setattr(smc, "systematic_counts", spy)
-    step_filters(houses, readings)
+    bank.step(readings)
     assert len(seen) == 2
     for w, (pi0, pi1), (th0, th1), y in zip(seen, pis, thetas, readings):
         pred = np.array([
@@ -232,9 +238,8 @@ def test_pl_sample_params_concentrates():
     filt.emis_sums[:, 0] = [1000.0, 5000.0]
     filt.emis_counts[:, 0] = [1000.0, 1000.0]
     states = np.repeat([[0], [1]], 150, axis=0)  # half the particles in each state
-    theta, rows = smc._refresh_params(filt, filt.emis_sums, filt.emis_counts,
-                                      filt.trans_counts, states,
-                                      filt.rng.standard_normal((300, 1, 2)), [filt.rng])
+    theta, rows = filt._refresh(filt.emis_sums, filt.emis_counts, filt.trans_counts, states,
+                                filt.rngs[0].standard_normal((300, 1, 2)))
     assert np.abs(theta[:, 0].mean(axis=0) - [1.0, 5.0]).max() < 0.02
     # each particle keeps the row out of its state, drawn from Dir(alpha + n)
     want = (prior.alpha + filt.trans_counts[0, 0]) / 1002.0
@@ -310,7 +315,7 @@ def hook_stream(T):
     thermostat plus small appliances."""
     model = tcl_nominal_model(TclConfig())
     cfg = ControlConfig(n_houses=1, steps=T, hook="fbpf")
-    priors = FbpfHook(model, cfg, stream(17, "digest-hook")).filters[0].priors
+    priors = FbpfHook(model, cfg, stream(17, "digest-hook")).bank.priors
     rng = stream(18, "digest-hook-data")
     u_on = float(model.U[1])
     y = (u_on * (rng.random(T) < 0.5) + 0.15 * (rng.random(T) < 0.3)
@@ -359,51 +364,67 @@ def test_fbpf_filter_does_not_depend_on_backend(monkeypatch, make, compiled_kern
     assert filter_digests(priors, y) == native
 
 
-def test_hook_houses_step_in_one_pass_as_they_do_alone():
-    # two identical hooks: one steps its three houses in one pass, the other
-    # steps each house alone and reads the estimators the per-house way
-    model = tcl_nominal_model(TclConfig())
-    cfg = ControlConfig(n_houses=3, steps=80, hook="fbpf", hook_particles=60)
-    batched = FbpfHook(model, cfg, stream(23, "batch"))
-    alone = FbpfHook(model, cfg, stream(23, "batch"))
-    load_states = stream(24, "batch-states")
-    for t in range(cfg.steps):
-        states = load_states.integers(0, len(model.power_of_state), cfg.n_houses)
-        xu, u_on = batched(t, states)
-        totals = model.power_of_state[states] + alone.nuisance_kw[:, t] + alone.noise[:, t]
-        for h, (a, b) in enumerate(zip(batched.filters, alone.filters)):
-            b.step(float(totals[h]))
-            for name in ("states", "emis", "theta"):
-                assert np.array_equal(getattr(a, name), getattr(b, name)), (t, h, name)
-            assert a.log_evidence == b.log_evidence
-            votes = np.bincount(b.states[:, 0], weights=b.weights, minlength=2)
-            assert xu[h] == np.argmax(votes)
-            assert u_on[h] == np.average(b.theta[:, 0, :2], axis=0, weights=b.weights)[1]
+PARTICLE_ARRAYS = ("states", "emis", "theta", "rows", "trans_counts", "emis_sums",
+                   "emis_counts", "weights")
 
 
-def test_step_filters_rejects_houses_it_cannot_batch():
+def test_bank_houses_match_lone_filters():
+    # a three-house bank and three lone filters on equal generators, from
+    # the first step: every house's arrays, log-evidence and estimators
+    # match its lone filter bit for bit, and so does its house(h) view
+    priors, _ = hook_stream(1)
+    H, N = 3, 60
+    bank = FactorialBpf(priors, N, [stream(25, "bank", h) for h in range(H)])
+    alone = [FactorialBpf(priors, N, stream(25, "bank", h)) for h in range(H)]
+    readings = np.abs(stream(26, "bank-readings").normal(2.0, 1.5, (80, H)))
+    for t, y in enumerate(readings):
+        bank.step(y)
+        for f, v in zip(alone, y):
+            f.step(float(v))
+        maps, means = bank.map_states(), bank.power_means()
+        assert maps.shape == (H, bank.K) and [m.shape for m in means] == [(H, J) for J in bank.Js]
+        for h, f in enumerate(alone):
+            view = bank.house(h)
+            for name in PARTICLE_ARRAYS:
+                own = getattr(bank, name)[h * N:(h + 1) * N]
+                assert np.array_equal(own, getattr(f, name)), (t, h, name)
+                assert np.array_equal(getattr(view, name), getattr(f, name)), (t, h, name)
+            assert bank.log_evidence[h] == f.log_evidence == view.log_evidence
+            assert np.array_equal(maps[h], f.map_states())
+            assert np.array_equal(view.map_states(), f.map_states())
+            for a, b, c in zip(means, f.power_means(), view.power_means()):
+                assert np.array_equal(a[h], b) and np.array_equal(c, b), (t, h)
+    # a view reads its house and nothing more
+    view = bank.house(-1)
+    assert view.N == N and view.emis.shape == (N, bank.K)
+    assert isinstance(view.log_evidence, float)
+    with pytest.raises(ValueError, match="read-only"):
+        view.theta[0, 0, 0] = 1.0
+    with pytest.raises(TypeError, match="does not step"):
+        view.step(1.0)
+    with pytest.raises(IndexError):
+        bank.house(H)
+
+
+def test_bank_rejects_what_it_cannot_step():
     prior = ChainPrior(np.ones((2, 2)), (NormalPrior(0, 1), NormalPrior(3, 1)), 1.0)
-    other = ChainPrior(np.ones((2, 2)), (NormalPrior(0, 1), NormalPrior(4, 1)), 1.0)
-
-    def house(p, seed, n=20):
-        return FactorialBpf([p], n, stream(seed, "houses"))
-
-    a, b = house(prior, 1), house(prior, 2)
-    for mixed in (house(other, 3), house(prior, 3, n=30)):
-        with pytest.raises(ValueError, match="share"):
-            step_filters([a, mixed], [1.0, 1.0])
-    with pytest.raises(ValueError, match="distinct generators"):
-        step_filters([a, FactorialBpf([prior], 20, a.rng)], [1.0, 1.0])
-    with pytest.raises(ValueError, match="one reading per house"):
-        step_filters([a, b], [1.0])
-    # a house whose every weight vanishes stops the pass before any draw
-    before = a.rng.bit_generator.state
+    g = stream(1, "houses")
+    with pytest.raises(ValueError, match="distinct generator"):
+        FactorialBpf([prior], 20, [g, stream(2, "houses"), g])
+    bank = FactorialBpf([prior], 20, [stream(3, "houses"), stream(4, "houses")])
+    lone = FactorialBpf([prior], 20, stream(5, "houses"))
+    for filt, y in ((bank, [1.0]), (bank, 1.0), (lone, [1.0])):
+        with pytest.raises(ValueError, match="one reading per house"):
+            filt.step(y)
+    # a house whose every weight vanishes stops the step before any draw
+    before = [getattr(bank, name).copy() for name in PARTICLE_ARRAYS]
+    draws = [g.bit_generator.state for g in bank.rngs]
     with pytest.raises(DegenerateWeightsError, match=r"houses \[1\]"):
-        step_filters([a, b], [1.0, 1e300])
-    assert a.n == b.n == 0 and a.rng.bit_generator.state == before
-    b.step(1.0)
-    with pytest.raises(ValueError, match="step count"):
-        step_filters([a, b], [1.0, 1.0])
+        bank.step([1.0, 1e300])
+    assert bank.n == 0 and [g.bit_generator.state for g in bank.rngs] == draws
+    assert np.array_equal(bank.log_evidence, [0.0, 0.0])
+    for name, was in zip(PARTICLE_ARRAYS, before):
+        assert np.array_equal(getattr(bank, name), was), name
 
 
 def test_log_evidence_first_step_matches_closed_form():
