@@ -12,12 +12,11 @@ the one next to it: a stale library may take other arguments.
 Same contracts as ``_pure``: ``hsmm_backward`` agrees with it to the last
 bit, where libm's ``exp`` and NumPy's SIMD one round apart, and
 ``fbpf_accumulate`` and the filter step's passes (``fbpf_shift``,
-``fbpf_total``, ``fbpf_propagate``, ``fbpf_fold``, ``fbpf_posterior``,
-``fbpf_dirichlet``) bit for bit: they take no exp or log, which stay in
-NumPy. ``hsmm_forward_sample`` computes each pick as
-``_pure`` does, save that libm's ``exp`` may differ from NumPy's in the
-last bit, which moves a draw only when a uniform lies within an ulp of a
-cdf boundary.
+``fbpf_total``, ``fbpf_advance``, ``fbpf_posterior``, ``fbpf_dirichlet``)
+bit for bit: they take no exp or log, which stay in NumPy.
+``hsmm_forward_sample`` computes each pick as ``_pure`` does, save that
+libm's ``exp`` may differ from NumPy's in the last bit, which moves a draw
+only when a uniform lies within an ulp of a cdf boundary.
 """
 
 from __future__ import annotations
@@ -63,10 +62,9 @@ _lib.fbpf_shift.restype = None
 _lib.fbpf_shift.argtypes = [_n, _n, ctypes.c_double, _p, _p, _p]
 _lib.fbpf_total.restype = None
 _lib.fbpf_total.argtypes = [_n, _n, _p, _p, _p]
-_lib.fbpf_propagate.restype = None
-_lib.fbpf_propagate.argtypes = [_n, _n, _n, _p, _p, _p, _p, _p, _p, _p]
-_lib.fbpf_fold.restype = None
-_lib.fbpf_fold.argtypes = [_n, _n, _n, _p, _p, _p, _p, ctypes.c_int, _p, _p, _p, _p, _p, _p]
+_lib.fbpf_advance.restype = None
+_lib.fbpf_advance.argtypes = [_n, _n, _n, _n, _p, _p, _p, _p, _p, _p, _p, _p, _p, _p,
+                              ctypes.c_int, _p, _p, _p, _p, _p, _p, _p, _p]
 _lib.fbpf_posterior.restype = None
 _lib.fbpf_posterior.argtypes = [_n, _n, _n, _n, _p, _p, _p, _p, _p, _p, _p, _p, _p, _p, _p]
 _lib.fbpf_dirichlet.restype = None
@@ -98,6 +96,15 @@ def _indices(name, a, stop, what):
     """``a`` holds indices in 0..stop-1: the kernel follows them."""
     if a.size and (a.min() < 0 or a.max() >= stop):
         raise ValueError(f"{name} must index the {stop} {what}")
+
+
+def _joint(joint_idx):
+    """The joint-state table as a C-contiguous int32 array."""
+    joint_idx = np.asarray(joint_idx)
+    if joint_idx.dtype.kind not in "iu" or joint_idx.ndim != 2:
+        raise ValueError(f"joint_idx must be a 2-d integer array, "
+                         f"got {joint_idx.ndim}-d {joint_idx.dtype}")
+    return np.ascontiguousarray(joint_idx, dtype=np.int32)
 
 
 def _chain_sizes(Js, Jmax=None):
@@ -191,16 +198,13 @@ def hsmm_forward_sample(loginit, logpibar, B, Bstar, logdur, logtail, cum, windo
 
 
 def fbpf_accumulate(logtrans_rows, theta_rows, var_chain, joint_idx, ybar):
-    """Joint-state predictive (logw, sumtheta) of the factorial filter, one
-    reading per particle in the float64 (N,) array ``ybar``; see ``_pure``."""
+    """Joint-state predictive ``logw`` of the factorial filter, one reading
+    per particle in the float64 (N,) array ``ybar``; see ``_pure``."""
     logtrans_rows = _floats("logtrans_rows", logtrans_rows, 3)
     theta_rows = _floats("theta_rows", theta_rows, 3)
     var_chain = _floats("var_chain", var_chain, 1)
     ybar = _floats("ybar", ybar, 1)
-    joint_idx = np.asarray(joint_idx)
-    if joint_idx.dtype.kind not in "iu" or joint_idx.ndim != 2:
-        raise ValueError(f"joint_idx must be a 2-d integer array, "
-                         f"got {joint_idx.ndim}-d {joint_idx.dtype}")
+    joint_idx = _joint(joint_idx)
     N, K, Jmax = logtrans_rows.shape
     if theta_rows.shape != (N, K, Jmax):
         raise ValueError(f"theta_rows must be {(N, K, Jmax)}, got {theta_rows.shape}")
@@ -218,11 +222,11 @@ def fbpf_accumulate(logtrans_rows, theta_rows, var_chain, joint_idx, ybar):
     M = len(joint_idx)
     svar = float(var_chain.sum())
     logw = np.empty((N, M))
-    sumtheta = np.empty((N, M))
+    scratch = np.empty(M)
     _lib.fbpf_accumulate(N, K, Jmax, _addr(Js, np.int64), M, _addr(logtrans_rows),
                          _addr(theta_rows), svar, float(np.log(2.0 * np.pi * svar)),
-                         _addr(ybar), _addr(logw), _addr(sumtheta))
-    return logw, sumtheta
+                         _addr(ybar), _addr(logw), _addr(scratch))
+    return logw
 
 
 def _in_place(name, a):
@@ -259,62 +263,53 @@ def fbpf_total(pred, keep):
     return tot
 
 
-def fbpf_propagate(pred, tot, anc, u, joint_idx):
-    """Joint-state draws of the rows ``anc`` of ``pred`` on the uniforms
-    ``u``; see ``_pure``."""
+def fbpf_advance(pred, tot, anc, u, joint_idx, theta, var_chain, ybar, z, states, transitions,
+                 trans_counts, emis_sums, emis_counts):
+    """Each resampled particle's joint-state draw, emission split and
+    statistics fold; see ``_pure``."""
     pred = _floats("pred", pred, 2)
     tot = _floats("tot", tot, 1)
     anc = _ints("anc", anc, 1)
     u = _floats("u", u, 1)
-    joint_idx = np.asarray(joint_idx)
-    if joint_idx.dtype.kind not in "iu" or joint_idx.ndim != 2:
-        raise ValueError(f"joint_idx must be a 2-d integer array, "
-                         f"got {joint_idx.ndim}-d {joint_idx.dtype}")
-    joint_idx = np.ascontiguousarray(joint_idx, dtype=np.int32)
-    rows, M = pred.shape
-    R, K = len(anc), joint_idx.shape[1]
-    if M == 0:
-        raise ValueError("pred must have at least one column")
-    _shape("tot", tot, (rows,))
-    _shape("u", u, (R,))
-    _shape("joint_idx", joint_idx, (M, K))
-    _indices("anc", anc, rows, "rows of pred")
-    pick = np.empty(R, dtype=np.int64)
-    states = np.empty((R, K), dtype=np.int64)
-    _lib.fbpf_propagate(R, M, K, _addr(pred), _addr(tot), _addr(anc, np.int64), _addr(u),
-                        _addr(joint_idx, np.int32), _addr(pick, np.int64),
-                        _addr(states, np.int64))
-    return pick, states
-
-
-def fbpf_fold(anc, states, new_states, emis, transitions, trans_counts, emis_sums,
-              emis_counts):
-    """The ancestors' statistics plus this step's increments; see ``_pure``."""
+    theta = _floats("theta", theta, 3)
+    var_chain = _floats("var_chain", var_chain, 1)
+    ybar = _floats("ybar", ybar, 1)
+    z = _floats("z", z, 2)
+    states = _ints("states", states, 2)
     trans_counts = _floats("trans_counts", trans_counts, 4)
     emis_sums = _floats("emis_sums", emis_sums, 3)
     emis_counts = _floats("emis_counts", emis_counts, 3)
-    emis = _floats("emis", emis, 2)
-    anc = _ints("anc", anc, 1)
-    states = _ints("states", states, 2)
-    new_states = _ints("new_states", new_states, 2)
+    joint_idx = _joint(joint_idx)
     rows, K, Jm = emis_sums.shape
-    R = len(anc)
+    M, R = pred.shape[1], len(anc)
+    if M == 0 or K == 0:
+        raise ValueError("pred must have a column and emis_sums a chain")
+    _shape("pred", pred, (rows, M))
+    _shape("tot", tot, (rows,))
+    _shape("u", u, (R,))
+    _shape("joint_idx", joint_idx, (M, K))
+    _shape("theta", theta, (rows, K, Jm))
+    _shape("var_chain", var_chain, (K,))
+    _shape("ybar", ybar, (R,))
+    _shape("z", z, (R, K))
+    _shape("states", states, (rows, K))
     _shape("trans_counts", trans_counts, (rows, K, Jm, Jm))
     _shape("emis_counts", emis_counts, (rows, K, Jm))
-    _shape("states", states, (rows, K))
-    _shape("new_states", new_states, (R, K))
-    _shape("emis", emis, (R, K))
-    _indices("anc", anc, rows, "rows of the statistics")
+    _indices("anc", anc, rows, "rows of pred and of the statistics")
+    _indices("joint_idx", joint_idx, Jm, "state lanes")
     _indices("states", states, Jm, "state lanes")
-    _indices("new_states", new_states, Jm, "state lanes")
+    new_states = np.empty((R, K), dtype=np.int64)
+    emis = np.empty((R, K))
     tc = np.empty((R, K, Jm, Jm))
     es = np.empty((R, K, Jm))
     ec = np.empty((R, K, Jm))
-    _lib.fbpf_fold(R, K, Jm, _addr(anc, np.int64), _addr(states, np.int64),
-                   _addr(new_states, np.int64), _addr(emis), int(bool(transitions)),
-                   _addr(trans_counts), _addr(emis_sums), _addr(emis_counts), _addr(tc),
-                   _addr(es), _addr(ec))
-    return tc, es, ec
+    _lib.fbpf_advance(R, M, K, Jm, _addr(pred), _addr(tot), _addr(anc, np.int64), _addr(u),
+                      _addr(joint_idx, np.int32), _addr(theta), _addr(var_chain), _addr(ybar),
+                      _addr(z), _addr(states, np.int64), int(bool(transitions)),
+                      _addr(trans_counts), _addr(emis_sums), _addr(emis_counts),
+                      _addr(new_states, np.int64), _addr(emis), _addr(tc), _addr(es),
+                      _addr(ec))
+    return new_states, emis, tc, es, ec
 
 
 def fbpf_posterior(z, emis_sums, emis_counts, trans_counts, var_chain, prior_mean,

@@ -2,8 +2,8 @@
 
 The oracle for every compiled kernel in ``kernels.c``: ``hsmm_backward``,
 ``hsmm_forward_sample``, ``fbpf_accumulate`` and the filter step's passes
-``fbpf_shift``, ``fbpf_total``, ``fbpf_propagate``, ``fbpf_fold``,
-``fbpf_posterior`` and ``fbpf_dirichlet``, which share these contracts;
+``fbpf_shift``, ``fbpf_total``, ``fbpf_advance``, ``fbpf_posterior`` and
+``fbpf_dirichlet``, which share these contracts;
 they are served from here when the library is not built or
 POWERSPLIT_PURE=1. ``systematic_counts`` has no compiled version and is
 always served from here.
@@ -106,16 +106,16 @@ def fbpf_accumulate(logtrans_rows, theta_rows, var_chain, joint_idx, ybar):
                     particles stacked from several houses carry their own
                     house's reading
 
-    Returns (logw, sumtheta): both (N, M); logw includes the aggregate
-    Normal likelihood with variance sum(var_chain) of each particle's
-    reading.
+    Returns logw (N, M): the joint log transition rows plus the aggregate
+    Normal likelihood, with variance sum(var_chain), of each particle's
+    reading at the joint states' summed means.
 
-    The table is a full product, so both outputs are broadcast outer sums of
-    the K per-chain rows, added in chain order k = 0..K-1 with the last chain
-    varying fastest. Only the table's last row, (J_0-1, ..., J_{K-1}-1), is
-    read; a table that is not a full product raises ``ValueError``. The
-    compiled kernel adds in the same order with the same expressions, so
-    its outputs are bit-identical.
+    The table is a full product, so the log rows and the summed means are
+    broadcast outer sums of the K per-chain rows, added in chain order
+    k = 0..K-1 with the last chain varying fastest. Only the table's last
+    row, (J_0-1, ..., J_{K-1}-1), is read; a table that is not a full
+    product raises ``ValueError``. The compiled kernel adds in the same
+    order with the same expressions, so its output is bit-identical.
     """
     N = logtrans_rows.shape[0]
     Js = joint_idx[-1] + 1
@@ -131,10 +131,10 @@ def fbpf_accumulate(logtrans_rows, theta_rows, var_chain, joint_idx, ybar):
         return acc
 
     logw = outer_sum(logtrans_rows)
-    sumtheta = outer_sum(theta_rows)
+    means = outer_sum(theta_rows)
     svar = float(var_chain.sum())
-    logw += -0.5 * (np.log(2.0 * np.pi * svar) + (ybar[:, None] - sumtheta) ** 2 / svar)
-    return logw, sumtheta
+    logw += -0.5 * (np.log(2.0 * np.pi * svar) + (ybar[:, None] - means) ** 2 / svar)
+    return logw
 
 
 def fbpf_shift(logw, lo):
@@ -157,34 +157,47 @@ def fbpf_total(pred, keep):
     return pred.sum(axis=1)
 
 
-def fbpf_propagate(pred, tot, anc, u, joint_idx):
-    """Joint-state draws: row r picks, with uniform ``u[r]``, from predictive
-    row ``anc[r]`` of ``pred`` normalised by its total in ``tot``
-    (``distributions.categorical_rows_pick``). Returns (pick, states): the
-    joint states and their per-chain states, rows of ``joint_idx``, as int64."""
+def fbpf_advance(pred, tot, anc, u, joint_idx, theta, var_chain, ybar, z, states, transitions,
+                 trans_counts, emis_sums, emis_counts):
+    """Each resampled particle r, from its ancestor a = ``anc[r]``: the joint
+    state picked with ``u[r]`` from predictive row a of ``pred`` over its
+    total ``tot[a]`` (``distributions.categorical_rows_pick``), as a row of
+    ``joint_idx``; the reading ``ybar[r]`` split across the chains at a's
+    ``theta`` means there; and a's statistics plus the transition from a's
+    ``states`` when ``transitions``, the emission and one count in each
+    chain's new state. Returns (new_states, emis, trans_counts, emis_sums,
+    emis_counts).
+
+    The split's law is Normal with mean theta_k + s2_k (ybar - sum theta) / S
+    and covariance diag(s2) - s2 s2^T / S, S = sum s2, s2 = ``var_chain``:
+    the (R, K) standard normals ``z``, scaled as ``Generator.normal(0, sd)``
+    scales them, are projected onto the zero-sum subspace, so each row sums
+    to the reading to machine precision. The means add in chain order from
+    chain 0, as ``fbpf_accumulate`` sums them.
+    """
     probs = pred[anc]
     probs /= tot[anc][:, None]
-    pick = categorical_rows_pick(probs, u)
-    return pick, joint_idx[pick].astype(np.int64)
-
-
-def fbpf_fold(anc, states, new_states, emis, transitions, trans_counts, emis_sums,
-              emis_counts):
-    """Each particle's statistics: its ancestor ``anc[r]``'s, plus the
-    transition from the ancestor's ``states`` to ``new_states`` when
-    ``transitions``, the emission ``emis`` and one count in each chain's new
-    state. Returns new (trans_counts, emis_sums, emis_counts)."""
+    new_states = joint_idx[categorical_rows_pick(probs, u)].astype(np.int64)
+    R, K = new_states.shape
     Jm = emis_sums.shape[2]
+    means = theta[anc[:, None], np.arange(K), new_states]
+    total = means[:, 0]
+    for k in range(1, K):
+        total = total + means[:, k]
+    g = np.sqrt(var_chain) * z
+    resid = ybar - total - g.sum(axis=1)
+    emis = means + var_chain * (resid / var_chain.sum())[:, None] + g
+
     tc, es, ec = trans_counts[anc], emis_sums[anc], emis_counts[anc]
     # every (particle, chain) row gets exactly one increment, so fancy-index
     # adds equal np.add.at
-    rows = np.arange(new_states.size)
+    rows = np.arange(R * K)
     new = new_states.ravel()
     if transitions:
         tc.reshape(-1, Jm, Jm)[rows, states[anc].ravel(), new] += 1.0
     es.reshape(-1, Jm)[rows, new] += emis.ravel()
     ec.reshape(-1, Jm)[rows, new] += 1.0
-    return tc, es, ec
+    return new_states, emis, tc, es, ec
 
 
 def fbpf_posterior(z, emis_sums, emis_counts, trans_counts, var_chain, prior_mean,

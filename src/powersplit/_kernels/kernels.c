@@ -1,6 +1,6 @@
 /* Compiled kernels: the explicit-duration backward pass, the forward segment
  * draw over its messages, and the factorial filter's joint-state accumulate
- * and the deterministic passes of its step (shift, total, propagate, fold,
+ * and the deterministic passes of its step (shift, total, advance,
  * posterior, and the Dirichlet normalisation of the rows the next step
  * reads).
  *
@@ -218,20 +218,21 @@ ptrdiff_t hsmm_forward_sample(ptrdiff_t T, ptrdiff_t J, ptrdiff_t window,
 /* Joint-state predictive of the factorial filter, ``_pure.fbpf_accumulate``.
  *
  * rows and theta are (N, K, Jmax); chain k uses its first Js[k] entries. For
- * each particle the (M,) outputs, M = prod(Js), are outer sums of the chain
- * rows added in chain order k = 0..K-1 with the last chain fastest, expanded
- * in place from the back. The aggregate Normal likelihood of particle n's
- * reading ybar[n], log normaliser lognorm = log(2 pi svar), is then added
- * with the pure kernel's expression.
+ * each particle the (M,) log rows and summed means, M = prod(Js), are outer
+ * sums of the chain rows added in chain order k = 0..K-1 with the last chain
+ * fastest, expanded in place from the back, the means in the M doubles of
+ * scratch s. The aggregate Normal likelihood of particle n's reading
+ * ybar[n], log normaliser lognorm = log(2 pi svar), is then added with the
+ * pure kernel's expression.
  */
 void fbpf_accumulate(ptrdiff_t N, ptrdiff_t K, ptrdiff_t Jmax, const long long *Js,
                      ptrdiff_t M, const double *rows, const double *theta,
                      double svar, double lognorm, const double *ybar,
-                     double *logw, double *sumtheta)
+                     double *logw, double *s)
 {
     for (ptrdiff_t n = 0; n < N; n++) {
         const double *r = rows + n * K * Jmax, *th = theta + n * K * Jmax;
-        double *w = logw + n * M, *s = sumtheta + n * M;
+        double *w = logw + n * M;
         ptrdiff_t size = (ptrdiff_t)Js[0];
         for (ptrdiff_t j = 0; j < size; j++) {
             w[j] = r[j];
@@ -318,58 +319,61 @@ void fbpf_total(ptrdiff_t R, ptrdiff_t M, double *pred, const unsigned char *kee
     }
 }
 
-/* Row r draws from predictive row a = anc[r] of pred (rows x M), normalised
- * by tot[a]: the count of lanes whose running sum of pred[a, m] / tot[a]
- * lies below u[r], clamped to M - 1, as np.cumsum and (u > cdf).sum().
- * Writes that joint state to pick[r] and its per-chain states, row
- * pick[r] of the (M, K) table joint, to states (R, K). */
-void fbpf_propagate(ptrdiff_t R, ptrdiff_t M, ptrdiff_t K, const double *pred,
-                    const double *tot, const long long *anc, const double *u,
-                    const int *joint, long long *pick, long long *states)
+/* Row r of the new particles advances from ancestor a = anc[r], as
+ * ``_pure.fbpf_advance``. It draws its joint state from predictive row a of
+ * pred (rows x M) over tot[a], the count of lanes whose running sum lies
+ * below u[r] clamped to M - 1, and writes that row of the (M, K) table joint
+ * to states (R, K). It splits ybar[r] across the chains at a's means there
+ * with the normals z (R, K): g_k = sqrt(s2[k]) z[r, k] goes to emis first.
+ * The means add in chain order from chain 0, as fbpf_accumulate builds them.
+ * It writes a's statistics tc, es and ec plus the step's increments, the
+ * transition old[a, k] -> states[r, k] only when transitions is nonzero. */
+void fbpf_advance(ptrdiff_t R, ptrdiff_t M, ptrdiff_t K, ptrdiff_t Jmax,
+                  const double *pred, const double *tot, const long long *anc,
+                  const double *u, const int *joint, const double *theta,
+                  const double *s2, const double *ybar, const double *z,
+                  const long long *old, int transitions, const double *tc,
+                  const double *es, const double *ec, long long *states, double *emis,
+                  double *tc_out, double *es_out, double *ec_out)
 {
+    ptrdiff_t sq = K * Jmax * Jmax, ln = K * Jmax;
+    double S = pairwise_sum(s2, K);
     for (ptrdiff_t r = 0; r < R; r++) {
         long long a = anc[r];
         const double *p = pred + a * M;
         double t = tot[a], c = 0.0;
-        ptrdiff_t below = 0;
+        ptrdiff_t pick = 0;
         for (ptrdiff_t m = 0; m < M; m++) {
             c += p[m] / t;
-            below += u[r] > c;
+            pick += u[r] > c;
         }
-        if (below > M - 1)
-            below = M - 1;
-        pick[r] = below;
+        if (pick > M - 1)
+            pick = M - 1;
+        long long *x = states + r * K;
         for (ptrdiff_t k = 0; k < K; k++)
-            states[r * K + k] = joint[below * K + k];
-    }
-}
+            x[k] = joint[pick * K + k];
 
-/* Row r of the outputs is ancestor a = anc[r]'s statistics plus this
- * step's increments: the transition count old[a, k] -> new[r, k] when
- * transitions is nonzero, the emission emis[r, k] and one count in state
- * new[r, k] of each chain k. tc is (rows, K, Jmax, Jmax), es and ec are
- * (rows, K, Jmax), old is (rows, K) and new (R, K). */
-void fbpf_fold(ptrdiff_t R, ptrdiff_t K, ptrdiff_t Jmax, const long long *anc,
-               const long long *old, const long long *new_, const double *emis,
-               int transitions, const double *tc, const double *es, const double *ec,
-               double *tc_out, double *es_out, double *ec_out)
-{
-    ptrdiff_t sq = K * Jmax * Jmax, ln = K * Jmax;
-    for (ptrdiff_t r = 0; r < R; r++) {
-        long long a = anc[r];
-        double *t = tc_out + r * sq, *s = es_out + r * ln, *c = ec_out + r * ln;
-        for (ptrdiff_t i = 0; i < sq; i++)
-            t[i] = tc[a * sq + i];
-        for (ptrdiff_t i = 0; i < ln; i++) {
-            s[i] = es[a * ln + i];
-            c[i] = ec[a * ln + i];
-        }
+        const double *th = theta + a * ln;
+        double *e = emis + r * K, mean = th[x[0]];
+        for (ptrdiff_t k = 1; k < K; k++)
+            mean += th[k * Jmax + x[k]];
+        for (ptrdiff_t k = 0; k < K; k++)
+            e[k] = sqrt(s2[k]) * z[r * K + k];
+        /* np.sum adds the pairwise sum to +0.0, which turns only -0.0 to +0.0 */
+        double q = ((ybar[r] - mean) - (0.0 + pairwise_sum(e, K))) / S;
+        for (ptrdiff_t k = 0; k < K; k++)
+            e[k] = (th[k * Jmax + x[k]] + s2[k] * q) + e[k];
+
+        double *tr = tc_out + r * sq, *sr = es_out + r * ln, *cr = ec_out + r * ln;
+        memcpy(tr, tc + a * sq, sq * sizeof *tr);
+        memcpy(sr, es + a * ln, ln * sizeof *sr);
+        memcpy(cr, ec + a * ln, ln * sizeof *cr);
         for (ptrdiff_t k = 0; k < K; k++) {
-            long long i = old[a * K + k], j = new_[r * K + k];
+            long long i = old[a * K + k], j = x[k];
             if (transitions)
-                t[(k * Jmax + i) * Jmax + j] += 1.0;
-            s[k * Jmax + j] += emis[r * K + k];
-            c[k * Jmax + j] += 1.0;
+                tr[(k * Jmax + i) * Jmax + j] += 1.0;
+            sr[k * Jmax + j] += e[k];
+            cr[k * Jmax + j] += 1.0;
         }
     }
 }

@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .distributions import assert_simplex
+from .distributions import assert_simplex, assert_simplex_rows
 
 
 # ---------------------------------------------------------------------------
@@ -55,10 +55,8 @@ class NominalLoadModel:
             raise ValueError("inconsistent state list")
         if len(U) != R0.shape[1]:
             raise ValueError("one power value per controllable mode")
-        for row in R0:
-            assert_simplex(row, atol=1e-9)
-        for row in Q0:
-            assert_simplex(row, atol=1e-9)
+        assert_simplex_rows(R0, atol=1e-9)
+        assert_simplex_rows(Q0, atol=1e-9)
         P = R0[:, xu] * Q0[:, xn]
         if not np.allclose(P.sum(axis=1), 1.0, atol=1e-9):
             raise ValueError("retained state list is not closed under P0")

@@ -137,14 +137,6 @@ def sample_beta_posterior(m: np.ndarray, gamma: float, L: int,
     return dirichlet_sample(rng, gamma / L + m.sum(axis=0))
 
 
-def sample_pi_posterior(beta: np.ndarray, alpha: float, n_row: np.ndarray,
-                        rng: np.random.Generator) -> np.ndarray:
-    """pi_j | beta, counts ~ Dir(alpha * beta + n_row); the diagonal entry of
-    n_row is the summed self-loop auxiliaries. Given the (L, L) counts of
-    every row, one ``standard_gamma`` call draws all rows, in row order."""
-    return dirichlet_sample(rng, alpha * np.asarray(beta, dtype=float) + np.asarray(n_row, dtype=float))
-
-
 @dataclass(frozen=True)
 class WeakLimitHdp:
     """Truncated shared weights and the transition rows they tie together."""
@@ -325,7 +317,9 @@ def hdp_sweep(hdp: WeakLimitHdp, trans_counts: np.ndarray,
     m = _table_counts(n_aug, hdp.alpha * hdp.beta, rng)
 
     beta = sample_beta_posterior(m, hdp.gamma, L, rng)
-    pi = sample_pi_posterior(beta, hdp.alpha, n_aug, rng)
+    # pi_j | beta, counts ~ Dir(alpha * beta + n_aug[j]), self-loop auxiliaries
+    # on the diagonal; one standard_gamma call draws every row, in row order
+    pi = dirichlet_sample(rng, hdp.alpha * beta + n_aug)
     return replace(hdp, beta=beta, pi=pi)
 
 

@@ -15,6 +15,7 @@ from scipy.special import logsumexp
 
 from .distributions import (
     assert_simplex,
+    assert_simplex_rows,
     categorical_sample,
     categorical_sample_logits,
     logsumexp_axis,
@@ -41,8 +42,7 @@ class HmmParams:
             raise ValueError("theta length must match the state count")
         if self.sigma2 <= 0:
             raise ValueError("sigma2 must be positive")
-        for row in pi:
-            assert_simplex(row, atol=1e-9)
+        assert_simplex_rows(pi, atol=1e-9)
         object.__setattr__(self, "pi", pi)
         object.__setattr__(self, "theta", theta)
         init = self.init

@@ -358,14 +358,9 @@ def hsmm_loglik(params: HsmmParams, y, dmax: int | None = None) -> float:
     return float(logsumexp(_log(params.init) + Bstar[0]))
 
 
-def hsmm_forward_messages(params: HsmmParams, y, dmax: int | None = None):
+def _forward(params: HsmmParams, window, logdur, cum):
     """(A, Astar): A[t, j] = log p(y[0..t-1], segment ends after t, state j),
     Astar[t, j] = log p(y[0..t-1], next segment starts at t in state j)."""
-    window, _, logdur, _, cum = _series(params, y, dmax)
-    return _forward(params, window, logdur, cum)
-
-
-def _forward(params: HsmmParams, window, logdur, cum):
     T = len(cum) - 1
     A = np.full((T + 1, params.J), -np.inf)
     Astar = np.full((T + 1, params.J), -np.inf)

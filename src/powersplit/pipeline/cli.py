@@ -10,8 +10,9 @@ filter cannot explain, is a bad parameter (exit code 2) whose message names
 the file and the row, device or timestamp; so is a ``--bundle`` file that
 does not parse or breaks the bundle schema, a ``--states`` sidecar whose
 device columns or minutes do not match the trace's or whose labels are not
-integers, and a config setting or ``--weak-limit``/``--particles`` override
-below its floor.
+integers, a config setting or ``--weak-limit``/``--particles`` override
+below its floor, and a ``bode`` band that is empty, not positive, or holds
+no -45 degree phase crossing to fit the gains at.
 """
 
 from __future__ import annotations
@@ -249,9 +250,18 @@ def control(config_path, seed, out):
 @click.option("--out", required=True, type=click.Path())
 def bode(points, wmin, wmax, out):
     """Frequency response of the thermostat fleet and the fitted gains."""
+    if points < 2:
+        raise click.BadParameter(f"need at least 2 points, got {points}", param_hint=["--points"])
+    band = ["--wmin", "--wmax"]
+    if not 0.0 < wmin < wmax < math.inf:
+        raise click.BadParameter(f"need 0 < wmin < wmax < inf, got wmin={wmin}, wmax={wmax}",
+                                 param_hint=band)
     model = tcl_nominal_model(TclConfig())
     freqs = np.logspace(math.log10(wmin), math.log10(wmax), points)
-    kp, ki, data = design_gains(model, freqs=freqs)
+    try:
+        kp, ki, data = design_gains(model, freqs=freqs)
+    except ValueError as exc:
+        raise click.BadParameter(f"{exc} [{wmin}, {wmax}]", param_hint=band) from exc
     lines = ["w,mag_db,phase_deg"]
     for w, mag, ph in data:
         lines.append(",".join([fmt(w), fmt(mag), fmt(ph)]))

@@ -27,6 +27,24 @@ class DeviceConfig:
     sigma2: float = 100.0
 
 
+# each numeric setting's smallest workable value: a weak limit of one state
+# leaves no transition row any off-diagonal mass, training keeps the path of
+# its last sweep, and a noise variance is never negative
+_LEAST = {"particles": 1, "weak_limit": 2, "sweeps": 1, "burn_in": 0, "horizon": 1,
+          "meter_noise_var": 0}
+_CONTROL_LEAST = {"n_loads": 1, "n_houses": 1, "steps": 1, "period": 1, "transient": 0,
+                  "hook_particles": 1, "meter_noise_var": 0}
+
+
+def _check_floors(cfg, least: dict) -> None:
+    """Every way of making a config, a file or a command-line override
+    through ``dataclasses.replace``, passes here; NaN fails too."""
+    for key, floor in least.items():
+        value = getattr(cfg, key)
+        if not value >= floor:
+            raise ValueError(f"field {key!r} must be >= {floor}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ControlConfig:
     n_loads: int = 10000
@@ -39,6 +57,9 @@ class ControlConfig:
     hook_particles: int = 200
     meter_noise_var: float = 1.0
 
+    def __post_init__(self):
+        _check_floors(self, _CONTROL_LEAST)
+
 
 _DEFAULT_DEVICES = (
     DeviceConfig("compressor", 2, 2500.0),
@@ -46,12 +67,6 @@ _DEFAULT_DEVICES = (
     DeviceConfig("refrigerator", 2, 100.0),
     DeviceConfig("dishwasher", 3, 400.0),
 )
-
-
-# the sampler settings' smallest workable values: a weak limit of one state
-# leaves no transition row any off-diagonal mass, and training keeps the
-# path of its last sweep
-_LEAST = {"particles": 1, "weak_limit": 2, "sweeps": 1, "burn_in": 0, "horizon": 1}
 
 
 @dataclass(frozen=True)
@@ -67,12 +82,7 @@ class RunConfig:
     control: ControlConfig = field(default_factory=ControlConfig)
 
     def __post_init__(self):
-        # every way of making a config, a file or a command-line override
-        # through ``dataclasses.replace``, passes here
-        for key, least in _LEAST.items():
-            value = getattr(self, key)
-            if value < least:
-                raise ValueError(f"field {key!r} must be >= {least}, got {value!r}")
+        _check_floors(self, _LEAST)
 
     def device_names(self) -> list[str]:
         return [d.name for d in self.devices]

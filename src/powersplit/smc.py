@@ -14,7 +14,7 @@ A filter serves one house, or a bank of houses that share priors and
 particle count, stepped in one pass over their stacked particles. Each
 house draws a step's randoms from its own generator, with one call per
 kind, and the deterministic work between the draws runs in the
-``_kernels`` passes (accumulate, shift, total, propagate, fold, posterior,
+``_kernels`` passes (accumulate, shift, total, advance, posterior,
 Dirichlet rows), which are compiled on the native backend and
 bit-identical to their NumPy twins; every exp and log stays in NumPy.
 
@@ -34,16 +34,15 @@ import numpy as np
 
 from ._kernels import (
     fbpf_accumulate,
+    fbpf_advance,
     fbpf_dirichlet,
-    fbpf_fold,
     fbpf_posterior,
-    fbpf_propagate,
     fbpf_shift,
     fbpf_total,
     systematic_counts,
 )
 from .distributions import NormalPrior
-# bound here, though the step draws through ``fbpf_propagate``, because the
+# bound here, though the step draws through ``fbpf_advance``, because the
 # benchmark's tracer patches ``smc.categorical_rows_sample``
 from .distributions import categorical_rows_sample  # noqa: F401
 
@@ -100,25 +99,6 @@ def joint_state_table(Js: tuple[int, ...]) -> np.ndarray:
     return np.stack([g.ravel() for g in grids], axis=1).astype(np.int32)
 
 
-def conditional_emission_sample(theta_sel: np.ndarray, sumtheta: np.ndarray,
-                                var_chain: np.ndarray, ybar,
-                                z: np.ndarray) -> np.ndarray:
-    """Split the aggregate across chains, one row per particle.
-
-    ``theta_sel`` (N, K) holds each particle's emission means at its joint
-    state, ``sumtheta`` (N,) their row sums and ``ybar`` the reading, one
-    scalar or one per particle. The conditional law is Normal with mean
-    theta_k + s2_k (ybar - sum theta) / S and covariance
-    diag(s2) - s2 s2^T / S, S = sum s2. Sampling uses a centered draw, from
-    the (N, K) standard normals ``z``, projected onto the zero-sum subspace,
-    so each row sums to ybar to machine precision by construction.
-    """
-    # the scaled standard normals are Generator.normal(0, sd)'s own draws
-    g = np.sqrt(var_chain) * z
-    resid = ybar - sumtheta - g.sum(axis=1)
-    return theta_sel + var_chain * (resid / var_chain.sum())[:, None] + g
-
-
 # ---------------------------------------------------------------------------
 # the streaming filter object (vectorized over particles and houses)
 # ---------------------------------------------------------------------------
@@ -164,6 +144,8 @@ class FactorialBpf:
         self.Js = tuple(p.J for p in priors)
         self.Jmax = max(self.Js)
         self.N = int(n_particles)
+        if self.N < 1:
+            raise ValueError(f"n_particles must be >= 1, got {n_particles!r}")
         self._lone = isinstance(rng, np.random.Generator)
         self.rngs = (rng,) if self._lone else tuple(rng)
         if not self.rngs or len({id(g) for g in self.rngs}) != len(self.rngs):
@@ -241,8 +223,8 @@ class FactorialBpf:
 
         One pass over the H*N particles computes the joint predictive from
         the outer sums of ``fbpf_accumulate``, each house's normalisation
-        and log-evidence, the resample gathers, the propagation, the
-        imputation, the statistics fold and the parameter refresh. Every
+        and log-evidence and resample, then ``fbpf_advance``'s propagation,
+        imputation and statistics fold, and the parameter refresh. Every
         draw stays per house, from that house's generator and in a lone
         house's order, with one call per kind: ``random(N + 1)``, the
         systematic uniform then the categorical ones;
@@ -255,10 +237,10 @@ class FactorialBpf:
 
         The resample copies only the statistics: ``rows`` and ``theta`` are
         redrawn from them at the end of the step, ``rows`` out of the new
-        states, so the split reads the ancestors' means through the ancestor
-        indices. Raises ``DegenerateWeightsError``, leaving every house and
-        generator as they were, when all of some house's predictive weights
-        vanish.
+        states, so the advance reads the ancestors' predictive rows and means
+        through the ancestor indices. Raises ``DegenerateWeightsError``,
+        leaving every house and generator as they were, when all of some
+        house's predictive weights vanish.
         """
         if self.rngs is None:
             raise TypeError("a house view does not step: step the filter it reads")
@@ -269,9 +251,8 @@ class FactorialBpf:
             raise ValueError(f"need one reading per house, shape {want}, got {y.shape}")
         ybar = np.repeat(y.reshape(H), N)
 
-        states, theta = self.states, self.theta
-        logw, sumtheta = fbpf_accumulate(np.log(self.rows), theta, self.var_chain,
-                                         self.joint_idx, ybar)
+        logw = fbpf_accumulate(np.log(self.rows), self.theta, self.var_chain, self.joint_idx,
+                               ybar)
         row_max, keep = fbpf_shift(logw, EXP_FLOOR)
         live = np.isfinite(row_max)
         dead = np.flatnonzero(~live.reshape(H, N).any(axis=1))
@@ -297,18 +278,14 @@ class FactorialBpf:
         idx = counts_to_indices(np.concatenate(
             [systematic_counts(w[h], u[h, 0] / N) for h in range(H)]))
 
-        # joint propagation through the exact conditional, then emissions that
-        # sum to the aggregate
-        j_star, new_states = fbpf_propagate(pred, row_tot, idx, u[:, 1:].reshape(-1),
-                                            self.joint_idx)
-        emis = conditional_emission_sample(theta[idx[:, None], np.arange(K), new_states],
-                                           sumtheta[idx, j_star], self.var_chain, ybar,
-                                           z[:, :N * K].reshape(H * N, K))
-        trans_counts, emis_sums, emis_counts = fbpf_fold(
-            idx, states, new_states, emis, self.n > 0, self.trans_counts, self.emis_sums,
-            self.emis_counts)
+        # joint propagation through the exact conditional, emissions that sum
+        # to the aggregate, and the statistics they update
+        new_states, emis, trans_counts, emis_sums, emis_counts = fbpf_advance(
+            pred, row_tot, idx, u[:, 1:].reshape(-1), self.joint_idx, self.theta,
+            self.var_chain, ybar, z[:, :N * K].reshape(H * N, K), self.states, self.n > 0,
+            self.trans_counts, self.emis_sums, self.emis_counts)
 
-        del logw, pred, keep, sumtheta  # the (H*N, M) arrays, before the refresh allocates
+        del logw, pred, keep  # the (H*N, M) arrays, before the refresh allocates
         self.theta, self.rows = self._refresh(emis_sums, emis_counts, trans_counts, new_states,
                                               z[:, N * K:].reshape(H * N, K, Jm))
         self.states, self.emis = new_states, emis

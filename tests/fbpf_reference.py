@@ -10,8 +10,9 @@ import numpy as np
 
 
 def fbpf_accumulate_gather_reference(logtrans_rows, theta_rows, var_chain, joint_idx, ybar):
-    """The factorial accumulate as an (N, M, K) gather through any joint
-    table, summed over chains; ``ybar`` holds one reading per particle."""
+    """The factorial accumulate's ``logw`` as an (N, M, K) gather through
+    any joint table, summed over chains; ``ybar`` holds one reading per
+    particle."""
     N, K, _ = logtrans_rows.shape
     n_idx = np.arange(N)[:, None, None]
     k_idx = np.arange(K)[None, None, :]
@@ -22,7 +23,7 @@ def fbpf_accumulate_gather_reference(logtrans_rows, theta_rows, var_chain, joint
     logw = trans.sum(axis=2)
     svar = float(var_chain.sum())
     logw += -0.5 * (np.log(2.0 * np.pi * svar) + (ybar[:, None] - sumtheta) ** 2 / svar)
-    return logw, sumtheta
+    return logw
 
 
 def random_rows(rng, N, Js, p_inf=0.0):

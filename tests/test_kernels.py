@@ -4,8 +4,9 @@ The brute-force offspring oracle places each systematic position by linear
 search; the kernel must reproduce it exactly. The factorial accumulate,
 which reads one aggregate reading per particle, is checked bit for bit
 against a direct gather through the joint-state table, on both backends.
-The filter step's other passes must equal their pure twins bit for bit, on
-arguments captured from batched filter runs and on edge rows. The compiled
+The filter step's passes, every ``fbpf_*`` name the package serves, must
+equal their pure twins bit for bit, sign bits included, on arguments
+captured from batched filter runs, and the advance also on edge rows. The compiled
 forward segment draw must walk the same segments, and read the same number
 of uniforms, as the pure one on inputs captured from a training fit and on
 edge cases.
@@ -240,9 +241,8 @@ def test_fbpf_accumulate_agrees_across_backends(compiled_kernels):
         ybar = np.repeat(rng.normal(250.0, 300.0, 5), 10)
         out_p = _pure.fbpf_accumulate(rows, theta, var, joint, ybar)
         out_n = compiled_kernels.fbpf_accumulate(rows, theta, var, joint, ybar)
-        assert np.all(out_p[0][:10] == -np.inf)
-        for a, b in zip(out_p, out_n):
-            assert np.array_equal(a, b)
+        assert np.all(out_p[:10] == -np.inf)
+        assert np.array_equal(out_p, out_n)
 
 
 def test_fbpf_gather_reference_reads_one_reading_per_particle():
@@ -254,12 +254,11 @@ def test_fbpf_gather_reference_reads_one_reading_per_particle():
     for N in (6, 9):
         rows, theta, var = random_rows(rng, N, Js)
         ybar = rng.normal(200.0, 100.0, N)
-        logw, sumtheta = fbpf_accumulate_gather_reference(rows, theta, var, joint, ybar)
+        logw = fbpf_accumulate_gather_reference(rows, theta, var, joint, ybar)
         sd = np.sqrt(var.sum())
         for n in range(N):
             for m, (a, b) in enumerate(joint):
                 mean = theta[n, 0, a] + theta[n, 1, b]
-                assert sumtheta[n, m] == mean
                 want = rows[n, 0, a] + rows[n, 1, b] - 0.5 * (
                     np.log(2.0 * np.pi) + 2.0 * np.log(sd) + ((ybar[n] - mean) / sd) ** 2)
                 assert abs(logw[n, m] - want) < 1e-9 * (1.0 + abs(want))
@@ -275,8 +274,7 @@ def test_fbpf_accumulate_outer_sum_matches_gather(backend, Js, N, p_inf, seed):
     ybar = rng.normal(300.0, 400.0, N)
     got = backend.fbpf_accumulate(rows, theta, var, joint, ybar)
     want = fbpf_accumulate_gather_reference(rows, theta, var, joint, ybar)
-    for a, b in zip(got, want):
-        assert np.array_equal(a, b)
+    assert np.array_equal(got, want)
 
 
 def test_fbpf_accumulate_rejects_non_product_table(compiled_kernels):
@@ -293,8 +291,7 @@ def test_fbpf_accumulate_rejects_non_product_table(compiled_kernels):
 # the filter step's passes: compiled against pure, bit for bit
 # ---------------------------------------------------------------------------
 
-STEP_PASSES = ("fbpf_shift", "fbpf_total", "fbpf_propagate", "fbpf_fold", "fbpf_posterior",
-               "fbpf_dirichlet")
+STEP_PASSES = tuple(name for name in _kernels.__all__ if name.startswith("fbpf_"))
 
 
 def _copies(args):
@@ -344,7 +341,8 @@ def assert_pass_matches_pure(compiled_kernels, name, args):
             assert np.array_equal(a, b, equal_nan=True), name
 
 
-@pytest.mark.parametrize("Js", [(2, 3, 2, 3), (2, 2, 3), (3,)])
+# nine chains: S and the split's normals add in pairwise_sum's blocks of eight
+@pytest.mark.parametrize("Js", [(2, 3, 2, 3), (2, 2, 3), (3,), (2,) * 8 + (3,)])
 def test_filter_step_passes_match_pure_on_captured_steps(monkeypatch, compiled_kernels, Js):
     calls = captured_step_calls(monkeypatch, Js)
     dropped = 0
@@ -353,7 +351,7 @@ def test_filter_step_passes_match_pure_on_captured_steps(monkeypatch, compiled_k
         if name == "fbpf_shift":
             dropped += int((~_pure.fbpf_shift(*_copies(args))[1]).sum())
     assert dropped > 0  # lanes below EXP_FLOOR were exercised
-    firsts = [args[4] for name, args in calls if name == "fbpf_fold"]
+    firsts = [args[10] for name, args in calls if name == "fbpf_advance"]
     assert firsts[0] is False and firsts[1] is True  # n == 0, then transitions
 
 
@@ -410,28 +408,38 @@ def test_posterior_and_dirichlet_match_pure(compiled_kernels, Js, H, N, seed):
         assert (rows[:, k, J:] == 1.0).all()  # padding whose log is 0
 
 
-def test_propagate_and_fold_match_pure_on_edge_rows(compiled_kernels):
+def test_advance_matches_pure_on_edge_rows(compiled_kernels):
     rng = np.random.default_rng(15)
-    Js = (2, 3)
-    joint = joint_state_table(Js)
-    R, M, K = 12, len(joint), len(Js)
-    pred = rng.uniform(0.0, 1.0, (R, M))
-    pred[0] = 0.0
-    pred[0, 3] = 1.0             # a one-lane row
-    pred[1, :] = 1e-300          # tiny lanes, normalised by a tiny total
-    tot = pred.sum(axis=1)
-    anc = np.array([0, 0, 1, 2, 3, 3, 3, 7, 8, 9, 11, 11])
-    u = rng.random(R)
-    u[:2] = [0.0, 1.0 - 1e-16]   # the picks at both ends of a row
-    assert_pass_matches_pure(compiled_kernels, "fbpf_propagate", [pred, tot, anc, u, joint])
-    states = joint[rng.integers(0, M, R)].astype(np.int64)
-    new_states = joint[rng.integers(0, M, R)].astype(np.int64)
-    stats = [rng.integers(0, 4, (R, K, 3, 3)).astype(float), rng.normal(0, 9, (R, K, 3)),
-             rng.integers(0, 4, (R, K, 3)).astype(float)]
-    emis = rng.normal(0.0, 50.0, (R, K))
-    for transitions in (False, True):
-        assert_pass_matches_pure(compiled_kernels, "fbpf_fold",
-                                 [anc, states, new_states, emis, transitions, *stats])
+    # nine chains take pairwise_sum's blocks of eight
+    for Js in [(2, 3), (2,) * 8 + (3,)]:
+        joint = joint_state_table(Js)
+        R, M, K, Jm = 12, len(joint), len(Js), max(Js)
+        pred = rng.uniform(0.0, 1.0, (R, M))
+        pred[0] = 0.0
+        pred[0, 3] = 1.0             # a one-lane row
+        pred[1, :] = 1e-300          # tiny lanes, normalised by a tiny total
+        tot = pred.sum(axis=1)
+        anc = np.array([0, 0, 1, 2, 3, 3, 3, 7, 8, 9, 11, 11])
+        u = rng.random(R)
+        u[:2] = [0.0, 1.0 - 1e-16]   # the picks at both ends of a row
+        theta = rng.normal(100.0, 30.0, (R, K, Jm))
+        var = rng.uniform(10.0, 50.0, K)
+        ybar = rng.normal(250.0, 100.0, R)
+        z = rng.standard_normal((R, K))
+        # signed zeros: the means of ancestor 7 sum to +0.0, the reading is
+        # -0.0 and the normals are -0.0, so only the sum's +0.0 start keeps
+        # the residual at -0.0
+        theta[7, 0], theta[7, 1:] = 0.0, -0.0
+        ybar[7], z[7] = -0.0, -0.0
+        states = joint[rng.integers(0, M, R)].astype(np.int64)
+        stats = [rng.integers(0, 4, (R, K, Jm, Jm)).astype(float), rng.normal(0, 9, (R, K, Jm)),
+                 rng.integers(0, 4, (R, K, Jm)).astype(float)]
+        args = [pred, tot, anc, u, joint, theta, var, ybar, z, states]
+        for transitions in (False, True):
+            assert_pass_matches_pure(compiled_kernels, "fbpf_advance",
+                                     [*args, transitions, *stats])
+        emis = _pure.fbpf_advance(*args, True, *stats)[1]
+        assert np.signbit(emis[7, 1:]).all() and not np.signbit(emis[7, 0])
 
 
 def _hsmm_call(**change):
@@ -449,14 +457,6 @@ def _forward_call(**change):
     return "hsmm_forward_sample", args
 
 
-def _fbpf_call(**change):
-    rows, theta, var = random_rows(np.random.default_rng(6), 4, (2, 3))
-    args = dict(logtrans_rows=rows, theta_rows=theta, var_chain=var,
-                joint_idx=joint_state_table((2, 3)), ybar=np.full(4, 10.0))
-    args.update(change)
-    return "fbpf_accumulate", args
-
-
 def _pass_call(kernel, **change):
     """A small call of one filter step pass, from two houses of three
     particles with chains of 2 and 3 states."""
@@ -470,13 +470,18 @@ def _pass_call(kernel, **change):
                  emis_counts=rng.integers(0, 3, (R, K, Jm)).astype(float))
     pred = rng.uniform(0.1, 1.0, (R, M))
     args = {
+        "fbpf_accumulate": dict(logtrans_rows=np.log(rng.uniform(0.1, 1.0, (R, K, Jm))),
+                                theta_rows=rng.normal(0.0, 5.0, (R, K, Jm)),
+                                var_chain=np.array([4.0, 9.0]), joint_idx=joint,
+                                ybar=rng.normal(0.0, 5.0, R)),
         "fbpf_shift": dict(logw=rng.normal(-5.0, 3.0, (R, M)), lo=-700.0),
         "fbpf_total": dict(pred=pred, keep=rng.random((R, M)) < 0.8),
-        "fbpf_propagate": dict(pred=pred, tot=pred.sum(axis=1), anc=np.array([0, 0, 2, 3, 5, 5]),
-                               u=rng.random(R), joint_idx=joint),
-        "fbpf_fold": dict(anc=np.array([1, 1, 2, 3, 3, 4]), states=states,
-                          new_states=states[::-1].copy(), emis=rng.normal(0.0, 5.0, (R, K)),
-                          transitions=True, **stats),
+        "fbpf_advance": dict(pred=pred, tot=pred.sum(axis=1), anc=np.array([0, 0, 2, 3, 5, 5]),
+                             u=rng.random(R), joint_idx=joint,
+                             theta=rng.normal(0.0, 5.0, (R, K, Jm)),
+                             var_chain=np.array([4.0, 9.0]), ybar=rng.normal(0.0, 5.0, R),
+                             z=rng.standard_normal((R, K)), states=states, transitions=True,
+                             **stats),
         "fbpf_posterior": dict(z=rng.standard_normal((R, K, Jm)), var_chain=np.array([4.0, 9.0]),
                                prior_mean=np.zeros((K, Jm)), prior_var=np.ones((K, Jm)),
                                alpha=np.ones((K, Jm, Jm)), Js=Js, H=H, **stats),
@@ -491,9 +496,11 @@ BAD_INPUTS = {
     # case: (kernel and keyword arguments, the error must name this)
     "loglik_float32": (_hsmm_call(loglik=np.zeros((12, 3), np.float32)), "loglik"),
     "logdur_1d": (_hsmm_call(logdur=np.zeros(4)), "logdur"),
-    "theta_rows_int": (_fbpf_call(theta_rows=np.zeros((4, 2, 3), np.int64)), "theta_rows"),
-    "var_chain_2d": (_fbpf_call(var_chain=np.ones((2, 1))), "var_chain"),
-    "joint_idx_float": (_fbpf_call(joint_idx=joint_state_table((2, 3)) * 1.0), "joint_idx"),
+    "theta_rows_int": (_pass_call("fbpf_accumulate", theta_rows=np.zeros((6, 2, 3), np.int64)),
+                       "theta_rows"),
+    "var_chain_2d": (_pass_call("fbpf_accumulate", var_chain=np.ones((2, 1))), "var_chain"),
+    "joint_idx_float": (_pass_call("fbpf_accumulate", joint_idx=joint_state_table((2, 3)) * 1.0),
+                        "joint_idx"),
     "logtrans_bar_not_square": (_hsmm_call(logtrans_bar=np.zeros((3, 2))), "logtrans_bar"),
     "logtrans_bar_wrong_states": (_hsmm_call(logtrans_bar=np.zeros((4, 4))), "logtrans_bar"),
     "logdur_short": (_hsmm_call(logdur=np.zeros((3, 3))), "logdur"),
@@ -507,31 +514,68 @@ BAD_INPUTS = {
     "u_short": (_forward_call(u=np.full(23, 0.5)), "u"),
     "u_float32": (_forward_call(u=np.full(24, 0.5, np.float32)), "u"),
     "window_negative": (_forward_call(window=-1), "window"),
-    "joint_idx_not_product": (_fbpf_call(joint_idx=joint_state_table((2, 3))[:-1]), "product"),
-    "joint_idx_exceeds_rows": (_fbpf_call(joint_idx=joint_state_table((2, 4))), "joint_idx"),
-    "ybar_scalar": (_fbpf_call(ybar=10.0), "ybar"),
-    "ybar_float32": (_fbpf_call(ybar=np.full(4, 10.0, np.float32)), "ybar"),
-    "ybar_one_per_house": (_fbpf_call(ybar=np.full(2, 10.0)), "ybar"),
-    "ybar_2d": (_fbpf_call(ybar=np.full((4, 1), 10.0)), "ybar"),
+    "joint_idx_not_product": (_pass_call("fbpf_accumulate",
+                                         joint_idx=joint_state_table((2, 3))[:-1]), "product"),
+    "joint_idx_exceeds_rows": (_pass_call("fbpf_accumulate",
+                                          joint_idx=joint_state_table((2, 4))), "joint_idx"),
+    "ybar_scalar": (_pass_call("fbpf_accumulate", ybar=10.0), "ybar"),
+    "ybar_float32": (_pass_call("fbpf_accumulate", ybar=np.full(6, 10.0, np.float32)), "ybar"),
+    "ybar_one_per_house": (_pass_call("fbpf_accumulate", ybar=np.full(2, 10.0)), "ybar"),
+    "ybar_2d": (_pass_call("fbpf_accumulate", ybar=np.full((6, 1), 10.0)), "ybar"),
     "shift_logw_strided": (_pass_call("fbpf_shift", logw=np.zeros((6, 12))[:, ::2]), "logw"),
     "shift_logw_read_only": (_pass_call("fbpf_shift", logw=np.broadcast_to(0.0, (6, 6))),
                              "logw"),
     "total_keep_wrong_shape": (_pass_call("fbpf_total", keep=np.ones((6, 5), bool)), "keep"),
     "total_keep_float": (_pass_call("fbpf_total", keep=np.ones((6, 6))), "keep"),
-    "propagate_anc_past_rows": (_pass_call("fbpf_propagate", anc=np.array([0, 1, 2, 3, 4, 6])),
+    # fbpf_advance: the propagate_ cases give the draw bad input, the fold_
+    # cases the statistics fold
+    "propagate_anc_past_rows": (_pass_call("fbpf_advance", anc=np.array([0, 1, 2, 3, 4, 6])),
                                 "anc"),
-    "propagate_anc_negative": (_pass_call("fbpf_propagate", anc=np.array([0, -1, 2, 3, 4, 5])),
+    "propagate_anc_negative": (_pass_call("fbpf_advance", anc=np.array([0, -1, 2, 3, 4, 5])),
                                "anc"),
-    "propagate_anc_int32": (_pass_call("fbpf_propagate", anc=np.arange(6, dtype=np.int32)),
+    "propagate_anc_int32": (_pass_call("fbpf_advance", anc=np.arange(6, dtype=np.int32)),
                             "anc"),
-    "propagate_short_u": (_pass_call("fbpf_propagate", u=np.full(5, 0.5)), "u"),
-    "propagate_joint_idx_wrong_rows": (_pass_call("fbpf_propagate",
+    "propagate_short_u": (_pass_call("fbpf_advance", u=np.full(5, 0.5)), "u"),
+    "propagate_joint_idx_wrong_rows": (_pass_call("fbpf_advance",
                                                   joint_idx=joint_state_table((2, 2))),
                                        "joint_idx"),
-    "fold_anc_past_rows": (_pass_call("fbpf_fold", anc=np.array([0, 1, 2, 3, 4, 9])), "anc"),
-    "fold_state_past_lanes": (_pass_call("fbpf_fold", new_states=np.full((6, 2), 3)), "states"),
-    "fold_old_state_negative": (_pass_call("fbpf_fold", states=np.full((6, 2), -1)), "states"),
-    "fold_emis_wrong_shape": (_pass_call("fbpf_fold", emis=np.zeros((6, 3))), "emis"),
+    "fold_anc_past_rows": (_pass_call("fbpf_advance", anc=np.array([0, 1, 2, 3, 4, 9])), "anc"),
+    "fold_state_past_lanes": (_pass_call("fbpf_advance", states=np.full((6, 2), 3)), "states"),
+    "fold_old_state_negative": (_pass_call("fbpf_advance", states=np.full((6, 2), -1)),
+                                "states"),
+    "advance_pred_float32": (_pass_call("fbpf_advance", pred=np.ones((6, 6), np.float32)),
+                             "pred"),
+    "advance_pred_no_columns": (_pass_call("fbpf_advance", pred=np.ones((6, 0))), "pred"),
+    "advance_pred_wrong_rows": (_pass_call("fbpf_advance", pred=np.ones((5, 6))), "pred"),
+    "advance_tot_wrong_shape": (_pass_call("fbpf_advance", tot=np.ones(5)), "tot"),
+    "advance_joint_idx_float": (_pass_call("fbpf_advance",
+                                           joint_idx=joint_state_table((2, 3)) * 1.0),
+                                "joint_idx"),
+    "advance_joint_idx_past_lanes": (_pass_call("fbpf_advance",
+                                                joint_idx=np.where(joint_state_table((2, 3)) == 2,
+                                                                   3, joint_state_table((2, 3)))),
+                                     "joint_idx"),
+    "advance_joint_idx_negative": (_pass_call("fbpf_advance",
+                                              joint_idx=joint_state_table((2, 3)) - 1),
+                                   "joint_idx"),
+    "advance_theta_wrong_shape": (_pass_call("fbpf_advance", theta=np.zeros((6, 2, 2))),
+                                  "theta"),
+    "advance_var_chain_wrong_shape": (_pass_call("fbpf_advance", var_chain=np.ones(3)),
+                                      "var_chain"),
+    "advance_ybar_wrong_shape": (_pass_call("fbpf_advance", ybar=np.zeros(5)), "ybar"),
+    "advance_z_wrong_shape": (_pass_call("fbpf_advance", z=np.zeros((6, 3))), "z"),
+    "advance_states_wrong_shape": (_pass_call("fbpf_advance", states=np.zeros((5, 2), np.int64)),
+                                   "states"),
+    "advance_states_int32": (_pass_call("fbpf_advance", states=np.zeros((6, 2), np.int32)),
+                             "states"),
+    "advance_trans_counts_wrong_shape": (_pass_call("fbpf_advance",
+                                                    trans_counts=np.zeros((6, 2, 3, 2))),
+                                         "trans_counts"),
+    "advance_emis_sums_no_chains": (_pass_call("fbpf_advance", emis_sums=np.zeros((6, 0, 3))),
+                                    "emis_sums"),
+    "advance_emis_counts_wrong_shape": (_pass_call("fbpf_advance",
+                                                   emis_counts=np.zeros((6, 2, 2))),
+                                        "emis_counts"),
     "posterior_H_not_dividing": (_pass_call("fbpf_posterior", H=4), "H"),
     "posterior_Js_past_lanes": (_pass_call("fbpf_posterior", Js=(2, 4)), "Js"),
     "posterior_alpha_wrong_shape": (_pass_call("fbpf_posterior", alpha=np.ones((2, 3, 2))),
@@ -566,20 +610,18 @@ def test_compiled_kernels_copy_non_contiguous_input(compiled_kernels):
     for a, b in zip(compiled_kernels.hsmm_backward(**args),
                     compiled_kernels.hsmm_backward(**strided)):
         assert np.array_equal(a, b)
-    _, args = _fbpf_call()
+    _, args = _pass_call("fbpf_accumulate")
     wide = np.repeat(args["logtrans_rows"], 2, axis=2)[:, :, ::2]
     assert not wide.flags.c_contiguous
-    for a, b in zip(compiled_kernels.fbpf_accumulate(**args),
-                    compiled_kernels.fbpf_accumulate(**dict(args, logtrans_rows=wide))):
-        assert np.array_equal(a, b)
+    assert np.array_equal(compiled_kernels.fbpf_accumulate(**args),
+                          compiled_kernels.fbpf_accumulate(**dict(args, logtrans_rows=wide)))
 
 
 def test_compiled_kernels_leave_no_cyclic_garbage(compiled_kernels):
-    """A filter step calls the accumulate and each step pass once; garbage
+    """A filter step calls each of its passes once; garbage
     that only the cyclic collector frees would pile up over a long stream
     with it switched off."""
-    calls = [_hsmm_call(), _forward_call(), _fbpf_call()] + [
-        _pass_call(kernel) for kernel in STEP_PASSES]
+    calls = [_hsmm_call(), _forward_call()] + [_pass_call(kernel) for kernel in STEP_PASSES]
     for kernel, args in calls:
         getattr(compiled_kernels, kernel)(**args)
     gc.collect()

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from powersplit import KERNEL_BACKEND
+from powersplit import KERNEL_BACKEND, _kernels
 from powersplit.hsmm import DurationParams
 from powersplit.pipeline.cli import main
 from powersplit.pipeline.config import (
@@ -583,6 +583,27 @@ def test_cli_bode(tmp_path, runner):
     assert len(lines) == 33
 
 
+# case: (options, the options the message names)
+BAD_BANDS = {
+    "wmin_zero": (["--wmin", "0"], "'--wmin' / '--wmax'"),
+    "wmin_negative": (["--wmin", "-1"], "'--wmin' / '--wmax'"),
+    "no_points": (["--points", "0"], "'--points'"),
+    "one_point": (["--points", "1"], "'--points'"),
+    "descending": (["--wmin", "2", "--wmax", "1"], "'--wmin' / '--wmax'"),
+    "no_crossing": (["--wmin", "1e-4", "--wmax", "0.01"], "'--wmin' / '--wmax'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_BANDS))
+def test_cli_bode_rejects_a_band_it_cannot_fit(tmp_path, runner, case):
+    options, named = BAD_BANDS[case]
+    out = tmp_path / "bode.csv"
+    r = runner.invoke(main, ["bode", *options, "--out", str(out)])
+    assert r.exit_code == 2, r.output
+    assert named in r.output
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["bode", "synth"])
 def test_cli_logs_backend_and_wall_time_at_info(tmp_path, runner, command):
     args = {"bode": ["bode", "--points", "8"],
@@ -868,8 +889,7 @@ def test_cli_train_bundle_does_not_depend_on_backend(tmp_path, runner, compiled_
 # filter kernels of the compiled-kernel loader at path argv[1], or with the
 # backend the environment selects when it is "". Prints the modules that
 # served the filter kernels.
-FILTER_KERNELS = ("fbpf_accumulate", "fbpf_shift", "fbpf_total", "fbpf_propagate",
-                  "fbpf_fold", "fbpf_posterior", "fbpf_dirichlet")
+FILTER_KERNELS = tuple(name for name in _kernels.__all__ if name.startswith("fbpf_"))
 FILTER_SCRIPT = f"""
 import importlib.util, json, sys
 from powersplit import smc
@@ -929,6 +949,14 @@ OUT_OF_RANGE = {
     "no_sweeps": (["train"], {"sweeps": 0, "burn_in": -1}, "sweeps"),
     "no_particles": (["disagg", "--particles", "0"], {}, "particles"),
     "no_horizon": (["synth"], {"horizon": 0}, "horizon"),
+    "negative_meter_noise": (["synth"], {"meter_noise_var": -5000}, "meter_noise_var"),
+    "no_hook_particles": (["control"], {"control": {"hook": "fbpf", "hook_particles": 0}},
+                          "hook_particles"),
+    "no_period": (["control"], {"control": {"period": 0}}, "period"),
+    "no_loads": (["control"], {"control": {"n_loads": 0}}, "n_loads"),
+    "negative_control_meter_noise": (["control"], {"control": {"hook": "fbpf",
+                                                               "meter_noise_var": -1}},
+                                     "meter_noise_var"),
 }
 
 
@@ -938,7 +966,7 @@ def test_cli_rejects_out_of_range_settings(tmp_path, runner, case):
     trace = tmp_path / "house.csv"
     assert runner.invoke(main, ["synth", "--config", small_config(tmp_path, horizon=30),
                                 "--out", str(trace)]).exit_code == 0
-    inputs = [] if args[0] == "synth" else [str(trace)]
+    inputs = [str(trace)] if args[0] in ("train", "disagg") else []
     out = tmp_path / "out"
     r = runner.invoke(main, [args[0], *inputs, *args[1:], "--config",
                              small_config(tmp_path, **over), "--out", str(out)])
@@ -950,10 +978,19 @@ def test_cli_rejects_out_of_range_settings(tmp_path, runner, case):
 
 def test_load_config_rejects_out_of_range_settings():
     for key, least in (("particles", 1), ("weak_limit", 2), ("sweeps", 1), ("burn_in", 0),
-                       ("horizon", 1)):
+                       ("horizon", 1), ("meter_noise_var", 0)):
         load_config({key: least})
         with pytest.raises(ValueError, match=f"field '{key}' must be >= {least}, got"):
             load_config({key: least - 1})
+    # one tracked step, so that steps and transient can sit at their floors
+    window = {"steps": 1, "transient": 0}
+    for key, least in (("n_loads", 1), ("n_houses", 1), ("steps", 1), ("period", 1),
+                       ("transient", 0), ("hook_particles", 1), ("meter_noise_var", 0)):
+        load_config({"control": {**window, key: least}})
+        with pytest.raises(ValueError, match=f"field '{key}' must be >= {least}, got"):
+            load_config({"control": {**window, key: least - 1}})
+    with pytest.raises(ValueError, match="field 'meter_noise_var' must be >= 0, got nan"):
+        load_config({"meter_noise_var": float("nan")})
     with pytest.raises(ValueError, match="field 'weak_limit'"):
         replace(RunConfig(), weak_limit=1)
 

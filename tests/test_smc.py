@@ -31,7 +31,6 @@ from powersplit.smc import (
     ChainPrior,
     DegenerateWeightsError,
     FactorialBpf,
-    conditional_emission_sample,
     counts_to_indices,
     joint_state_table,
 )
@@ -97,18 +96,18 @@ def test_factorial_proposal_matches_brute_force(monkeypatch):
     def step_probs(filt, ybar=ybar):
         """The joint conditional ``FactorialBpf.step`` propagates through,
         and the predictive p(ybar | x_prev) of each particle."""
-        logw, _ = smc.fbpf_accumulate(np.log(filt.rows), filt.theta, filt.var_chain, filt.joint_idx,
-                                      np.full(filt.N, ybar))
+        logw = smc.fbpf_accumulate(np.log(filt.rows), filt.theta, filt.var_chain, filt.joint_idx,
+                                   np.full(filt.N, ybar))
         seen = []
-        propagate = smc.fbpf_propagate
+        advance = smc.fbpf_advance
 
-        def spy(pred, tot, anc, u, joint_idx):
+        def spy(pred, tot, anc, u, *rest):
             # the rows the pass draws from: the ancestors' predictive rows
             # over their totals
             seen.append(pred[anc] / tot[anc][:, None])
-            return propagate(pred, tot, anc, u, joint_idx)
+            return advance(pred, tot, anc, u, *rest)
 
-        monkeypatch.setattr(smc, "fbpf_propagate", spy)
+        monkeypatch.setattr(smc, "fbpf_advance", spy)
         filt.step(ybar)
         monkeypatch.undo()
         return seen[0], np.exp(logw).sum(axis=1)
@@ -180,14 +179,25 @@ def test_first_stage_weights_match_brute_force(monkeypatch):
         assert np.ptp(pred / pred.sum()) > 0.05  # the reading does move the weights
 
 
-def test_conditional_emission_split_law():
+def test_advance_emission_split_law():
+    # n particles of one ancestor whose predictive has one lane, joint state
+    # (1, 0, 1), where its means are theta_sel; the other lanes' means must
+    # not enter the split
     d = np.array([0.5, 1.0, 2.0])
     theta_sel = np.array([4.0, 0.5, 2.0])
     ybar = 9.3
     n = 100_000
-    draws = conditional_emission_sample(np.tile(theta_sel, (n, 1)),
-                                        np.full(n, theta_sel.sum()), d, ybar,
-                                        stream(5, "split").standard_normal((n, 3)))
+    joint = joint_state_table((2, 2, 2))
+    pred = np.zeros((1, len(joint)))
+    pred[0, 5] = 1.0
+    theta = np.full((1, 3, 2), 1e3)
+    theta[0, np.arange(3), joint[5]] = theta_sel
+    stats = [np.zeros((1, 3, 2, 2)), np.zeros((1, 3, 2)), np.zeros((1, 3, 2))]
+    states, draws, *_ = smc.fbpf_advance(
+        pred, pred.sum(axis=1), np.zeros(n, np.int64), stream(4, "split").random(n), joint,
+        theta, d, np.full(n, ybar), stream(5, "split").standard_normal((n, 3)),
+        np.zeros((1, 3), np.int64), False, *stats)
+    assert (states == joint[5]).all()
     assert draws.shape == (n, 3)
     assert np.abs(draws.sum(axis=1) - ybar).max() < 1e-9
 
@@ -330,9 +340,9 @@ def filter_digests(priors, y):
     logw_hash = hashlib.sha256()
 
     def hashed_accumulate(*args):
-        logw, sumtheta = accumulate(*args)
+        logw = accumulate(*args)
         logw_hash.update(logw.tobytes())
-        return logw, sumtheta
+        return logw
 
     # the draws shrug off a one-ulp change in logw; its hash does not
     smc.fbpf_accumulate = hashed_accumulate
@@ -411,6 +421,8 @@ def test_bank_rejects_what_it_cannot_step():
     g = stream(1, "houses")
     with pytest.raises(ValueError, match="distinct generator"):
         FactorialBpf([prior], 20, [g, stream(2, "houses"), g])
+    with pytest.raises(ValueError, match="n_particles must be >= 1"):
+        FactorialBpf([prior], 0, g)
     bank = FactorialBpf([prior], 20, [stream(3, "houses"), stream(4, "houses")])
     lone = FactorialBpf([prior], 20, stream(5, "houses"))
     for filt, y in ((bank, [1.0]), (bank, 1.0), (lone, [1.0])):
