@@ -1,23 +1,23 @@
 """Kernel backend selection.
 
-Eight kernels are compiled, from the C99 file ``kernels.c`` that
-``setup.py`` always builds. Two serve every training sweep:
-``hsmm_backward``, the backward messages, and ``hsmm_forward_sample``, the
-segment draw over them. The other six are the deterministic work of every
-filter step, over the stacked particles of one or more houses:
-``fbpf_accumulate``, the joint predictive with one reading per particle;
-``fbpf_shift``, its row max and shift, and ``fbpf_total``, the row totals
-after NumPy's exp; ``fbpf_advance``, which moves each resampled particle
-to a joint state drawn on a pre-drawn uniform, splits its reading across
-the chains with pre-drawn normals and folds both into its ancestor's
-statistics; ``fbpf_posterior``, theta from pre-drawn normals and the
-Dirichlet concentrations; and ``fbpf_dirichlet``, which normalises, of the
-gamma draws, only each particle's transition row out of its new state in
-each chain, the row the next step reads. The step keeps every draw, exp
-and log in NumPy, and the compiled filter kernels are bit-identical to the
-pure ones, so the filter's law does not depend on the backend. The
-compiled segment draw makes each pick with the pure one's operations, and
-paths differ only when a uniform falls within an ulp of a cdf boundary.
+Six kernels are compiled, from the C99 file ``kernels.c`` that ``setup.py``
+always builds. Two serve every training sweep: ``hsmm_backward``, the
+backward messages, and ``hsmm_forward_sample``, the segment draw over them.
+The other four are the deterministic work of every filter step, over the
+stacked particles of one or more houses: ``fbpf_accumulate``, the joint
+predictive with one reading per particle, shifted by its row max;
+``fbpf_total``, the row totals after NumPy's exp; ``fbpf_advance``, which
+moves each resampled particle to a joint state drawn on a pre-drawn
+uniform, splits its reading across the chains with pre-drawn normals,
+folds both into its ancestor's statistics and draws theta from their
+conjugate posterior with pre-drawn normals, beside the Dirichlet
+concentrations; and ``fbpf_dirichlet``, which normalises, of the gamma
+draws, only each particle's transition row out of its new state in each
+chain, the row the next step reads. The step keeps every draw, exp and log
+in NumPy, and the compiled filter kernels are bit-identical to the pure
+ones, so the filter's law does not depend on the backend. The compiled
+segment draw makes each pick with the pure one's operations, and paths
+differ only when a uniform falls within an ulp of a cdf boundary.
 ``systematic_counts`` is pure NumPy on every backend: one resampling call
 costs about 0.1 ms at 2000 particles. It is served from ``_pure``, where
 ``perfbench/spans.py`` looks up the reference of every traced kernel.
@@ -44,10 +44,8 @@ BACKEND = _impl.BACKEND
 hsmm_backward = _impl.hsmm_backward
 hsmm_forward_sample = _impl.hsmm_forward_sample
 fbpf_accumulate = _impl.fbpf_accumulate
-fbpf_shift = _impl.fbpf_shift
 fbpf_total = _impl.fbpf_total
 fbpf_advance = _impl.fbpf_advance
-fbpf_posterior = _impl.fbpf_posterior
 fbpf_dirichlet = _impl.fbpf_dirichlet
 systematic_counts = _pure.systematic_counts
 
@@ -56,10 +54,8 @@ __all__ = [
     "hsmm_backward",
     "hsmm_forward_sample",
     "fbpf_accumulate",
-    "fbpf_shift",
     "fbpf_total",
     "fbpf_advance",
-    "fbpf_posterior",
     "fbpf_dirichlet",
     "systematic_counts",
 ]

@@ -10,10 +10,10 @@ library has not been built, or was built from a ``kernels.c`` other than
 the one next to it: a stale library may take other arguments.
 
 Same contracts as ``_pure``: ``hsmm_backward`` agrees with it to the last
-bit, where libm's ``exp`` and NumPy's SIMD one round apart, and
-``fbpf_accumulate`` and the filter step's passes (``fbpf_shift``,
-``fbpf_total``, ``fbpf_advance``, ``fbpf_posterior``, ``fbpf_dirichlet``)
-bit for bit: they take no exp or log, which stay in NumPy.
+bit, where libm's ``exp`` and NumPy's SIMD one round apart, and the filter
+step's passes (``fbpf_accumulate``, ``fbpf_total``, ``fbpf_advance``,
+``fbpf_dirichlet``) bit for bit: they take no exp or log, which stay in
+NumPy.
 ``hsmm_forward_sample`` computes each pick as ``_pure`` does, save that
 libm's ``exp`` may differ from NumPy's in the last bit, which moves a draw
 only when a uniform lies within an ulp of a cdf boundary.
@@ -29,6 +29,10 @@ import os
 import numpy as np
 
 BACKEND = "native"
+
+# the accumulate's floor, ``_pure.EXP_FLOOR``; this module loads by file
+# path as well, so it imports nothing from the package
+EXP_FLOOR = -700.0
 
 # arrays go in as plain addresses: an ``ndpointer`` argtype converts through
 # ``ndarray.ctypes.data_as``, whose ``ctypes.cast`` leaves a reference cycle
@@ -57,16 +61,11 @@ _lib.hsmm_forward_sample.argtypes = [_n, _n, _n, _p, _p, _p, _p, _p, _n, _p, _n,
                                      _p, ctypes.POINTER(_n), ctypes.POINTER(_n), _p]
 _lib.fbpf_accumulate.restype = None
 _lib.fbpf_accumulate.argtypes = [_n, _n, _n, _p, _n, _p, _p, ctypes.c_double,
-                                 ctypes.c_double, _p, _p, _p]
-_lib.fbpf_shift.restype = None
-_lib.fbpf_shift.argtypes = [_n, _n, ctypes.c_double, _p, _p, _p]
+                                 ctypes.c_double, _p, ctypes.c_double, _p, _p, _p]
 _lib.fbpf_total.restype = None
-_lib.fbpf_total.argtypes = [_n, _n, _p, _p, _p]
+_lib.fbpf_total.argtypes = [_n, _n, _p, _p]
 _lib.fbpf_advance.restype = None
-_lib.fbpf_advance.argtypes = [_n, _n, _n, _n, _p, _p, _p, _p, _p, _p, _p, _p, _p, _p,
-                              ctypes.c_int, _p, _p, _p, _p, _p, _p, _p, _p]
-_lib.fbpf_posterior.restype = None
-_lib.fbpf_posterior.argtypes = [_n, _n, _n, _n, _p, _p, _p, _p, _p, _p, _p, _p, _p, _p, _p]
+_lib.fbpf_advance.argtypes = [_n] * 5 + [_p] * 11 + [ctypes.c_int] + [_p] * 14
 _lib.fbpf_dirichlet.restype = None
 _lib.fbpf_dirichlet.argtypes = [_n, _n, _n, _n, _p, _p, _p, _p]
 
@@ -199,7 +198,8 @@ def hsmm_forward_sample(loginit, logpibar, B, Bstar, logdur, logtail, cum, windo
 
 def fbpf_accumulate(logtrans_rows, theta_rows, var_chain, joint_idx, ybar):
     """Joint-state predictive ``logw`` of the factorial filter, one reading
-    per particle in the float64 (N,) array ``ybar``; see ``_pure``."""
+    per particle in the float64 (N,) array ``ybar``, shifted by its row max;
+    see ``_pure``."""
     logtrans_rows = _floats("logtrans_rows", logtrans_rows, 3)
     theta_rows = _floats("theta_rows", theta_rows, 3)
     var_chain = _floats("var_chain", var_chain, 1)
@@ -222,51 +222,30 @@ def fbpf_accumulate(logtrans_rows, theta_rows, var_chain, joint_idx, ybar):
     M = len(joint_idx)
     svar = float(var_chain.sum())
     logw = np.empty((N, M))
+    row_max = np.empty(N)
     scratch = np.empty(M)
     _lib.fbpf_accumulate(N, K, Jmax, _addr(Js, np.int64), M, _addr(logtrans_rows),
                          _addr(theta_rows), svar, float(np.log(2.0 * np.pi * svar)),
-                         _addr(ybar), _addr(logw), _addr(scratch))
-    return logw
+                         _addr(ybar), EXP_FLOOR, _addr(logw), _addr(row_max), _addr(scratch))
+    return logw, row_max
 
 
-def _in_place(name, a):
-    """``a`` itself, a writeable C-contiguous 2-d float64 array with at
-    least one column: the kernel writes into it."""
-    if (not isinstance(a, np.ndarray) or a.ndim != 2 or a.dtype != np.float64
-            or not a.flags.c_contiguous or not a.flags.writeable or a.shape[1] == 0):
-        raise ValueError(f"{name} is written in place: it must be a writeable "
-                         f"C-contiguous 2-d float64 array with columns")
-    return a
-
-
-def fbpf_shift(logw, lo):
-    """Row max and in-place shift of ``logw``, dropping the lanes below
-    ``lo``; see ``_pure``."""
-    logw = _in_place("logw", logw)
-    R, M = logw.shape
-    row_max = np.empty(R)
-    keep = np.empty((R, M), dtype=bool)
-    _lib.fbpf_shift(R, M, float(lo), _addr(logw), _addr(row_max), _addr(keep, np.bool_))
-    return row_max, keep
-
-
-def fbpf_total(pred, keep):
-    """Row sums of ``pred`` after zeroing, in place, the lanes that
-    ``fbpf_shift`` dropped; see ``_pure``."""
-    pred = _in_place("pred", pred)
-    keep = np.ascontiguousarray(keep)
-    if keep.dtype != np.bool_ or keep.shape != pred.shape:
-        raise ValueError(f"keep must be a {pred.shape} bool array, "
-                         f"got {keep.shape} {keep.dtype}")
+def fbpf_total(pred):
+    """Row sums of ``pred`` after zeroing its NaN lanes in place; see
+    ``_pure``."""
+    if (not isinstance(pred, np.ndarray) or pred.ndim != 2 or pred.dtype != np.float64
+            or not pred.flags.c_contiguous or not pred.flags.writeable or pred.shape[1] == 0):
+        raise ValueError("pred is written in place: it must be a writeable "
+                         "C-contiguous 2-d float64 array with columns")
     tot = np.empty(len(pred))
-    _lib.fbpf_total(*pred.shape, _addr(pred), _addr(keep, np.bool_), _addr(tot))
+    _lib.fbpf_total(*pred.shape, _addr(pred), _addr(tot))
     return tot
 
 
 def fbpf_advance(pred, tot, anc, u, joint_idx, theta, var_chain, ybar, z, states, transitions,
-                 trans_counts, emis_sums, emis_counts):
-    """Each resampled particle's joint-state draw, emission split and
-    statistics fold; see ``_pure``."""
+                 trans_counts, emis_sums, emis_counts, zt, prior_mean, prior_var, alpha, Js, H):
+    """Each resampled particle's joint-state draw, emission split,
+    statistics fold and conjugate posterior; see ``_pure``."""
     pred = _floats("pred", pred, 2)
     tot = _floats("tot", tot, 1)
     anc = _ints("anc", anc, 1)
@@ -279,6 +258,10 @@ def fbpf_advance(pred, tot, anc, u, joint_idx, theta, var_chain, ybar, z, states
     trans_counts = _floats("trans_counts", trans_counts, 4)
     emis_sums = _floats("emis_sums", emis_sums, 3)
     emis_counts = _floats("emis_counts", emis_counts, 3)
+    zt = _floats("zt", zt, 3)
+    prior_mean = _floats("prior_mean", prior_mean, 2)
+    prior_var = _floats("prior_var", prior_var, 2)
+    alpha = _floats("alpha", alpha, 3)
     joint_idx = _joint(joint_idx)
     rows, K, Jm = emis_sums.shape
     M, R = pred.shape[1], len(anc)
@@ -295,39 +278,7 @@ def fbpf_advance(pred, tot, anc, u, joint_idx, theta, var_chain, ybar, z, states
     _shape("states", states, (rows, K))
     _shape("trans_counts", trans_counts, (rows, K, Jm, Jm))
     _shape("emis_counts", emis_counts, (rows, K, Jm))
-    _indices("anc", anc, rows, "rows of pred and of the statistics")
-    _indices("joint_idx", joint_idx, Jm, "state lanes")
-    _indices("states", states, Jm, "state lanes")
-    new_states = np.empty((R, K), dtype=np.int64)
-    emis = np.empty((R, K))
-    tc = np.empty((R, K, Jm, Jm))
-    es = np.empty((R, K, Jm))
-    ec = np.empty((R, K, Jm))
-    _lib.fbpf_advance(R, M, K, Jm, _addr(pred), _addr(tot), _addr(anc, np.int64), _addr(u),
-                      _addr(joint_idx, np.int32), _addr(theta), _addr(var_chain), _addr(ybar),
-                      _addr(z), _addr(states, np.int64), int(bool(transitions)),
-                      _addr(trans_counts), _addr(emis_sums), _addr(emis_counts),
-                      _addr(new_states, np.int64), _addr(emis), _addr(tc), _addr(es),
-                      _addr(ec))
-    return new_states, emis, tc, es, ec
-
-
-def fbpf_posterior(z, emis_sums, emis_counts, trans_counts, var_chain, prior_mean,
-                   prior_var, alpha, Js, H):
-    """Posterior theta and the houses' Dirichlet concentrations; see ``_pure``."""
-    z = _floats("z", z, 3)
-    R, K, Jm = z.shape
-    emis_sums = _floats("emis_sums", emis_sums, 3)
-    emis_counts = _floats("emis_counts", emis_counts, 3)
-    trans_counts = _floats("trans_counts", trans_counts, 4)
-    var_chain = _floats("var_chain", var_chain, 1)
-    prior_mean = _floats("prior_mean", prior_mean, 2)
-    prior_var = _floats("prior_var", prior_var, 2)
-    alpha = _floats("alpha", alpha, 3)
-    for name, a in (("emis_sums", emis_sums), ("emis_counts", emis_counts)):
-        _shape(name, a, (R, K, Jm))
-    _shape("trans_counts", trans_counts, (R, K, Jm, Jm))
-    _shape("var_chain", var_chain, (K,))
+    _shape("zt", zt, (R, K, Jm))
     _shape("prior_mean", prior_mean, (K, Jm))
     _shape("prior_var", prior_var, (K, Jm))
     _shape("alpha", alpha, (K, Jm, Jm))
@@ -337,16 +288,27 @@ def fbpf_posterior(z, emis_sums, emis_counts, trans_counts, var_chain, prior_mea
         raise ValueError(f"Js must give {K} chains, got {len(Js)}")
     if H < 1 or R % H:
         raise ValueError(f"H must divide the {R} particles, got {H}")
-    # the prior's own quotients, as the pure kernel forms them
+    _indices("anc", anc, rows, "rows of pred and of the statistics")
+    _indices("joint_idx", joint_idx, Jm, "state lanes")
+    _indices("states", states, Jm, "state lanes")
+    # the prior's own quotients, as the pure posterior forms them
     inv_v0 = 1.0 / prior_var
     m0_v0 = prior_mean / prior_var
-    theta = np.empty((R, K, Jm))
+    new_states = np.empty((R, K), dtype=np.int64)
+    emis = np.empty((R, K))
+    tc = np.empty((R, K, Jm, Jm))
+    es = np.empty((R, K, Jm))
+    ec = np.empty((R, K, Jm))
+    theta_out = np.empty((R, K, Jm))
     conc = np.empty((H, R // H * int((Js * Js).sum())))
-    _lib.fbpf_posterior(H, R // H, K, Jm, _addr(Js, np.int64), _addr(var_chain),
-                        _addr(inv_v0), _addr(m0_v0), _addr(alpha), _addr(emis_sums),
-                        _addr(emis_counts), _addr(trans_counts), _addr(z), _addr(theta),
-                        _addr(conc))
-    return theta, conc
+    _lib.fbpf_advance(H, R // H, M, K, Jm, _addr(Js, np.int64), _addr(pred), _addr(tot),
+                      _addr(anc, np.int64), _addr(u), _addr(joint_idx, np.int32),
+                      _addr(theta), _addr(var_chain), _addr(ybar), _addr(z),
+                      _addr(states, np.int64), int(bool(transitions)), _addr(trans_counts),
+                      _addr(emis_sums), _addr(emis_counts), _addr(zt), _addr(inv_v0),
+                      _addr(m0_v0), _addr(alpha), _addr(new_states, np.int64), _addr(emis),
+                      _addr(tc), _addr(es), _addr(ec), _addr(theta_out), _addr(conc))
+    return new_states, emis, tc, es, ec, theta_out, conc
 
 
 def fbpf_dirichlet(gam, states, Js, N):

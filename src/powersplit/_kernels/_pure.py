@@ -1,12 +1,12 @@
 """Pure NumPy implementations of the kernels.
 
 The oracle for every compiled kernel in ``kernels.c``: ``hsmm_backward``,
-``hsmm_forward_sample``, ``fbpf_accumulate`` and the filter step's passes
-``fbpf_shift``, ``fbpf_total``, ``fbpf_advance``, ``fbpf_posterior`` and
-``fbpf_dirichlet``, which share these contracts;
-they are served from here when the library is not built or
+``hsmm_forward_sample`` and the filter step's passes ``fbpf_accumulate``,
+``fbpf_total``, ``fbpf_advance`` and ``fbpf_dirichlet``, which share these
+contracts; they are served from here when the library is not built or
 POWERSPLIT_PURE=1. ``systematic_counts`` has no compiled version and is
-always served from here.
+always served from here. ``conjugate_posterior`` is not a served kernel: the
+advance ends with it, and ``FactorialBpf`` draws its prior theta with it.
 
 The filter passes take particles stacked house after house, N to a house,
 and draw nothing: the step hands them its uniforms, normals and gammas.
@@ -19,6 +19,13 @@ import numpy as np
 from ..distributions import categorical_pick_logits, categorical_rows_pick, logsumexp_axis
 
 BACKEND = "pure"
+
+# predictive lanes this far below their row's maximum weigh under 1e-304 of
+# it: they cannot move a row total >= 1 and no uniform lands in them, so the
+# accumulate makes them NaN, whose exp NumPy takes at full speed, unlike the
+# exp of a deep negative, and ``fbpf_total`` zeroes them; ``_compiled``
+# holds the same constant
+EXP_FLOOR = -700.0
 
 
 def hsmm_backward(logtrans_bar, logdur, logtail, loglik, dmax):
@@ -106,9 +113,12 @@ def fbpf_accumulate(logtrans_rows, theta_rows, var_chain, joint_idx, ybar):
                     particles stacked from several houses carry their own
                     house's reading
 
-    Returns logw (N, M): the joint log transition rows plus the aggregate
-    Normal likelihood, with variance sum(var_chain), of each particle's
-    reading at the joint states' summed means.
+    Returns (logw, row_max). logw (N, M) holds the joint log transition
+    rows plus the aggregate Normal likelihood, with variance sum(var_chain),
+    of each particle's reading at the joint states' summed means, shifted by
+    its row's max, row_max (N,) as np.max has it (a NaN wins). Lanes not at
+    or above ``EXP_FLOOR`` after the shift (NaN included) are NaN, so a row
+    with no finite max is all NaN.
 
     The table is a full product, so the log rows and the summed means are
     broadcast outer sums of the K per-chain rows, added in chain order
@@ -134,39 +144,31 @@ def fbpf_accumulate(logtrans_rows, theta_rows, var_chain, joint_idx, ybar):
     means = outer_sum(theta_rows)
     svar = float(var_chain.sum())
     logw += -0.5 * (np.log(2.0 * np.pi * svar) + (ybar[:, None] - means) ** 2 / svar)
-    return logw
-
-
-def fbpf_shift(logw, lo):
-    """Shift each row of the (R, M) log weights ``logw`` by its max, in
-    place, and drop the lanes not at or above ``lo`` (NaN included): they
-    become 0, whose exp is cheap, until ``fbpf_total`` zeroes them after the
-    caller's exp. Returns (row_max, keep), keep the lanes not dropped."""
     row_max = logw.max(axis=1)
     with np.errstate(invalid="ignore"):
         logw -= row_max[:, None]
-        keep = logw >= lo
-    logw[~keep] = 0.0
-    return row_max, keep
+        logw[~(logw >= EXP_FLOOR)] = np.nan
+    return logw, row_max
 
 
-def fbpf_total(pred, keep):
-    """Zero the lanes of ``pred`` that ``fbpf_shift`` dropped, in place, and
-    return the row sums."""
-    pred[~keep] = 0.0
+def fbpf_total(pred):
+    """Zero the NaN lanes of ``pred``, the exp of the accumulate's shifted
+    ``logw``, in place, and return the row sums."""
+    pred[np.isnan(pred)] = 0.0
     return pred.sum(axis=1)
 
 
 def fbpf_advance(pred, tot, anc, u, joint_idx, theta, var_chain, ybar, z, states, transitions,
-                 trans_counts, emis_sums, emis_counts):
+                 trans_counts, emis_sums, emis_counts, zt, prior_mean, prior_var, alpha, Js, H):
     """Each resampled particle r, from its ancestor a = ``anc[r]``: the joint
     state picked with ``u[r]`` from predictive row a of ``pred`` over its
     total ``tot[a]`` (``distributions.categorical_rows_pick``), as a row of
     ``joint_idx``; the reading ``ybar[r]`` split across the chains at a's
-    ``theta`` means there; and a's statistics plus the transition from a's
+    ``theta`` means there; a's statistics plus the transition from a's
     ``states`` when ``transitions``, the emission and one count in each
-    chain's new state. Returns (new_states, emis, trans_counts, emis_sums,
-    emis_counts).
+    chain's new state; and ``conjugate_posterior`` of those statistics with
+    the theta normals ``zt``, over the H houses. Returns (new_states, emis,
+    trans_counts, emis_sums, emis_counts, theta, conc).
 
     The split's law is Normal with mean theta_k + s2_k (ybar - sum theta) / S
     and covariance diag(s2) - s2 s2^T / S, S = sum s2, s2 = ``var_chain``:
@@ -197,11 +199,13 @@ def fbpf_advance(pred, tot, anc, u, joint_idx, theta, var_chain, ybar, z, states
         tc.reshape(-1, Jm, Jm)[rows, states[anc].ravel(), new] += 1.0
     es.reshape(-1, Jm)[rows, new] += emis.ravel()
     ec.reshape(-1, Jm)[rows, new] += 1.0
-    return new_states, emis, tc, es, ec
+    theta, conc = conjugate_posterior(zt, es, ec, tc, var_chain, prior_mean, prior_var, alpha,
+                                      Js, H)
+    return new_states, emis, tc, es, ec, theta, conc
 
 
-def fbpf_posterior(z, emis_sums, emis_counts, trans_counts, var_chain, prior_mean,
-                   prior_var, alpha, Js, H):
+def conjugate_posterior(z, emis_sums, emis_counts, trans_counts, var_chain, prior_mean,
+                        prior_var, alpha, Js, H):
     """Each particle's conjugate posterior over its (R, K, Jmax) statistics.
 
     Returns (theta, conc): theta drawn with the standard normals ``z`` from
@@ -228,7 +232,7 @@ def fbpf_posterior(z, emis_sums, emis_counts, trans_counts, var_chain, prior_mea
 
 def fbpf_dirichlet(gam, states, Js, N):
     """The (H * N, K, Jmax) transition rows the next step reads, of the gamma
-    draws ``gam`` laid out as ``fbpf_posterior``'s concentrations: for each
+    draws ``gam`` laid out as the advance's concentrations: for each
     particle r and chain k, row ``states[r, k]`` of its J_k square block over
     its sum, and 1.0 in the padding lanes, whose log (0) is cheap and which
     no pass reads."""

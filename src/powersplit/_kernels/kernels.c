@@ -1,8 +1,8 @@
 /* Compiled kernels: the explicit-duration backward pass, the forward segment
- * draw over its messages, and the factorial filter's joint-state accumulate
- * and the deterministic passes of its step (shift, total, advance,
- * posterior, and the Dirichlet normalisation of the rows the next step
- * reads).
+ * draw over its messages, and the four deterministic passes of the
+ * factorial filter's step: the shifted joint-state predictive, its row
+ * totals, the advance of each particle through its conjugate posterior, and
+ * the Dirichlet normalisation of the rows the next step reads.
  *
  * Plain C99 with no Python or NumPy API. ``_compiled.py`` loads the library
  * with ctypes, checks every input and allocates every output and scratch
@@ -24,7 +24,6 @@
 
 #include <math.h>
 #include <stddef.h>
-#include <stdint.h>
 #include <string.h>
 
 /* exp(x) rounds to +0 below log(2^-1075) = -745.13 */
@@ -215,6 +214,10 @@ ptrdiff_t hsmm_forward_sample(ptrdiff_t T, ptrdiff_t J, ptrdiff_t window,
     return used;
 }
 
+/* The filter step's deterministic passes, ``_pure.fbpf_accumulate`` and
+ * the rest. Particles are stacked house after house, N to a house, R = H * N
+ * rows; chain k of a particle uses the first Js[k] of its Jmax lanes. */
+
 /* Joint-state predictive of the factorial filter, ``_pure.fbpf_accumulate``.
  *
  * rows and theta are (N, K, Jmax); chain k uses its first Js[k] entries. For
@@ -224,11 +227,17 @@ ptrdiff_t hsmm_forward_sample(ptrdiff_t T, ptrdiff_t J, ptrdiff_t window,
  * scratch s. The aggregate Normal likelihood of particle n's reading
  * ybar[n], log normaliser lognorm = log(2 pi svar), is then added with the
  * pure kernel's expression.
+ *
+ * The row, still in cache, is then shifted by its max, as np.max (a NaN
+ * wins), which goes to row_max[n]. Lanes whose shifted value is not >= lo
+ * (NaN included) become NaN, whose exp NumPy takes at full speed, unlike
+ * the exp of a deep negative; fbpf_total zeroes them. Four running maxima
+ * and a select keep the loops free of data-dependent branches.
  */
 void fbpf_accumulate(ptrdiff_t N, ptrdiff_t K, ptrdiff_t Jmax, const long long *Js,
                      ptrdiff_t M, const double *rows, const double *theta,
-                     double svar, double lognorm, const double *ybar,
-                     double *logw, double *s)
+                     double svar, double lognorm, const double *ybar, double lo,
+                     double *logw, double *row_max, double *s)
 {
     for (ptrdiff_t n = 0; n < N; n++) {
         const double *r = rows + n * K * Jmax, *th = theta + n * K * Jmax;
@@ -256,25 +265,7 @@ void fbpf_accumulate(ptrdiff_t N, ptrdiff_t K, ptrdiff_t Jmax, const long long *
             double d = ybar[n] - s[m];
             w[m] = w[m] + -0.5 * (lognorm + d * d / svar);
         }
-    }
-}
 
-/* The filter step's deterministic passes, ``_pure.fbpf_shift`` and the
- * rest. Particles are stacked house after house, N to a house, R = H * N
- * rows; chain k of a particle uses the first Js[k] of its Jmax lanes. */
-
-/* Row max, as np.max (a NaN wins), into row_max; each of the R rows of M
- * log weights is shifted by it in place. Lanes whose shifted value is not
- * >= lo (NaN included) are dropped: keep = 0 and the lane becomes 0, whose
- * exp NumPy takes at full speed, unlike the exp of a deep negative. The
- * other lanes keep = 1. Four running maxima and a bit-mask select keep
- * the loops free of data-dependent branches. */
-void fbpf_shift(ptrdiff_t R, ptrdiff_t M, double lo, double *logw,
-                double *row_max, unsigned char *keep)
-{
-    for (ptrdiff_t r = 0; r < R; r++) {
-        double *restrict w = logw + r * M;
-        unsigned char *restrict kp = keep + r * M;
         double a[4] = {w[0], w[0], w[0], w[0]};
         int nan = 0;
         ptrdiff_t i = 0;
@@ -287,58 +278,61 @@ void fbpf_shift(ptrdiff_t R, ptrdiff_t M, double lo, double *logw,
             a[0] = w[i] > a[0] ? w[i] : a[0];
             nan |= w[i] != w[i];
         }
-        double m = a[0] > a[1] ? a[0] : a[1], m2 = a[2] > a[3] ? a[2] : a[3];
-        m = nan ? NAN : m > m2 ? m : m2;
-        row_max[r] = m;
+        double mx = a[0] > a[1] ? a[0] : a[1], m2 = a[2] > a[3] ? a[2] : a[3];
+        mx = nan ? NAN : mx > m2 ? mx : m2;
+        row_max[n] = mx;
         for (i = 0; i < M; i++) {
-            double d = w[i] - m;
-            uint64_t bits, k = d >= lo;
-            memcpy(&bits, &d, sizeof bits);
-            bits &= -k;  /* +0.0 where dropped */
-            kp[i] = (unsigned char)k;
-            memcpy(w + i, &bits, sizeof bits);
+            double d = w[i] - mx;
+            w[i] = d >= lo ? d : NAN;
         }
     }
 }
 
-/* Sets the lanes of pred (R, M) that fbpf_shift dropped (keep = 0) back to
- * 0 and writes each row's pairwise sum, as np.sum, to tot. */
-void fbpf_total(ptrdiff_t R, ptrdiff_t M, double *pred, const unsigned char *keep,
-                double *tot)
+/* Sets the NaN lanes of pred (R, M), the exp of fbpf_accumulate's dropped
+ * lanes, to 0 and writes each row's pairwise sum, as np.sum, to tot. */
+void fbpf_total(ptrdiff_t R, ptrdiff_t M, double *pred, double *tot)
 {
     for (ptrdiff_t r = 0; r < R; r++) {
         double *restrict p = pred + r * M;
-        const unsigned char *restrict kp = keep + r * M;
-        for (ptrdiff_t i = 0; i < M; i++) {
-            uint64_t bits, k = kp[i] != 0;
-            memcpy(&bits, p + i, sizeof bits);
-            bits &= -k;
-            memcpy(p + i, &bits, sizeof bits);
-        }
+        for (ptrdiff_t i = 0; i < M; i++)
+            p[i] = p[i] == p[i] ? p[i] : 0.0;
         tot[r] = pairwise_sum(p, M);
     }
 }
 
-/* Row r of the new particles advances from ancestor a = anc[r], as
- * ``_pure.fbpf_advance``. It draws its joint state from predictive row a of
- * pred (rows x M) over tot[a], the count of lanes whose running sum lies
+/* Row r of the R = H * N new particles advances from ancestor a = anc[r],
+ * as ``_pure.fbpf_advance``. It draws its joint state from predictive row a
+ * of pred (rows x M) over tot[a], the count of lanes whose running sum lies
  * below u[r] clamped to M - 1, and writes that row of the (M, K) table joint
  * to states (R, K). It splits ybar[r] across the chains at a's means there
  * with the normals z (R, K): g_k = sqrt(s2[k]) z[r, k] goes to emis first.
  * The means add in chain order from chain 0, as fbpf_accumulate builds them.
  * It writes a's statistics tc, es and ec plus the step's increments, the
- * transition old[a, k] -> states[r, k] only when transitions is nonzero. */
-void fbpf_advance(ptrdiff_t R, ptrdiff_t M, ptrdiff_t K, ptrdiff_t Jmax,
-                  const double *pred, const double *tot, const long long *anc,
-                  const double *u, const int *joint, const double *theta,
-                  const double *s2, const double *ybar, const double *z,
+ * transition old[a, k] -> states[r, k] only when transitions is nonzero.
+ *
+ * Its conjugate posterior, ``_pure.conjugate_posterior``, follows from the
+ * new statistics while they are in cache. Lane (k, j), q = k * Jmax + j:
+ * variance pv = 1 / (ec / s2[k] + inv_v0[q]), mean (es / s2[k] + m0_v0[q])
+ * times pv, and theta_out = zt * sqrt(pv) + mean for the standard normal
+ * zt, in every one of the Jmax lanes; inv_v0 and m0_v0 are NumPy's 1 / v0
+ * and m0 / v0 of the prior. conc holds H rows of N * sum Js[k]^2: house h's
+ * chain blocks (N, Js[k], Js[k]) of alpha[k] + tc, one after the other in
+ * chain order. */
+void fbpf_advance(ptrdiff_t H, ptrdiff_t N, ptrdiff_t M, ptrdiff_t K, ptrdiff_t Jmax,
+                  const long long *Js, const double *pred, const double *tot,
+                  const long long *anc, const double *u, const int *joint,
+                  const double *theta, const double *s2, const double *ybar, const double *z,
                   const long long *old, int transitions, const double *tc,
-                  const double *es, const double *ec, long long *states, double *emis,
-                  double *tc_out, double *es_out, double *ec_out)
+                  const double *es, const double *ec, const double *zt,
+                  const double *inv_v0, const double *m0_v0, const double *alpha,
+                  long long *states, double *emis, double *tc_out, double *es_out,
+                  double *ec_out, double *theta_out, double *conc)
 {
-    ptrdiff_t sq = K * Jmax * Jmax, ln = K * Jmax;
+    ptrdiff_t sq = K * Jmax * Jmax, ln = K * Jmax, C = 0;
     double S = pairwise_sum(s2, K);
-    for (ptrdiff_t r = 0; r < R; r++) {
+    for (ptrdiff_t k = 0; k < K; k++)
+        C += N * (ptrdiff_t)(Js[k] * Js[k]);
+    for (ptrdiff_t r = 0; r < H * N; r++) {
         long long a = anc[r];
         const double *p = pred + a * M;
         double t = tot[a], c = 0.0;
@@ -375,44 +369,30 @@ void fbpf_advance(ptrdiff_t R, ptrdiff_t M, ptrdiff_t K, ptrdiff_t Jmax,
             sr[k * Jmax + j] += e[k];
             cr[k * Jmax + j] += 1.0;
         }
+
+        const double *zr = zt + r * ln;
+        double *th_out = theta_out + r * ln;
+        for (ptrdiff_t k = 0; k < K; k++)
+            for (ptrdiff_t j = 0; j < Jmax; j++) {
+                ptrdiff_t lane = k * Jmax + j;
+                double pv = 1.0 / (cr[lane] / s2[k] + inv_v0[lane]);
+                double pm = (sr[lane] / s2[k] + m0_v0[lane]) * pv;
+                th_out[lane] = zr[lane] * sqrt(pv) + pm;
+            }
+        double *block = conc + (r / N) * C;  /* chain 0's block of house r / N */
+        for (ptrdiff_t k = 0; k < K; k++) {
+            ptrdiff_t J = (ptrdiff_t)Js[k];
+            const double *al = alpha + k * Jmax * Jmax, *tk = tr + k * Jmax * Jmax;
+            double *out = block + (r % N) * J * J;
+            for (ptrdiff_t i = 0; i < J; i++)
+                for (ptrdiff_t j = 0; j < J; j++)
+                    out[i * J + j] = al[i * Jmax + j] + tk[i * Jmax + j];
+            block += N * J * J;
+        }
     }
 }
 
-/* Each particle's conjugate posterior, ``_pure.fbpf_posterior``. Lane
- * (k, j) of row r, q = k * Jmax + j: variance pv = 1 / (ec / s2[k] +
- * inv_v0[q]), mean (es / s2[k] + m0_v0[q]) * pv, and theta = z * sqrt(pv) +
- * mean for the standard normal z, in every one of the Jmax lanes; inv_v0
- * and m0_v0 are NumPy's 1 / v0 and m0 / v0 of the prior. conc holds H rows
- * of C = N * sum Js[k]^2: house h's chain blocks (N, Js[k], Js[k]) of
- * alpha[k] + tc, one after the other in chain order. */
-void fbpf_posterior(ptrdiff_t H, ptrdiff_t N, ptrdiff_t K, ptrdiff_t Jmax,
-                    const long long *Js, const double *s2, const double *inv_v0,
-                    const double *m0_v0, const double *alpha, const double *es,
-                    const double *ec, const double *tc, const double *z,
-                    double *theta, double *conc)
-{
-    ptrdiff_t ln = K * Jmax, sq = K * Jmax * Jmax;
-    for (ptrdiff_t r = 0; r < H * N; r++)
-        for (ptrdiff_t k = 0; k < K; k++)
-            for (ptrdiff_t j = 0; j < Jmax; j++) {
-                ptrdiff_t q = k * Jmax + j, x = r * ln + q;
-                double pv = 1.0 / (ec[x] / s2[k] + inv_v0[q]);
-                double pm = (es[x] / s2[k] + m0_v0[q]) * pv;
-                theta[x] = z[x] * sqrt(pv) + pm;
-            }
-    for (ptrdiff_t h = 0; h < H; h++)
-        for (ptrdiff_t k = 0; k < K; k++) {
-            ptrdiff_t J = (ptrdiff_t)Js[k];
-            for (ptrdiff_t n = 0; n < N; n++) {
-                const double *t = tc + (h * N + n) * sq + k * Jmax * Jmax;
-                for (ptrdiff_t i = 0; i < J; i++)
-                    for (ptrdiff_t j = 0; j < J; j++)
-                        *conc++ = alpha[(k * Jmax + i) * Jmax + j] + t[i * Jmax + j];
-            }
-        }
-}
-
-/* The gamma draws gam, laid out as fbpf_posterior's conc, normalised into
+/* The gamma draws gam, laid out as fbpf_advance's conc, normalised into
  * the transition rows the next step reads: row (r, k) of rows (H * N, K,
  * Jmax) is row states[r, k] of particle r's J = Js[k] square block of chain
  * k, divided by its pairwise sum, and 1.0 in the padding lanes j >= J, whose

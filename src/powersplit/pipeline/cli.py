@@ -115,6 +115,10 @@ def synth(config_path, seed, bundle_path, out, states_out):
     """Generate a synthetic house trace."""
     cfg = _config(config_path, seed=seed)
     bundle = _bundle(bundle_path, cfg)
+    for dev in bundle.devices:  # the filter takes one-state chains; simulation does not
+        if dev.n_states < 2:
+            raise click.BadParameter(f"{bundle_path}: device {dev.name!r} has one state; segment "
+                                     "simulation needs at least two", param_hint="--bundle")
     rng = stream(cfg.seed, "synth")
     house = synth_generate(bundle, cfg.horizon, rng,
                            meter_noise_var=cfg.meter_noise_var)

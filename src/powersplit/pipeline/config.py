@@ -26,23 +26,38 @@ class DeviceConfig:
     n_states: int = 2
     sigma2: float = 100.0
 
+    def __post_init__(self):
+        _check_floors(self, _DEVICE_LEAST, positive=("sigma2",))
+
 
 # each numeric setting's smallest workable value: a weak limit of one state
 # leaves no transition row any off-diagonal mass, training keeps the path of
-# its last sweep, and a noise variance is never negative
+# its last sweep, a noise variance is never negative, and a device's segment
+# model needs two states to move between
 _LEAST = {"particles": 1, "weak_limit": 2, "sweeps": 1, "burn_in": 0, "horizon": 1,
           "meter_noise_var": 0}
 _CONTROL_LEAST = {"n_loads": 1, "n_houses": 1, "steps": 1, "period": 1, "transient": 0,
                   "hook_particles": 1, "meter_noise_var": 0}
+_DEVICE_LEAST = {"n_states": 2}
 
 
-def _check_floors(cfg, least: dict) -> None:
+def _check_floors(cfg, least: dict, positive=(), finite=()) -> None:
     """Every way of making a config, a file or a command-line override
-    through ``dataclasses.replace``, passes here; NaN fails too."""
+    through ``dataclasses.replace``, passes here; NaN fails too. The
+    ``positive`` fields must also lie above 0 and be finite, and the
+    ``finite`` ones be finite."""
     for key, floor in least.items():
         value = getattr(cfg, key)
         if not value >= floor:
             raise ValueError(f"field {key!r} must be >= {floor}, got {value!r}")
+    for key in positive:
+        value = getattr(cfg, key)
+        if not 0.0 < value < np.inf:
+            raise ValueError(f"field {key!r} must be positive and finite, got {value!r}")
+    for key in finite:
+        value = getattr(cfg, key)
+        if not abs(value) < np.inf:
+            raise ValueError(f"field {key!r} must be finite, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -58,7 +73,7 @@ class ControlConfig:
     meter_noise_var: float = 1.0
 
     def __post_init__(self):
-        _check_floors(self, _CONTROL_LEAST)
+        _check_floors(self, _CONTROL_LEAST, finite=("amplitude_frac",))
 
 
 _DEFAULT_DEVICES = (
@@ -145,7 +160,10 @@ def load_config(path_or_doc) -> RunConfig:
         devs = []
         for i, d in enumerate(doc["devices"]):
             _check_keys(d, _DEVICE_SCHEMA, f"devices[{i}]", required=("name",))
-            devs.append(DeviceConfig(**d))
+            try:
+                devs.append(DeviceConfig(**d))
+            except ValueError as exc:
+                raise ValueError(f"devices[{i}]: {exc}") from None
         kwargs["devices"] = tuple(devs)
     if "control" in doc:
         _check_keys(doc["control"], _CONTROL_SCHEMA, "control")

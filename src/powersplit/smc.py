@@ -13,10 +13,11 @@ an (N, M, K) gather.
 A filter serves one house, or a bank of houses that share priors and
 particle count, stepped in one pass over their stacked particles. Each
 house draws a step's randoms from its own generator, with one call per
-kind, and the deterministic work between the draws runs in the
-``_kernels`` passes (accumulate, shift, total, advance, posterior,
-Dirichlet rows), which are compiled on the native backend and
-bit-identical to their NumPy twins; every exp and log stays in NumPy.
+kind, and the deterministic work between the draws runs in four
+``_kernels`` passes (the shifted predictive, its totals, the advance of
+each particle through its conjugate posterior, the Dirichlet rows), which
+are compiled on the native backend and bit-identical to their NumPy twins;
+every exp and log stays in NumPy.
 
 Per-step cost is fixed: sufficient statistics replace the path, so nothing
 grows with the stream length. With the exact joint conditional as the
@@ -36,11 +37,10 @@ from ._kernels import (
     fbpf_accumulate,
     fbpf_advance,
     fbpf_dirichlet,
-    fbpf_posterior,
-    fbpf_shift,
     fbpf_total,
     systematic_counts,
 )
+from ._kernels._pure import conjugate_posterior
 from .distributions import NormalPrior
 # bound here, though the step draws through ``fbpf_advance``, because the
 # benchmark's tracer patches ``smc.categorical_rows_sample``
@@ -102,11 +102,6 @@ def joint_state_table(Js: tuple[int, ...]) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # the streaming filter object (vectorized over particles and houses)
 # ---------------------------------------------------------------------------
-
-# predictive lanes this far below their row's maximum weigh under 1e-304 of
-# it: they cannot move a row total >= 1 and no uniform lands in them, so the
-# step sets them to 0 instead of taking numpy's slow exp of deep negatives
-EXP_FLOOR = -700.0
 
 
 class FactorialBpf:
@@ -177,12 +172,15 @@ class FactorialBpf:
 
         # theta from the prior, each house drawing its normals, then its
         # gammas; the first step moves from the uniform rows, and the
-        # prior's row draw only keeps each step's draws in place
+        # prior's gamma draws only keep each step's draws in place
         z = np.empty((H, N, K, Jm))
         for h, g in enumerate(self.rngs):
             g.standard_normal(out=z[h])
-        self.theta, _ = self._refresh(self.emis_sums, self.emis_counts, self.trans_counts,
-                                      self.states, z.reshape(H * N, K, Jm))
+        self.theta, conc = conjugate_posterior(
+            z.reshape(H * N, K, Jm), self.emis_sums, self.emis_counts, self.trans_counts,
+            self.var_chain, self.prior_mean, self.prior_var, self.alpha, self.Js, H)
+        for h, g in enumerate(self.rngs):
+            g.standard_gamma(conc[h])
         self.rows = np.ones((H * N, K, Jm))
         for k, J in enumerate(self.Js):
             self.rows[:, k, :J] = 1.0 / J
@@ -203,44 +201,28 @@ class FactorialBpf:
         view.log_evidence = float(np.reshape(self.log_evidence, -1)[h])
         return view
 
-    def _refresh(self, emis_sums, emis_counts, trans_counts, states, z):
-        """(theta, rows) drawn from each particle's conjugate posterior:
-        theta from the pre-drawn standard normals ``z``; the transition
-        matrices from one ``standard_gamma`` call per house, over all of the
-        house's chain blocks, of which ``rows`` keeps the rows out of
-        ``states``."""
-        theta, conc = fbpf_posterior(z, emis_sums, emis_counts, trans_counts, self.var_chain,
-                                     self.prior_mean, self.prior_var, self.alpha, self.Js,
-                                     self.H)
-        gam = np.empty_like(conc)
-        for h, g in enumerate(self.rngs):
-            g.standard_gamma(conc[h], out=gam[h])
-        return theta, fbpf_dirichlet(gam, states, self.Js, self.N)
-
     def step(self, ybar) -> None:
         """Consume one aggregate reading per house: a scalar for a lone
         house, H readings for a bank.
 
-        One pass over the H*N particles computes the joint predictive from
-        the outer sums of ``fbpf_accumulate``, each house's normalisation
-        and log-evidence and resample, then ``fbpf_advance``'s propagation,
-        imputation and statistics fold, and the parameter refresh. Every
-        draw stays per house, from that house's generator and in a lone
-        house's order, with one call per kind: ``random(N + 1)``, the
+        Four passes over the H*N particles: ``fbpf_accumulate``, the joint
+        predictive shifted by its row max; after NumPy's exp, ``fbpf_total``,
+        whose row totals give each house's log-evidence and resample weights;
+        ``fbpf_advance``, which moves each resampled particle from its
+        ancestor's predictive row, imputes its emissions, folds its
+        statistics and draws theta from their conjugate posterior; and
+        ``fbpf_dirichlet``, the rows out of the new states of one
+        ``standard_gamma`` call per house over all of its chain blocks.
+        Every draw stays per house, from that house's generator and in a
+        lone house's order, with one call per kind: ``random(N + 1)``, the
         systematic uniform then the categorical ones;
         ``standard_normal(N*K + N*K*Jmax)``, the emission normals then the
-        theta ones; then ``standard_gamma`` over all of the house's chain
-        blocks. A generator method draws element by element and keeps no
-        state between calls, so these are the bits that one call per draw
-        would give, and each house ends byte-identical to filtering it
-        alone.
-
-        The resample copies only the statistics: ``rows`` and ``theta`` are
-        redrawn from them at the end of the step, ``rows`` out of the new
-        states, so the advance reads the ancestors' predictive rows and means
-        through the ancestor indices. Raises ``DegenerateWeightsError``,
-        leaving every house and generator as they were, when all of some
-        house's predictive weights vanish.
+        theta ones; then the gammas. A generator method draws element by
+        element and keeps no state between calls, so these are the bits that
+        one call per draw would give, and each house ends byte-identical to
+        filtering it alone. Raises ``DegenerateWeightsError``, leaving every
+        house and generator as they were, when all of some house's
+        predictive weights vanish.
         """
         if self.rngs is None:
             raise TypeError("a house view does not step: step the filter it reads")
@@ -251,9 +233,8 @@ class FactorialBpf:
             raise ValueError(f"need one reading per house, shape {want}, got {y.shape}")
         ybar = np.repeat(y.reshape(H), N)
 
-        logw = fbpf_accumulate(np.log(self.rows), self.theta, self.var_chain, self.joint_idx,
-                               ybar)
-        row_max, keep = fbpf_shift(logw, EXP_FLOOR)
+        logw, row_max = fbpf_accumulate(np.log(self.rows), self.theta, self.var_chain,
+                                        self.joint_idx, ybar)
         live = np.isfinite(row_max)
         dead = np.flatnonzero(~live.reshape(H, N).any(axis=1))
         if len(dead):
@@ -261,9 +242,9 @@ class FactorialBpf:
                 f"all joint predictive weights are zero (houses {dead.tolist()})")
 
         # first stage: predictive weights, then each house's systematic resample
-        pred = logw  # shifted and exponentiated in place
+        pred = logw  # exponentiated in place
         np.exp(pred, out=pred)
-        row_tot = fbpf_total(pred, keep)
+        row_tot = fbpf_total(pred)
         with np.errstate(divide="ignore"):
             logpred = np.where(live, row_max + np.log(row_tot), -np.inf).reshape(H, N)
         mx = logpred.max(axis=1)  # finite: every house has a finite row_max
@@ -279,15 +260,19 @@ class FactorialBpf:
             [systematic_counts(w[h], u[h, 0] / N) for h in range(H)]))
 
         # joint propagation through the exact conditional, emissions that sum
-        # to the aggregate, and the statistics they update
-        new_states, emis, trans_counts, emis_sums, emis_counts = fbpf_advance(
+        # to the aggregate, the statistics they update and theta from them
+        new_states, emis, trans_counts, emis_sums, emis_counts, theta, conc = fbpf_advance(
             pred, row_tot, idx, u[:, 1:].reshape(-1), self.joint_idx, self.theta,
             self.var_chain, ybar, z[:, :N * K].reshape(H * N, K), self.states, self.n > 0,
-            self.trans_counts, self.emis_sums, self.emis_counts)
+            self.trans_counts, self.emis_sums, self.emis_counts,
+            z[:, N * K:].reshape(H * N, K, Jm), self.prior_mean, self.prior_var, self.alpha,
+            self.Js, H)
 
-        del logw, pred, keep  # the (H*N, M) arrays, before the refresh allocates
-        self.theta, self.rows = self._refresh(emis_sums, emis_counts, trans_counts, new_states,
-                                              z[:, N * K:].reshape(H * N, K, Jm))
+        del logw, pred  # the (H*N, M) array, before the gamma draws allocate
+        gam = np.empty_like(conc)
+        for h, g in enumerate(self.rngs):
+            g.standard_gamma(conc[h], out=gam[h])
+        self.theta, self.rows = theta, fbpf_dirichlet(gam, new_states, self.Js, N)
         self.states, self.emis = new_states, emis
         self.trans_counts, self.emis_sums, self.emis_counts = trans_counts, emis_sums, emis_counts
         self.weights = np.full(H * N, 1.0 / N)

@@ -1,18 +1,20 @@
 """Reference pieces shared by the kernel and filter tests.
 
 ``fbpf_accumulate_gather_reference`` is the factorial accumulate written as a
-direct (N, M, K) gather through the joint-state table; the shipped outer-sum
-kernel must match it bit for bit on product tables. Importing this module
-builds nothing and has no side effects.
+direct (N, M, K) gather through the joint-state table, then shifted by its
+row max; the shipped outer-sum kernel must match it bit for bit on product
+tables. Importing this module builds nothing and has no side effects.
 """
 
 import numpy as np
 
+from powersplit._kernels._pure import EXP_FLOOR
 
-def fbpf_accumulate_gather_reference(logtrans_rows, theta_rows, var_chain, joint_idx, ybar):
-    """The factorial accumulate's ``logw`` as an (N, M, K) gather through
-    any joint table, summed over chains; ``ybar`` holds one reading per
-    particle."""
+
+def joint_predictive_gather(logtrans_rows, theta_rows, var_chain, joint_idx, ybar):
+    """The unshifted joint log predictive (N, M) as an (N, M, K) gather
+    through any joint table, summed over chains; ``ybar`` holds one reading
+    per particle."""
     N, K, _ = logtrans_rows.shape
     n_idx = np.arange(N)[:, None, None]
     k_idx = np.arange(K)[None, None, :]
@@ -24,6 +26,16 @@ def fbpf_accumulate_gather_reference(logtrans_rows, theta_rows, var_chain, joint
     svar = float(var_chain.sum())
     logw += -0.5 * (np.log(2.0 * np.pi * svar) + (ybar[:, None] - sumtheta) ** 2 / svar)
     return logw
+
+
+def fbpf_accumulate_gather_reference(logtrans_rows, theta_rows, var_chain, joint_idx, ybar):
+    """The accumulate's (logw, row_max): the gathered predictive less its
+    row max, NaN in the lanes not at or above ``EXP_FLOOR``."""
+    logw = joint_predictive_gather(logtrans_rows, theta_rows, var_chain, joint_idx, ybar)
+    row_max = np.max(logw, axis=1)
+    with np.errstate(invalid="ignore"):
+        shifted = logw - row_max[:, None]
+    return np.where(shifted >= EXP_FLOOR, shifted, np.nan), row_max
 
 
 def random_rows(rng, N, Js, p_inf=0.0):

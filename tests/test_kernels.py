@@ -6,13 +6,15 @@ which reads one aggregate reading per particle, is checked bit for bit
 against a direct gather through the joint-state table, on both backends.
 The filter step's passes, every ``fbpf_*`` name the package serves, must
 equal their pure twins bit for bit, sign bits included, on arguments
-captured from batched filter runs, and the advance also on edge rows. The compiled
+captured from batched filter runs, the accumulate and total also on dead
+rows and a NaN reading, and the advance also on edge rows. The compiled
 forward segment draw must walk the same segments, and read the same number
 of uniforms, as the pure one on inputs captured from a training fit and on
 edge cases.
 
 The compiled backward pass must equal a scalar reference in its own order
-bit for bit, and ``kernels.c`` must compile cleanly under strict warnings.
+bit for bit, and ``kernels.c`` must compile cleanly under strict warnings
+and define no function that ``_compiled.py`` does not declare.
 
 The compiled kernels come from the ``compiled_kernels`` fixture: the tree's
 own library when it is built, else one ``setup.py`` builds into a temporary
@@ -22,6 +24,7 @@ directory. When that build fails, the equivalence tests fail.
 import ast
 import gc
 import importlib.util
+import re
 import shlex
 import shutil
 import subprocess
@@ -31,7 +34,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from fbpf_reference import fbpf_accumulate_gather_reference, random_rows
+from fbpf_reference import (
+    fbpf_accumulate_gather_reference,
+    joint_predictive_gather,
+    random_rows,
+)
 from hsmm_reference import hsmm_backward_scalar_reference
 from hypothesis import example, given, settings, strategies as st
 from kernel_build import LOADER, ROOT, build_compiled
@@ -90,7 +97,8 @@ def test_backend_flag_is_exposed():
 
 def test_backends_export_the_same_kernels(compiled_kernels):
     # every compiled kernel has its pure twin, and the package serves each
-    # from the backend it selected; systematic_counts is pure everywhere
+    # from the backend it selected; systematic_counts is pure everywhere, and
+    # the conjugate posterior is the pure advance's last stage, not a kernel
     def kernels(module):
         return {name for name, obj in vars(module).items()
                 if callable(obj) and getattr(obj, "__module__", None) == module.__name__
@@ -98,7 +106,7 @@ def test_backends_export_the_same_kernels(compiled_kernels):
 
     served = set(_kernels.__all__) - {"BACKEND"}
     assert kernels(compiled_kernels) == served - {"systematic_counts"}
-    assert kernels(_pure) == served
+    assert kernels(_pure) == served | {"conjugate_posterior"}
     for name in served:
         assert getattr(_kernels, name).__module__.endswith(("._pure", "._compiled"))
 
@@ -241,8 +249,9 @@ def test_fbpf_accumulate_agrees_across_backends(compiled_kernels):
         ybar = np.repeat(rng.normal(250.0, 300.0, 5), 10)
         out_p = _pure.fbpf_accumulate(rows, theta, var, joint, ybar)
         out_n = compiled_kernels.fbpf_accumulate(rows, theta, var, joint, ybar)
-        assert np.all(out_p[:10] == -np.inf)
-        assert np.array_equal(out_p, out_n)
+        assert np.all(out_p[1][:10] == -np.inf) and np.isnan(out_p[0][:10]).all()
+        for a, b in zip(out_p, out_n, strict=True):
+            assert np.array_equal(a, b, equal_nan=True)
 
 
 def test_fbpf_gather_reference_reads_one_reading_per_particle():
@@ -254,7 +263,7 @@ def test_fbpf_gather_reference_reads_one_reading_per_particle():
     for N in (6, 9):
         rows, theta, var = random_rows(rng, N, Js)
         ybar = rng.normal(200.0, 100.0, N)
-        logw = fbpf_accumulate_gather_reference(rows, theta, var, joint, ybar)
+        logw = joint_predictive_gather(rows, theta, var, joint, ybar)
         sd = np.sqrt(var.sum())
         for n in range(N):
             for m, (a, b) in enumerate(joint):
@@ -274,7 +283,8 @@ def test_fbpf_accumulate_outer_sum_matches_gather(backend, Js, N, p_inf, seed):
     ybar = rng.normal(300.0, 400.0, N)
     got = backend.fbpf_accumulate(rows, theta, var, joint, ybar)
     want = fbpf_accumulate_gather_reference(rows, theta, var, joint, ybar)
-    assert np.array_equal(got, want)
+    for a, b in zip(got, want, strict=True):
+        assert np.array_equal(a, b, equal_nan=True)
 
 
 def test_fbpf_accumulate_rejects_non_product_table(compiled_kernels):
@@ -302,7 +312,7 @@ def captured_step_calls(monkeypatch, Js, H=3, N=40, steps=4):
     """(pass, arguments) of every step pass in a bank of H houses with
     chains of Js states, the first step (n == 0) included. The third
     reading sits far above every joint mean, so many predictive lanes drop
-    below ``smc.EXP_FLOOR``."""
+    below ``EXP_FLOOR``."""
     priors = [ChainPrior(np.full((J, J), 1.5) + 4.0 * np.eye(J),
                          tuple(NormalPrior(100.0 * j, 400.0) for j in range(J)), 30.0 + 10.0 * k)
               for k, J in enumerate(Js)]
@@ -325,7 +335,7 @@ def captured_step_calls(monkeypatch, Js, H=3, N=40, steps=4):
 
 def assert_pass_matches_pure(compiled_kernels, name, args):
     """The pass on both backends: equal outputs, and equal arguments after
-    the call, as the shift and the total write in place."""
+    the call, as the total writes in place."""
     pure_args, native_args = _copies(args), _copies(args)
     want = getattr(_pure, name)(*pure_args)
     got = getattr(compiled_kernels, name)(*native_args)
@@ -348,32 +358,41 @@ def test_filter_step_passes_match_pure_on_captured_steps(monkeypatch, compiled_k
     dropped = 0
     for name, args in calls:
         assert_pass_matches_pure(compiled_kernels, name, args)
-        if name == "fbpf_shift":
-            dropped += int((~_pure.fbpf_shift(*_copies(args))[1]).sum())
+        if name == "fbpf_accumulate":
+            dropped += int(np.isnan(_pure.fbpf_accumulate(*args)[0]).sum())
     assert dropped > 0  # lanes below EXP_FLOOR were exercised
     firsts = [args[10] for name, args in calls if name == "fbpf_advance"]
     assert firsts[0] is False and firsts[1] is True  # n == 0, then transitions
 
 
 def test_shift_and_total_match_pure_on_dead_rows_and_nan(compiled_kernels):
+    # the accumulate's row-max shift and the total after NumPy's exp, on
+    # rows built through the accumulate's inputs: chains of 3 and 4 states
     rng = np.random.default_rng(14)
-    R, M = 30, 12
-    logw = rng.normal(-300.0, 400.0, (R, M))
-    logw[:4] = -np.inf           # a dead row in every sense
-    logw[4:8, ::3] = -np.inf     # some lanes vanish
-    logw[8, 5] = np.nan          # NaN wins the max, as np.max has it
-    logw[9, 0] = np.nan
-    logw[10] = -800.0            # a finite row far below the rest
-    logw[11, 2] = 0.0            # ties at the max
-    logw[11, 7] = 0.0
-    logw[12:16] = np.linspace(-702.0, 0.0, M)  # lanes straddling EXP_FLOOR
-    args = [logw, smc.EXP_FLOOR]
-    assert_pass_matches_pure(compiled_kernels, "fbpf_shift", args)
-    pred = logw.copy()
-    _, keep = _pure.fbpf_shift(pred, smc.EXP_FLOOR)
-    assert not keep[:4].any() and not keep[8].any() and keep[12, -1] and not keep[12, 0]
-    np.exp(pred, out=pred)
-    assert_pass_matches_pure(compiled_kernels, "fbpf_total", [pred, keep])
+    Js, R = (3, 4), 30
+    rows, theta, var = random_rows(rng, R, Js, p_inf=0.2)
+    ybar = rng.normal(300.0, 200.0, R)
+    rows[:4] = -np.inf            # a dead row in every sense
+    rows[4:8, 1, ::2] = -np.inf   # some lanes vanish
+    ybar[8] = np.nan              # NaN wins the max, as np.max has it
+    theta[9, 0, 1] = np.nan       # in a third of the lanes
+    ybar[10] = 1e5                # a finite row far below the rest
+    rows[11], theta[11] = np.log(0.25), 50.0  # every lane ties at the max
+    # lanes straddling EXP_FLOOR: a chain-1 lane 0, 234, 468 and 702 below
+    # the best at each chain-0 state, the three chain-0 states alike
+    var[:] = 0.5
+    rows[12:16], ybar[12:16] = np.log(0.25), 0.0
+    theta[12:16, 0] = 0.0
+    theta[12:16, 1] = np.sqrt(2.0 * np.linspace(0.0, 702.0, 4))
+    args = [rows, theta, var, joint_state_table(Js), ybar]
+    assert_pass_matches_pure(compiled_kernels, "fbpf_accumulate", args)
+    logw, row_max = _pure.fbpf_accumulate(*args)
+    assert (row_max[:4] == -np.inf).all() and np.isnan(row_max[8:10]).all()
+    assert np.isnan(logw[:4]).all() and np.isnan(logw[8:10]).all()
+    assert row_max[10] < -1e6 and np.nanmax(logw[10]) == 0.0 and (logw[11] == 0.0).all()
+    assert np.array_equal(np.isnan(logw[12:16]), np.tile([False] * 3 + [True], (4, 3)))
+    pred = np.exp(logw)
+    assert_pass_matches_pure(compiled_kernels, "fbpf_total", [pred])
 
 
 @settings(max_examples=40, deadline=None)
@@ -381,17 +400,24 @@ def test_shift_and_total_match_pure_on_dead_rows_and_nan(compiled_kernels):
        st.integers(1, 6), st.integers(0, 10_000))
 @example([2, 9, 10], 2, 3, 0)
 def test_posterior_and_dirichlet_match_pure(compiled_kernels, Js, H, N, seed):
-    # chains of 8 states and more take numpy's pairwise row sum
+    # the advance's conjugate posterior over H houses of N particles; chains
+    # of 8 states and more take numpy's pairwise row sum
     rng = np.random.default_rng(seed)
     K, Jm, R = len(Js), max(Js), H * N
+    joint = joint_state_table(tuple(Js))
+    M = len(joint)
     tc = rng.integers(0, 5, (R, K, Jm, Jm)).astype(float)
     ec = rng.integers(0, 9, (R, K, Jm)).astype(float)
     es = ec * rng.normal(50.0, 20.0, (R, K, Jm))
-    args = [rng.standard_normal((R, K, Jm)), es, ec, tc, rng.uniform(1.0, 30.0, K),
-            rng.normal(0.0, 100.0, (K, Jm)), rng.uniform(0.5, 900.0, (K, Jm)),
-            rng.uniform(0.1, 3.0, (K, Jm, Jm)), tuple(Js), H]
-    assert_pass_matches_pure(compiled_kernels, "fbpf_posterior", args)
-    conc = _pure.fbpf_posterior(*args)[1]
+    pred = rng.uniform(0.0, 1.0, (R, M))
+    args = [pred, pred.sum(axis=1), rng.integers(0, R, R), rng.random(R), joint,
+            rng.normal(50.0, 20.0, (R, K, Jm)), rng.uniform(1.0, 30.0, K),
+            rng.normal(200.0, 80.0, R), rng.standard_normal((R, K)),
+            joint[rng.integers(0, M, R)].astype(np.int64), True, tc, es, ec,
+            rng.standard_normal((R, K, Jm)), rng.normal(0.0, 100.0, (K, Jm)),
+            rng.uniform(0.5, 900.0, (K, Jm)), rng.uniform(0.1, 3.0, (K, Jm, Jm)), tuple(Js), H]
+    assert_pass_matches_pure(compiled_kernels, "fbpf_advance", args)
+    conc = _pure.fbpf_advance(*args)[6]
     assert conc.shape == (H, N * sum(J * J for J in Js))
     gam = rng.standard_gamma(conc) + rng.uniform(0.0, 1e-3, conc.shape)
     states = rng.integers(0, Js, (R, K))
@@ -433,7 +459,9 @@ def test_advance_matches_pure_on_edge_rows(compiled_kernels):
         ybar[7], z[7] = -0.0, -0.0
         states = joint[rng.integers(0, M, R)].astype(np.int64)
         stats = [rng.integers(0, 4, (R, K, Jm, Jm)).astype(float), rng.normal(0, 9, (R, K, Jm)),
-                 rng.integers(0, 4, (R, K, Jm)).astype(float)]
+                 rng.integers(0, 4, (R, K, Jm)).astype(float), rng.standard_normal((R, K, Jm)),
+                 rng.normal(0.0, 50.0, (K, Jm)), rng.uniform(1.0, 400.0, (K, Jm)),
+                 rng.uniform(0.5, 2.0, (K, Jm, Jm)), Js, 2]
         args = [pred, tot, anc, u, joint, theta, var, ybar, z, states]
         for transitions in (False, True):
             assert_pass_matches_pure(compiled_kernels, "fbpf_advance",
@@ -467,24 +495,22 @@ def _pass_call(kernel, **change):
     states = joint[[0, 5, 3, 1, 2, 4]].astype(np.int64)
     stats = dict(trans_counts=rng.integers(0, 3, (R, K, Jm, Jm)).astype(float),
                  emis_sums=rng.normal(0.0, 9.0, (R, K, Jm)),
-                 emis_counts=rng.integers(0, 3, (R, K, Jm)).astype(float))
+                 emis_counts=rng.integers(0, 3, (R, K, Jm)).astype(float),
+                 zt=rng.standard_normal((R, K, Jm)), prior_mean=np.zeros((K, Jm)),
+                 prior_var=np.ones((K, Jm)), alpha=np.ones((K, Jm, Jm)), Js=Js, H=H)
     pred = rng.uniform(0.1, 1.0, (R, M))
     args = {
         "fbpf_accumulate": dict(logtrans_rows=np.log(rng.uniform(0.1, 1.0, (R, K, Jm))),
                                 theta_rows=rng.normal(0.0, 5.0, (R, K, Jm)),
                                 var_chain=np.array([4.0, 9.0]), joint_idx=joint,
                                 ybar=rng.normal(0.0, 5.0, R)),
-        "fbpf_shift": dict(logw=rng.normal(-5.0, 3.0, (R, M)), lo=-700.0),
-        "fbpf_total": dict(pred=pred, keep=rng.random((R, M)) < 0.8),
+        "fbpf_total": dict(pred=np.where(rng.random((R, M)) < 0.8, pred, np.nan)),
         "fbpf_advance": dict(pred=pred, tot=pred.sum(axis=1), anc=np.array([0, 0, 2, 3, 5, 5]),
                              u=rng.random(R), joint_idx=joint,
                              theta=rng.normal(0.0, 5.0, (R, K, Jm)),
                              var_chain=np.array([4.0, 9.0]), ybar=rng.normal(0.0, 5.0, R),
                              z=rng.standard_normal((R, K)), states=states, transitions=True,
                              **stats),
-        "fbpf_posterior": dict(z=rng.standard_normal((R, K, Jm)), var_chain=np.array([4.0, 9.0]),
-                               prior_mean=np.zeros((K, Jm)), prior_var=np.ones((K, Jm)),
-                               alpha=np.ones((K, Jm, Jm)), Js=Js, H=H, **stats),
         "fbpf_dirichlet": dict(gam=rng.uniform(0.1, 2.0, (H, N * 13)), states=states, Js=Js,
                                N=N),
     }[kernel]
@@ -522,11 +548,9 @@ BAD_INPUTS = {
     "ybar_float32": (_pass_call("fbpf_accumulate", ybar=np.full(6, 10.0, np.float32)), "ybar"),
     "ybar_one_per_house": (_pass_call("fbpf_accumulate", ybar=np.full(2, 10.0)), "ybar"),
     "ybar_2d": (_pass_call("fbpf_accumulate", ybar=np.full((6, 1), 10.0)), "ybar"),
-    "shift_logw_strided": (_pass_call("fbpf_shift", logw=np.zeros((6, 12))[:, ::2]), "logw"),
-    "shift_logw_read_only": (_pass_call("fbpf_shift", logw=np.broadcast_to(0.0, (6, 6))),
-                             "logw"),
-    "total_keep_wrong_shape": (_pass_call("fbpf_total", keep=np.ones((6, 5), bool)), "keep"),
-    "total_keep_float": (_pass_call("fbpf_total", keep=np.ones((6, 6))), "keep"),
+    "total_pred_strided": (_pass_call("fbpf_total", pred=np.zeros((6, 12))[:, ::2]), "pred"),
+    "total_pred_read_only": (_pass_call("fbpf_total", pred=np.broadcast_to(0.0, (6, 6))),
+                             "pred"),
     # fbpf_advance: the propagate_ cases give the draw bad input, the fold_
     # cases the statistics fold
     "propagate_anc_past_rows": (_pass_call("fbpf_advance", anc=np.array([0, 1, 2, 3, 4, 6])),
@@ -576,10 +600,18 @@ BAD_INPUTS = {
     "advance_emis_counts_wrong_shape": (_pass_call("fbpf_advance",
                                                    emis_counts=np.zeros((6, 2, 2))),
                                         "emis_counts"),
-    "posterior_H_not_dividing": (_pass_call("fbpf_posterior", H=4), "H"),
-    "posterior_Js_past_lanes": (_pass_call("fbpf_posterior", Js=(2, 4)), "Js"),
-    "posterior_alpha_wrong_shape": (_pass_call("fbpf_posterior", alpha=np.ones((2, 3, 2))),
+    # the advance's posterior stage
+    "posterior_H_not_dividing": (_pass_call("fbpf_advance", H=4), "H"),
+    "posterior_Js_past_lanes": (_pass_call("fbpf_advance", Js=(2, 4)), "Js"),
+    "posterior_Js_one_chain": (_pass_call("fbpf_advance", Js=(3,)), "Js"),
+    "posterior_alpha_wrong_shape": (_pass_call("fbpf_advance", alpha=np.ones((2, 3, 2))),
                                     "alpha"),
+    "posterior_zt_wrong_shape": (_pass_call("fbpf_advance", zt=np.zeros((6, 2, 2))), "zt"),
+    "posterior_prior_mean_wrong_shape": (_pass_call("fbpf_advance",
+                                                    prior_mean=np.zeros((3, 3))), "prior_mean"),
+    "posterior_prior_var_float32": (_pass_call("fbpf_advance",
+                                               prior_var=np.ones((2, 3), np.float32)),
+                                    "prior_var"),
     "dirichlet_gam_wrong_width": (_pass_call("fbpf_dirichlet", gam=np.ones((2, 38))), "gam"),
     "dirichlet_Js_empty": (_pass_call("fbpf_dirichlet", Js=()), "Js"),
     "dirichlet_state_past_chain": (_pass_call("fbpf_dirichlet",
@@ -613,8 +645,9 @@ def test_compiled_kernels_copy_non_contiguous_input(compiled_kernels):
     _, args = _pass_call("fbpf_accumulate")
     wide = np.repeat(args["logtrans_rows"], 2, axis=2)[:, :, ::2]
     assert not wide.flags.c_contiguous
-    assert np.array_equal(compiled_kernels.fbpf_accumulate(**args),
-                          compiled_kernels.fbpf_accumulate(**dict(args, logtrans_rows=wide)))
+    for a, b in zip(compiled_kernels.fbpf_accumulate(**args),
+                    compiled_kernels.fbpf_accumulate(**dict(args, logtrans_rows=wide))):
+        assert np.array_equal(a, b, equal_nan=True)
 
 
 def test_compiled_kernels_leave_no_cyclic_garbage(compiled_kernels):
@@ -656,6 +689,21 @@ def test_compiled_loader_refuses_a_library_built_from_other_source(compiled_kern
         else:
             with pytest.raises(ImportError, match="kernels.c"):
                 spec.loader.exec_module(loader)
+
+
+def test_kernels_c_defines_exactly_the_declared_kernels(compiled_kernels):
+    """Every function ``kernels.c`` exports is one ``_compiled.py`` declares,
+    and the reverse, save the build digest that the loader looks up: a
+    deleted pass leaves no dead C function or stale ctypes declaration. The
+    two backends share the accumulate's floor."""
+    source = re.sub(r"/\*.*?\*/", "", (LOADER.parent / "kernels.c").read_text(), flags=re.S)
+    defined = {name for head, name in re.findall(r"^(\w[\w \t\*]*?)\b(\w+)\([^;{]*\)\s*\{",
+                                                 source, flags=re.M)
+               if not re.match(r"static\b", head)}
+    declared = set(re.findall(r"\b_lib\.(\w+)\.(?:restype|argtypes)\b", LOADER.read_text()))
+    assert defined == declared | {"kernels_digest"}
+    assert "hsmm_backward" in defined and "logsumexp" not in defined
+    assert compiled_kernels.EXP_FLOOR == _pure.EXP_FLOOR
 
 
 def test_setup_py_builds_the_kernel_library(tmp_path):

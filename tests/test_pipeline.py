@@ -798,6 +798,30 @@ def test_cli_rejects_bad_bundle_cleanly(tmp_path, runner, command, case):
     assert not out.exists()
 
 
+def test_cli_synth_rejects_a_one_state_device_that_disagg_accepts(tmp_path, runner):
+    # a bundle that ``train`` could write at n_states 1: the segment
+    # simulation needs two states, the filter takes a one-state chain
+    doc = bundle_to_doc(default_bundle(load_config({"devices": [{"name": "refrigerator"}]})))
+    em = doc["devices"][0]["emission"]
+    em["weights"], em["means"], em["vars"] = [1.0], em["means"][1:], em["vars"][1:]
+    bundle = tmp_path / "bundle.json"
+    bundle.write_text(json.dumps(doc))
+    out = tmp_path / "house.csv"
+    r = runner.invoke(main, ["synth", "--config", small_config(tmp_path), "--bundle",
+                             str(bundle), "--out", str(out)])
+    assert r.exit_code == 2, r.output
+    assert r.exception is None or isinstance(r.exception, SystemExit)
+    assert "--bundle" in r.output and f"{bundle}: device 'refrigerator' has one state" in r.output
+    assert not out.exists()
+    trace = tmp_path / "trace.csv"
+    trace.write_text("timestamp,refrigerator,total\n2026-01-01T00:00,140,140\n"
+                     "2026-01-01T00:01,150,150\n")
+    r = runner.invoke(main, ["disagg", str(trace), "--config", small_config(tmp_path),
+                             "--bundle", str(bundle), "--out", str(out)])
+    assert r.exit_code == 0, r.output
+    assert out.exists()
+
+
 # Runs bode, synth, control and disagg in one fresh interpreter and prints
 # which of the scipy subpackages that no such command needs were imported.
 IMPORT_SCRIPT = """
@@ -957,7 +981,21 @@ OUT_OF_RANGE = {
     "negative_control_meter_noise": (["control"], {"control": {"hook": "fbpf",
                                                                "meter_noise_var": -1}},
                                      "meter_noise_var"),
+    "no_device_states": (["train"], {"devices": [{"name": "refrigerator", "n_states": 0}]},
+                         "n_states"),
+    "one_device_state": (["train"], {"devices": [{"name": "refrigerator", "n_states": 1}]},
+                         "n_states"),
+    "negative_device_sigma2": (["train"], {"devices": [{"name": "refrigerator", "sigma2": -1}]},
+                               "sigma2"),
+    "nan_device_sigma2": (["train"], {"devices": [{"name": "refrigerator",
+                                                   "sigma2": math.nan}]}, "sigma2"),
+    "nan_amplitude": (["control"], {"control": {"amplitude_frac": math.nan}},
+                      "amplitude_frac"),
+    "infinite_amplitude": (["control"], {"control": {"amplitude_frac": math.inf}},
+                           "amplitude_frac"),
 }
+# the bound each message states, where it is not a floor
+BOUNDS = {"sigma2": "positive and finite", "amplitude_frac": "finite"}
 
 
 @pytest.mark.parametrize("case", sorted(OUT_OF_RANGE))
@@ -972,7 +1010,7 @@ def test_cli_rejects_out_of_range_settings(tmp_path, runner, case):
                              small_config(tmp_path, **over), "--out", str(out)])
     assert r.exit_code == 2, r.output
     assert r.exception is None or isinstance(r.exception, SystemExit)
-    assert f"field '{field}' must be >= " in r.output
+    assert f"field '{field}' must be {BOUNDS.get(field, '>= ')}" in r.output
     assert not out.exists()
 
 
@@ -991,6 +1029,30 @@ def test_load_config_rejects_out_of_range_settings():
             load_config({"control": {**window, key: least - 1}})
     with pytest.raises(ValueError, match="field 'meter_noise_var' must be >= 0, got nan"):
         load_config({"meter_noise_var": float("nan")})
+    # a device's states and variance, and the reference amplitude
+    fridge = {"name": "refrigerator"}
+    load_config({"devices": [{**fridge, "n_states": 2, "sigma2": 1e-9}],
+                 "control": {"amplitude_frac": -2.0}})
+    for doc, message in (
+        ({"devices": [{**fridge, "n_states": 1}]},
+         "devices[0]: field 'n_states' must be >= 2, got 1"),
+        ({"devices": [{"name": "a"}, {**fridge, "n_states": 0}]},
+         "devices[1]: field 'n_states' must be >= 2, got 0"),
+        ({"devices": [{**fridge, "sigma2": 0}]},
+         "devices[0]: field 'sigma2' must be positive and finite, got 0"),
+        ({"devices": [{**fridge, "sigma2": -1.0}]},
+         "devices[0]: field 'sigma2' must be positive and finite, got -1.0"),
+        ({"devices": [{**fridge, "sigma2": math.nan}]},
+         "devices[0]: field 'sigma2' must be positive and finite, got nan"),
+        ({"devices": [{**fridge, "sigma2": math.inf}]},
+         "devices[0]: field 'sigma2' must be positive and finite, got inf"),
+        ({"control": {"amplitude_frac": math.nan}},
+         "field 'amplitude_frac' must be finite, got nan"),
+        ({"control": {"amplitude_frac": -math.inf}},
+         "field 'amplitude_frac' must be finite, got -inf"),
+    ):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            load_config(doc)
     with pytest.raises(ValueError, match="field 'weak_limit'"):
         replace(RunConfig(), weak_limit=1)
 

@@ -96,8 +96,8 @@ def test_factorial_proposal_matches_brute_force(monkeypatch):
     def step_probs(filt, ybar=ybar):
         """The joint conditional ``FactorialBpf.step`` propagates through,
         and the predictive p(ybar | x_prev) of each particle."""
-        logw = smc.fbpf_accumulate(np.log(filt.rows), filt.theta, filt.var_chain, filt.joint_idx,
-                                   np.full(filt.N, ybar))
+        logw, row_max = smc.fbpf_accumulate(np.log(filt.rows), filt.theta, filt.var_chain,
+                                            filt.joint_idx, np.full(filt.N, ybar))
         seen = []
         advance = smc.fbpf_advance
 
@@ -110,7 +110,7 @@ def test_factorial_proposal_matches_brute_force(monkeypatch):
         monkeypatch.setattr(smc, "fbpf_advance", spy)
         filt.step(ybar)
         monkeypatch.undo()
-        return seen[0], np.exp(logw).sum(axis=1)
+        return seen[0], np.exp(row_max) * np.nansum(np.exp(logw), axis=1)
 
     filt = fixed_filter(pis, thetas, sig2s, states=(1, 2))
     table = filt.joint_idx
@@ -139,7 +139,7 @@ def test_factorial_proposal_matches_brute_force(monkeypatch):
         math.log(pis[0][1, a] * pis[1][2, b]) + norm.logpdf(far, thetas[0][a] + thetas[1][b], sd)
         for a, b in table
     ])
-    assert np.sum(log_want - log_want.max() < smc.EXP_FLOOR) == 4
+    assert np.sum(log_want - log_want.max() < _pure.EXP_FLOOR) == 4
     want_far = np.exp(log_want - log_want.max())
     assert np.abs(probs_far - want_far / want_far.sum()).max() < 1e-12
 
@@ -193,10 +193,12 @@ def test_advance_emission_split_law():
     theta = np.full((1, 3, 2), 1e3)
     theta[0, np.arange(3), joint[5]] = theta_sel
     stats = [np.zeros((1, 3, 2, 2)), np.zeros((1, 3, 2)), np.zeros((1, 3, 2))]
+    posterior = [np.zeros((n, 3, 2)), np.zeros((3, 2)), np.ones((3, 2)), np.ones((3, 2, 2)),
+                 (2, 2, 2), 1]
     states, draws, *_ = smc.fbpf_advance(
         pred, pred.sum(axis=1), np.zeros(n, np.int64), stream(4, "split").random(n), joint,
         theta, d, np.full(n, ybar), stream(5, "split").standard_normal((n, 3)),
-        np.zeros((1, 3), np.int64), False, *stats)
+        np.zeros((1, 3), np.int64), False, *stats, *posterior)
     assert (states == joint[5]).all()
     assert draws.shape == (n, 3)
     assert np.abs(draws.sum(axis=1) - ybar).max() < 1e-9
@@ -248,8 +250,11 @@ def test_pl_sample_params_concentrates():
     filt.emis_sums[:, 0] = [1000.0, 5000.0]
     filt.emis_counts[:, 0] = [1000.0, 1000.0]
     states = np.repeat([[0], [1]], 150, axis=0)  # half the particles in each state
-    theta, rows = filt._refresh(filt.emis_sums, filt.emis_counts, filt.trans_counts, states,
-                                filt.rngs[0].standard_normal((300, 1, 2)))
+    theta, conc = _pure.conjugate_posterior(
+        filt.rngs[0].standard_normal((300, 1, 2)), filt.emis_sums, filt.emis_counts,
+        filt.trans_counts, filt.var_chain, filt.prior_mean, filt.prior_var, filt.alpha, filt.Js,
+        1)
+    rows = smc.fbpf_dirichlet(filt.rngs[0].standard_gamma(conc), states, filt.Js, filt.N)
     assert np.abs(theta[:, 0].mean(axis=0) - [1.0, 5.0]).max() < 0.02
     # each particle keeps the row out of its state, drawn from Dir(alpha + n)
     want = (prior.alpha + filt.trans_counts[0, 0]) / 1002.0
@@ -334,15 +339,17 @@ def hook_stream(T):
 
 
 def filter_digests(priors, y):
-    """sha256 of every step's ``logw`` and of the particle states, emissions
-    and means after filtering y, plus the running log-evidence."""
+    """sha256 of every step's shifted ``logw`` and row max and of the
+    particle states, emissions and means after filtering y, plus the running
+    log-evidence."""
     accumulate = smc.fbpf_accumulate
     logw_hash = hashlib.sha256()
 
     def hashed_accumulate(*args):
-        logw = accumulate(*args)
-        logw_hash.update(logw.tobytes())
-        return logw
+        out = accumulate(*args)
+        for a in out:
+            logw_hash.update(a.tobytes())
+        return out
 
     # the draws shrug off a one-ulp change in logw; its hash does not
     smc.fbpf_accumulate = hashed_accumulate
