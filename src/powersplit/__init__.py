@@ -4,15 +4,15 @@ Layers, bottom up:
 
 - ``distributions``: conjugate updates, log densities, simplex utilities,
   elementary samplers
-- ``hmm`` / ``hsmm``: message passing and exact blocked state draws for the
-  chain and the explicit-duration segment model, plus the duration law and
-  its parameter move
+- ``hsmm``: backward messages and exact blocked segment draws for the
+  explicit-duration segment model, plus the duration law and its parameter
+  move
 - ``hdp``: weak-limit hierarchical Dirichlet transition prior and the full
   nonparametric segment-model sweep that training runs
 - ``smc``: ``FactorialBpf``, the particle-learning filter that splits an
   aggregate meter signal across devices
-- ``dispatch``: randomized local load control, mean-field dynamics, transfer
-  function data, and the PI feedback loop
+- ``dispatch``: randomized local load control, the linearized mean-field
+  response and its bode data, and the PI feedback loop
 - ``pipeline``: file formats, synthetic data, training, and the CLI
 
 The segment-model backward pass and forward draw and the filter's joint

@@ -5,7 +5,9 @@ Each load runs a local randomized controller: its controllable transition
 kernel is the nominal one exponentially tilted toward high (zeta > 0) or low
 (zeta < 0) power, while the uncontrollable part (internal temperature) keeps
 its physical dynamics. The aggregator closes the loop with a PI rule on the
-deviation of fleet power from its nominal baseline.
+deviation of fleet power from its nominal baseline, a mean-field twin of the
+fleet at zeta = 0; the PI gains are read off the bode data of the mean-field
+dynamics linearized at zeta = 0.
 
 States factor as x = (x_u, x_n): controllable mode times internal state.
 Power and error signals at the aggregator level are per load (fleet mean),
@@ -74,19 +76,6 @@ class NominalLoadModel:
     def power_of_state(self) -> np.ndarray:
         """(S,) power when sitting in each retained state."""
         return self.U[self.xu_of]
-
-
-def product_model(R0, Q0, U) -> NominalLoadModel:
-    """Full product enumeration, x = iu * nn + i_n; no trimming."""
-    R0 = np.asarray(R0, dtype=float)
-    Q0 = np.asarray(Q0, dtype=float)
-    nu = R0.shape[1]
-    nn = Q0.shape[1]
-    if R0.shape[0] != nu * nn or Q0.shape[0] != nu * nn:
-        raise ValueError("rows must enumerate the full product")
-    xu = np.repeat(np.arange(nu), nn)
-    xn = np.tile(np.arange(nn), nu)
-    return NominalLoadModel(R0=R0, Q0=Q0, U=U, xu_of=xu, xn_of=xn)
 
 
 def tilted_controllable(model: NominalLoadModel, zeta: float) -> np.ndarray:
@@ -164,31 +153,19 @@ def invariant_pmf(P: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# mean-field model and its linearization
+# mean-field state and the linearization
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class MeanFieldState:
+    """A fleet's state pmf ``mu`` and its mean power ``y``."""
+
     mu: np.ndarray
     y: float
 
     def __post_init__(self):
         object.__setattr__(self, "mu", assert_simplex(np.asarray(self.mu, dtype=float), atol=1e-9))
-
-
-def mean_field_init(model: NominalLoadModel, mu=None) -> MeanFieldState:
-    mu = invariant_pmf(controlled_kernel(model, 0.0)) if mu is None else np.asarray(mu, dtype=float)
-    return MeanFieldState(mu=mu, y=float(mu @ model.power_of_state))
-
-
-def mean_field_step(state: MeanFieldState, model: NominalLoadModel,
-                    zeta: float) -> MeanFieldState:
-    """mu' = mu P_zeta, y' = mu' . U."""
-    P = controlled_kernel(model, zeta)
-    mu = state.mu @ P
-    mu = mu / mu.sum()
-    return MeanFieldState(mu=mu, y=float(mu @ model.power_of_state))
 
 
 @dataclass(frozen=True)
@@ -230,16 +207,6 @@ def _gains(lin: Linearization, zs) -> np.ndarray:
     if bad.any():
         raise ValueError(f"z = {zs[bad][0]} is a pole of the linearized system")
     return w[:, :, 0] @ lin.C
-
-
-def transfer_function(model: NominalLoadModel, zeta: float, z: complex) -> complex:
-    """Complex gain of the linearized mean-field response at z.
-
-    At z = 1 the unit eigenvalue of A is quotiented out by the centering of
-    C and the zero row sums of E, so the DC gain is finite; genuine poles
-    raise.
-    """
-    return complex(_gains(linearize(model, zeta), z)[0])
 
 
 def bode_points(model: NominalLoadModel, zeta: float, freqs) -> np.ndarray:

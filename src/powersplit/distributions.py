@@ -72,17 +72,6 @@ def conj_update_normal(prior: NormalPrior, obs_sum: float, obs_count: int, sigma
     return NormalPrior(mean=mean, var=var)
 
 
-def conj_update_dirichlet(alpha, counts) -> np.ndarray:
-    """Dirichlet-categorical update: elementwise alpha + counts."""
-    alpha = np.asarray(alpha, dtype=float)
-    counts = np.asarray(counts, dtype=float)
-    if alpha.shape != counts.shape:
-        raise ValueError("alpha and counts must have the same shape")
-    if np.any(counts < 0):
-        raise ValueError("counts must be nonnegative")
-    return alpha + counts
-
-
 def conj_update_gamma_poisson(hyper, data_sum, data_n):
     """Gamma shape/rate update for a Poisson mean: (a + sum, b + n)."""
     a, b = hyper
@@ -228,7 +217,6 @@ __all__ = [
     "assert_simplex",
     "assert_simplex_rows",
     "conj_update_normal",
-    "conj_update_dirichlet",
     "conj_update_gamma_poisson",
     "conj_update_beta_negbin",
     "normal_logpdf",

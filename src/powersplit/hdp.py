@@ -4,8 +4,8 @@ The infinite transition-matrix prior is truncated at L states: shared weights
 beta ~ Dir(gamma/L, ..., gamma/L) and rows pi_j ~ Dir(alpha * beta). Gibbs
 inference augments with per-transition geometric self-loop counts rho (which
 rebuild the diagonal the segment model never observes) and table counts m
-(Bernoulli-product draws whose law involves unsigned Stirling numbers of the
-first kind; the Stirling recurrence itself is kept as a test oracle only).
+(sums of one Bernoulli draw per customer, whose law is the Antoniak
+distribution).
 
 Convention: m[k][j] = tables in restaurant k serving dish j, so column sums
 m_dot[j] = sum_k m[k][j] drive the beta posterior.
@@ -16,7 +16,6 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache
 
 import numpy as np
 from scipy.special import betaln, gammaln, xlog1py, xlogy
@@ -42,90 +41,8 @@ from .hsmm import (
 )
 
 # ---------------------------------------------------------------------------
-# Stirling oracle and the Antoniak sampler
+# the weak-limit pass
 # ---------------------------------------------------------------------------
-
-_STIRLING_MAX = 30
-
-
-@lru_cache(maxsize=None)
-def stirling_unsigned(n: int, m: int) -> int:
-    """Unsigned Stirling number of the first kind, exact integer.
-
-    Bounded at n, m <= 30; this is a test oracle, not a runtime path.
-    """
-    if not (0 <= n <= _STIRLING_MAX and 0 <= m <= _STIRLING_MAX):
-        raise ValueError(f"stirling_unsigned bounded at {_STIRLING_MAX}")
-    if n == 0 and m == 0:
-        return 1
-    if n == 0 or m == 0:
-        return 0
-    if m > n:
-        return 0
-    return stirling_unsigned(n - 1, m - 1) + (n - 1) * stirling_unsigned(n - 1, m)
-
-
-def antoniak_pmf(n: int, weight: float) -> np.ndarray:
-    """Exact table-count pmf over m = 0..n given n customers and concentration
-    ``weight``, via the Stirling oracle."""
-    if weight <= 0:
-        raise ValueError("weight must be positive")
-    if n == 0:
-        return np.array([1.0])
-    logs = np.full(n + 1, -np.inf)
-    for m in range(1, n + 1):
-        s = stirling_unsigned(n, m)
-        if s > 0:
-            logs[m] = math.log(s) + m * math.log(weight)
-    mx = logs.max()
-    p = np.exp(logs - mx)
-    return p / p.sum()
-
-
-def sample_m(n: int, weight: float, rng: np.random.Generator, size=None):
-    """Table-count draw(s) via the Bernoulli product: sum of Ber(w/(w+i)).
-
-    ``hdp_sweep`` draws every cell's count at once, with the same uniforms
-    and the same comparisons as one call per cell."""
-    if weight <= 0:
-        raise ValueError("weight must be positive")
-    if n == 0:
-        return 0 if size is None else np.zeros(size, dtype=np.int64)
-    i = np.arange(n)
-    p = weight / (weight + i)
-    if size is None:
-        return int((rng.random(n) < p).sum())
-    return (rng.random((size, n)) < p[None, :]).sum(axis=1)
-
-
-# ---------------------------------------------------------------------------
-# augmentation draws
-# ---------------------------------------------------------------------------
-
-
-def sample_rho(pi_jj: float, count: int, rng: np.random.Generator,
-               cap: int | None = None) -> np.ndarray:
-    """Per-transition self-loop auxiliaries: iid Geometric on {0, 1, ...}
-    with success probability 1 - pi_jj.
-
-    ``cap`` truncates the support at {0..cap} (renormalized); used by the
-    enumerable-instance stationarity check, never in production sweeps.
-    ``hdp_sweep`` draws every state's auxiliaries at once, with the same
-    uniforms and the same inverse cdf as one call per state.
-    """
-    if not 0 <= pi_jj < 1:
-        raise ValueError("pi_jj must lie in [0, 1)")
-    if count == 0:
-        return np.zeros(0, dtype=np.int64)
-    if pi_jj == 0.0:
-        return np.zeros(count, dtype=np.int64)
-    u = rng.random(count)
-    if cap is None:
-        # inverse cdf of the geometric number of failures
-        return np.floor(np.log1p(-u) / math.log(pi_jj)).astype(np.int64)
-    total = 1.0 - pi_jj ** (cap + 1)
-    vals = np.floor(np.log1p(-u * total) / math.log(pi_jj)).astype(np.int64)
-    return np.minimum(vals, cap)
 
 
 def sample_beta_posterior(m: np.ndarray, gamma: float, L: int,
@@ -184,10 +101,12 @@ def pi_bar_from(pi: np.ndarray) -> np.ndarray:
 
 def _self_loop_totals(pjj: np.ndarray, out_counts: np.ndarray, rng: np.random.Generator,
                       cap: int | None) -> np.ndarray:
-    """Each state's summed ``sample_rho`` draws, from one block of uniforms
-    that the states with draws to make read in state order, ``sample_rho``'s
-    inverse cdf applied to each. A state with no transitions out or with
-    pjj = 0 draws nothing, as ``sample_rho`` does."""
+    """Each state j's self-loop auxiliaries, summed: per transition out of
+    j, a Geometric on {0, 1, ...} with success probability 1 - pjj[j] by
+    inverse cdf, its support truncated at {0..cap} (renormalized) when
+    ``cap`` is given. The states with draws to make read one block of
+    uniforms in state order; a state with no transitions out or with
+    pjj = 0 draws nothing."""
     draw = (out_counts > 0) & (pjj > 0)
     counts = out_counts[draw]
     totals = np.zeros(len(pjj), dtype=np.int64)
@@ -237,7 +156,7 @@ def _bernoulli_sums(cells: np.ndarray, weight: np.ndarray, rng: np.random.Genera
 
 
 def _tables_by_jumps(n: int, weight: float, rng: np.random.Generator) -> int:
-    """``sample_m``'s law for a cell of n customers, O(tables) work. The
+    """``_bernoulli_sums``'s law for a cell of n customers, O(tables) work. The
     first customer opens a table; after a table opened at customer a, the
     customers a+1..i all join existing ones with probability S(i) =
     prod_{k=a+1..i} k / (weight + k) = B(i+1, weight) / B(a+1, weight), so
@@ -261,8 +180,9 @@ def _tables_by_jumps(n: int, weight: float, rng: np.random.Generator) -> int:
 
 
 def _table_counts(n: np.ndarray, weight: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """``sample_m`` for every cell (k, j) of the customer counts ``n``, at
-    concentration ``weight[j]``, the cells in row-major order: one block of
+    """The table count of every cell (k, j) of the customer counts ``n``, at
+    concentration ``weight[j]``, its ``_bernoulli_sums`` over all its
+    customers, the cells in row-major order: one block of
     uniforms when they hold at most ``_BLOCK`` customers in all, else one
     cell at a time, in blocks, and by jumps beyond ``_ONE_PER_CUSTOMER``."""
     if np.any(weight <= 0):
@@ -291,9 +211,10 @@ def hdp_sweep(hdp: WeakLimitHdp, trans_counts: np.ndarray,
     state's self-loop auxiliaries, one for every cell's table count (or one
     per cell and block past ``_BLOCK`` customers, see ``_table_counts``),
     then one gamma call for beta and one for all the rows of pi. The draws
-    equal those of ``sample_rho`` per state and ``sample_m`` per cell in
-    that order, and the generator ends where they leave it, save for a cell
-    of more than ``_ONE_PER_CUSTOMER`` customers.
+    equal those of a loop that draws one state's auxiliaries, then one
+    cell's count, at a time, in that order, and the generator ends where
+    that loop leaves it, save for a cell of more than ``_ONE_PER_CUSTOMER``
+    customers.
     """
     L = hdp.L
     n = np.asarray(trans_counts, dtype=np.int64)

@@ -1,7 +1,7 @@
-"""Explicit-duration HSMM: simulation with right-censoring, forward and
-backward messages, blocked super-state/duration draws, and the duration
-law, its hyperprior and the one-state duration-parameter pass that the
-nonparametric sweep in ``hdp`` uses.
+"""Explicit-duration HSMM: simulation with right-censoring, the Normal
+emission densities, backward messages, blocked super-state/duration draws,
+and the duration law, its hyperprior and the one-state duration-parameter
+pass that the nonparametric sweep in ``hdp`` uses.
 
 Durations follow a two-component mixture: Poisson (probability ``phi``) or
 negative binomial with fixed count ``r`` and success parameter ``vphi``. Both
@@ -22,7 +22,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import logsumexp, nbdtrc, pdtrc
+from scipy.special import nbdtrc, pdtrc
 
 from . import _kernels
 from .distributions import (
@@ -33,9 +33,9 @@ from .distributions import (
     conj_update_beta_negbin,
     conj_update_gamma_poisson,
     negbin_logpmf,
+    normal_logpdf,
     poisson_logpmf,
 )
-from .hmm import _log, emission_loglik
 
 # ---------------------------------------------------------------------------
 # duration model
@@ -327,6 +327,19 @@ def simulate_hsmm(params: HsmmParams, T: int, rng: np.random.Generator):
     return path, np.maximum(y, 0.0)
 
 
+def emission_loglik(params, y) -> np.ndarray:
+    """(T, J) Normal log-densities of each reading under each state's mean;
+    ``params`` is any model with per-state ``theta`` and a shared
+    ``sigma2``."""
+    y = np.asarray(y, dtype=float)
+    return normal_logpdf(y[:, None], params.theta[None, :], params.sigma2)
+
+
+def _log(a):
+    with np.errstate(divide="ignore"):
+        return np.log(a)
+
+
 def _series(params: HsmmParams, y, dmax: int | None):
     """One series' inputs to the segment passes, (window, loglik, logdur,
     logtail, cum): the duration window min(dmax, T), T when dmax is None;
@@ -351,52 +364,6 @@ def hsmm_backward_messages(params: HsmmParams, y, dmax: int | None = None):
     """
     window, loglik, logdur, logtail, _ = _series(params, y, dmax)
     return _kernels.hsmm_backward(_log(params.pi_bar), logdur, logtail, loglik, window)
-
-
-def hsmm_loglik(params: HsmmParams, y, dmax: int | None = None) -> float:
-    _, Bstar = hsmm_backward_messages(params, y, dmax)
-    return float(logsumexp(_log(params.init) + Bstar[0]))
-
-
-def _forward(params: HsmmParams, window, logdur, cum):
-    """(A, Astar): A[t, j] = log p(y[0..t-1], segment ends after t, state j),
-    Astar[t, j] = log p(y[0..t-1], next segment starts at t in state j)."""
-    T = len(cum) - 1
-    A = np.full((T + 1, params.J), -np.inf)
-    Astar = np.full((T + 1, params.J), -np.inf)
-    Astar[0] = _log(params.init)
-    logpibar = _log(params.pi_bar)
-    for t in range(1, T + 1):
-        dspan = min(t, window)
-        ds = np.arange(1, dspan + 1)
-        terms = Astar[t - ds] + logdur.T[ds - 1] + (cum[t] - cum[t - ds])
-        A[t] = logsumexp(terms, axis=0)
-        Astar[t] = logsumexp(A[t][:, None] + logpibar, axis=0)
-    return A, Astar
-
-
-def hsmm_smoothed_marginals(params: HsmmParams, y, dmax: int | None = None) -> np.ndarray:
-    """Exact per-step state occupancy posterior p(x_t = j | y), (T, J).
-
-    Quadratic in T: sums the posterior weight of every candidate segment.
-    """
-    window, loglik, logdur, logtail, cum = _series(params, y, dmax)
-    T = len(loglik)
-    B, Bstar = _kernels.hsmm_backward(_log(params.pi_bar), logdur, logtail, loglik, window)
-    _, Astar = _forward(params, window, logdur, cum)
-    logZ = logsumexp(Astar[0] + Bstar[0])
-
-    occ = np.zeros((T, params.J))
-    for a in range(T):
-        span = min(T - a, window)
-        ds = np.arange(1, span + 1)
-        # interior segments [a, a+d): step a+i is covered by every d >= i+1
-        w = np.exp(Astar[a] + logdur.T[ds - 1] + (cum[a + ds] - cum[a]) + B[a + ds] - logZ)
-        occ[a : a + span] += np.cumsum(w[::-1], axis=0)[::-1]
-        # censored final segment starting at a covers a..T-1
-        wc = np.exp(Astar[a] + logtail[:, span] + (cum[T] - cum[a]) - logZ)
-        occ[a:] += wc
-    return occ
 
 
 def _sample_censored_duration(dur: DurationParams, m: int, rng: np.random.Generator) -> int:

@@ -11,8 +11,9 @@ the file and the row, device or timestamp; so is a ``--bundle`` file that
 does not parse or breaks the bundle schema, a ``--states`` sidecar whose
 device columns or minutes do not match the trace's or whose labels are not
 integers, a config setting or ``--weak-limit``/``--particles`` override
-below its floor, and a ``bode`` band that is empty, not positive, or holds
-no -45 degree phase crossing to fit the gains at.
+below its floor, two ``train`` or ``usage`` traces whose file stem, the
+house name, is the same, and a ``bode`` band that is empty, not positive,
+or holds no -45 degree phase crossing to fit the gains at.
 """
 
 from __future__ import annotations
@@ -65,6 +66,18 @@ def _trace(path):
         return load_trace(path)
     except ValueError as exc:
         raise click.BadParameter(f"{path}: {exc}", param_hint="trace") from exc
+
+
+def _houses(traces) -> dict:
+    """Each trace path keyed by its file stem, which names the house."""
+    paths = {}
+    for p in traces:
+        house = Path(p).stem
+        if house in paths:
+            raise click.BadParameter(f"{paths[house]} and {p} share the file stem {house!r}, "
+                                     "which names the house", param_hint="traces")
+        paths[house] = p
+    return paths
 
 
 def _states(path, trace):
@@ -135,9 +148,8 @@ def synth(config_path, seed, bundle_path, out, states_out):
 def usage(traces, out):
     """Summarize device usage over one or more traces."""
     rows = []
-    for p in traces:
-        rep = usage_report(Path(p).stem, _trace(p))
-        rows.extend(report_rows([rep]))
+    for house, p in _houses(traces).items():
+        rows.extend(report_rows([usage_report(house, _trace(p))]))
     lines = ["house,device,rank,used,energy,share,minutes_on"]
     for r in rows:
         lines.append(",".join([
@@ -158,7 +170,7 @@ def usage(traces, out):
 def train(traces, config_path, seed, weak_limit, out):
     """Fit a hyperparameter bundle from device-level traces."""
     cfg = _config(config_path, seed=seed, weak_limit=weak_limit)
-    data = {Path(p).stem: _trace(p) for p in traces}
+    data = {house: _trace(p) for house, p in _houses(traces).items()}
     rng = stream(cfg.seed, "train")
     bundle = train_hyperparams(data, cfg, rng)
     save_bundle(bundle, out)

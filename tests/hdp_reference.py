@@ -8,12 +8,15 @@ weak-limit pass one state and one cell at a time (``sample_rho`` and
 duration moves one state at a time, the one-state duration-parameter pass
 and the duration-table builder that stacks one state's tables at a time.
 The tests require the shipped sweep to return the same arrays bit for bit
-and to leave the generator where this one leaves it. Importing this module
+and to leave the generator where this one leaves it. The Stirling numbers
+of the first kind give ``antoniak_pmf``, the exact table-count law that
+the per-cell draw ``sample_m`` is checked against. Importing this module
 builds nothing and has no side effects.
 """
 
 import math
 from dataclasses import replace
+from functools import lru_cache
 
 import numpy as np
 from scipy.special import betaln, gammaln, nbdtrc, pdtrc, xlog1py, xlogy
@@ -28,7 +31,7 @@ from powersplit.distributions import (
     normal_logpdf,
     poisson_logpmf,
 )
-from powersplit.hdp import HdpHsmmState, sample_beta_posterior, sample_m, sample_rho
+from powersplit.hdp import HdpHsmmState, sample_beta_posterior
 from powersplit.hsmm import DurationParams, blocked_sample_segments
 
 # ---------------------------------------------------------------------------
@@ -106,6 +109,93 @@ def duration_tables(durations, dmax):
     ms = np.arange(0, dmax + 1)
     return (np.stack([logpmf(d, ds) for d in durations]),
             np.stack([logtail(d, ms) for d in durations]))
+
+
+# ---------------------------------------------------------------------------
+# Stirling oracle and the Antoniak sampler
+# ---------------------------------------------------------------------------
+
+_STIRLING_MAX = 30
+
+
+@lru_cache(maxsize=None)
+def stirling_unsigned(n: int, m: int) -> int:
+    """Unsigned Stirling number of the first kind, exact integer.
+
+    Bounded at n, m <= 30; this is a test oracle, not a runtime path.
+    """
+    if not (0 <= n <= _STIRLING_MAX and 0 <= m <= _STIRLING_MAX):
+        raise ValueError(f"stirling_unsigned bounded at {_STIRLING_MAX}")
+    if n == 0 and m == 0:
+        return 1
+    if n == 0 or m == 0:
+        return 0
+    if m > n:
+        return 0
+    return stirling_unsigned(n - 1, m - 1) + (n - 1) * stirling_unsigned(n - 1, m)
+
+
+def antoniak_pmf(n: int, weight: float) -> np.ndarray:
+    """Exact table-count pmf over m = 0..n given n customers and concentration
+    ``weight``, via the Stirling oracle."""
+    if weight <= 0:
+        raise ValueError("weight must be positive")
+    if n == 0:
+        return np.array([1.0])
+    logs = np.full(n + 1, -np.inf)
+    for m in range(1, n + 1):
+        s = stirling_unsigned(n, m)
+        if s > 0:
+            logs[m] = math.log(s) + m * math.log(weight)
+    mx = logs.max()
+    p = np.exp(logs - mx)
+    return p / p.sum()
+
+
+def sample_m(n: int, weight: float, rng: np.random.Generator, size=None):
+    """Table-count draw(s) via the Bernoulli product: sum of Ber(w/(w+i)).
+
+    The shipped ``hdp_sweep`` draws every cell's count at once, with the
+    same uniforms and the same comparisons as one call per cell."""
+    if weight <= 0:
+        raise ValueError("weight must be positive")
+    if n == 0:
+        return 0 if size is None else np.zeros(size, dtype=np.int64)
+    i = np.arange(n)
+    p = weight / (weight + i)
+    if size is None:
+        return int((rng.random(n) < p).sum())
+    return (rng.random((size, n)) < p[None, :]).sum(axis=1)
+
+
+# ---------------------------------------------------------------------------
+# the per-state self-loop draw
+# ---------------------------------------------------------------------------
+
+
+def sample_rho(pi_jj: float, count: int, rng: np.random.Generator,
+               cap: int | None = None) -> np.ndarray:
+    """Per-transition self-loop auxiliaries: iid Geometric on {0, 1, ...}
+    with success probability 1 - pi_jj.
+
+    ``cap`` truncates the support at {0..cap} (renormalized); used by the
+    enumerable-instance stationarity check, never in production sweeps.
+    The shipped ``hdp_sweep`` draws every state's auxiliaries at once, with
+    the same uniforms and the same inverse cdf as one call per state.
+    """
+    if not 0 <= pi_jj < 1:
+        raise ValueError("pi_jj must lie in [0, 1)")
+    if count == 0:
+        return np.zeros(0, dtype=np.int64)
+    if pi_jj == 0.0:
+        return np.zeros(count, dtype=np.int64)
+    u = rng.random(count)
+    if cap is None:
+        # inverse cdf of the geometric number of failures
+        return np.floor(np.log1p(-u) / math.log(pi_jj)).astype(np.int64)
+    total = 1.0 - pi_jj ** (cap + 1)
+    vals = np.floor(np.log1p(-u * total) / math.log(pi_jj)).astype(np.int64)
+    return np.minimum(vals, cap)
 
 
 # ---------------------------------------------------------------------------

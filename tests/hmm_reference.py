@@ -1,9 +1,14 @@
 """Finite-state HMM: simulation, exact log-space message passing, and
 blocked posterior draws of the state path.
 
-Emissions are Normal with per-state means and a shared, fixed variance.
+The chain is the segment model's special case with geometric durations,
+and the criteria and unit tests use it as an oracle: its smoothing
+marginals and likelihood must match the segment model's, and its filter and
+sampler check the particle filter. Emissions are Normal with per-state
+means and a shared, fixed variance, ``powersplit.hsmm.emission_loglik``.
 Simulated powers are clamped at zero; inference still uses the unclamped
-Normal density (the clamp is a data-recording convention, not a model change).
+Normal density (the clamp is a data-recording convention, not a model
+change). Importing this module builds nothing and has no side effects.
 """
 
 from __future__ import annotations
@@ -13,14 +18,14 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import logsumexp
 
-from .distributions import (
+from powersplit.distributions import (
     assert_simplex,
     assert_simplex_rows,
     categorical_sample,
     categorical_sample_logits,
     logsumexp_axis,
-    normal_logpdf,
 )
+from powersplit.hsmm import _log, emission_loglik
 
 
 @dataclass(frozen=True)
@@ -61,25 +66,12 @@ def simulate_hmm(params: HmmParams, T: int, rng: np.random.Generator):
     """Simulate (x, y) of length T; negative powers are recorded as 0."""
     if T < 1:
         raise ValueError("T must be >= 1")
-    J = params.J
     x = np.empty(T, dtype=np.int64)
     x[0] = categorical_sample(rng, params.init)
     for t in range(1, T):
         x[t] = categorical_sample(rng, params.pi[x[t - 1]])
     y = params.theta[x] + np.sqrt(params.sigma2) * rng.standard_normal(T)
     return x, np.maximum(y, 0.0)
-
-
-def emission_loglik(params, y) -> np.ndarray:
-    """(T, J) Normal log-densities of each reading under each state's mean;
-    ``params`` is an ``HmmParams`` or an ``hsmm.HsmmParams``."""
-    y = np.asarray(y, dtype=float)
-    return normal_logpdf(y[:, None], params.theta[None, :], params.sigma2)
-
-
-def _log(a):
-    with np.errstate(divide="ignore"):
-        return np.log(a)
 
 
 def forward_messages(params: HmmParams, y) -> np.ndarray:
@@ -141,4 +133,3 @@ def blocked_sample_states(params: HmmParams, y, rng: np.random.Generator,
         logits = logpi[x[t - 1]] + loglik_t[t] + betal[t]
         x[t] = categorical_sample_logits(rng, logits)
     return x
-

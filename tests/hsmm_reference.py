@@ -1,4 +1,5 @@
-"""Reference pieces for the segment-model kernel and segment-draw tests.
+"""Reference pieces for the segment-model kernel and segment-draw tests,
+and the segment model's likelihood and smoothing marginals.
 
 ``hsmm_backward_scalar_reference`` is the compiled backward pass as scalar
 Python in the kernel's own order: each term, then its log-sum-exp as the
@@ -10,19 +11,28 @@ calls, so the two agree bit for bit.
 Python loop that calls ``rng.random()`` once per categorical draw; the
 shipped sampler, which walks a pre-drawn block in
 ``_kernels.hsmm_forward_sample``, must return the same paths and leave the
-generator in the same state. Importing this module builds nothing and has no
-side effects.
+generator in the same state.
+
+``hsmm_loglik`` and ``hsmm_smoothed_marginals`` are the evidence and the
+exact per-step occupancy posterior, over the shipped backward messages and
+a forward pass; the criteria check them against segmentation enumeration
+and against the chain the model collapses to. Importing this module builds
+nothing and has no side effects.
 """
 
 import math
 
 import numpy as np
+from scipy.special import logsumexp
 
+from powersplit import _kernels
 from powersplit.distributions import categorical_sample_logits
 from powersplit.hsmm import (
+    HsmmParams,
     SegmentPath,
     _log,
     _sample_censored_duration,
+    _series,
     duration_tables,
     emission_loglik,
     hsmm_backward_messages,
@@ -105,3 +115,49 @@ def blocked_sample_segments_loop_reference(params, y, rng, messages=None, dmax=N
         D.append(d)
         t += d
     return SegmentPath(np.array(z), np.array(D), T)
+
+
+def hsmm_loglik(params: HsmmParams, y, dmax: int | None = None) -> float:
+    _, Bstar = hsmm_backward_messages(params, y, dmax)
+    return float(logsumexp(_log(params.init) + Bstar[0]))
+
+
+def _forward(params: HsmmParams, window, logdur, cum):
+    """(A, Astar): A[t, j] = log p(y[0..t-1], segment ends after t, state j),
+    Astar[t, j] = log p(y[0..t-1], next segment starts at t in state j)."""
+    T = len(cum) - 1
+    A = np.full((T + 1, params.J), -np.inf)
+    Astar = np.full((T + 1, params.J), -np.inf)
+    Astar[0] = _log(params.init)
+    logpibar = _log(params.pi_bar)
+    for t in range(1, T + 1):
+        dspan = min(t, window)
+        ds = np.arange(1, dspan + 1)
+        terms = Astar[t - ds] + logdur.T[ds - 1] + (cum[t] - cum[t - ds])
+        A[t] = logsumexp(terms, axis=0)
+        Astar[t] = logsumexp(A[t][:, None] + logpibar, axis=0)
+    return A, Astar
+
+
+def hsmm_smoothed_marginals(params: HsmmParams, y, dmax: int | None = None) -> np.ndarray:
+    """Exact per-step state occupancy posterior p(x_t = j | y), (T, J).
+
+    Quadratic in T: sums the posterior weight of every candidate segment.
+    """
+    window, loglik, logdur, logtail, cum = _series(params, y, dmax)
+    T = len(loglik)
+    B, Bstar = _kernels.hsmm_backward(_log(params.pi_bar), logdur, logtail, loglik, window)
+    _, Astar = _forward(params, window, logdur, cum)
+    logZ = logsumexp(Astar[0] + Bstar[0])
+
+    occ = np.zeros((T, params.J))
+    for a in range(T):
+        span = min(T - a, window)
+        ds = np.arange(1, span + 1)
+        # interior segments [a, a+d): step a+i is covered by every d >= i+1
+        w = np.exp(Astar[a] + logdur.T[ds - 1] + (cum[a + ds] - cum[a]) + B[a + ds] - logZ)
+        occ[a : a + span] += np.cumsum(w[::-1], axis=0)[::-1]
+        # censored final segment starting at a covers a..T-1
+        wc = np.exp(Astar[a] + logtail[:, span] + (cum[T] - cum[a]) - logZ)
+        occ[a:] += wc
+    return occ

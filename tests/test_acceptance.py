@@ -17,14 +17,26 @@ from datetime import datetime
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from dispatch_reference import mean_field_step, product_model, transfer_function
+from hdp_reference import antoniak_pmf, sample_m
+from hmm_reference import (
+    HmmParams,
+    backward_messages,
+    blocked_sample_states,
+    forward_messages,
+    loglik as hmm_loglik,
+    simulate_hmm,
+    smoothing_marginals,
+)
+from hsmm_reference import hsmm_loglik, hsmm_smoothed_marginals
 from scipy.integrate import simpson
 from scipy.special import betainc, betaln, logsumexp
 from scipy.stats import norm
 
+from powersplit._kernels._pure import conjugate_posterior
 from powersplit.distributions import (
     NormalPrior,
     conj_update_beta_negbin,
-    conj_update_dirichlet,
     conj_update_gamma_poisson,
     conj_update_normal,
     negbin_logpmf,
@@ -39,30 +51,16 @@ from powersplit.dispatch import (
     fleet_counts_step,
     invariant_pmf,
     kernel_derivative,
-    mean_field_step,
-    product_model,
     tcl_nominal_model,
     tilted_controllable,
-    transfer_function,
 )
-from powersplit.hdp import WeakLimitHdp, antoniak_pmf, hdp_sweep, sample_m
-from powersplit.hmm import (
-    HmmParams,
-    backward_messages,
-    blocked_sample_states,
-    forward_messages,
-    loglik as hmm_loglik,
-    simulate_hmm,
-    smoothing_marginals,
-)
+from powersplit.hdp import WeakLimitHdp, hdp_sweep
 from powersplit.hsmm import (
     DurationHyper,
     DurationParams,
     HsmmParams,
     blocked_sample_segments,
     hsmm_backward_messages,
-    hsmm_loglik,
-    hsmm_smoothed_marginals,
 )
 from powersplit.pipeline.cli import main as cli_main
 from powersplit.pipeline.config import (
@@ -332,10 +330,16 @@ def test_criterion_04_conjugate_updates_match_quadrature():
     assert abs(s - math.sqrt(post.var)) < 1e-6
     assert conj_update_normal(prior, 0.0, 0, sigma2) == prior
 
-    # Dirichlet-categorical, two cells (scalar first coordinate)
+    # Dirichlet-categorical, two cells (scalar first coordinate): the
+    # filter's update, row 0 of one particle's one two-state chain
     alpha = np.array([1.5, 2.5])
     counts = np.array([3.0, 1.0])
-    a, b = conj_update_dirichlet(alpha, counts)
+    trans = np.zeros((1, 1, 2, 2))
+    trans[0, 0, 0] = counts
+    zeros = np.zeros((1, 1, 2))
+    _, conc = conjugate_posterior(zeros, zeros, zeros, trans, np.ones(1), np.zeros((1, 2)),
+                                  np.ones((1, 2)), np.array([[alpha, alpha]]), (2,), 1)
+    a, b = conc[0, :2]
     grid = np.linspace(1e-9, 1.0 - 1e-9, 200_001)
     logp = ((alpha[0] - 1.0) * np.log(grid) + (alpha[1] - 1.0) * np.log1p(-grid)
             + counts[0] * np.log(grid) + counts[1] * np.log1p(-grid))

@@ -8,6 +8,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from dispatch_reference import mean_field_init, mean_field_step, product_model, transfer_function
 from hypothesis import given, settings, strategies as st
 
 from powersplit import dispatch
@@ -24,14 +25,10 @@ from powersplit.dispatch import (
     invariant_pmf,
     kernel_derivative,
     linearize,
-    mean_field_init,
-    mean_field_step,
     pi_step,
-    product_model,
     sample_fleet,
     tcl_nominal_model,
     tilted_controllable,
-    transfer_function,
 )
 from powersplit.pipeline.control import DEFAULT_FREQS
 from powersplit.rng import stream

@@ -14,6 +14,7 @@ import math
 import hdp_reference
 import numpy as np
 import pytest
+from hdp_reference import antoniak_pmf, sample_m, sample_rho, stirling_unsigned
 from scipy.stats import beta as beta_dist, gamma as gamma_dist
 
 from powersplit.distributions import NormalPrior
@@ -25,7 +26,6 @@ from powersplit.hdp import (
     WeakLimitHdp,
     _table_counts,
     _tables_by_jumps,
-    antoniak_pmf,
     duration_label_logits,
     gibbs_sweep_hdphsmm,
     hdp_sweep,
@@ -33,9 +33,6 @@ from powersplit.hdp import (
     pi_bar_from,
     sample_beta_posterior,
     sample_hdp_prior,
-    sample_m,
-    sample_rho,
-    stirling_unsigned,
 )
 from powersplit.hsmm import DurationHyper, DurationParams, HsmmParams, simulate_hsmm
 from powersplit.rng import stream

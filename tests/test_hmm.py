@@ -9,10 +9,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
-from scipy.stats import norm
-
-from powersplit.hmm import (
+from hmm_reference import (
     HmmParams,
     backward_messages,
     blocked_sample_states,
@@ -22,6 +19,9 @@ from powersplit.hmm import (
     simulate_hmm,
     smoothing_marginals,
 )
+from hypothesis import given, settings, strategies as st
+from scipy.stats import norm
+
 from powersplit.rng import stream
 
 

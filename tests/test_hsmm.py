@@ -15,20 +15,24 @@ import signal
 import hdp_reference
 import numpy as np
 import pytest
-from hsmm_reference import blocked_sample_segments_loop_reference
-from hypothesis import given, settings, strategies as st
-from scipy.special import logsumexp
-from scipy.stats import nbinom, norm, poisson
-
-from powersplit import _kernels
-from powersplit._kernels import _pure
-from powersplit.hmm import (
+from hmm_reference import (
     HmmParams,
     backward_messages,
     forward_messages,
     loglik as hmm_loglik,
     smoothing_marginals,
 )
+from hsmm_reference import (
+    blocked_sample_segments_loop_reference,
+    hsmm_loglik,
+    hsmm_smoothed_marginals,
+)
+from hypothesis import given, settings, strategies as st
+from scipy.special import logsumexp
+from scipy.stats import nbinom, norm, poisson
+
+from powersplit import _kernels
+from powersplit._kernels import _pure
 from powersplit.hsmm import (
     DurationHyper,
     DurationParams,
@@ -36,8 +40,6 @@ from powersplit.hsmm import (
     blocked_sample_segments,
     duration_tables,
     hsmm_backward_messages,
-    hsmm_loglik,
-    hsmm_smoothed_marginals,
     poisson_label_probs,
     sample_duration_params,
     simulate_hsmm,

@@ -565,6 +565,23 @@ def test_cli_train_emits_loadable_bundle(tmp_path, runner):
     assert bundle.devices[0].n_states == 2
 
 
+@pytest.mark.parametrize("command", ["train", "usage"])
+def test_cli_rejects_traces_that_share_a_stem(tmp_path, runner, command):
+    # the file stem names the house, so the second trace would replace the first
+    cfg = small_config(tmp_path)
+    paths = []
+    for seed, folder in enumerate("ab", start=1):
+        (tmp_path / folder).mkdir()
+        paths.append(str(tmp_path / folder / "house.csv"))
+        assert runner.invoke(main, ["synth", "--config", cfg, "--seed", str(seed),
+                                    "--out", paths[-1]]).exit_code == 0
+    out = tmp_path / "out"
+    r = runner.invoke(main, [command, *paths, "--out", str(out)])
+    assert r.exit_code == 2, r.output
+    assert f"{paths[0]} and {paths[1]} share the file stem 'house'" in r.output
+    assert not out.exists()
+
+
 def test_cli_rerun_is_byte_identical(tmp_path, runner):
     cfg = small_config(tmp_path)
     a, b = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")

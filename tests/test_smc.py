@@ -16,13 +16,13 @@ import math
 import numpy as np
 import pytest
 from fbpf_reference import fbpf_accumulate_gather_reference
+from hmm_reference import HmmParams, simulate_hmm
 from scipy.stats import norm
 
 from powersplit import smc
 from powersplit._kernels import _pure
 from powersplit.dispatch import TclConfig, tcl_nominal_model
 from powersplit.distributions import NormalPrior
-from powersplit.hmm import HmmParams, simulate_hmm
 from powersplit.pipeline.config import ControlConfig, default_bundle
 from powersplit.pipeline.control import FbpfHook
 from powersplit.pipeline.disagg import chain_prior
