@@ -9,11 +9,11 @@ predictive with one reading per particle, shifted by its row max;
 ``fbpf_total``, the row totals after NumPy's exp; ``fbpf_advance``, which
 moves each resampled particle to a joint state drawn on a pre-drawn
 uniform, splits its reading across the chains with pre-drawn normals,
-folds both into its ancestor's statistics and draws theta from their
-conjugate posterior with pre-drawn normals, beside the Dirichlet
-concentrations; and ``fbpf_dirichlet``, which normalises, of the gamma
-draws, only each particle's transition row out of its new state in each
-chain, the row the next step reads. The step keeps every draw, exp and log
+folds both into its ancestor's statistics, draws theta from their
+conjugate posterior with pre-drawn normals and writes the Dirichlet
+concentrations of the transition row out of each chain's new state, the
+only row the next step reads; and ``fbpf_dirichlet``, which normalises the
+gamma draws of those rows. The step keeps every draw, exp and log
 in NumPy, and the compiled filter kernels are bit-identical to the pure
 ones, so the filter's law does not depend on the backend. The compiled
 segment draw makes each pick with the pure one's operations, and paths

@@ -65,9 +65,9 @@ _lib.fbpf_accumulate.argtypes = [_n, _n, _n, _p, _n, _p, _p, ctypes.c_double,
 _lib.fbpf_total.restype = None
 _lib.fbpf_total.argtypes = [_n, _n, _p, _p]
 _lib.fbpf_advance.restype = None
-_lib.fbpf_advance.argtypes = [_n] * 5 + [_p] * 11 + [ctypes.c_int] + [_p] * 14
+_lib.fbpf_advance.argtypes = [_n] * 4 + [_p] * 11 + [ctypes.c_int] + [_p] * 14
 _lib.fbpf_dirichlet.restype = None
-_lib.fbpf_dirichlet.argtypes = [_n, _n, _n, _n, _p, _p, _p, _p]
+_lib.fbpf_dirichlet.argtypes = [_n, _n, _n, _p, _p, _p]
 
 
 def _floats(name, a, ndim):
@@ -245,7 +245,8 @@ def fbpf_total(pred):
 def fbpf_advance(pred, tot, anc, u, joint_idx, theta, var_chain, ybar, z, states, transitions,
                  trans_counts, emis_sums, emis_counts, zt, prior_mean, prior_var, alpha, Js, H):
     """Each resampled particle's joint-state draw, emission split,
-    statistics fold and conjugate posterior; see ``_pure``."""
+    statistics fold, conjugate posterior and the concentrations of its rows
+    out of its new states; see ``_pure``."""
     pred = _floats("pred", pred, 2)
     tot = _floats("tot", tot, 1)
     anc = _ints("anc", anc, 1)
@@ -258,7 +259,7 @@ def fbpf_advance(pred, tot, anc, u, joint_idx, theta, var_chain, ybar, z, states
     trans_counts = _floats("trans_counts", trans_counts, 4)
     emis_sums = _floats("emis_sums", emis_sums, 3)
     emis_counts = _floats("emis_counts", emis_counts, 3)
-    zt = _floats("zt", zt, 3)
+    zt = _floats("zt", zt, 2)
     prior_mean = _floats("prior_mean", prior_mean, 2)
     prior_var = _floats("prior_var", prior_var, 2)
     alpha = _floats("alpha", alpha, 3)
@@ -278,7 +279,6 @@ def fbpf_advance(pred, tot, anc, u, joint_idx, theta, var_chain, ybar, z, states
     _shape("states", states, (rows, K))
     _shape("trans_counts", trans_counts, (rows, K, Jm, Jm))
     _shape("emis_counts", emis_counts, (rows, K, Jm))
-    _shape("zt", zt, (R, K, Jm))
     _shape("prior_mean", prior_mean, (K, Jm))
     _shape("prior_var", prior_var, (K, Jm))
     _shape("alpha", alpha, (K, Jm, Jm))
@@ -288,6 +288,8 @@ def fbpf_advance(pred, tot, anc, u, joint_idx, theta, var_chain, ybar, z, states
         raise ValueError(f"Js must give {K} chains, got {len(Js)}")
     if H < 1 or R % H:
         raise ValueError(f"H must divide the {R} particles, got {H}")
+    C = int(Js.sum())
+    _shape("zt", zt, (R, C))
     _indices("anc", anc, rows, "rows of pred and of the statistics")
     _indices("joint_idx", joint_idx, Jm, "state lanes")
     _indices("states", states, Jm, "state lanes")
@@ -300,8 +302,8 @@ def fbpf_advance(pred, tot, anc, u, joint_idx, theta, var_chain, ybar, z, states
     es = np.empty((R, K, Jm))
     ec = np.empty((R, K, Jm))
     theta_out = np.empty((R, K, Jm))
-    conc = np.empty((H, R // H * int((Js * Js).sum())))
-    _lib.fbpf_advance(H, R // H, M, K, Jm, _addr(Js, np.int64), _addr(pred), _addr(tot),
+    conc = np.empty((H, R // H * C))
+    _lib.fbpf_advance(R, M, K, Jm, _addr(Js, np.int64), _addr(pred), _addr(tot),
                       _addr(anc, np.int64), _addr(u), _addr(joint_idx, np.int32),
                       _addr(theta), _addr(var_chain), _addr(ybar), _addr(z),
                       _addr(states, np.int64), int(bool(transitions)), _addr(trans_counts),
@@ -311,25 +313,13 @@ def fbpf_advance(pred, tot, anc, u, joint_idx, theta, var_chain, ybar, z, states
     return new_states, emis, tc, es, ec, theta_out, conc
 
 
-def fbpf_dirichlet(gam, states, Js, N):
-    """The transition rows out of ``states`` of the gamma draws ``gam``;
-    see ``_pure``."""
+def fbpf_dirichlet(gam, Js):
+    """The transition rows of the gamma draws ``gam``, one row per chain of
+    each particle; see ``_pure``."""
     gam = _floats("gam", gam, 2)
-    states = _ints("states", states, 2)
-    N = operator.index(N)
     Js = _chain_sizes(Js)
     K, Jm = len(Js), int(Js.max())
-    H = len(gam)
-    if N < 1:
-        raise ValueError(f"N must be >= 1, got {N}")
-    _shape("gam", gam, (H, N * int((Js * Js).sum())))
-    _shape("states", states, (H * N, K))
-    # a column max per chain: comparing against Js broadcasts over a short
-    # inner axis, which costs about twice as much
-    if states.size and (states.min() < 0 or any(states[:, k].max() >= J
-                                                for k, J in enumerate(Js.tolist()))):
-        raise ValueError("states must index each chain's states")
-    rows = np.empty((H * N, K, Jm))
-    _lib.fbpf_dirichlet(H, N, K, Jm, _addr(Js, np.int64), _addr(states, np.int64), _addr(gam),
-                        _addr(rows))
+    _shape("gam", gam, (len(gam), int(Js.sum())))
+    rows = np.empty((len(gam), K, Jm))
+    _lib.fbpf_dirichlet(len(gam), K, Jm, _addr(Js, np.int64), _addr(gam), _addr(rows))
     return rows

@@ -6,7 +6,8 @@ The oracle for every compiled kernel in ``kernels.c``: ``hsmm_backward``,
 contracts; they are served from here when the library is not built or
 POWERSPLIT_PURE=1. ``systematic_counts`` has no compiled version and is
 always served from here. ``conjugate_posterior`` is not a served kernel: the
-advance ends with it, and ``FactorialBpf`` draws its prior theta with it.
+advance draws theta with it, and ``FactorialBpf`` draws its prior theta with
+it.
 
 The filter passes take particles stacked house after house, N to a house,
 and draw nothing: the step hands them its uniforms, normals and gammas.
@@ -167,8 +168,12 @@ def fbpf_advance(pred, tot, anc, u, joint_idx, theta, var_chain, ybar, z, states
     ``theta`` means there; a's statistics plus the transition from a's
     ``states`` when ``transitions``, the emission and one count in each
     chain's new state; and ``conjugate_posterior`` of those statistics with
-    the theta normals ``zt``, over the H houses. Returns (new_states, emis,
-    trans_counts, emis_sums, emis_counts, theta, conc).
+    the (R, sum Js) theta normals ``zt``. Returns (new_states, emis,
+    trans_counts, emis_sums, emis_counts, theta, conc): conc holds the
+    Dirichlet concentrations ``alpha + trans_counts`` of the row out of each
+    chain's new state, the one row the next step reads, in H rows, one per
+    house and ready for one ``standard_gamma`` call: each particle's rows
+    in chain order, particle after particle.
 
     The split's law is Normal with mean theta_k + s2_k (ybar - sum theta) / S
     and covariance diag(s2) - s2 s2^T / S, S = sum s2, s2 = ``var_chain``:
@@ -199,21 +204,22 @@ def fbpf_advance(pred, tot, anc, u, joint_idx, theta, var_chain, ybar, z, states
         tc.reshape(-1, Jm, Jm)[rows, states[anc].ravel(), new] += 1.0
     es.reshape(-1, Jm)[rows, new] += emis.ravel()
     ec.reshape(-1, Jm)[rows, new] += 1.0
-    theta, conc = conjugate_posterior(zt, es, ec, tc, var_chain, prior_mean, prior_var, alpha,
-                                      Js, H)
-    return new_states, emis, tc, es, ec, theta, conc
+    theta = conjugate_posterior(zt, es, ec, var_chain, prior_mean, prior_var, Js)
+    chains = np.arange(K)
+    out = alpha[chains, new_states] + tc[np.arange(R)[:, None], chains, new_states]
+    conc = np.concatenate([out[:, k, :J] for k, J in enumerate(Js)], axis=1)
+    return new_states, emis, tc, es, ec, theta, conc.reshape(H, -1)
 
 
-def conjugate_posterior(z, emis_sums, emis_counts, trans_counts, var_chain, prior_mean,
-                        prior_var, alpha, Js, H):
-    """Each particle's conjugate posterior over its (R, K, Jmax) statistics.
-
-    Returns (theta, conc): theta drawn with the standard normals ``z`` from
-    the Normal posterior of every lane's mean, and the Dirichlet
-    concentrations ``alpha + trans_counts`` of the H houses, one row per
-    house holding its chain blocks (N, J_k, J_k) in chain order, ready for
-    one ``standard_gamma`` call per house.
+def conjugate_posterior(z, emis_sums, emis_counts, var_chain, prior_mean, prior_var, Js):
+    """Theta of each particle's (R, K, Jmax) emission statistics, drawn from
+    the Normal posterior of every lane's mean with the (R, sum Js) standard
+    normals ``z``, each particle's real lanes in chain order; a padding lane
+    takes the normal 0.0, so its theta is its posterior mean.
     """
+    Jm = emis_sums.shape[2]
+    zf = np.zeros(emis_sums.shape)
+    zf[:, np.arange(Jm) < np.array(Js)[:, None]] = z
     # each step is one IEEE add, multiply or divide, as in
     # 1 / (1 / v0 + n / s2) and the rest
     s2 = var_chain[None, :, None]
@@ -223,26 +229,23 @@ def conjugate_posterior(z, emis_sums, emis_counts, trans_counts, var_chain, prio
     post_mean = emis_sums / s2
     post_mean += prior_mean[None] / prior_var[None]
     post_mean *= post_var
-    theta = z * np.sqrt(post_var, out=post_var)
+    theta = zf * np.sqrt(post_var, out=post_var)
     theta += post_mean
-    conc = np.concatenate([(alpha[None, k, :J, :J] + trans_counts[:, k, :J, :J]).reshape(H, -1)
-                           for k, J in enumerate(Js)], axis=1)
-    return theta, conc
+    return theta
 
 
-def fbpf_dirichlet(gam, states, Js, N):
-    """The (H * N, K, Jmax) transition rows the next step reads, of the gamma
-    draws ``gam`` laid out as the advance's concentrations: for each
-    particle r and chain k, row ``states[r, k]`` of its J_k square block over
-    its sum, and 1.0 in the padding lanes, whose log (0) is cheap and which
-    no pass reads."""
-    R = len(gam) * N
-    rows = np.ones((R, len(Js), max(Js)))
+def fbpf_dirichlet(gam, Js):
+    """The (R, K, Jmax) transition rows the next step reads, of the (R, sum
+    Js) gamma draws ``gam`` laid out as the advance's concentrations, one
+    row per particle: each particle's J_k draws of chain k over their sum,
+    and 1.0 in the padding lanes, whose log (0) is cheap and which no pass
+    reads."""
+    rows = np.ones((len(gam), len(Js), max(Js)))
     off = 0
     for k, J in enumerate(Js):
-        row = gam[:, off:off + N * J * J].reshape(R, J, J)[np.arange(R), states[:, k]]
-        off += N * J * J
+        row = gam[:, off:off + J]
         rows[:, k, :J] = row / row.sum(axis=1, keepdims=True)
+        off += J
     return rows
 
 

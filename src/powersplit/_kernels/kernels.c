@@ -313,12 +313,13 @@ void fbpf_total(ptrdiff_t R, ptrdiff_t M, double *pred, double *tot)
  * Its conjugate posterior, ``_pure.conjugate_posterior``, follows from the
  * new statistics while they are in cache. Lane (k, j), q = k * Jmax + j:
  * variance pv = 1 / (ec / s2[k] + inv_v0[q]), mean (es / s2[k] + m0_v0[q])
- * times pv, and theta_out = zt * sqrt(pv) + mean for the standard normal
- * zt, in every one of the Jmax lanes; inv_v0 and m0_v0 are NumPy's 1 / v0
- * and m0 / v0 of the prior. conc holds H rows of N * sum Js[k]^2: house h's
- * chain blocks (N, Js[k], Js[k]) of alpha[k] + tc, one after the other in
- * chain order. */
-void fbpf_advance(ptrdiff_t H, ptrdiff_t N, ptrdiff_t M, ptrdiff_t K, ptrdiff_t Jmax,
+ * times pv, and theta_out = zt * sqrt(pv) + mean, where zt is the next of
+ * the sum Js[k] standard normals of row r of zt in a real lane j < Js[k]
+ * and 0.0 in a padding lane; inv_v0 and m0_v0 are NumPy's 1 / v0 and
+ * m0 / v0 of the prior. Row r of conc (R, sum Js[k]) holds, in chain
+ * order, the concentrations alpha[k] + tc of the row out of chain k's new
+ * state, the one Dirichlet row the next step reads. */
+void fbpf_advance(ptrdiff_t R, ptrdiff_t M, ptrdiff_t K, ptrdiff_t Jmax,
                   const long long *Js, const double *pred, const double *tot,
                   const long long *anc, const double *u, const int *joint,
                   const double *theta, const double *s2, const double *ybar, const double *z,
@@ -331,8 +332,8 @@ void fbpf_advance(ptrdiff_t H, ptrdiff_t N, ptrdiff_t M, ptrdiff_t K, ptrdiff_t 
     ptrdiff_t sq = K * Jmax * Jmax, ln = K * Jmax, C = 0;
     double S = pairwise_sum(s2, K);
     for (ptrdiff_t k = 0; k < K; k++)
-        C += N * (ptrdiff_t)(Js[k] * Js[k]);
-    for (ptrdiff_t r = 0; r < H * N; r++) {
+        C += (ptrdiff_t)Js[k];
+    for (ptrdiff_t r = 0; r < R; r++) {
         long long a = anc[r];
         const double *p = pred + a * M;
         double t = tot[a], c = 0.0;
@@ -370,55 +371,48 @@ void fbpf_advance(ptrdiff_t H, ptrdiff_t N, ptrdiff_t M, ptrdiff_t K, ptrdiff_t 
             cr[k * Jmax + j] += 1.0;
         }
 
-        const double *zr = zt + r * ln;
-        double *th_out = theta_out + r * ln;
-        for (ptrdiff_t k = 0; k < K; k++)
+        const double *zr = zt + r * C;
+        double *th_out = theta_out + r * ln, *out = conc + r * C;
+        for (ptrdiff_t k = 0; k < K; k++) {
+            ptrdiff_t J = (ptrdiff_t)Js[k];
             for (ptrdiff_t j = 0; j < Jmax; j++) {
                 ptrdiff_t lane = k * Jmax + j;
                 double pv = 1.0 / (cr[lane] / s2[k] + inv_v0[lane]);
                 double pm = (sr[lane] / s2[k] + m0_v0[lane]) * pv;
-                th_out[lane] = zr[lane] * sqrt(pv) + pm;
+                th_out[lane] = (j < J ? zr[j] : 0.0) * sqrt(pv) + pm;
             }
-        double *block = conc + (r / N) * C;  /* chain 0's block of house r / N */
-        for (ptrdiff_t k = 0; k < K; k++) {
-            ptrdiff_t J = (ptrdiff_t)Js[k];
-            const double *al = alpha + k * Jmax * Jmax, *tk = tr + k * Jmax * Jmax;
-            double *out = block + (r % N) * J * J;
-            for (ptrdiff_t i = 0; i < J; i++)
-                for (ptrdiff_t j = 0; j < J; j++)
-                    out[i * J + j] = al[i * Jmax + j] + tk[i * Jmax + j];
-            block += N * J * J;
+            ptrdiff_t row = (k * Jmax + x[k]) * Jmax;
+            for (ptrdiff_t j = 0; j < J; j++)
+                out[j] = alpha[row + j] + tr[row + j];
+            zr += J;
+            out += J;
         }
     }
 }
 
-/* The gamma draws gam, laid out as fbpf_advance's conc, normalised into
- * the transition rows the next step reads: row (r, k) of rows (H * N, K,
- * Jmax) is row states[r, k] of particle r's J = Js[k] square block of chain
- * k, divided by its pairwise sum, and 1.0 in the padding lanes j >= J, whose
- * log (0) is cheap and which no pass reads. */
-void fbpf_dirichlet(ptrdiff_t H, ptrdiff_t N, ptrdiff_t K, ptrdiff_t Jmax,
-                    const long long *Js, const long long *states, const double *gam,
-                    double *rows)
+/* The gamma draws gam (R, sum Js[k]), laid out as fbpf_advance's conc,
+ * normalised into the transition rows the next step reads: row (r, k) of
+ * rows (R, K, Jmax) is chain k's J = Js[k] draws of row r divided by their
+ * pairwise sum, and 1.0 in the padding lanes j >= J, whose log (0) is cheap
+ * and which no pass reads. */
+void fbpf_dirichlet(ptrdiff_t R, ptrdiff_t K, ptrdiff_t Jmax, const long long *Js,
+                    const double *gam, double *rows)
 {
-    for (ptrdiff_t h = 0; h < H; h++)
+    for (ptrdiff_t r = 0; r < R; r++)
         for (ptrdiff_t k = 0; k < K; k++) {
             ptrdiff_t J = (ptrdiff_t)Js[k];
-            for (ptrdiff_t n = 0; n < N; n++, gam += J * J) {
-                ptrdiff_t r = h * N + n;
-                const double *g = gam + states[r * K + k] * J;
-                double *p = rows + (r * K + k) * Jmax;
-                double s = 0.0;  /* pairwise_sum's own order below 8 */
-                if (J < 8)
-                    for (ptrdiff_t j = 0; j < J; j++)
-                        s += g[j];
-                else
-                    s = pairwise_sum(g, J);
+            double *p = rows + (r * K + k) * Jmax;
+            double s = 0.0;  /* pairwise_sum's own order below 8 */
+            if (J < 8)
                 for (ptrdiff_t j = 0; j < J; j++)
-                    p[j] = g[j] / s;
-                for (ptrdiff_t j = J; j < Jmax; j++)
-                    p[j] = 1.0;
-            }
+                    s += gam[j];
+            else
+                s = pairwise_sum(gam, J);
+            for (ptrdiff_t j = 0; j < J; j++)
+                p[j] = gam[j] / s;
+            for (ptrdiff_t j = J; j < Jmax; j++)
+                p[j] = 1.0;
+            gam += J;
         }
 }
 

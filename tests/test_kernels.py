@@ -400,37 +400,44 @@ def test_shift_and_total_match_pure_on_dead_rows_and_nan(compiled_kernels):
        st.integers(1, 6), st.integers(0, 10_000))
 @example([2, 9, 10], 2, 3, 0)
 def test_posterior_and_dirichlet_match_pure(compiled_kernels, Js, H, N, seed):
-    # the advance's conjugate posterior over H houses of N particles; chains
-    # of 8 states and more take numpy's pairwise row sum
+    # the advance's conjugate posterior and row concentrations over H houses
+    # of N particles; chains of 8 states and more take numpy's pairwise row
+    # sum
     rng = np.random.default_rng(seed)
-    K, Jm, R = len(Js), max(Js), H * N
+    K, Jm, R, C = len(Js), max(Js), H * N, sum(Js)
     joint = joint_state_table(tuple(Js))
     M = len(joint)
     tc = rng.integers(0, 5, (R, K, Jm, Jm)).astype(float)
     ec = rng.integers(0, 9, (R, K, Jm)).astype(float)
     es = ec * rng.normal(50.0, 20.0, (R, K, Jm))
     pred = rng.uniform(0.0, 1.0, (R, M))
+    alpha = rng.uniform(0.1, 3.0, (K, Jm, Jm))
     args = [pred, pred.sum(axis=1), rng.integers(0, R, R), rng.random(R), joint,
             rng.normal(50.0, 20.0, (R, K, Jm)), rng.uniform(1.0, 30.0, K),
             rng.normal(200.0, 80.0, R), rng.standard_normal((R, K)),
             joint[rng.integers(0, M, R)].astype(np.int64), True, tc, es, ec,
-            rng.standard_normal((R, K, Jm)), rng.normal(0.0, 100.0, (K, Jm)),
-            rng.uniform(0.5, 900.0, (K, Jm)), rng.uniform(0.1, 3.0, (K, Jm, Jm)), tuple(Js), H]
+            rng.standard_normal((R, C)), rng.normal(0.0, 100.0, (K, Jm)),
+            rng.uniform(0.5, 900.0, (K, Jm)), alpha, tuple(Js), H]
     assert_pass_matches_pure(compiled_kernels, "fbpf_advance", args)
-    conc = _pure.fbpf_advance(*args)[6]
-    assert conc.shape == (H, N * sum(J * J for J in Js))
-    gam = rng.standard_gamma(conc) + rng.uniform(0.0, 1e-3, conc.shape)
-    states = rng.integers(0, Js, (R, K))
-    states[0] = np.array(Js) - 1  # each chain's last state
-    assert_pass_matches_pure(compiled_kernels, "fbpf_dirichlet", [gam, states, tuple(Js), N])
-    # the rows out of ``states`` of the whole normalised matrices, bit for bit
-    rows = _pure.fbpf_dirichlet(gam, states, tuple(Js), N)
+    new_states, *_, tc_out, _, _, _, conc = _pure.fbpf_advance(*args)
+    # the concentrations of the row out of each chain's new state, in chain
+    # order, particle after particle
+    assert conc.shape == (H, N * C)
     off = 0
     for k, J in enumerate(Js):
-        block = gam[:, off:off + N * J * J].reshape(R, J, J)
-        off += N * J * J
-        full = block / block.sum(axis=2, keepdims=True)
-        assert np.array_equal(rows[:, k, :J], full[np.arange(R), states[:, k]])
+        x = new_states[:, k]
+        assert np.array_equal(conc.reshape(R, C)[:, off:off + J],
+                              alpha[k, x, :J] + tc_out[np.arange(R), k, x, :J])
+        off += J
+    gam = rng.standard_gamma(conc).reshape(R, C) + rng.uniform(0.0, 1e-3, (R, C))
+    assert_pass_matches_pure(compiled_kernels, "fbpf_dirichlet", [gam, tuple(Js)])
+    # each chain's draws over their own sum, bit for bit
+    rows = _pure.fbpf_dirichlet(gam, tuple(Js))
+    off = 0
+    for k, J in enumerate(Js):
+        block = np.ascontiguousarray(gam[:, off:off + J])
+        off += J
+        assert np.array_equal(rows[:, k, :J], block / block.sum(axis=1, keepdims=True))
         assert (rows[:, k, J:] == 1.0).all()  # padding whose log is 0
 
 
@@ -459,7 +466,7 @@ def test_advance_matches_pure_on_edge_rows(compiled_kernels):
         ybar[7], z[7] = -0.0, -0.0
         states = joint[rng.integers(0, M, R)].astype(np.int64)
         stats = [rng.integers(0, 4, (R, K, Jm, Jm)).astype(float), rng.normal(0, 9, (R, K, Jm)),
-                 rng.integers(0, 4, (R, K, Jm)).astype(float), rng.standard_normal((R, K, Jm)),
+                 rng.integers(0, 4, (R, K, Jm)).astype(float), rng.standard_normal((R, sum(Js))),
                  rng.normal(0.0, 50.0, (K, Jm)), rng.uniform(1.0, 400.0, (K, Jm)),
                  rng.uniform(0.5, 2.0, (K, Jm, Jm)), Js, 2]
         args = [pred, tot, anc, u, joint, theta, var, ybar, z, states]
@@ -496,7 +503,7 @@ def _pass_call(kernel, **change):
     stats = dict(trans_counts=rng.integers(0, 3, (R, K, Jm, Jm)).astype(float),
                  emis_sums=rng.normal(0.0, 9.0, (R, K, Jm)),
                  emis_counts=rng.integers(0, 3, (R, K, Jm)).astype(float),
-                 zt=rng.standard_normal((R, K, Jm)), prior_mean=np.zeros((K, Jm)),
+                 zt=rng.standard_normal((R, sum(Js))), prior_mean=np.zeros((K, Jm)),
                  prior_var=np.ones((K, Jm)), alpha=np.ones((K, Jm, Jm)), Js=Js, H=H)
     pred = rng.uniform(0.1, 1.0, (R, M))
     args = {
@@ -511,8 +518,7 @@ def _pass_call(kernel, **change):
                              var_chain=np.array([4.0, 9.0]), ybar=rng.normal(0.0, 5.0, R),
                              z=rng.standard_normal((R, K)), states=states, transitions=True,
                              **stats),
-        "fbpf_dirichlet": dict(gam=rng.uniform(0.1, 2.0, (H, N * 13)), states=states, Js=Js,
-                               N=N),
+        "fbpf_dirichlet": dict(gam=rng.uniform(0.1, 2.0, (R, sum(Js))), Js=Js),
     }[kernel]
     args.update(change)
     return kernel, args
@@ -607,23 +613,18 @@ BAD_INPUTS = {
     "posterior_alpha_wrong_shape": (_pass_call("fbpf_advance", alpha=np.ones((2, 3, 2))),
                                     "alpha"),
     "posterior_zt_wrong_shape": (_pass_call("fbpf_advance", zt=np.zeros((6, 2, 2))), "zt"),
+    "posterior_zt_padding_lanes": (_pass_call("fbpf_advance", zt=np.zeros((6, 6))), "zt"),
     "posterior_prior_mean_wrong_shape": (_pass_call("fbpf_advance",
                                                     prior_mean=np.zeros((3, 3))), "prior_mean"),
     "posterior_prior_var_float32": (_pass_call("fbpf_advance",
                                                prior_var=np.ones((2, 3), np.float32)),
                                     "prior_var"),
     "dirichlet_gam_wrong_width": (_pass_call("fbpf_dirichlet", gam=np.ones((2, 38))), "gam"),
+    "dirichlet_gam_1d": (_pass_call("fbpf_dirichlet", gam=np.ones(30)), "gam"),
+    "dirichlet_gam_float32": (_pass_call("fbpf_dirichlet", gam=np.ones((6, 5), np.float32)),
+                              "gam"),
     "dirichlet_Js_empty": (_pass_call("fbpf_dirichlet", Js=()), "Js"),
-    "dirichlet_state_past_chain": (_pass_call("fbpf_dirichlet",
-                                              states=np.tile([2, 0], (6, 1))), "states"),
-    "dirichlet_state_negative": (_pass_call("fbpf_dirichlet",
-                                            states=np.tile([0, -1], (6, 1))), "states"),
-    "dirichlet_states_short": (_pass_call("fbpf_dirichlet",
-                                          states=np.zeros((5, 2), np.int64)), "states"),
-    "dirichlet_states_one_chain": (_pass_call("fbpf_dirichlet",
-                                              states=np.zeros((6, 1), np.int64)), "states"),
-    "dirichlet_states_int32": (_pass_call("fbpf_dirichlet",
-                                          states=np.zeros((6, 2), np.int32)), "states"),
+    "dirichlet_Js_empty_chain": (_pass_call("fbpf_dirichlet", Js=(5, 0)), "Js"),
 }
 
 

@@ -7,7 +7,10 @@ filter level against the (N, M, K) gather it replaced and against the
 compiled kernel, and the running log-evidence against the closed-form
 first-step predictive. Each house of a bank must end byte for byte where
 the same house filtered alone ends. Tracking of the exact filter is
-acceptance criterion 7.
+acceptance criterion 7. The learned means of a single chain are checked
+against the conjugate posterior given the simulated path, the drawn
+transition rows against their Dirichlet moments, and a counting generator
+checks that a filter draws only the randoms its passes read.
 """
 
 import hashlib
@@ -193,7 +196,7 @@ def test_advance_emission_split_law():
     theta = np.full((1, 3, 2), 1e3)
     theta[0, np.arange(3), joint[5]] = theta_sel
     stats = [np.zeros((1, 3, 2, 2)), np.zeros((1, 3, 2)), np.zeros((1, 3, 2))]
-    posterior = [np.zeros((n, 3, 2)), np.zeros((3, 2)), np.ones((3, 2)), np.ones((3, 2, 2)),
+    posterior = [np.zeros((n, 6)), np.zeros((3, 2)), np.ones((3, 2)), np.ones((3, 2, 2)),
                  (2, 2, 2), 1]
     states, draws, *_ = smc.fbpf_advance(
         pred, pred.sum(axis=1), np.zeros(n, np.int64), stream(4, "split").random(n), joint,
@@ -249,17 +252,100 @@ def test_pl_sample_params_concentrates():
     filt.trans_counts[:, 0] = [[900.0, 100.0], [200.0, 800.0]]
     filt.emis_sums[:, 0] = [1000.0, 5000.0]
     filt.emis_counts[:, 0] = [1000.0, 1000.0]
-    states = np.repeat([[0], [1]], 150, axis=0)  # half the particles in each state
-    theta, conc = _pure.conjugate_posterior(
-        filt.rngs[0].standard_normal((300, 1, 2)), filt.emis_sums, filt.emis_counts,
-        filt.trans_counts, filt.var_chain, filt.prior_mean, filt.prior_var, filt.alpha, filt.Js,
-        1)
-    rows = smc.fbpf_dirichlet(filt.rngs[0].standard_gamma(conc), states, filt.Js, filt.N)
+    # the shipped advance moves half the particles into each state, with no
+    # transition fold; each one's emission is its state's mean, which leaves
+    # the posterior means where they were; theta and the rows out of the
+    # new states are drawn as the step draws them
+    g, N = filt.rngs[0], filt.N
+    states = np.repeat([0, 1], 150)
+    pred = np.eye(2)[states]
+    z = g.standard_normal(3 * N)
+    _, _, _, _, _, theta, conc = smc.fbpf_advance(
+        pred, pred.sum(axis=1), np.arange(N), g.random(N), filt.joint_idx, filt.theta,
+        filt.var_chain, np.where(states == 0, 1.0, 5.0), z[:N].reshape(N, 1), filt.states,
+        False, filt.trans_counts, filt.emis_sums, filt.emis_counts, z[N:].reshape(N, 2),
+        filt.prior_mean, filt.prior_var, filt.alpha, filt.Js, 1)
+    rows = smc.fbpf_dirichlet(g.standard_gamma(conc).reshape(N, 2), filt.Js)
     assert np.abs(theta[:, 0].mean(axis=0) - [1.0, 5.0]).max() < 0.02
     # each particle keeps the row out of its state, drawn from Dir(alpha + n)
     want = (prior.alpha + filt.trans_counts[0, 0]) / 1002.0
     for s in (0, 1):
-        assert np.abs(rows[states[:, 0] == s, 0].mean(axis=0) - want[s]).max() < 0.01
+        assert np.abs(rows[states == s, 0].mean(axis=0) - want[s]).max() < 0.01
+
+
+def test_step_draws_the_rows_out_of_the_new_states_from_their_dirichlet():
+    # a J=3 chain with fixed transition counts and equal means, so the first
+    # step, which folds no transition, spreads the particles over the three
+    # states; the row each particle keeps is the one out of its new state,
+    # drawn through the shipped advance, gamma draws and normalisation, and
+    # its lanes must have the moments of Dir(alpha + n[state]): each mean
+    # and variance within 4 standard errors
+    alpha = np.ones((3, 3)) + 2.0 * np.eye(3)
+    counts = np.array([[30.0, 5.0, 2.0], [4.0, 20.0, 6.0], [1.0, 3.0, 40.0]])
+    prior = ChainPrior(alpha, tuple(NormalPrior(0.0, 1.0) for _ in range(3)), 1.0)
+    filt = FactorialBpf([prior], n_particles=6000, rng=stream(7, "rows"))
+    filt.trans_counts[:, 0, :3, :3] = counts
+    filt.theta[:] = 0.0
+    filt.step(0.0)
+    assert np.array_equal(filt.trans_counts[:, 0], np.broadcast_to(counts, (6000, 3, 3)))
+    for s in range(3):
+        rows = filt.rows[filt.states[:, 0] == s, 0]
+        n = len(rows)
+        assert n > 1500
+        a = alpha[s] + counts[s]
+        a0, b = a.sum(), a.sum() - a
+        mean = a / a0
+        var = a * b / (a0 * a0 * (a0 + 1.0))
+        # each lane is Beta(a, b): its fourth central moment from the excess
+        # kurtosis gives the standard error of the sample variance
+        kurt = 6.0 * ((a - b) ** 2 * (a0 + 1.0) - a * b * (a0 + 2.0)) / (
+            a * b * (a0 + 2.0) * (a0 + 3.0))
+        m4 = (kurt + 3.0) * var * var
+        assert (np.abs(rows.mean(axis=0) - mean) < 4.0 * np.sqrt(var / n)).all(), s
+        se_var = np.sqrt((m4 - var * var) / n)
+        assert (np.abs(rows.var(axis=0, ddof=1) - var) < 4.0 * se_var).all(), s
+
+
+class CountingGenerator(np.random.Generator):
+    """A generator that tallies, per method, the values its calls draw."""
+
+    def __init__(self, bit_generator):
+        super().__init__(bit_generator)
+        self.drawn = {}
+
+
+def _counted(name):
+    def method(self, *args, **kwargs):
+        out = getattr(np.random.Generator, name)(self, *args, **kwargs)
+        self.drawn[name] = self.drawn.get(name, 0) + np.size(kwargs.get("out", out))
+        return out
+    return method
+
+
+for _name in ("random", "standard_normal", "standard_gamma", "standard_exponential", "normal",
+              "uniform", "gamma", "beta", "dirichlet", "integers", "choice", "permutation",
+              "shuffle", "exponential", "binomial", "multinomial", "poisson"):
+    setattr(CountingGenerator, _name, _counted(_name))
+
+
+@pytest.mark.parametrize("H", [1, 3])
+def test_filter_draws_only_what_its_passes_read(H):
+    # per house, the constructor draws the theta normals of the real lanes
+    # and no gamma; each step draws N + 1 uniforms, N*K emission normals,
+    # N*sum(Js) theta normals and N*sum(Js) gammas, one Dirichlet row per
+    # chain out of each particle's new state
+    priors, y = bundle_stream(4)
+    N, K, C = 50, len(priors), sum(p.J for p in priors)
+    rngs = [CountingGenerator(np.random.PCG64(60 + h)) for h in range(H)]
+    filt = FactorialBpf(priors, N, rngs[0] if H == 1 else rngs)
+    for g in rngs:
+        assert g.drawn == {"standard_normal": N * C}
+    for t, v in enumerate(y):
+        filt.step(float(v) if H == 1 else np.full(H, v))
+        for g in rngs:
+            assert g.drawn == {"standard_normal": N * C + (t + 1) * (N * K + N * C),
+                               "random": (t + 1) * (N + 1),
+                               "standard_gamma": (t + 1) * N * C}, t
 
 
 def test_chain_prior_validation():
@@ -295,27 +381,48 @@ def test_fbpf_emissions_sum_to_aggregate():
     assert np.all(filt.trans_counts.sum(axis=(2, 3)) == 199)
 
 
+# (data seed, filter seed) pairs of the single-chain test
+SINGLE_CHAIN_SEEDS = [(10, 11)] + [(100 + i, 200 + i) for i in range(11)]
+
+
 def test_fbpf_single_chain_tracks_states_and_learns_means():
+    # the learned means against the known-path oracle: given the simulated
+    # path, each state's mean has a Normal conjugate posterior. That
+    # posterior given only the readings has two label modes, the prior's
+    # order and the swapped one, to which the emission prior leaves about a
+    # tenth of the mass here, so the particles split between them: fewer
+    # than half may be swapped, and those in the prior's order must match
+    # the oracle's mean and spread. The readings are clamped at 0, as a
+    # meter reads, so the oracle sees the same clamped readings.
     true = HmmParams(
         pi=np.array([[0.95, 0.05], [0.05, 0.95]]),
         theta=np.array([0.0, 5.0]),
         sigma2=1.0,
     )
-    x, y = simulate_hmm(true, 300, stream(10, "bpf-data"))
+    m0, v0, s2 = np.array([0.0, 4.0]), 9.0, 1.0
     prior = ChainPrior(
         alpha=np.array([[8.0, 1.0], [1.0, 8.0]]),
-        emission=(NormalPrior(0.0, 9.0), NormalPrior(4.0, 9.0)),
-        sigma2=1.0,
+        emission=tuple(NormalPrior(m, v0) for m in m0),
+        sigma2=s2,
     )
-    filt = FactorialBpf([prior], n_particles=300, rng=stream(11, "bpf"))
-    hits = 0
-    for t in range(300):
-        filt.step(float(y[t]))
-        hits += int(filt.map_states()[0] == x[t])
-    assert hits / 300 > 0.85
-    means = filt.power_means()[0]
-    assert abs(means[0] - 0.0) < 0.5
-    assert abs(means[1] - 5.0) < 0.5
+    for ds, fs in SINGLE_CHAIN_SEEDS:
+        x, y = simulate_hmm(true, 300, stream(ds, "bpf-data"))
+        filt = FactorialBpf([prior], n_particles=300, rng=stream(fs, "bpf"))
+        hits = 0
+        for t in range(300):
+            filt.step(float(y[t]))
+            hits += int(filt.map_states()[0] == x[t])
+        assert hits / 300 > 0.85, (ds, fs)
+        theta = filt.theta[:, 0]
+        in_order = theta[:, 0] < theta[:, 1]
+        assert 1.0 - in_order.mean() < 0.5, (ds, fs)
+        n = np.bincount(x, minlength=2)
+        post_var = 1.0 / (1.0 / v0 + n / s2)
+        post_mean = post_var * (m0 / v0 + np.bincount(x, weights=y, minlength=2) / s2)
+        learned = theta[in_order]
+        assert np.abs(learned.mean(axis=0) - post_mean).max() < 0.15, (ds, fs)
+        ratio = learned.std(axis=0, ddof=1) / np.sqrt(post_var)
+        assert ((ratio >= 0.7) & (ratio <= 1.4)).all(), (ds, fs, ratio)
 
 
 def bundle_stream(T):
