@@ -1,23 +1,22 @@
 """Kernel backend selection.
 
-Six kernels are compiled, from the C99 file ``kernels.c`` that ``setup.py``
+Five kernels are compiled, from the C99 file ``kernels.c`` that ``setup.py``
 always builds. Two serve every training sweep: ``hsmm_backward``, the
 backward messages, and ``hsmm_forward_sample``, the segment draw over them.
-The other four are the deterministic work of every filter step, over the
+The other three are the deterministic work of every filter step, over the
 stacked particles of one or more houses: ``fbpf_accumulate``, the joint
 predictive with one reading per particle, shifted by its row max;
-``fbpf_total``, the row totals after NumPy's exp; ``fbpf_advance``, which
-moves each resampled particle to a joint state drawn on a pre-drawn
+``fbpf_total``, the row totals after NumPy's exp; and ``fbpf_advance``,
+which moves each resampled particle to a joint state drawn on a pre-drawn
 uniform, splits its reading across the chains with pre-drawn normals,
 folds both into its ancestor's statistics, draws theta from their
 conjugate posterior with pre-drawn normals and writes the Dirichlet
-concentrations of the transition row out of each chain's new state, the
-only row the next step reads; and ``fbpf_dirichlet``, which normalises the
-gamma draws of those rows. The step keeps every draw, exp and log
-in NumPy, and the compiled filter kernels are bit-identical to the pure
-ones, so the filter's law does not depend on the backend. The compiled
-segment draw makes each pick with the pure one's operations, and paths
-differ only when a uniform falls within an ulp of a cdf boundary.
+posterior mean of the transition row out of each chain's new state, the
+only row the next step reads. The step keeps every draw, exp and log in
+NumPy, and the compiled filter kernels are bit-identical to the pure ones,
+so the filter's law does not depend on the backend. The compiled segment
+draw makes each pick with the pure one's operations, and paths differ only
+when a uniform falls within an ulp of a cdf boundary.
 ``systematic_counts`` is pure NumPy on every backend: one resampling call
 costs about 0.1 ms at 2000 particles. It is served from ``_pure``, where
 ``perfbench/spans.py`` looks up the reference of every traced kernel.
@@ -46,7 +45,6 @@ hsmm_forward_sample = _impl.hsmm_forward_sample
 fbpf_accumulate = _impl.fbpf_accumulate
 fbpf_total = _impl.fbpf_total
 fbpf_advance = _impl.fbpf_advance
-fbpf_dirichlet = _impl.fbpf_dirichlet
 systematic_counts = _pure.systematic_counts
 
 __all__ = [
@@ -56,6 +54,5 @@ __all__ = [
     "fbpf_accumulate",
     "fbpf_total",
     "fbpf_advance",
-    "fbpf_dirichlet",
     "systematic_counts",
 ]

@@ -11,9 +11,8 @@ the one next to it: a stale library may take other arguments.
 
 Same contracts as ``_pure``: ``hsmm_backward`` agrees with it to the last
 bit, where libm's ``exp`` and NumPy's SIMD one round apart, and the filter
-step's passes (``fbpf_accumulate``, ``fbpf_total``, ``fbpf_advance``,
-``fbpf_dirichlet``) bit for bit: they take no exp or log, which stay in
-NumPy.
+step's passes (``fbpf_accumulate``, ``fbpf_total``, ``fbpf_advance``) bit
+for bit: they take no exp or log, which stay in NumPy.
 ``hsmm_forward_sample`` computes each pick as ``_pure`` does, save that
 libm's ``exp`` may differ from NumPy's in the last bit, which moves a draw
 only when a uniform lies within an ulp of a cdf boundary.
@@ -66,8 +65,6 @@ _lib.fbpf_total.restype = None
 _lib.fbpf_total.argtypes = [_n, _n, _p, _p]
 _lib.fbpf_advance.restype = None
 _lib.fbpf_advance.argtypes = [_n] * 4 + [_p] * 11 + [ctypes.c_int] + [_p] * 14
-_lib.fbpf_dirichlet.restype = None
-_lib.fbpf_dirichlet.argtypes = [_n, _n, _n, _p, _p, _p]
 
 
 def _floats(name, a, ndim):
@@ -106,12 +103,11 @@ def _joint(joint_idx):
     return np.ascontiguousarray(joint_idx, dtype=np.int32)
 
 
-def _chain_sizes(Js, Jmax=None):
-    """The chains' state counts as an int64 array, each at least 1 and at
-    most ``Jmax`` when given."""
+def _chain_sizes(Js, Jmax):
+    """The chains' state counts as an int64 array, each in 1..Jmax."""
     Js = np.array(Js, dtype=np.int64).reshape(-1)
-    if len(Js) == 0 or Js.min() < 1 or (Jmax is not None and Js.max() > Jmax):
-        raise ValueError(f"Js {Js.tolist()} must give each chain 1..{Jmax or 'Jmax'} states")
+    if len(Js) == 0 or Js.min() < 1 or Js.max() > Jmax:
+        raise ValueError(f"Js {Js.tolist()} must give each chain 1..{Jmax} states")
     return Js
 
 
@@ -243,10 +239,10 @@ def fbpf_total(pred):
 
 
 def fbpf_advance(pred, tot, anc, u, joint_idx, theta, var_chain, ybar, z, states, transitions,
-                 trans_counts, emis_sums, emis_counts, zt, prior_mean, prior_var, alpha, Js, H):
+                 trans_counts, emis_sums, emis_counts, zt, prior_mean, prior_var, alpha, Js):
     """Each resampled particle's joint-state draw, emission split,
-    statistics fold, conjugate posterior and the concentrations of its rows
-    out of its new states; see ``_pure``."""
+    statistics fold, conjugate posterior and the Dirichlet posterior-mean
+    rows out of its new states; see ``_pure``."""
     pred = _floats("pred", pred, 2)
     tot = _floats("tot", tot, 1)
     anc = _ints("anc", anc, 1)
@@ -283,11 +279,8 @@ def fbpf_advance(pred, tot, anc, u, joint_idx, theta, var_chain, ybar, z, states
     _shape("prior_var", prior_var, (K, Jm))
     _shape("alpha", alpha, (K, Jm, Jm))
     Js = _chain_sizes(Js, Jm)
-    H = operator.index(H)
     if len(Js) != K:
         raise ValueError(f"Js must give {K} chains, got {len(Js)}")
-    if H < 1 or R % H:
-        raise ValueError(f"H must divide the {R} particles, got {H}")
     C = int(Js.sum())
     _shape("zt", zt, (R, C))
     _indices("anc", anc, rows, "rows of pred and of the statistics")
@@ -302,24 +295,12 @@ def fbpf_advance(pred, tot, anc, u, joint_idx, theta, var_chain, ybar, z, states
     es = np.empty((R, K, Jm))
     ec = np.empty((R, K, Jm))
     theta_out = np.empty((R, K, Jm))
-    conc = np.empty((H, R // H * C))
+    rows_out = np.empty((R, K, Jm))
     _lib.fbpf_advance(R, M, K, Jm, _addr(Js, np.int64), _addr(pred), _addr(tot),
                       _addr(anc, np.int64), _addr(u), _addr(joint_idx, np.int32),
                       _addr(theta), _addr(var_chain), _addr(ybar), _addr(z),
                       _addr(states, np.int64), int(bool(transitions)), _addr(trans_counts),
                       _addr(emis_sums), _addr(emis_counts), _addr(zt), _addr(inv_v0),
                       _addr(m0_v0), _addr(alpha), _addr(new_states, np.int64), _addr(emis),
-                      _addr(tc), _addr(es), _addr(ec), _addr(theta_out), _addr(conc))
-    return new_states, emis, tc, es, ec, theta_out, conc
-
-
-def fbpf_dirichlet(gam, Js):
-    """The transition rows of the gamma draws ``gam``, one row per chain of
-    each particle; see ``_pure``."""
-    gam = _floats("gam", gam, 2)
-    Js = _chain_sizes(Js)
-    K, Jm = len(Js), int(Js.max())
-    _shape("gam", gam, (len(gam), int(Js.sum())))
-    rows = np.empty((len(gam), K, Jm))
-    _lib.fbpf_dirichlet(len(gam), K, Jm, _addr(Js, np.int64), _addr(gam), _addr(rows))
-    return rows
+                      _addr(tc), _addr(es), _addr(ec), _addr(theta_out), _addr(rows_out))
+    return new_states, emis, tc, es, ec, theta_out, rows_out

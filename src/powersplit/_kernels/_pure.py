@@ -2,15 +2,14 @@
 
 The oracle for every compiled kernel in ``kernels.c``: ``hsmm_backward``,
 ``hsmm_forward_sample`` and the filter step's passes ``fbpf_accumulate``,
-``fbpf_total``, ``fbpf_advance`` and ``fbpf_dirichlet``, which share these
-contracts; they are served from here when the library is not built or
-POWERSPLIT_PURE=1. ``systematic_counts`` has no compiled version and is
-always served from here. ``conjugate_posterior`` is not a served kernel: the
-advance draws theta with it, and ``FactorialBpf`` draws its prior theta with
-it.
+``fbpf_total`` and ``fbpf_advance``, which share these contracts; they are
+served from here when the library is not built or POWERSPLIT_PURE=1.
+``systematic_counts`` has no compiled version and is always served from
+here. ``conjugate_posterior`` is not a served kernel: the advance draws
+theta with it, and ``FactorialBpf`` draws its prior theta with it.
 
 The filter passes take particles stacked house after house, N to a house,
-and draw nothing: the step hands them its uniforms, normals and gammas.
+and draw nothing: the step hands them its uniforms and normals.
 """
 
 from __future__ import annotations
@@ -160,7 +159,7 @@ def fbpf_total(pred):
 
 
 def fbpf_advance(pred, tot, anc, u, joint_idx, theta, var_chain, ybar, z, states, transitions,
-                 trans_counts, emis_sums, emis_counts, zt, prior_mean, prior_var, alpha, Js, H):
+                 trans_counts, emis_sums, emis_counts, zt, prior_mean, prior_var, alpha, Js):
     """Each resampled particle r, from its ancestor a = ``anc[r]``: the joint
     state picked with ``u[r]`` from predictive row a of ``pred`` over its
     total ``tot[a]`` (``distributions.categorical_rows_pick``), as a row of
@@ -169,11 +168,12 @@ def fbpf_advance(pred, tot, anc, u, joint_idx, theta, var_chain, ybar, z, states
     ``states`` when ``transitions``, the emission and one count in each
     chain's new state; and ``conjugate_posterior`` of those statistics with
     the (R, sum Js) theta normals ``zt``. Returns (new_states, emis,
-    trans_counts, emis_sums, emis_counts, theta, conc): conc holds the
-    Dirichlet concentrations ``alpha + trans_counts`` of the row out of each
-    chain's new state, the one row the next step reads, in H rows, one per
-    house and ready for one ``standard_gamma`` call: each particle's rows
-    in chain order, particle after particle.
+    trans_counts, emis_sums, emis_counts, theta, rows): rows (R, K, Jmax)
+    holds the Dirichlet posterior mean ``(alpha + trans_counts) / sum`` of
+    the row out of each chain's new state, the one row the next step reads
+    and its one-step predictive with the rows integrated out, and 1.0 in the
+    padding lanes of chains with fewer than Jmax states, whose log (0) is
+    cheap and which no pass reads.
 
     The split's law is Normal with mean theta_k + s2_k (ybar - sum theta) / S
     and covariance diag(s2) - s2 s2^T / S, S = sum s2, s2 = ``var_chain``:
@@ -198,17 +198,19 @@ def fbpf_advance(pred, tot, anc, u, joint_idx, theta, var_chain, ybar, z, states
     tc, es, ec = trans_counts[anc], emis_sums[anc], emis_counts[anc]
     # every (particle, chain) row gets exactly one increment, so fancy-index
     # adds equal np.add.at
-    rows = np.arange(R * K)
+    cells = np.arange(R * K)
     new = new_states.ravel()
     if transitions:
-        tc.reshape(-1, Jm, Jm)[rows, states[anc].ravel(), new] += 1.0
-    es.reshape(-1, Jm)[rows, new] += emis.ravel()
-    ec.reshape(-1, Jm)[rows, new] += 1.0
+        tc.reshape(-1, Jm, Jm)[cells, states[anc].ravel(), new] += 1.0
+    es.reshape(-1, Jm)[cells, new] += emis.ravel()
+    ec.reshape(-1, Jm)[cells, new] += 1.0
     theta = conjugate_posterior(zt, es, ec, var_chain, prior_mean, prior_var, Js)
     chains = np.arange(K)
-    out = alpha[chains, new_states] + tc[np.arange(R)[:, None], chains, new_states]
-    conc = np.concatenate([out[:, k, :J] for k, J in enumerate(Js)], axis=1)
-    return new_states, emis, tc, es, ec, theta, conc.reshape(H, -1)
+    rows = alpha[chains, new_states] + tc[np.arange(R)[:, None], chains, new_states]
+    for k, J in enumerate(Js):
+        rows[:, k, :J] /= rows[:, k, :J].sum(axis=1, keepdims=True)
+        rows[:, k, J:] = 1.0
+    return new_states, emis, tc, es, ec, theta, rows
 
 
 def conjugate_posterior(z, emis_sums, emis_counts, var_chain, prior_mean, prior_var, Js):
@@ -232,21 +234,6 @@ def conjugate_posterior(z, emis_sums, emis_counts, var_chain, prior_mean, prior_
     theta = zf * np.sqrt(post_var, out=post_var)
     theta += post_mean
     return theta
-
-
-def fbpf_dirichlet(gam, Js):
-    """The (R, K, Jmax) transition rows the next step reads, of the (R, sum
-    Js) gamma draws ``gam`` laid out as the advance's concentrations, one
-    row per particle: each particle's J_k draws of chain k over their sum,
-    and 1.0 in the padding lanes, whose log (0) is cheap and which no pass
-    reads."""
-    rows = np.ones((len(gam), len(Js), max(Js)))
-    off = 0
-    for k, J in enumerate(Js):
-        row = gam[:, off:off + J]
-        rows[:, k, :J] = row / row.sum(axis=1, keepdims=True)
-        off += J
-    return rows
 
 
 def systematic_counts(weights, u0):

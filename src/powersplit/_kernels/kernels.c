@@ -1,8 +1,8 @@
 /* Compiled kernels: the explicit-duration backward pass, the forward segment
- * draw over its messages, and the four deterministic passes of the
+ * draw over its messages, and the three deterministic passes of the
  * factorial filter's step: the shifted joint-state predictive, its row
- * totals, the advance of each particle through its conjugate posterior, and
- * the Dirichlet normalisation of the rows the next step reads.
+ * totals, and the advance of each particle through its conjugate posterior
+ * to the Dirichlet posterior-mean rows the next step reads.
  *
  * Plain C99 with no Python or NumPy API. ``_compiled.py`` loads the library
  * with ctypes, checks every input and allocates every output and scratch
@@ -316,9 +316,11 @@ void fbpf_total(ptrdiff_t R, ptrdiff_t M, double *pred, double *tot)
  * times pv, and theta_out = zt * sqrt(pv) + mean, where zt is the next of
  * the sum Js[k] standard normals of row r of zt in a real lane j < Js[k]
  * and 0.0 in a padding lane; inv_v0 and m0_v0 are NumPy's 1 / v0 and
- * m0 / v0 of the prior. Row r of conc (R, sum Js[k]) holds, in chain
- * order, the concentrations alpha[k] + tc of the row out of chain k's new
- * state, the one Dirichlet row the next step reads. */
+ * m0 / v0 of the prior. Row (r, k) of rows (R, K, Jmax) is the Dirichlet
+ * posterior mean of the transition row out of chain k's new state, the one
+ * row the next step reads: alpha[k] + tc of that row over its sum, which
+ * adds in pairwise_sum's order as np.sum does, and 1.0 in the padding lanes
+ * j >= Js[k], whose log (0) is cheap and which no pass reads. */
 void fbpf_advance(ptrdiff_t R, ptrdiff_t M, ptrdiff_t K, ptrdiff_t Jmax,
                   const long long *Js, const double *pred, const double *tot,
                   const long long *anc, const double *u, const int *joint,
@@ -327,7 +329,7 @@ void fbpf_advance(ptrdiff_t R, ptrdiff_t M, ptrdiff_t K, ptrdiff_t Jmax,
                   const double *es, const double *ec, const double *zt,
                   const double *inv_v0, const double *m0_v0, const double *alpha,
                   long long *states, double *emis, double *tc_out, double *es_out,
-                  double *ec_out, double *theta_out, double *conc)
+                  double *ec_out, double *theta_out, double *rows)
 {
     ptrdiff_t sq = K * Jmax * Jmax, ln = K * Jmax, C = 0;
     double S = pairwise_sum(s2, K);
@@ -372,7 +374,7 @@ void fbpf_advance(ptrdiff_t R, ptrdiff_t M, ptrdiff_t K, ptrdiff_t Jmax,
         }
 
         const double *zr = zt + r * C;
-        double *th_out = theta_out + r * ln, *out = conc + r * C;
+        double *th_out = theta_out + r * ln, *row = rows + r * ln;
         for (ptrdiff_t k = 0; k < K; k++) {
             ptrdiff_t J = (ptrdiff_t)Js[k];
             for (ptrdiff_t j = 0; j < Jmax; j++) {
@@ -381,39 +383,22 @@ void fbpf_advance(ptrdiff_t R, ptrdiff_t M, ptrdiff_t K, ptrdiff_t Jmax,
                 double pm = (sr[lane] / s2[k] + m0_v0[lane]) * pv;
                 th_out[lane] = (j < J ? zr[j] : 0.0) * sqrt(pv) + pm;
             }
-            ptrdiff_t row = (k * Jmax + x[k]) * Jmax;
+            ptrdiff_t from = (k * Jmax + x[k]) * Jmax;
+            double *out = row + k * Jmax, sum = 0.0;  /* pairwise_sum's own order below 8 */
             for (ptrdiff_t j = 0; j < J; j++)
-                out[j] = alpha[row + j] + tr[row + j];
-            zr += J;
-            out += J;
-        }
-    }
-}
-
-/* The gamma draws gam (R, sum Js[k]), laid out as fbpf_advance's conc,
- * normalised into the transition rows the next step reads: row (r, k) of
- * rows (R, K, Jmax) is chain k's J = Js[k] draws of row r divided by their
- * pairwise sum, and 1.0 in the padding lanes j >= J, whose log (0) is cheap
- * and which no pass reads. */
-void fbpf_dirichlet(ptrdiff_t R, ptrdiff_t K, ptrdiff_t Jmax, const long long *Js,
-                    const double *gam, double *rows)
-{
-    for (ptrdiff_t r = 0; r < R; r++)
-        for (ptrdiff_t k = 0; k < K; k++) {
-            ptrdiff_t J = (ptrdiff_t)Js[k];
-            double *p = rows + (r * K + k) * Jmax;
-            double s = 0.0;  /* pairwise_sum's own order below 8 */
+                out[j] = alpha[from + j] + tr[from + j];
             if (J < 8)
                 for (ptrdiff_t j = 0; j < J; j++)
-                    s += gam[j];
+                    sum += out[j];
             else
-                s = pairwise_sum(gam, J);
+                sum = pairwise_sum(out, J);
             for (ptrdiff_t j = 0; j < J; j++)
-                p[j] = gam[j] / s;
+                out[j] = out[j] / sum;
             for (ptrdiff_t j = J; j < Jmax; j++)
-                p[j] = 1.0;
-            gam += J;
+                out[j] = 1.0;
+            zr += J;
         }
+    }
 }
 
 /* The sha256 of the kernels.c this library was built from, which setup.py

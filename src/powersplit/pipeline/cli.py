@@ -209,6 +209,8 @@ def disagg(trace_path, config_path, seed, bundle_path, particles, states_path,
     except DegenerateWeightsError as exc:
         raise click.BadParameter(f"{trace_path}: {exc}", param_hint="trace") from exc
     log.info("disagg: log_evidence=%s", fmt(res.log_evidence))
+    log.info("disagg: ess_frac min=%s mean=%s", fmt(res.ess_frac.min()),
+             fmt(res.ess_frac.mean()))
 
     header = ["timestamp"]
     for name in res.devices:

@@ -67,6 +67,7 @@ class DisaggResult:
     covered: np.ndarray     # (T,) bool, rows inside a session
     metrics: dict | None
     log_evidence: float     # the filter's running log p(total readings)
+    ess_frac: np.ndarray    # (covered,) first-stage ESS/N of each step
 
 
 def disaggregate(trace: Trace, bundle: HyperParamBundle, n_particles: int,
@@ -89,6 +90,7 @@ def disaggregate(trace: Trace, bundle: HyperParamBundle, n_particles: int,
     powers = np.zeros((T, K))
     residual = np.zeros(T)
     covered = np.zeros(T, dtype=bool)
+    ess_frac = []
     for a, b in trace.sessions:
         for t in range(a, b):
             try:
@@ -97,6 +99,7 @@ def disaggregate(trace: Trace, bundle: HyperParamBundle, n_particles: int,
                 raise DegenerateWeightsError(
                     f"reading at {trace.timestamps()[t]:%Y-%m-%dT%H:%M} "
                     f"(total {trace.total[t]:.9g}): {exc}") from exc
+            ess_frac.append(filt.ess_frac)
             mp = filt.map_states()
             pm = filt.power_means()
             states[t] = mp
@@ -127,4 +130,4 @@ def disaggregate(trace: Trace, bundle: HyperParamBundle, n_particles: int,
         metrics["aggregate_rmse"] = float(np.sqrt(np.mean(residual[sel] ** 2)))
     return DisaggResult(devices=trace.devices, states=states, powers=powers,
                         residual=residual, covered=covered, metrics=metrics,
-                        log_evidence=filt.log_evidence)
+                        log_evidence=filt.log_evidence, ess_frac=np.array(ess_frac))

@@ -1,9 +1,10 @@
 """Online inference: ``FactorialBpf``, the particle-learning filter that
 splits an aggregate power reading across K chains by enumerating the joint
-state space. Each particle carries conjugate sufficient statistics and
-refreshes its parameters from them every step; of its transition matrices
-it draws and keeps only the rows out of its current states, the rows the
-next step reads.
+state space. Each particle carries conjugate sufficient statistics. It
+draws its emission means from their posterior every step and integrates its
+transition matrices out: it keeps the Dirichlet posterior mean of the row
+out of each chain's current state, the exact one-step predictive that the
+next step reads (particle learning with the conjugate rows marginalised).
 
 The joint state space is always the full row-major product of the chains'
 states (``joint_state_table``), so the joint predictive of every particle is
@@ -13,10 +14,10 @@ an (N, M, K) gather.
 A filter serves one house, or a bank of houses that share priors and
 particle count, stepped in one pass over their stacked particles. Each
 house draws a step's randoms from its own generator, with one call per
-kind, and the deterministic work between the draws runs in four
+kind, and the deterministic work between the draws runs in three
 ``_kernels`` passes (the shifted predictive, its totals, the advance of
-each particle through its conjugate posterior, the Dirichlet rows), which
-are compiled on the native backend and bit-identical to their NumPy twins;
+each particle through its conjugate posterior to its next rows), which are
+compiled on the native backend and bit-identical to their NumPy twins;
 every exp and log stays in NumPy.
 
 Per-step cost is fixed: sufficient statistics replace the path, so nothing
@@ -36,7 +37,6 @@ import numpy as np
 from ._kernels import (
     fbpf_accumulate,
     fbpf_advance,
-    fbpf_dirichlet,
     fbpf_total,
     systematic_counts,
 )
@@ -109,26 +109,28 @@ class FactorialBpf:
     that share priors and particle count.
 
     Each particle carries, for every chain: the current state, the imputed
-    emission, transition counts, per-state emission sums/counts, and sampled
-    parameters: the emission means ``theta`` and, in ``rows``, the
-    transition row out of the current state (1.0 in the padding lanes of
-    chains with fewer than ``Jmax`` states, which no pass reads). Every step
-    weights by the joint predictive, resamples, propagates through the exact
-    joint conditional, imputes emissions that sum to the aggregate, folds
-    the statistics, and refreshes parameters from their conjugate
-    posteriors. Weights are uniform after every step. ``log_evidence``
+    emission, transition counts, per-state emission sums/counts, the
+    emission means ``theta`` drawn from their posterior and, in ``rows``,
+    the Dirichlet posterior mean of the transition row out of the current
+    state (1.0 in the padding lanes of chains with fewer than ``Jmax``
+    states, which no pass reads). Every step weights by the joint
+    predictive, resamples, propagates through the exact joint conditional,
+    imputes emissions that sum to the aggregate, folds the statistics,
+    draws theta from its conjugate posterior and takes the rows out of the
+    new states. Weights are uniform after every step. ``log_evidence``
     accumulates the log of the mean first-stage predictive, an estimate of
-    log p(y_1:t).
+    log p(y_1:t), and ``ess_frac`` holds the last step's first-stage
+    effective sample size over N (1.0 before the first step).
 
     ``rng`` is one generator for a lone house: ``step`` takes a scalar
-    reading, ``map_states`` returns (K,), ``power_means`` (J_k,) arrays and
-    ``log_evidence`` is a float. A sequence of H distinct generators makes
-    a bank: the particle arrays hold (H*N, ...) rows, house after house,
-    ``step`` takes H readings, and the estimators and ``log_evidence`` gain
-    a leading house axis. Every draw stays per house, from the house's own
-    generator in a lone house's order, so each house of a bank ends
-    byte-identical to the same house filtered alone; ``house(h)`` reads one
-    house as a lone filter.
+    reading, ``map_states`` returns (K,), ``power_means`` (J_k,) arrays,
+    and ``log_evidence`` and ``ess_frac`` are floats. A sequence of H
+    distinct generators makes a bank: the particle arrays hold (H*N, ...)
+    rows, house after house, ``step`` takes H readings, and the estimators,
+    ``log_evidence`` and ``ess_frac`` gain a leading house axis. Every draw
+    stays per house, from the house's own generator in a lone house's
+    order, so each house of a bank ends byte-identical to the same house
+    filtered alone; ``house(h)`` reads one house as a lone filter.
 
     With a single chain this is the plain Bayesian particle filter.
     """
@@ -151,6 +153,7 @@ class FactorialBpf:
         self.var_chain = np.array([p.sigma2 for p in priors])
         self.n = 0
         self.log_evidence = 0.0 if self._lone else np.zeros(self.H)
+        self.ess_frac = 1.0 if self._lone else np.ones(self.H)
 
         H, N, K, Jm = self.H, self.N, self.K, self.Jmax
         self.states = np.zeros((H * N, K), dtype=np.int64)
@@ -171,8 +174,8 @@ class FactorialBpf:
             self.alpha[k, :J, :J] = p.alpha
 
         # theta from the prior, each house drawing the normals of its real
-        # lanes; the first step moves from the uniform rows, so no row is
-        # drawn before it
+        # lanes; the first state has no predecessor, so the first step moves
+        # from the uniform rows
         z = np.empty((H, N * sum(self.Js)))
         for h, g in enumerate(self.rngs):
             g.standard_normal(out=z[h])
@@ -197,34 +200,35 @@ class FactorialBpf:
             setattr(view, name, part)
         view.H, view._lone, view.rngs = 1, True, None
         view.log_evidence = float(np.reshape(self.log_evidence, -1)[h])
+        view.ess_frac = float(np.reshape(self.ess_frac, -1)[h])
         return view
 
     def step(self, ybar) -> None:
         """Consume one aggregate reading per house: a scalar for a lone
         house, H readings for a bank.
 
-        Four passes over the H*N particles: ``fbpf_accumulate``, the joint
+        Three passes over the H*N particles: ``fbpf_accumulate``, the joint
         predictive shifted by its row max; after NumPy's exp, ``fbpf_total``,
-        whose row totals give each house's log-evidence and resample weights;
-        ``fbpf_advance``, which moves each resampled particle from its
-        ancestor's predictive row, imputes its emissions, folds its
-        statistics, draws theta from their conjugate posterior and gives the
-        Dirichlet concentrations of the row out of each chain's new state;
-        and ``fbpf_dirichlet``, those rows normalised from one
-        ``standard_gamma`` call per house over them. The rows of a Dirichlet
-        posterior are independent given the counts, and no pass reads a row
-        out of any other state before the next step draws every row again,
-        so drawing only these keeps the filter's law. Every draw stays per
-        house, from that house's generator and in a lone house's order, with
-        one call per kind: ``random(N + 1)``, the systematic uniform then the
-        categorical ones; ``standard_normal(N*K + N*sum(Js))``, the emission
-        normals then the theta ones of the real lanes; then the N*sum(Js)
-        gammas. A generator method draws element by element and keeps no
-        state between calls, so these are the bits that one call per draw
-        would give, and each house ends byte-identical to filtering it
-        alone. Raises ``DegenerateWeightsError``, leaving every
-        house and generator as they were, when all of some house's
-        predictive weights vanish.
+        whose row totals give each house's log-evidence, resample weights
+        and ``ess_frac``; and ``fbpf_advance``, which moves each resampled
+        particle from its ancestor's predictive row, imputes its emissions,
+        folds its statistics, draws theta from their conjugate posterior and
+        writes the rows the next step reads: the Dirichlet posterior mean
+        ``(alpha + n)[k, x_k] / sum`` of the row out of each chain's new
+        state, the one-step predictive of the next state with the transition
+        rows integrated out. Every draw stays per house, from that house's
+        generator and in a lone house's order, with one call per kind:
+        ``random(N + 1)``, the systematic uniform then the categorical ones;
+        then ``standard_normal(N*K + N*sum(Js))``, the emission normals then
+        the theta ones of the real lanes. A generator method draws element
+        by element and keeps no state between calls, so these are the bits
+        that one call per draw would give, and each house ends
+        byte-identical to filtering it alone.
+
+        Raises ``ValueError`` naming the house when a reading is NaN or
+        infinite, and ``DegenerateWeightsError`` when all of some house's
+        predictive weights vanish; either leaves every house and generator
+        as they were.
         """
         if self.rngs is None:
             raise TypeError("a house view does not step: step the filter it reads")
@@ -233,6 +237,10 @@ class FactorialBpf:
         want = () if self._lone else (H,)
         if y.shape != want:
             raise ValueError(f"need one reading per house, shape {want}, got {y.shape}")
+        bad = np.flatnonzero(~np.isfinite(y.reshape(H)))
+        if len(bad):
+            h = int(bad[0])
+            raise ValueError(f"house {h}: reading {y.reshape(H)[h]} is not finite")
         ybar = np.repeat(y.reshape(H), N)
 
         logw, row_max = fbpf_accumulate(np.log(self.rows), self.theta, self.var_chain,
@@ -253,6 +261,7 @@ class FactorialBpf:
         w = np.exp(logpred - mx[:, None])
         evidence = mx + np.log(w.mean(axis=1))
         w /= w.sum(axis=1, keepdims=True)
+        ess_frac = 1.0 / (N * np.einsum("hn,hn->h", w, w))
         u = np.empty((H, N + 1))
         z = np.empty((H, N * (K + sum(self.Js))))
         for h, g in enumerate(self.rngs):
@@ -262,24 +271,19 @@ class FactorialBpf:
             [systematic_counts(w[h], u[h, 0] / N) for h in range(H)]))
 
         # joint propagation through the exact conditional, emissions that sum
-        # to the aggregate, the statistics they update and theta from them
-        new_states, emis, trans_counts, emis_sums, emis_counts, theta, conc = fbpf_advance(
+        # to the aggregate, the statistics they update, theta drawn from them
+        # and the rows out of the new states
+        (self.states, self.emis, self.trans_counts, self.emis_sums, self.emis_counts,
+         self.theta, self.rows) = fbpf_advance(
             pred, row_tot, idx, u[:, 1:].reshape(-1), self.joint_idx, self.theta,
             self.var_chain, ybar, z[:, :N * K].reshape(H * N, K), self.states, self.n > 0,
             self.trans_counts, self.emis_sums, self.emis_counts,
             z[:, N * K:].reshape(H * N, -1), self.prior_mean, self.prior_var, self.alpha,
-            self.Js, H)
-
-        del logw, pred  # the (H*N, M) array, before the gamma draws allocate
-        gam = np.empty_like(conc)
-        for h, g in enumerate(self.rngs):
-            g.standard_gamma(conc[h], out=gam[h])
-        self.theta, self.rows = theta, fbpf_dirichlet(gam.reshape(H * N, -1), self.Js)
-        self.states, self.emis = new_states, emis
-        self.trans_counts, self.emis_sums, self.emis_counts = trans_counts, emis_sums, emis_counts
+            self.Js)
         self.weights = np.full(H * N, 1.0 / N)
         evidence = self.log_evidence + evidence
         self.log_evidence = float(evidence[0]) if self._lone else evidence
+        self.ess_frac = float(ess_frac[0]) if self._lone else ess_frac
         self.n += 1
 
     # -- estimators ---------------------------------------------------------

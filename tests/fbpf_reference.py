@@ -3,10 +3,15 @@
 ``fbpf_accumulate_gather_reference`` is the factorial accumulate written as a
 direct (N, M, K) gather through the joint-state table, then shifted by its
 row max; the shipped outer-sum kernel must match it bit for bit on product
-tables. ``row_concentrations`` reads the filter's own Dirichlet update for
-the conjugate-update oracles. Importing this module builds nothing and has
-no side effects.
+tables. ``row_predictive`` reads the filter's own Dirichlet update for the
+conjugate-update oracles, and ``exact_learning_filter`` enumerates the
+joint paths of a small factorial model with every parameter integrated
+out, the oracle of the learning filter. Importing this module builds
+nothing and has no side effects.
 """
+
+import itertools
+import math
 
 import numpy as np
 
@@ -51,10 +56,10 @@ def random_rows(rng, N, Js, p_inf=0.0):
     return rows, theta, var
 
 
-def row_concentrations(alpha, counts):
-    """The two Dirichlet concentrations that the filter's advance,
-    ``_pure.fbpf_advance``, gives the row out of state 0 of one particle of
-    one two-state chain that moves into state 0: the prior row ``alpha``
+def row_predictive(alpha, counts):
+    """The row that the filter's advance, ``_pure.fbpf_advance``, gives the
+    row out of state 0 of one particle of one two-state chain that moves
+    into state 0: the Dirichlet posterior mean of the prior row ``alpha``
     plus the transition ``counts`` out of state 0, with no transition
     folded in."""
     trans = np.zeros((1, 1, 2, 2))
@@ -64,6 +69,61 @@ def row_concentrations(alpha, counts):
     out = fbpf_advance(pred, pred.sum(axis=1), np.zeros(1, np.int64), np.full(1, 0.5),
                        np.array([[0], [1]]), zeros, np.ones(1), np.zeros(1), np.zeros((1, 1)),
                        np.zeros((1, 1), np.int64), False, trans, zeros, zeros, np.zeros((1, 2)),
-                       np.zeros((1, 2)), np.ones((1, 2)), np.array([[alpha, alpha]]), (2,), 1)
+                       np.zeros((1, 2)), np.ones((1, 2)), np.array([[alpha, alpha]]), (2,))
     assert (out[0] == 0).all()
-    return out[6][0]
+    return out[6][0, 0]
+
+
+def _mvn_logpdf(y, mean, cov):
+    """log N(y; mean, cov) for a stack of (P, t) means and (P, t, t)
+    covariances."""
+    L = np.linalg.cholesky(cov)
+    r = np.linalg.solve(L, (y - mean)[..., None])[..., 0]
+    logdet = 2.0 * np.log(np.diagonal(L, axis1=1, axis2=2)).sum(axis=1)
+    return -0.5 * (len(y) * np.log(2.0 * np.pi) + logdet + (r * r).sum(axis=1))
+
+
+def exact_learning_filter(priors, y):
+    """The exact filter of the model that ``FactorialBpf`` learns, by
+    enumerating every joint path: per t = 1..len(y), the joint filtering
+    marginal p(x_t | y_1:t) over the row-major joint states and log p(y_1:t).
+
+    Both parameter sets are integrated out in closed form. Each chain's
+    first state is uniform, the filter's own start, and its transition rows
+    are Dirichlet, so its path has the Polya-urn probability: each move
+    i -> j has the posterior mean (alpha + n)[i, j] / row sum of the moves
+    before it. Given the path the emission means are Normal, so the
+    readings are Gaussian, y ~ N(A m0, A V0 A^T + S I), where row s of A
+    picks each chain's mean lane at time s and S is the sum of the chains'
+    variances. There are M^t paths at time t, so keep M^len(y) small.
+    """
+    Js = [p.J for p in priors]
+    joint = np.array(list(itertools.product(*[range(J) for J in Js])))
+    M, K = joint.shape
+    off = np.cumsum([0] + Js[:-1])
+    m0 = np.concatenate([[c.mean for c in p.emission] for p in priors])
+    v0 = np.concatenate([[c.var for c in p.emission] for p in priors])
+    S = sum(p.sigma2 for p in priors)
+    y = np.asarray(y, dtype=float)
+    marginals, logp = [], []
+    for t in range(1, len(y) + 1):
+        paths = np.array(list(itertools.product(range(M), repeat=t)))
+        P, each = len(paths), np.arange(len(paths))
+        logprior = np.full(P, -math.log(M))
+        A = np.zeros((P, t, len(m0)))
+        for k, prior in enumerate(priors):
+            x = joint[paths, k]
+            A[each[:, None], np.arange(t), off[k] + x] = 1.0
+            counts = np.zeros((P, Js[k], Js[k]))
+            for s in range(1, t):
+                i, j = x[:, s - 1], x[:, s]
+                row = prior.alpha[i] + counts[each, i]
+                logprior += np.log(row[each, j] / row.sum(axis=1))
+                counts[each, i, j] += 1.0
+        cov = (A * v0) @ A.transpose(0, 2, 1) + S * np.eye(t)
+        logjoint = logprior + _mvn_logpdf(y[:t], A @ m0, cov)
+        top = logjoint.max()
+        w = np.exp(logjoint - top)
+        logp.append(top + math.log(w.sum()))
+        marginals.append(np.bincount(paths[:, -1], weights=w, minlength=M) / w.sum())
+    return np.array(marginals), np.array(logp)

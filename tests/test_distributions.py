@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 import pytest
-from fbpf_reference import row_concentrations
+from fbpf_reference import row_predictive
 from hypothesis import given, settings, strategies as st
 from scipy.stats import beta as beta_dist, gamma as gamma_dist, nbinom, norm, poisson
 
@@ -90,11 +90,11 @@ def test_beta_negbin_update_matches_quadrature():
 
 def test_dirichlet_update_matches_beta_quadrature():
     # two categories reduce to a Beta posterior on the first weight; the
-    # update is the filter's, the advance's concentrations of the row out of
-    # state 0 of one particle's one two-state chain
+    # update is the filter's, the advance's posterior-mean row out of state
+    # 0 of one particle's one two-state chain
     alpha = np.array([1.2, 3.4])
     counts = np.array([5.0, 2.0])
-    post = row_concentrations(alpha, counts)
+    post = row_predictive(alpha, counts)
     grid = np.linspace(1e-9, 1 - 1e-9, 400_001)
     loglik = counts[0] * np.log(grid) + counts[1] * np.log1p(-grid)
     mean, _ = quadrature_moments(grid, beta_dist.logpdf(grid, alpha[0], alpha[1]), loglik)

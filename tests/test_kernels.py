@@ -400,9 +400,9 @@ def test_shift_and_total_match_pure_on_dead_rows_and_nan(compiled_kernels):
        st.integers(1, 6), st.integers(0, 10_000))
 @example([2, 9, 10], 2, 3, 0)
 def test_posterior_and_dirichlet_match_pure(compiled_kernels, Js, H, N, seed):
-    # the advance's conjugate posterior and row concentrations over H houses
-    # of N particles; chains of 8 states and more take numpy's pairwise row
-    # sum
+    # the advance's conjugate posterior and Dirichlet posterior-mean rows
+    # over H houses of N particles; chains of 8 states and more take numpy's
+    # pairwise row sum
     rng = np.random.default_rng(seed)
     K, Jm, R, C = len(Js), max(Js), H * N, sum(Js)
     joint = joint_state_table(tuple(Js))
@@ -417,27 +417,16 @@ def test_posterior_and_dirichlet_match_pure(compiled_kernels, Js, H, N, seed):
             rng.normal(200.0, 80.0, R), rng.standard_normal((R, K)),
             joint[rng.integers(0, M, R)].astype(np.int64), True, tc, es, ec,
             rng.standard_normal((R, C)), rng.normal(0.0, 100.0, (K, Jm)),
-            rng.uniform(0.5, 900.0, (K, Jm)), alpha, tuple(Js), H]
+            rng.uniform(0.5, 900.0, (K, Jm)), alpha, tuple(Js)]
     assert_pass_matches_pure(compiled_kernels, "fbpf_advance", args)
-    new_states, *_, tc_out, _, _, _, conc = _pure.fbpf_advance(*args)
-    # the concentrations of the row out of each chain's new state, in chain
-    # order, particle after particle
-    assert conc.shape == (H, N * C)
-    off = 0
+    new_states, *_, tc_out, _, _, _, rows = _pure.fbpf_advance(*args)
+    # the row out of each chain's new state, alpha + n over its own sum, bit
+    # for bit
+    assert rows.shape == (R, K, Jm)
     for k, J in enumerate(Js):
         x = new_states[:, k]
-        assert np.array_equal(conc.reshape(R, C)[:, off:off + J],
-                              alpha[k, x, :J] + tc_out[np.arange(R), k, x, :J])
-        off += J
-    gam = rng.standard_gamma(conc).reshape(R, C) + rng.uniform(0.0, 1e-3, (R, C))
-    assert_pass_matches_pure(compiled_kernels, "fbpf_dirichlet", [gam, tuple(Js)])
-    # each chain's draws over their own sum, bit for bit
-    rows = _pure.fbpf_dirichlet(gam, tuple(Js))
-    off = 0
-    for k, J in enumerate(Js):
-        block = np.ascontiguousarray(gam[:, off:off + J])
-        off += J
-        assert np.array_equal(rows[:, k, :J], block / block.sum(axis=1, keepdims=True))
+        post = np.ascontiguousarray(alpha[k, x, :J] + tc_out[np.arange(R), k, x, :J])
+        assert np.array_equal(rows[:, k, :J], post / post.sum(axis=1, keepdims=True))
         assert (rows[:, k, J:] == 1.0).all()  # padding whose log is 0
 
 
@@ -468,7 +457,7 @@ def test_advance_matches_pure_on_edge_rows(compiled_kernels):
         stats = [rng.integers(0, 4, (R, K, Jm, Jm)).astype(float), rng.normal(0, 9, (R, K, Jm)),
                  rng.integers(0, 4, (R, K, Jm)).astype(float), rng.standard_normal((R, sum(Js))),
                  rng.normal(0.0, 50.0, (K, Jm)), rng.uniform(1.0, 400.0, (K, Jm)),
-                 rng.uniform(0.5, 2.0, (K, Jm, Jm)), Js, 2]
+                 rng.uniform(0.5, 2.0, (K, Jm, Jm)), Js]
         args = [pred, tot, anc, u, joint, theta, var, ybar, z, states]
         for transitions in (False, True):
             assert_pass_matches_pure(compiled_kernels, "fbpf_advance",
@@ -504,7 +493,7 @@ def _pass_call(kernel, **change):
                  emis_sums=rng.normal(0.0, 9.0, (R, K, Jm)),
                  emis_counts=rng.integers(0, 3, (R, K, Jm)).astype(float),
                  zt=rng.standard_normal((R, sum(Js))), prior_mean=np.zeros((K, Jm)),
-                 prior_var=np.ones((K, Jm)), alpha=np.ones((K, Jm, Jm)), Js=Js, H=H)
+                 prior_var=np.ones((K, Jm)), alpha=np.ones((K, Jm, Jm)), Js=Js)
     pred = rng.uniform(0.1, 1.0, (R, M))
     args = {
         "fbpf_accumulate": dict(logtrans_rows=np.log(rng.uniform(0.1, 1.0, (R, K, Jm))),
@@ -518,7 +507,6 @@ def _pass_call(kernel, **change):
                              var_chain=np.array([4.0, 9.0]), ybar=rng.normal(0.0, 5.0, R),
                              z=rng.standard_normal((R, K)), states=states, transitions=True,
                              **stats),
-        "fbpf_dirichlet": dict(gam=rng.uniform(0.1, 2.0, (R, sum(Js))), Js=Js),
     }[kernel]
     args.update(change)
     return kernel, args
@@ -607,7 +595,6 @@ BAD_INPUTS = {
                                                    emis_counts=np.zeros((6, 2, 2))),
                                         "emis_counts"),
     # the advance's posterior stage
-    "posterior_H_not_dividing": (_pass_call("fbpf_advance", H=4), "H"),
     "posterior_Js_past_lanes": (_pass_call("fbpf_advance", Js=(2, 4)), "Js"),
     "posterior_Js_one_chain": (_pass_call("fbpf_advance", Js=(3,)), "Js"),
     "posterior_alpha_wrong_shape": (_pass_call("fbpf_advance", alpha=np.ones((2, 3, 2))),
@@ -619,12 +606,14 @@ BAD_INPUTS = {
     "posterior_prior_var_float32": (_pass_call("fbpf_advance",
                                                prior_var=np.ones((2, 3), np.float32)),
                                     "prior_var"),
-    "dirichlet_gam_wrong_width": (_pass_call("fbpf_dirichlet", gam=np.ones((2, 38))), "gam"),
-    "dirichlet_gam_1d": (_pass_call("fbpf_dirichlet", gam=np.ones(30)), "gam"),
-    "dirichlet_gam_float32": (_pass_call("fbpf_dirichlet", gam=np.ones((6, 5), np.float32)),
-                              "gam"),
-    "dirichlet_Js_empty": (_pass_call("fbpf_dirichlet", Js=()), "Js"),
-    "dirichlet_Js_empty_chain": (_pass_call("fbpf_dirichlet", Js=(5, 0)), "Js"),
+    # the advance's Dirichlet rows: alpha gives their concentrations
+    "dirichlet_alpha_wrong_width": (_pass_call("fbpf_advance", alpha=np.ones((2, 3, 4))),
+                                    "alpha"),
+    "dirichlet_alpha_2d": (_pass_call("fbpf_advance", alpha=np.ones((2, 9))), "alpha"),
+    "dirichlet_alpha_float32": (_pass_call("fbpf_advance",
+                                           alpha=np.ones((2, 3, 3), np.float32)), "alpha"),
+    "dirichlet_Js_empty": (_pass_call("fbpf_advance", Js=()), "Js"),
+    "dirichlet_Js_empty_chain": (_pass_call("fbpf_advance", Js=(3, 0)), "Js"),
 }
 
 

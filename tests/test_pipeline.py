@@ -653,9 +653,12 @@ def test_cli_disagg_logs_log_evidence_at_info(tmp_path, runner):
     assert loud_files == quiet_files
     assert quiet.stderr == ""
     lines = loud.stderr.splitlines()
-    assert len(lines) == 2 and lines[1].startswith("INFO powersplit: disagg: backend=")
+    assert len(lines) == 3 and lines[2].startswith("INFO powersplit: disagg: backend=")
     m = re.fullmatch(r"INFO powersplit: disagg: log_evidence=(\S+)", lines[0])
     assert m and math.isfinite(float(m.group(1))) and float(m.group(1)) < 0
+    # each step's first-stage ESS/N lies in (0, 1], so do their min and mean
+    m = re.fullmatch(r"INFO powersplit: disagg: ess_frac min=(\S+) mean=(\S+)", lines[1])
+    assert m and 0.0 < float(m.group(1)) <= float(m.group(2)) <= 1.0
 
 
 BAD_TRACES = {

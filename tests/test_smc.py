@@ -7,10 +7,12 @@ filter level against the (N, M, K) gather it replaced and against the
 compiled kernel, and the running log-evidence against the closed-form
 first-step predictive. Each house of a bank must end byte for byte where
 the same house filtered alone ends. Tracking of the exact filter is
-acceptance criterion 7. The learned means of a single chain are checked
-against the conjugate posterior given the simulated path, the drawn
-transition rows against their Dirichlet moments, and a counting generator
-checks that a filter draws only the randoms its passes read.
+acceptance criterion 7; the learning filter, with every parameter
+learned, is checked against the exact enumeration of a small model's joint
+paths. The learned means of a single chain are checked against the
+conjugate posterior given the simulated path, the kept transition rows
+against their Dirichlet posterior mean, and a counting generator checks
+that a filter draws only the randoms its passes read.
 """
 
 import hashlib
@@ -18,7 +20,7 @@ import math
 
 import numpy as np
 import pytest
-from fbpf_reference import fbpf_accumulate_gather_reference
+from fbpf_reference import exact_learning_filter, fbpf_accumulate_gather_reference
 from hmm_reference import HmmParams, simulate_hmm
 from scipy.stats import norm
 
@@ -170,8 +172,11 @@ def test_first_stage_weights_match_brute_force(monkeypatch):
         return counts(w, u0)
 
     monkeypatch.setattr(smc, "systematic_counts", spy)
+    assert np.array_equal(bank.ess_frac, [1.0, 1.0])
     bank.step(readings)
     assert len(seen) == 2
+    # each house's ESS/N of the weights it resampled by
+    assert np.abs(bank.ess_frac - [1.0 / (6 * (w * w).sum()) for w in seen]).max() < 1e-12
     for w, (pi0, pi1), (th0, th1), y in zip(seen, pis, thetas, readings):
         pred = np.array([
             sum(pi0[a0, a] * pi1[b0, b] * norm.pdf(y, th0[a] + th1[b], sd)
@@ -197,7 +202,7 @@ def test_advance_emission_split_law():
     theta[0, np.arange(3), joint[5]] = theta_sel
     stats = [np.zeros((1, 3, 2, 2)), np.zeros((1, 3, 2)), np.zeros((1, 3, 2))]
     posterior = [np.zeros((n, 6)), np.zeros((3, 2)), np.ones((3, 2)), np.ones((3, 2, 2)),
-                 (2, 2, 2), 1]
+                 (2, 2, 2)]
     states, draws, *_ = smc.fbpf_advance(
         pred, pred.sum(axis=1), np.zeros(n, np.int64), stream(4, "split").random(n), joint,
         theta, d, np.full(n, ybar), stream(5, "split").standard_normal((n, 3)),
@@ -254,56 +259,50 @@ def test_pl_sample_params_concentrates():
     filt.emis_counts[:, 0] = [1000.0, 1000.0]
     # the shipped advance moves half the particles into each state, with no
     # transition fold; each one's emission is its state's mean, which leaves
-    # the posterior means where they were; theta and the rows out of the
-    # new states are drawn as the step draws them
+    # the posterior means where they were; theta is drawn as the step draws
+    # it, and the advance gives the rows out of the new states
     g, N = filt.rngs[0], filt.N
     states = np.repeat([0, 1], 150)
     pred = np.eye(2)[states]
     z = g.standard_normal(3 * N)
-    _, _, _, _, _, theta, conc = smc.fbpf_advance(
+    _, _, _, _, _, theta, rows = smc.fbpf_advance(
         pred, pred.sum(axis=1), np.arange(N), g.random(N), filt.joint_idx, filt.theta,
         filt.var_chain, np.where(states == 0, 1.0, 5.0), z[:N].reshape(N, 1), filt.states,
         False, filt.trans_counts, filt.emis_sums, filt.emis_counts, z[N:].reshape(N, 2),
-        filt.prior_mean, filt.prior_var, filt.alpha, filt.Js, 1)
-    rows = smc.fbpf_dirichlet(g.standard_gamma(conc).reshape(N, 2), filt.Js)
+        filt.prior_mean, filt.prior_var, filt.alpha, filt.Js)
     assert np.abs(theta[:, 0].mean(axis=0) - [1.0, 5.0]).max() < 0.02
-    # each particle keeps the row out of its state, drawn from Dir(alpha + n)
+    # each particle keeps the Dir(alpha + n) mean of the row out of its
+    # state; both rows sum to 1002 exactly, so the quotients are exact
     want = (prior.alpha + filt.trans_counts[0, 0]) / 1002.0
     for s in (0, 1):
-        assert np.abs(rows[states == s, 0].mean(axis=0) - want[s]).max() < 0.01
+        assert np.array_equal(rows[states == s, 0], np.broadcast_to(want[s], (150, 2)))
 
 
-def test_step_draws_the_rows_out_of_the_new_states_from_their_dirichlet():
-    # a J=3 chain with fixed transition counts and equal means, so the first
-    # step, which folds no transition, spreads the particles over the three
-    # states; the row each particle keeps is the one out of its new state,
-    # drawn through the shipped advance, gamma draws and normalisation, and
-    # its lanes must have the moments of Dir(alpha + n[state]): each mean
-    # and variance within 4 standard errors
+def test_step_draws_the_rows_out_of_the_new_states_from_their_dirichlet(monkeypatch,
+                                                                        compiled_kernels):
+    # a J=3 chain with fixed transition counts and equal means beside a J=2
+    # one, so the first step, which folds no transition, spreads the
+    # particles over the states; on both backends the row each particle
+    # keeps is the one out of its new state, the Dirichlet posterior mean
+    # (alpha + n)[x] / sum to the last bit, with 1.0 in the J=2 chain's
+    # padding lane
     alpha = np.ones((3, 3)) + 2.0 * np.eye(3)
     counts = np.array([[30.0, 5.0, 2.0], [4.0, 20.0, 6.0], [1.0, 3.0, 40.0]])
-    prior = ChainPrior(alpha, tuple(NormalPrior(0.0, 1.0) for _ in range(3)), 1.0)
-    filt = FactorialBpf([prior], n_particles=6000, rng=stream(7, "rows"))
-    filt.trans_counts[:, 0, :3, :3] = counts
-    filt.theta[:] = 0.0
-    filt.step(0.0)
-    assert np.array_equal(filt.trans_counts[:, 0], np.broadcast_to(counts, (6000, 3, 3)))
-    for s in range(3):
-        rows = filt.rows[filt.states[:, 0] == s, 0]
-        n = len(rows)
-        assert n > 1500
-        a = alpha[s] + counts[s]
-        a0, b = a.sum(), a.sum() - a
-        mean = a / a0
-        var = a * b / (a0 * a0 * (a0 + 1.0))
-        # each lane is Beta(a, b): its fourth central moment from the excess
-        # kurtosis gives the standard error of the sample variance
-        kurt = 6.0 * ((a - b) ** 2 * (a0 + 1.0) - a * b * (a0 + 2.0)) / (
-            a * b * (a0 + 2.0) * (a0 + 3.0))
-        m4 = (kurt + 3.0) * var * var
-        assert (np.abs(rows.mean(axis=0) - mean) < 4.0 * np.sqrt(var / n)).all(), s
-        se_var = np.sqrt((m4 - var * var) / n)
-        assert (np.abs(rows.var(axis=0, ddof=1) - var) < 4.0 * se_var).all(), s
+    post = alpha + counts
+    priors = [ChainPrior(alpha, tuple(NormalPrior(0.0, 1.0) for _ in range(3)), 1.0),
+              ChainPrior(np.full((2, 2), 1.5), (NormalPrior(0.0, 1.0),) * 2, 1.0)]
+    for advance in (_pure.fbpf_advance, compiled_kernels.fbpf_advance):
+        monkeypatch.setattr(smc, "fbpf_advance", advance)
+        filt = FactorialBpf(priors, n_particles=600, rng=stream(7, "rows"))
+        filt.trans_counts[:, 0, :3, :3] = counts
+        filt.theta[:] = 0.0
+        filt.step(0.0)
+        assert np.array_equal(filt.trans_counts[:, 0], np.broadcast_to(counts, (600, 3, 3)))
+        x = filt.states[:, 0]
+        assert (np.bincount(x, minlength=3) > 100).all()
+        assert np.array_equal(filt.rows[:, 0], post[x] / post.sum(axis=1)[x, None])
+        assert np.array_equal(filt.rows[:, 1, :2], np.full((600, 2), 0.5))
+        assert (filt.rows[:, 1, 2] == 1.0).all()
 
 
 class CountingGenerator(np.random.Generator):
@@ -330,10 +329,9 @@ for _name in ("random", "standard_normal", "standard_gamma", "standard_exponenti
 
 @pytest.mark.parametrize("H", [1, 3])
 def test_filter_draws_only_what_its_passes_read(H):
-    # per house, the constructor draws the theta normals of the real lanes
-    # and no gamma; each step draws N + 1 uniforms, N*K emission normals,
-    # N*sum(Js) theta normals and N*sum(Js) gammas, one Dirichlet row per
-    # chain out of each particle's new state
+    # per house, the constructor draws the theta normals of the real lanes;
+    # each step draws N + 1 uniforms, N*K emission normals and N*sum(Js)
+    # theta normals, and no gamma: the rows are Dirichlet means
     priors, y = bundle_stream(4)
     N, K, C = 50, len(priors), sum(p.J for p in priors)
     rngs = [CountingGenerator(np.random.PCG64(60 + h)) for h in range(H)]
@@ -344,8 +342,7 @@ def test_filter_draws_only_what_its_passes_read(H):
         filt.step(float(v) if H == 1 else np.full(H, v))
         for g in rngs:
             assert g.drawn == {"standard_normal": N * C + (t + 1) * (N * K + N * C),
-                               "random": (t + 1) * (N + 1),
-                               "standard_gamma": (t + 1) * N * C}, t
+                               "random": (t + 1) * (N + 1)}, t
 
 
 def test_chain_prior_validation():
@@ -425,6 +422,54 @@ def test_fbpf_single_chain_tracks_states_and_learns_means():
         assert ((ratio >= 0.7) & (ratio <= 1.4)).all(), (ds, fs, ratio)
 
 
+# the learning-filter oracle's model: two two-state chains whose sticky
+# rows have small concentrations, so a few counts move them, and whose
+# state means overlap within the readings' spread
+ORACLE_PRIORS = [
+    ChainPrior(np.array([[3.0, 1.0], [1.0, 3.0]]), (NormalPrior(0.0, 0.3), NormalPrior(2.0, 0.3)),
+               0.15),
+    ChainPrior(np.array([[2.0, 1.0], [1.0, 2.0]]), (NormalPrior(0.0, 0.3), NormalPrior(1.2, 0.3)),
+               0.15),
+]
+ORACLE_READINGS = np.array([0.2, 1.4, 3.0, 2.1, 0.9, 3.3])
+
+
+def test_learning_filter_matches_exact_enumeration():
+    """The shipped filter, learning its transition rows and means, against
+    the exact enumeration of the model's 4^t joint paths with both
+    integrated out (``exact_learning_filter``), at N = 10^3 over 48 seeds
+    and N = 10^4 over 12. The particle histograms of the joint state lie
+    within three times the i.i.d. CLT scale 0.5 sum_j sqrt(p_j (1 - p_j) / N)
+    in total variation, averaged over t and seeds, which allows the
+    resampled particle system nine times the variance of independent
+    draws; the mean TV falls with N at a log-log slope within criterion 7's
+    [-0.7, -0.3]; and exp(log_evidence - log p(y_1:t)), the estimate's
+    ratio to the truth, has mean 1 within 4 standard errors at every t."""
+    exact, logp = exact_learning_filter(ORACLE_PRIORS, ORACLE_READINGS)
+    scale = 0.5 * np.sqrt(exact * (1.0 - exact)).sum(axis=1).mean()
+    Js = tuple(p.J for p in ORACLE_PRIORS)
+    tv = {}
+    for N, seeds in ((1_000, 48), (10_000, 12)):
+        tvs, ratios = [], []
+        for seed in range(seeds):
+            filt = FactorialBpf(ORACLE_PRIORS, N, stream(seed, "learning-oracle", N))
+            hist, evidence = [], []
+            for v in ORACLE_READINGS:
+                filt.step(float(v))
+                joint = np.ravel_multi_index(filt.states.T, Js)
+                hist.append(np.bincount(joint, weights=filt.weights, minlength=len(exact[0])))
+                evidence.append(filt.log_evidence)
+            tvs.append(0.5 * np.abs(np.array(hist) - exact).sum(axis=1).mean())
+            ratios.append(np.exp(np.array(evidence) - logp))
+        tv[N] = float(np.mean(tvs))
+        assert tv[N] < 3.0 * scale / math.sqrt(N), (N, tv[N])
+        ratios = np.array(ratios)
+        se = ratios.std(axis=0, ddof=1) / math.sqrt(len(ratios))
+        assert (np.abs(ratios.mean(axis=0) - 1.0) < 4.0 * se).all(), (N, ratios.mean(axis=0), se)
+    slope = math.log(tv[10_000] / tv[1_000]) / math.log(10.0)
+    assert -0.7 <= slope <= -0.3, slope
+
+
 def bundle_stream(T):
     """The default four-device house (Js = 2, 3, 2, 3) and watt readings."""
     priors = [chain_prior(dev) for dev in default_bundle().devices]
@@ -447,8 +492,8 @@ def hook_stream(T):
 
 def filter_digests(priors, y):
     """sha256 of every step's shifted ``logw`` and row max and of the
-    particle states, emissions and means after filtering y, plus the running
-    log-evidence."""
+    particle states, emissions, means and the real lanes of the rows after
+    filtering y, plus the running log-evidence."""
     accumulate = smc.fbpf_accumulate
     logw_hash = hashlib.sha256()
 
@@ -466,9 +511,11 @@ def filter_digests(priors, y):
             filt.step(float(v))
     finally:
         smc.fbpf_accumulate = accumulate
+    real = [filt.rows[:, k, :J].tobytes() for k, J in enumerate(filt.Js)]
     return [logw_hash.hexdigest()] + [
-        hashlib.sha256(getattr(filt, name).tobytes()).hexdigest()
-        for name in ("states", "emis", "theta")] + [filt.log_evidence]
+        hashlib.sha256(a).hexdigest()
+        for a in [getattr(filt, name).tobytes() for name in ("states", "emis", "theta")] + real
+    ] + [filt.log_evidence]
 
 
 @pytest.mark.parametrize("make", [bundle_stream, hook_stream])
@@ -514,6 +561,7 @@ def test_bank_houses_match_lone_filters():
                 assert np.array_equal(own, getattr(f, name)), (t, h, name)
                 assert np.array_equal(getattr(view, name), getattr(f, name)), (t, h, name)
             assert bank.log_evidence[h] == f.log_evidence == view.log_evidence
+            assert bank.ess_frac[h] == f.ess_frac == view.ess_frac
             assert np.array_equal(maps[h], f.map_states())
             assert np.array_equal(view.map_states(), f.map_states())
             for a, b, c in zip(means, f.power_means(), view.power_means()):
@@ -521,7 +569,7 @@ def test_bank_houses_match_lone_filters():
     # a view reads its house and nothing more
     view = bank.house(-1)
     assert view.N == N and view.emis.shape == (N, bank.K)
-    assert isinstance(view.log_evidence, float)
+    assert isinstance(view.log_evidence, float) and isinstance(view.ess_frac, float)
     with pytest.raises(ValueError, match="read-only"):
         view.theta[0, 0, 0] = 1.0
     with pytest.raises(TypeError, match="does not step"):
@@ -551,6 +599,29 @@ def test_bank_rejects_what_it_cannot_step():
     assert np.array_equal(bank.log_evidence, [0.0, 0.0])
     for name, was in zip(PARTICLE_ARRAYS, before):
         assert np.array_equal(getattr(bank, name), was), name
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_step_rejects_a_reading_that_is_not_finite(bad):
+    # the reading is at fault, not the model: the step names the house and
+    # the reading before any draw, and leaves every house as it was, after
+    # a first step too
+    prior = ChainPrior(np.ones((2, 2)), (NormalPrior(0, 1), NormalPrior(3, 1)), 1.0)
+    bank = FactorialBpf([prior], 20, [stream(6, "finite"), stream(7, "finite")])
+    lone = FactorialBpf([prior], 20, stream(8, "finite"))
+    bank.step([1.0, 2.0])
+    lone.step(1.0)
+    for filt, y, house in ((bank, [1.0, bad], 1), (bank, [bad, bad], 0), (lone, bad, 0)):
+        before = [getattr(filt, name).copy() for name in PARTICLE_ARRAYS]
+        draws = [g.bit_generator.state for g in filt.rngs]
+        evidence, ess = np.copy(filt.log_evidence), np.copy(filt.ess_frac)
+        with pytest.raises(ValueError, match=rf"house {house}: reading {bad} is not finite"):
+            filt.step(y)
+        assert filt.n == 1 and [g.bit_generator.state for g in filt.rngs] == draws
+        assert np.array_equal(filt.log_evidence, evidence)
+        assert np.array_equal(filt.ess_frac, ess)
+        for name, was in zip(PARTICLE_ARRAYS, before):
+            assert np.array_equal(getattr(filt, name), was), name
 
 
 def test_log_evidence_first_step_matches_closed_form():
