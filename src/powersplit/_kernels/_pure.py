@@ -143,7 +143,8 @@ def fbpf_accumulate(logtrans_rows, theta_rows, var_chain, joint_idx, ybar):
     logw = outer_sum(logtrans_rows)
     means = outer_sum(theta_rows)
     svar = float(var_chain.sum())
-    logw += -0.5 * (np.log(2.0 * np.pi * svar) + (ybar[:, None] - means) ** 2 / svar)
+    with np.errstate(over="ignore"):  # an impossible reading scores -inf
+        logw += -0.5 * (np.log(2.0 * np.pi * svar) + (ybar[:, None] - means) ** 2 / svar)
     row_max = logw.max(axis=1)
     with np.errstate(invalid="ignore"):
         logw -= row_max[:, None]

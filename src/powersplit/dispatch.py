@@ -57,8 +57,8 @@ class NominalLoadModel:
             raise ValueError("inconsistent state list")
         if len(U) != R0.shape[1]:
             raise ValueError("one power value per controllable mode")
-        assert_simplex_rows(R0, atol=1e-9)
-        assert_simplex_rows(Q0, atol=1e-9)
+        assert_simplex_rows(R0)
+        assert_simplex_rows(Q0)
         P = R0[:, xu] * Q0[:, xn]
         if not np.allclose(P.sum(axis=1), 1.0, atol=1e-9):
             raise ValueError("retained state list is not closed under P0")
@@ -165,7 +165,7 @@ class MeanFieldState:
     y: float
 
     def __post_init__(self):
-        object.__setattr__(self, "mu", assert_simplex(np.asarray(self.mu, dtype=float), atol=1e-9))
+        object.__setattr__(self, "mu", assert_simplex(np.asarray(self.mu, dtype=float)))
 
 
 @dataclass(frozen=True)

@@ -13,23 +13,24 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln
 
-SIMPLEX_ATOL = 1e-12
+# how far from 1 a probability vector's sum may fall
+SIMPLEX_ATOL = 1e-9
 
 
-def assert_simplex(w, atol: float = SIMPLEX_ATOL) -> np.ndarray:
+def assert_simplex(w) -> np.ndarray:
     """Validate that ``w`` is a probability vector, the one-row case of
     ``assert_simplex_rows``; returns it as an ndarray."""
     w = np.asarray(w, dtype=float)
     if w.ndim != 1:
         raise ValueError("simplex vector must be 1-d")
-    assert_simplex_rows(w[None], atol)
+    assert_simplex_rows(w[None])
     return w
 
 
-def assert_simplex_rows(w, atol: float = SIMPLEX_ATOL) -> np.ndarray:
+def assert_simplex_rows(w) -> np.ndarray:
     """Validate that every row of the 2-d ``w`` is a probability vector:
-    entries in [0, 1] that sum to 1 within ``atol``; returns it as an
-    ndarray."""
+    entries in [0, 1] that sum to 1 within ``SIMPLEX_ATOL``; returns it as
+    an ndarray."""
     w = np.asarray(w, dtype=float)
     if w.ndim != 2:
         raise ValueError("simplex rows must be 2-d")
@@ -37,7 +38,7 @@ def assert_simplex_rows(w, atol: float = SIMPLEX_ATOL) -> np.ndarray:
     if not np.all((w >= 0) & (w <= 1)):
         raise ValueError("simplex entries must lie in [0, 1]")
     sums = w.sum(axis=1)
-    off = ~(np.abs(sums - 1.0) <= atol)
+    off = ~(np.abs(sums - 1.0) <= SIMPLEX_ATOL)
     if off.any():
         raise ValueError(f"simplex entries sum to {sums[off][0]!r}, not 1")
     return w
@@ -185,20 +186,6 @@ def categorical_sample_logits(rng: np.random.Generator, logits) -> int:
     return categorical_pick_logits(logits, rng.random())
 
 
-def categorical_cdf_rows(logits) -> np.ndarray:
-    """The cdf that ``categorical_pick_logits`` forms from each row of the
-    2-d ``logits``, all rows at once and to the bit: the row's exponentials
-    shifted by its max, normalised and summed in order. The category that
-    ``u`` picks from a row is ``bisect.bisect_right(row, u)`` clamped to the
-    last one."""
-    logits = np.asarray(logits, dtype=float)
-    m = logits.max(axis=1, keepdims=True)
-    if np.any(m == -np.inf):
-        raise ValueError("all categories have zero probability")
-    p = np.exp(logits - m)
-    return np.cumsum(p / p.sum(axis=1, keepdims=True), axis=1)
-
-
 def categorical_rows_pick(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
     """The category that ``u[i]`` picks from row i of ``probs`` (rows
     normalized): the count of its cdf entries below ``u[i]``."""
@@ -227,7 +214,6 @@ __all__ = [
     "categorical_pick_logits",
     "categorical_sample",
     "categorical_sample_logits",
-    "categorical_cdf_rows",
     "categorical_rows_pick",
     "categorical_rows_sample",
 ]

@@ -9,26 +9,27 @@ distribution).
 
 Convention: m[k][j] = tables in restaurant k serving dish j, so column sums
 m_dot[j] = sum_k m[k][j] drive the beta posterior.
+
+The HDP-HSMM sweep adds blocked segment draws and conjugate per-state moves
+under one Normal emission prior and one duration hyperprior. The mixture
+priors are the trained bundle's types; the sweep never reads them.
 """
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import betaln, gammaln, xlog1py, xlogy
+from scipy.special import betaln
 
 from .distributions import (
     NormalPrior,
     assert_simplex,
     assert_simplex_rows,
-    categorical_cdf_rows,
     categorical_sample_logits,
     conj_update_normal,
     dirichlet_sample,
-    normal_logpdf,
 )
 from .hsmm import (
     DurationHyper,
@@ -64,12 +65,12 @@ class WeakLimitHdp:
     pi: np.ndarray    # (L, L) full rows, diagonal included
 
     def __post_init__(self):
-        beta = assert_simplex(np.asarray(self.beta, dtype=float), atol=1e-9)
+        beta = assert_simplex(np.asarray(self.beta, dtype=float))
         pi = np.asarray(self.pi, dtype=float)
         L = len(beta)
         if pi.shape != (L, L):
             raise ValueError("pi must be (L, L)")
-        assert_simplex_rows(pi, atol=1e-9)
+        assert_simplex_rows(pi)
         if self.gamma <= 0 or self.alpha <= 0:
             raise ValueError("concentrations must be positive")
         object.__setattr__(self, "beta", beta)
@@ -257,15 +258,10 @@ class EmissionMixturePrior:
     components: tuple[NormalPrior, ...]
 
     def __post_init__(self):
-        w = assert_simplex(np.asarray(self.weights, dtype=float), atol=1e-9)
+        w = assert_simplex(np.asarray(self.weights, dtype=float))
         if len(w) != len(self.components):
             raise ValueError("weights/components mismatch")
         object.__setattr__(self, "weights", w)
-
-    def sample_prior(self, rng: np.random.Generator) -> float:
-        m = categorical_sample_logits(rng, np.log(np.maximum(self.weights, 1e-300)))
-        c = self.components[m]
-        return rng.normal(c.mean, math.sqrt(c.var))
 
 
 @dataclass(frozen=True)
@@ -276,7 +272,7 @@ class DurationMixturePrior:
     components: tuple[DurationHyper, ...]
 
     def __post_init__(self):
-        w = assert_simplex(np.asarray(self.weights, dtype=float), atol=1e-9)
+        w = assert_simplex(np.asarray(self.weights, dtype=float))
         if len(w) != len(self.components):
             raise ValueError("weights/components mismatch")
         object.__setattr__(self, "weights", w)
@@ -288,8 +284,10 @@ class DurationMixturePrior:
 
 @dataclass(frozen=True)
 class HdpHsmmPriors:
-    emission_mix: EmissionMixturePrior
-    duration_mix: DurationMixturePrior
+    """The sweep's base measures, shared by every state."""
+
+    emission: NormalPrior
+    duration: DurationHyper
     sigma2: float
 
 
@@ -312,14 +310,9 @@ class HdpHsmmState:
 def init_hdphsmm_state(gamma: float, alpha: float, L: int,
                        priors: HdpHsmmPriors, rng: np.random.Generator) -> HdpHsmmState:
     hdp = sample_hdp_prior(gamma, alpha, L, rng)
-    theta = np.array([priors.emission_mix.sample_prior(rng) for _ in range(L)])
-    durations = tuple(priors.duration_mix.sample_prior(rng) for _ in range(L))
+    theta = rng.normal(priors.emission.mean, math.sqrt(priors.emission.var), size=L)
+    durations = tuple(priors.duration.sample_prior(rng) for _ in range(L))
     return HdpHsmmState(hdp=hdp, theta=theta, durations=durations)
-
-
-def _pick(cdf: list, u: float) -> int:
-    """The category that ``u`` picks from a ``categorical_cdf_rows`` row."""
-    return min(bisect.bisect_right(cdf, u), len(cdf) - 1)
 
 
 def _state_slices(labels: np.ndarray, L: int):
@@ -329,87 +322,39 @@ def _state_slices(labels: np.ndarray, L: int):
     return np.argsort(labels, kind="stable"), [slice(a, b) for a, b in zip([0] + ends, ends)]
 
 
-def sample_theta(prior: EmissionMixturePrior, theta: np.ndarray, y: np.ndarray,
-                 x: np.ndarray, sigma2: float, rng: np.random.Generator) -> np.ndarray:
-    """Every state's emission-mean move, in state order: a Gibbs pair move
-    of the component label given the current mean, then the mean from that
-    component's conjugate posterior given the readings ``y[x == j]``.
-
-    The label cdfs are formed for all states at once and the readings
-    grouped by state, so the loop over states sums one contiguous slice, in
-    the order ``y[x == j]`` holds it, and makes the draws: one uniform, one
-    normal.
+def sample_theta(prior: NormalPrior, y: np.ndarray, x: np.ndarray, L: int,
+                 sigma2: float, rng: np.random.Generator) -> np.ndarray:
+    """Every state's emission mean from its conjugate posterior given the
+    readings ``y[x == j]``, in state order: one normal per state. The loop
+    sums one contiguous slice a state, in the order ``y[x == j]`` holds it.
     """
-    L = len(theta)
-    comps = prior.components
-    logits = np.log(np.maximum(prior.weights, 1e-300)) + normal_logpdf(
-        np.asarray(theta)[:, None], np.array([c.mean for c in comps]),
-        np.array([c.var for c in comps]))
-    cdfs = categorical_cdf_rows(logits).tolist()
     order, slices = _state_slices(x, L)
     ys = y[order]
     out = np.empty(L)
     for j, seg in enumerate(slices):
         obs = ys[seg]
-        post = conj_update_normal(comps[_pick(cdfs[j], rng.random())], obs.sum(), len(obs),
-                                  sigma2)
+        post = conj_update_normal(prior, obs.sum(), len(obs), sigma2)
         out[j] = rng.normal(post.mean, math.sqrt(post.var))
     return out
 
 
-def _beta_logpdf(x, a, b):
-    """``scipy.stats.beta._logpdf``, in its order of operations."""
-    return xlog1py(b - 1.0, -x) + xlogy(a - 1.0, x) - betaln(a, b)
-
-
-def duration_label_logits(prior: DurationMixturePrior, durations) -> np.ndarray:
-    """(L, C): log weight plus the Beta(phi), Gamma(lam) and Beta(vphi)
-    prior log densities of each state's parameters in ``durations`` under
-    each of the C hyper bundles.
-
-    The densities are ``scipy.stats``' own ``_logpdf`` expressions, Gamma
-    at lam / scale minus log(scale) with scale = 1 / b_lam, so the logits
-    equal ``scipy.stats.beta.logpdf`` and ``gamma.logpdf`` to the bit.
-    """
-    a_phi, b_phi, a_lam, b_lam, a_vphi, b_vphi = np.array(
-        [(h.a_phi, h.b_phi, h.a_lam, h.b_lam, h.a_vphi, h.b_vphi) for h in prior.components]).T
-    phi, lam, vphi = np.array([(d.phi, d.lam, d.vphi) for d in durations]).T[:, :, None]
-    scale = 1.0 / b_lam
-    x = lam / scale
-    return np.log(np.maximum(prior.weights, 1e-300)) + (
-        _beta_logpdf(phi, a_phi, b_phi)
-        + (xlogy(a_lam - 1.0, x) - x - gammaln(a_lam) - np.log(scale))
-        + _beta_logpdf(vphi, a_vphi, b_vphi))
-
-
-def sample_durations(prior: DurationMixturePrior, durations: tuple, D: np.ndarray,
+def sample_durations(hyper: DurationHyper, durations: tuple, D: np.ndarray,
                      z: np.ndarray, rng: np.random.Generator) -> tuple:
-    """Every state's duration move, in state order: a hyper-bundle label
-    given the state's current parameters (prior density), then
-    ``sample_duration_params`` on its segment lengths ``D[z == j]`` under
-    the labelled bundle.
-
-    The label cdfs and every segment's Poisson-vs-negbin weight are formed
-    for all states first, so the loop over states only makes the draws.
-    When component r values differ the label density ignores the discrete r
-    coordinate, which makes the move approximate; bundles sharing r keep it
-    an exact Gibbs pair move.
-    """
-    cdfs = categorical_cdf_rows(duration_label_logits(prior, durations)).tolist()
+    """Every state's ``sample_duration_params`` on its segment lengths
+    ``D[z == j]``, in state order. Every segment's Poisson-vs-negbin weight
+    is formed first, so the loop over states only makes the draws."""
     order, slices = _state_slices(z, len(durations))
     ds = np.asarray(D, dtype=np.int64)[order]
     p_poisson = poisson_label_probs(durations, D, z)[order]
-    return tuple(
-        sample_duration_params(ds[seg], p_poisson[seg],
-                               prior.components[_pick(cdfs[j], rng.random())], rng)
-        for j, seg in enumerate(slices))
+    return tuple(sample_duration_params(ds[seg], p_poisson[seg], hyper, rng)
+                 for seg in slices)
 
 
 def gibbs_sweep_hdphsmm(state: HdpHsmmState, y, priors: HdpHsmmPriors,
                         rng: np.random.Generator, dmax: int | None = None) -> HdpHsmmState:
     """One sweep: blocked segments under the normalized rows, the weak-limit
     prior pass, then per-state emission means and duration parameters from
-    their mixture priors."""
+    their conjugate posteriors."""
     y = np.asarray(y, dtype=float)
     L = state.hdp.L
     params = state.hsmm_params(priors.sigma2)
@@ -417,6 +362,6 @@ def gibbs_sweep_hdphsmm(state: HdpHsmmState, y, priors: HdpHsmmPriors,
 
     counts = np.bincount(path.z[:-1] * L + path.z[1:], minlength=L * L).reshape(L, L)
     hdp = hdp_sweep(state.hdp, counts, rng)
-    theta = sample_theta(priors.emission_mix, state.theta, y, path.x, priors.sigma2, rng)
-    durations = sample_durations(priors.duration_mix, state.durations, path.D, path.z, rng)
+    theta = sample_theta(priors.emission, y, path.x, L, priors.sigma2, rng)
+    durations = sample_durations(priors.duration, state.durations, path.D, path.z, rng)
     return HdpHsmmState(hdp=hdp, theta=theta, durations=durations, path=path)

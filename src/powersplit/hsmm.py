@@ -250,7 +250,7 @@ class HsmmParams:
         if np.any(np.diag(pi) != 0.0):
             raise ValueError("pi_bar diagonal must be exactly zero")
         if J > 1:
-            assert_simplex_rows(pi, atol=1e-9)
+            assert_simplex_rows(pi)
         if theta.shape != (J,) or len(self.durations) != J:
             raise ValueError("theta/durations length must match state count")
         if self.sigma2 <= 0:
@@ -261,7 +261,7 @@ class HsmmParams:
         if init is None:
             init = np.full(J, 1.0 / J)
         else:
-            init = assert_simplex(np.asarray(init, dtype=float), atol=1e-9)
+            init = assert_simplex(np.asarray(init, dtype=float))
         object.__setattr__(self, "init", init)
 
     @property
@@ -300,10 +300,6 @@ class SegmentPath:
     def x(self) -> np.ndarray:
         """Expanded per-step state sequence of length T."""
         return np.repeat(self.z, self.D)[: self.T]
-
-    @property
-    def starts(self) -> np.ndarray:
-        return np.concatenate([[0], np.cumsum(self.D)[:-1]])
 
 
 def simulate_hsmm(params: HsmmParams, T: int, rng: np.random.Generator):

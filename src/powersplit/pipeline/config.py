@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from ..distributions import NormalPrior
+from ..distributions import SIMPLEX_ATOL, NormalPrior
 from ..hdp import DurationMixturePrior, EmissionMixturePrior
 from ..hsmm import DurationHyper
 
@@ -257,7 +257,7 @@ def _simplex(doc: dict, key: str, where: str) -> np.ndarray:
     """``doc[key]`` as a probability vector: numbers in [0, 1] that sum to 1
     within the mixture priors' tolerance."""
     w = np.asarray(_numbers(doc, key, where), dtype=float)
-    if not (np.all((w >= 0.0) & (w <= 1.0)) and abs(w.sum() - 1.0) <= 1e-9):
+    if not (np.all((w >= 0.0) & (w <= 1.0)) and abs(w.sum() - 1.0) <= SIMPLEX_ATOL):
         raise ValueError(f"{where}: field {key!r} must be a probability vector "
                          f"(entries in [0, 1] summing to 1), got {doc[key]!r}")
     return w

@@ -124,8 +124,7 @@ class FbpfHook:
         return self.mode_hits / max(self.mode_calls, 1)
 
 
-def simulate_control(config: ControlConfig, rng,
-                     model: NominalLoadModel | None = None) -> dict:
+def simulate_control(config: ControlConfig, rng) -> dict:
     """Design gains, run the loop, and score tracking.
 
     Hooks: ``none`` evolves occupancy counts for ``n_loads`` loads;
@@ -135,8 +134,7 @@ def simulate_control(config: ControlConfig, rng,
     ``transient``.
     """
     check_tracking_window(config)
-    if model is None:
-        model = tcl_nominal_model(TclConfig())
+    model = tcl_nominal_model(TclConfig())
     kp, ki, bode = design_gains(model)
 
     pi0 = invariant_pmf(controlled_kernel(model, 0.0))

@@ -2,12 +2,14 @@
 then moment summaries of what the chains found.
 
 Each device column is fit independently per house under a weak-limit prior
-with broad data-driven base measures. The final post-burn-in path labels the
-series; the top-occupancy states (as many as the device is configured for,
-ranked by empirical mean) become mixture components. Across-house spread of
-the matched means supplies the emission prior variance; pooled segment
-lengths per rank are fit with a two-component truncated mixture whose point
-fit is re-expanded into moderately concentrated hyperpriors.
+with broad base measures: one Normal emission prior, centred on the series
+mean with twice its range as standard deviation, and the default duration
+hyperprior. The final post-burn-in path labels the series; the
+top-occupancy states (as many as the device is configured for, ranked by
+empirical mean) become mixture components. Across-house spread of the
+matched means supplies the emission prior variance; pooled segment lengths
+per rank are fit with a two-component truncated mixture whose point fit is
+re-expanded into moderately concentrated hyperpriors.
 
 Transition rows keep a flat symmetric concentration: streaming re-learns
 them conjugately, so training only needs to not rule anything out.
@@ -150,16 +152,8 @@ def summarize_house(y: np.ndarray, n_states: int, L: int, sweeps: int,
     y = np.asarray(y, dtype=float)
     lo, hi = float(y.min()), float(y.max())
     spread = max(hi - lo, 1.0)
-    priors = HdpHsmmPriors(
-        emission_mix=EmissionMixturePrior(
-            weights=np.array([1.0]),
-            components=(NormalPrior(float(y.mean()), (2.0 * spread) ** 2),),
-        ),
-        duration_mix=DurationMixturePrior(
-            weights=np.array([1.0]), components=(DurationHyper(),)
-        ),
-        sigma2=sigma2,
-    )
+    priors = HdpHsmmPriors(emission=NormalPrior(float(y.mean()), (2.0 * spread) ** 2),
+                           duration=DurationHyper(), sigma2=sigma2)
     state = init_hdphsmm_state(gamma=4.0, alpha=4.0, L=L, priors=priors, rng=rng)
     for _ in range(max(sweeps, burn_in + 1)):
         state = gibbs_sweep_hdphsmm(state, y, priors, rng, dmax=TRAIN_DMAX)

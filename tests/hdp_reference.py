@@ -4,8 +4,8 @@ The shipped sweep computes every deterministic per-state quantity in one
 pass over the L states and makes one generator call per kind where the
 draws are contiguous. This module keeps the loop form it replaced: the
 weak-limit pass one state and one cell at a time (``sample_rho`` and
-``sample_m`` per cell, one Dirichlet draw per row), the emission-mean and
-duration moves one state at a time, the one-state duration-parameter pass
+``sample_m`` per cell, one Dirichlet draw per row), the conjugate emission-mean
+and duration moves one state at a time, the one-state duration-parameter pass
 and the duration-table builder that stacks one state's tables at a time.
 The tests require the shipped sweep to return the same arrays bit for bit
 and to leave the generator where this one leaves it. The Stirling numbers
@@ -19,16 +19,14 @@ from dataclasses import replace
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import betaln, gammaln, nbdtrc, pdtrc, xlog1py, xlogy
+from scipy.special import nbdtrc, pdtrc
 
 from powersplit.distributions import (
-    categorical_sample_logits,
     conj_update_beta_negbin,
     conj_update_gamma_poisson,
     conj_update_normal,
     dirichlet_sample,
     negbin_logpmf,
-    normal_logpdf,
     poisson_logpmf,
 )
 from powersplit.hdp import HdpHsmmState, sample_beta_posterior
@@ -235,30 +233,6 @@ def hdp_sweep(hdp, trans_counts, rng, rho_cap=None):
 # ---------------------------------------------------------------------------
 
 
-def sample_theta_mixture(prior, theta_j, obs, sigma2, rng):
-    logits = np.log(np.maximum(prior.weights, 1e-300)) + np.array(
-        [normal_logpdf(theta_j, c.mean, c.var) for c in prior.components]
-    )
-    m = categorical_sample_logits(rng, logits)
-    post = conj_update_normal(prior.components[m], obs.sum(), len(obs), sigma2)
-    return rng.normal(post.mean, math.sqrt(post.var))
-
-
-def _beta_logpdf(x, a, b):
-    return xlog1py(b - 1.0, -x) + xlogy(a - 1.0, x) - betaln(a, b)
-
-
-def duration_label_logits(prior, cur):
-    a_phi, b_phi, a_lam, b_lam, a_vphi, b_vphi = np.array(
-        [(h.a_phi, h.b_phi, h.a_lam, h.b_lam, h.a_vphi, h.b_vphi) for h in prior.components]).T
-    scale = 1.0 / b_lam
-    x = cur.lam / scale
-    return np.log(np.maximum(prior.weights, 1e-300)) + (
-        _beta_logpdf(cur.phi, a_phi, b_phi)
-        + (xlogy(a_lam - 1.0, x) - x - gammaln(a_lam) - np.log(scale))
-        + _beta_logpdf(cur.vphi, a_vphi, b_vphi))
-
-
 def sample_duration_params(durations, hyper, current, rng):
     ds = np.asarray(durations, dtype=np.int64)
     if len(ds) == 0:
@@ -279,11 +253,6 @@ def sample_duration_params(durations, hyper, current, rng):
     return DurationParams(phi=phi, lam=lam, r=hyper.r, vphi=vphi)
 
 
-def sample_duration_mixture(prior, cur, ds, rng):
-    m = categorical_sample_logits(rng, duration_label_logits(prior, cur))
-    return sample_duration_params(ds, prior.components[m], cur, rng)
-
-
 def gibbs_sweep_hdphsmm(state, y, priors, rng, dmax=None):
     """The sweep with the per-state pieces above; the segment draw is the
     shipped one."""
@@ -297,14 +266,13 @@ def gibbs_sweep_hdphsmm(state, y, priors, rng, dmax=None):
     hdp = hdp_sweep(state.hdp, counts.astype(np.int64), rng)
 
     x = path.x
-    theta = np.array([
-        sample_theta_mixture(priors.emission_mix, state.theta[j], y[x == j],
-                             priors.sigma2, rng)
-        for j in range(L)
-    ])
+    theta = np.empty(L)
+    for j in range(L):
+        obs = y[x == j]
+        post = conj_update_normal(priors.emission, obs.sum(), len(obs), priors.sigma2)
+        theta[j] = rng.normal(post.mean, math.sqrt(post.var))
     durations = tuple(
-        sample_duration_mixture(priors.duration_mix, state.durations[j],
-                                path.D[path.z == j], rng)
+        sample_duration_params(path.D[path.z == j], priors.duration, state.durations[j], rng)
         for j in range(L)
     )
     return HdpHsmmState(hdp=hdp, theta=theta, durations=durations, path=path)

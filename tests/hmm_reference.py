@@ -47,14 +47,14 @@ class HmmParams:
             raise ValueError("theta length must match the state count")
         if self.sigma2 <= 0:
             raise ValueError("sigma2 must be positive")
-        assert_simplex_rows(pi, atol=1e-9)
+        assert_simplex_rows(pi)
         object.__setattr__(self, "pi", pi)
         object.__setattr__(self, "theta", theta)
         init = self.init
         if init is None:
             init = np.full(pi.shape[0], 1.0 / pi.shape[0])
         else:
-            init = assert_simplex(np.asarray(init, dtype=float), atol=1e-9)
+            init = assert_simplex(np.asarray(init, dtype=float))
         object.__setattr__(self, "init", init)
 
     @property

@@ -15,7 +15,6 @@ import hdp_reference
 import numpy as np
 import pytest
 from hdp_reference import antoniak_pmf, sample_m, sample_rho, stirling_unsigned
-from scipy.stats import beta as beta_dist, gamma as gamma_dist
 
 from powersplit.distributions import NormalPrior
 from powersplit.hdp import (
@@ -26,7 +25,6 @@ from powersplit.hdp import (
     WeakLimitHdp,
     _table_counts,
     _tables_by_jumps,
-    duration_label_logits,
     gibbs_sweep_hdphsmm,
     hdp_sweep,
     init_hdphsmm_state,
@@ -269,6 +267,13 @@ def test_capped_sweep_preserves_posterior_marginals():
 # ---------------------------------------------------------------------------
 
 
+def training_priors(y, sigma2):
+    """The priors ``pipeline.train.summarize_house`` builds for series ``y``."""
+    spread = max(float(y.max() - y.min()), 1.0)
+    return HdpHsmmPriors(emission=NormalPrior(float(y.mean()), (2.0 * spread) ** 2),
+                         duration=DurationHyper(), sigma2=sigma2)
+
+
 def test_hdphsmm_sweep_finds_separated_states():
     rng = stream(8, "hdphsmm")
     true = HsmmParams(
@@ -279,16 +284,7 @@ def test_hdphsmm_sweep_finds_separated_states():
     )
     path, y = simulate_hsmm(true, 600, rng)
 
-    priors = HdpHsmmPriors(
-        emission_mix=EmissionMixturePrior(
-            weights=np.array([0.5, 0.5]),
-            components=(NormalPrior(0.0, 100.0), NormalPrior(8.0, 100.0)),
-        ),
-        duration_mix=DurationMixturePrior(
-            weights=np.array([1.0]), components=(DurationHyper(),)
-        ),
-        sigma2=1.0,
-    )
+    priors = training_priors(y, 1.0)
     state = init_hdphsmm_state(4.0, 4.0, 4, priors, rng)
     for _ in range(40):
         state = gibbs_sweep_hdphsmm(state, y, priors, rng, dmax=60)
@@ -308,28 +304,6 @@ def test_mixture_prior_validation():
     with pytest.raises(ValueError):
         DurationMixturePrior(weights=np.array([0.4, 0.4]),
                              components=(DurationHyper(), DurationHyper()))
-
-
-def test_duration_label_logits_equal_scipy_stats():
-    # the closed form repeats scipy.stats' own expressions, so the logits,
-    # and with them every label draw, match bit for bit; the grid includes
-    # the Beta support edges phi = 0 and phi = 1
-    rng = np.random.default_rng(40)
-    for i in range(2000):
-        k = 1 + i % 4
-        hypers = tuple(DurationHyper(*np.exp(rng.normal(0.0, 1.5, size=6)), r=2)
-                       for _ in range(k))
-        prior = DurationMixturePrior(weights=rng.dirichlet(np.ones(k)), components=hypers)
-        phi = (0.0, 1.0)[i % 2] if i % 50 == 0 else float(rng.beta(0.5, 0.5))
-        cur = DurationParams(phi=phi, lam=float(rng.gamma(2.0, 10.0)), r=2,
-                             vphi=float(np.clip(rng.beta(0.5, 0.5), 1e-12, 1 - 1e-12)))
-        want = np.log(np.maximum(prior.weights, 1e-300)) + np.array([
-            beta_dist.logpdf(cur.phi, h.a_phi, h.b_phi)
-            + gamma_dist.logpdf(cur.lam, h.a_lam, scale=1.0 / h.b_lam)
-            + beta_dist.logpdf(cur.vphi, h.a_vphi, h.b_vphi)
-            for h in hypers])
-        got = duration_label_logits(prior, (cur,))
-        assert got.shape == (1, k) and np.array_equal(got[0], want), (i, got, want)
 
 
 # ---------------------------------------------------------------------------
@@ -396,44 +370,30 @@ def test_hdp_sweep_matches_per_state_reference(rho_cap):
         assert a.random() == b.random()
 
 
-def _sweep_case(T, L, dmax, mean_len, two_components):
+def _sweep_case(T, L, dmax, mean_len):
     """Data from a three-level segment model, priors as training builds
-    them (or with two components each) and an initial state."""
+    them and an initial state."""
     rng = stream(62, "sweep-case", T, L)
     durs = tuple(DurationParams(0.5, mean_len, 2, mean_len / (mean_len + 2)) for _ in range(3))
     true = HsmmParams(pi_bar=np.array([[0.0, 0.5, 0.5], [0.5, 0.0, 0.5], [0.5, 0.5, 0.0]]),
                       theta=np.array([0.0, 150.0, 400.0]), sigma2=400.0, durations=durs)
     _, y = simulate_hsmm(true, T, rng)
-    if two_components:
-        emission = EmissionMixturePrior(
-            weights=np.array([0.3, 0.7]),
-            components=(NormalPrior(0.0, 1e4), NormalPrior(300.0, 4e4)))
-        duration = DurationMixturePrior(
-            weights=np.array([0.6, 0.4]),
-            components=(DurationHyper(), DurationHyper(a_lam=4.0, b_lam=0.5, a_vphi=2.0, r=3)))
-    else:
-        spread = max(float(y.max() - y.min()), 1.0)
-        emission = EmissionMixturePrior(
-            weights=np.array([1.0]),
-            components=(NormalPrior(float(y.mean()), (2.0 * spread) ** 2),))
-        duration = DurationMixturePrior(weights=np.array([1.0]), components=(DurationHyper(),))
-    priors = HdpHsmmPriors(emission_mix=emission, duration_mix=duration, sigma2=400.0)
+    priors = training_priors(y, 400.0)
     return y, priors, init_hdphsmm_state(4.0, 4.0, L, priors, rng)
 
 
-# case: (T, L, dmax, mean segment length, two-component priors)
+# case: (T, L, dmax, mean segment length)
 SWEEP_CASES = {
-    "train_fit_shape": (300, 8, 200, 12.0, False),
-    "window_covers_horizon": (40, 4, 60, 6.0, False),
-    "short_window_resumes_walks": (120, 5, 4, 15.0, False),
-    "two_component_priors": (80, 5, 20, 8.0, True),
+    "train_fit_shape": (300, 8, 200, 12.0),
+    "window_covers_horizon": (40, 4, 60, 6.0),
+    "short_window_resumes_walks": (120, 5, 4, 15.0),
 }
 
 
 @pytest.mark.parametrize("case", sorted(SWEEP_CASES))
 def test_sweep_matches_per_state_reference(case):
-    T, L, dmax, mean_len, two = SWEEP_CASES[case]
-    y, priors, state = _sweep_case(T, L, dmax, mean_len, two)
+    T, L, dmax, mean_len = SWEEP_CASES[case]
+    y, priors, state = _sweep_case(T, L, dmax, mean_len)
     a, b = stream(63, "sweep-oracle", case), stream(63, "sweep-oracle", case)
     got = want = state
     empty_states = resumed = 0

@@ -29,6 +29,7 @@ import shlex
 import shutil
 import subprocess
 import sysconfig
+import warnings
 from datetime import datetime
 from pathlib import Path
 
@@ -393,6 +394,23 @@ def test_shift_and_total_match_pure_on_dead_rows_and_nan(compiled_kernels):
     assert np.array_equal(np.isnan(logw[12:16]), np.tile([False] * 3 + [True], (4, 3)))
     pred = np.exp(logw)
     assert_pass_matches_pure(compiled_kernels, "fbpf_total", [pred])
+
+
+def test_accumulate_scores_an_impossible_reading_without_warnings(compiled_kernels):
+    # a reading whose squared residual overflows: every lane scores -inf,
+    # silently, so the filter's own degenerate-weight error is all a user
+    # sees; both backends agree to the bit
+    rng = np.random.default_rng(17)
+    Js = (2, 3)
+    rows, theta, var = random_rows(rng, 6, Js)
+    ybar = np.array([1e300, -1e300, 1e300, 250.0, 1e300, 0.0])
+    args = [rows, theta, var, joint_state_table(Js), ybar]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        logw, row_max = _pure.fbpf_accumulate(*_copies(args))
+    assert (row_max[[0, 1, 2, 4]] == -np.inf).all() and np.isnan(logw[[0, 1, 2, 4]]).all()
+    assert np.isfinite(row_max[[3, 5]]).all()
+    assert_pass_matches_pure(compiled_kernels, "fbpf_accumulate", args)
 
 
 @settings(max_examples=40, deadline=None)
